@@ -18,7 +18,7 @@ print("=== decayed usage drives priority: p = w / (1 + U) ===")
 sched.ledger.accrue("heavy", 1200.0, t=0)   # heavy user burned 1200 cpu-s
 for t in (0, 600, 1200, 6000):
     print("  t=%5d  p(heavy)=%.4f  p(light)=%.4f"
-          % (t, sched.priority("heavy", t), sched.priority("light", t)))
+          % (t, sched.ledger.priority("heavy", t), sched.ledger.priority("light", t)))
 print("one half-life (600 s) halves the remembered usage.")
 
 print()

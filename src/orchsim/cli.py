@@ -186,26 +186,32 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _snapshot_value(block: stext.Block, key: str, default, types, what: str):
+    """The value under key, or default; a value of another type fails with its line."""
+    entry = block.entry(key)
+    if entry is None:
+        return default
+    if isinstance(entry.value, bool) or not isinstance(entry.value, types):
+        raise CliError("line %d: %s must be %s" % (entry.line, key, what))
+    return entry.value
+
+
 def _load_snapshot(path: str) -> list[ProviderSnapshot]:
     root = stext.parse_stext(_read_file(path))
     block = root.get("candidates")
     if not isinstance(block, stext.Block) or not len(block):
         raise CliError("snapshot file has no candidates block")
     snapshots = []
-    for provider_id, entry in block.items():
-        fields = entry.value
-        free_block = fields.get("free", stext.Block())
-        free = ResourceVector(int(free_block.get("cpus", 0)),
-                              int(free_block.get("mem_mb", 0)),
-                              int(free_block.get("disk_gb", 0)))
-        snapshots.append(ProviderSnapshot(
-            provider_id=provider_id,
-            sla_rank=float(fields.get("sla_rank", 0.0)),
-            availability=float(fields.get("availability", 1.0)),
-            latency_ms=float(fields.get("latency_ms", 0.0)),
-            free_capacity=free,
-            data_locality=float(fields.get("data_locality", 1.0)),
-        ))
+    for provider_id in block.entries:
+        fields = _snapshot_value(block, provider_id, None, stext.Block, "a block")
+        free_block = _snapshot_value(fields, "free", stext.Block(), stext.Block, "a block")
+        free = ResourceVector(*(_snapshot_value(free_block, key, 0, int, "an integer")
+                                for key in ("cpus", "mem_mb", "disk_gb")))
+        numbers = {key: float(_snapshot_value(fields, key, default, (int, float), "a number"))
+                   for key, default in (("sla_rank", 0.0), ("availability", 1.0),
+                                        ("latency_ms", 0.0), ("data_locality", 1.0))}
+        snapshots.append(ProviderSnapshot(provider_id=provider_id, free_capacity=free,
+                                          **numbers))
     return snapshots
 
 

@@ -111,9 +111,6 @@ class IamService:
                 groups |= set(token.groups)
         return groups
 
-    def tokens_of(self, subject: str) -> list[TokenRecord]:
-        return [tok for tok in self._tokens.values() if tok.subject == subject]
-
     def add_permit(self, group: str, provider_id: str):
         self._permits.add((group, provider_id))
 
@@ -136,10 +133,7 @@ class IamService:
         """Derive a credential record; never outlives the source token."""
         if kind not in CRED_KINDS:
             raise IamError("unknown credential kind %r" % kind)
-        if token.revoked:
-            raise RevokedTokenError("token %s is revoked" % token.token_id)
-        if t >= token.expires_at:
-            raise ExpiredTokenError("token %s expired at t=%d" % (token.token_id, token.expires_at))
+        self.validate(token.token_id, t)
         payload = hashlib.sha256(("%s:%s" % (token.token_id, kind)).encode()).hexdigest()
         return TranslatedCredential(kind=kind, subject=token.subject,
                                     payload=payload, valid_until=token.expires_at)

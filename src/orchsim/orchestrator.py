@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import iam as iam_mod
+from .config import resolve_preferences
 from .errors import DomainError
 from .ranker import PreferenceList, ProviderSnapshot, RankerConfig, rank_providers
 from .resources import ResourceVector
@@ -66,7 +67,6 @@ class SLARecord:
     provider_id: str
     group: str
     sla_rank: float
-    guaranteed: ResourceVector | None = None
 
     def __post_init__(self):
         if self.sla_rank < 0:
@@ -286,20 +286,11 @@ class Orchestrator:
             raise NoEligibleProviderError("no eligible provider for %s" % record.uuid)
 
         if prefs is None:
-            prefs = self._resolve_preferences(token)
+            prefs = resolve_preferences(self.preferences, token.subject, token.groups)
         ranked = rank_providers(candidates, self.ranker_config, prefs)
         record.ranked_sites = tuple(ranked)
         self._emit(t, "deployment_ranked", uuid=record.uuid, ranked=list(ranked))
         return ranked
-
-    def _resolve_preferences(self, token: iam_mod.TokenRecord) -> PreferenceList | None:
-        """User-scope preferences win over group scope; groups tried in name order."""
-        if token.subject in self.preferences:
-            return self.preferences[token.subject]
-        for group in sorted(token.groups):
-            if group in self.preferences:
-                return self.preferences[group]
-        return None
 
     def advance(self, record: DeploymentRecord, event, t: int) -> DeploymentRecord:
         """Apply a site outcome; exhausting the ranked list fails the create."""

@@ -106,15 +106,7 @@ def rank_providers(candidates: list[ProviderSnapshot], config: RankerConfig,
     preference order; the rest follow by descending score with lexicographic
     provider_id as the tie-break.
     """
-    if not candidates:
-        raise EmptyCandidatesError("no candidate providers")
-    sla_norms = normalize([c.sla_rank for c in candidates])
-    lat_norms = normalize([c.latency_ms for c in candidates])
-    scores = {
-        c.provider_id: score(c, sla_norms[i], lat_norms[i], config)
-        for i, c in enumerate(candidates)
-    }
-
+    scores = scored_candidates(candidates, config)
     preferred: list[str] = []
     if prefs is not None:
         preferred = [p for p in prefs.providers if p in scores]

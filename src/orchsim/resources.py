@@ -85,8 +85,5 @@ class ResourceVector:
     def is_zero(self) -> bool:
         return self.cpus == 0 and self.mem_mb == 0 and self.disk_gb == 0
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.cpus, self.mem_mb, self.disk_gb)
-
     def __str__(self):
         return "(%d cpus, %d MB, %d GB)" % (self.cpus, self.mem_mb, self.disk_gb)

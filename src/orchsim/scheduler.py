@@ -120,9 +120,6 @@ class UsageLedger:
     def priority(self, user: str, t: int) -> float:
         return self.weight(user) / (1.0 + self.usage(user, t))
 
-    def users(self) -> list[str]:
-        return sorted(set(self._usage) | set(self._weights))
-
 
 class SiteScheduler:
     """Single-writer scheduler for one site's pooled cloud capacity."""
@@ -154,9 +151,6 @@ class SiteScheduler:
 
     def queued_demand(self) -> ResourceVector:
         return ResourceVector.total(r.resources for r in self.queue)
-
-    def priority(self, user: str, t: int) -> float:
-        return self.ledger.priority(user, t)
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -277,14 +271,15 @@ class SiteScheduler:
         if not victim.request.is_preemptible:
             raise SchedulerError("refusing to preempt normal instance %s"
                                  % victim.request_id)
-        elapsed = t - victim.start_time
-        self.ledger.accrue(victim.request.user, victim.request.resources.cpus * elapsed, t)
         self._drop_running(victim, t)
         self._emit(t, "instance_preempted", request_id=victim.request_id,
                    user=victim.request.user, cpus=victim.request.resources.cpus,
                    node=victim.node_id, bid=victim.request.bid, preempted_by=by)
 
     def _drop_running(self, instance: RunningInstance, t: int):
+        """End a running instance: accrue cpus x elapsed to its owner, free its room."""
+        self.ledger.accrue(instance.request.user,
+                           instance.request.resources.cpus * (t - instance.start_time), t)
         del self.running[instance.request_id]
         group = instance.request.group
         self.group_running[group] = self.group_running[group] - instance.request.resources
@@ -359,8 +354,6 @@ class SiteScheduler:
         instance = self.running.get(request_id)
         if instance is None:
             raise UnknownInstanceError("no running instance %r" % request_id)
-        elapsed = t - instance.start_time
-        self.ledger.accrue(instance.request.user, instance.request.resources.cpus * elapsed, t)
         self._drop_running(instance, t)
         self._emit(t, "instance_released", request_id=request_id,
                    user=instance.request.user, cpus=instance.request.resources.cpus,
@@ -372,9 +365,6 @@ class SiteScheduler:
         killed = []
         for request_id in sorted(self.running):
             instance = self.running[request_id]
-            elapsed = t - instance.start_time
-            self.ledger.accrue(instance.request.user,
-                               instance.request.resources.cpus * elapsed, t)
             self._drop_running(instance, t)
             self._emit(t, "instance_killed", request_id=request_id,
                        user=instance.request.user, cpus=instance.request.resources.cpus,

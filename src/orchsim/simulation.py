@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import random
 from dataclasses import dataclass, field
 
 from . import stext
@@ -29,15 +28,15 @@ from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest
 from .site import Site, make_site
 from .templates import KIND_JOB, KIND_SERVICE, TemplateError
 
-ACTIONS = ("submit", "delete", "fail_site", "revoke_token", "switch_role")
-
-_REQUIRED_PARAMS = {
-    "submit": ("template", "user"),
-    "delete": ("ref",),
-    "fail_site": ("provider", "duration"),
-    "revoke_token": ("user",),
-    "switch_role": ("provider", "node", "target"),
+# Event parameters per action: (required, optional); any other key is rejected.
+_PARAMS = {
+    "submit": (("template", "user"), ("template_text", "prefs", "duration")),
+    "delete": (("ref",), ("user",)),
+    "fail_site": (("provider", "duration"), ()),
+    "revoke_token": (("user",), ()),
+    "switch_role": (("provider", "node", "target"), ()),
 }
+ACTIONS = tuple(_PARAMS)
 
 
 class ScenarioError(DomainError):
@@ -89,6 +88,28 @@ def _require(block: stext.Block, key: str, context: str):
     if key not in block:
         raise ScenarioError("%s is missing %r" % (context, key))
     return block.get(key)
+
+
+def _reject_unknown(block: stext.Block, allowed, context: str):
+    for key, entry in block.items():
+        if key not in allowed:
+            raise ScenarioError("line %d: %s has unknown key %r" % (entry.line, context, key))
+
+
+def _block(parent: stext.Block, key: str, allowed, context: str) -> stext.Block:
+    """The block under key, empty when absent.
+
+    A scalar there, or a key in it outside allowed (None allows any), fails
+    with its line.
+    """
+    entry = parent.entry(key)
+    if entry is None:
+        return stext.Block()
+    if not isinstance(entry.value, stext.Block):
+        raise ScenarioError("line %d: %s must be a block" % (entry.line, context))
+    if allowed is not None:
+        _reject_unknown(entry.value, allowed, context)
+    return entry.value
 
 
 def _as_int(value, context: str) -> int:
@@ -147,11 +168,8 @@ def parse_scenario(text: str, *, name: str = "scenario",
     except stext.StextError as exc:
         raise ScenarioError("scenario: %s" % exc) from exc
 
-    known = ("name", "seed", "horizon_s", "providers", "slas", "datasets",
-             "users", "events")
-    for key, entry in root.items():
-        if key not in known:
-            raise ScenarioError("line %d: unknown scenario key %r" % (entry.line, key))
+    _reject_unknown(root, ("name", "seed", "horizon_s", "providers", "slas", "datasets",
+                           "users", "events"), "scenario")
 
     scenario = Scenario(
         name=str(root.get("name", name)),
@@ -161,13 +179,13 @@ def parse_scenario(text: str, *, name: str = "scenario",
     if scenario.horizon_s <= 0:
         raise ScenarioError("horizon_s must be > 0")
 
-    providers_block = root.get("providers", stext.Block())
-    for provider_id, entry in providers_block.items():
-        block = entry.value
-        if not isinstance(block, stext.Block):
-            raise ScenarioError("provider %s must be a block" % provider_id)
+    providers = _block(root, "providers", None, "providers")
+    for provider_id in providers.entries:
+        block = _block(providers, provider_id,
+                       ("availability", "latency_ms", "elasticity", "nodes"),
+                       "provider %s" % provider_id)
         nodes = []
-        nodes_block = block.get("nodes", stext.Block())
+        nodes_block = _block(block, "nodes", None, "provider %s nodes" % provider_id)
         for node_id, node_entry in nodes_block.items():
             nodes.append(_node_from_block(node_id, node_entry.value,
                                           "provider %s node %s" % (provider_id, node_id)))
@@ -186,25 +204,23 @@ def parse_scenario(text: str, *, name: str = "scenario",
         ))
     provider_ids = {p.provider_id for p in scenario.providers}
 
-    for key, entry in root.get("slas", stext.Block()).items():
-        block = entry.value
+    slas = _block(root, "slas", None, "slas")
+    for key in slas.entries:
+        block = _block(slas, key, ("provider", "group", "sla_rank"), "sla %s" % key)
         provider = _require(block, "provider", "sla %s" % key)
         if provider not in provider_ids:
             raise ScenarioError("sla %s references unknown provider %r" % (key, provider))
-        guaranteed = None
-        if "guaranteed" in block:
-            _, guaranteed, _, _ = _node_from_block("g", block.get("guaranteed"),
-                                                   "sla %s guaranteed" % key)
         scenario.slas.append(SLARecord(
             provider_id=provider,
             group=str(_require(block, "group", "sla %s" % key)),
             sla_rank=_as_number(_require(block, "sla_rank", "sla %s" % key),
                                 "sla %s sla_rank" % key),
-            guaranteed=guaranteed,
         ))
 
-    for key, entry in root.get("datasets", stext.Block()).items():
-        block = entry.value
+    datasets = _block(root, "datasets", None, "datasets")
+    for key in datasets.entries:
+        block = _block(datasets, key, ("dataset", "provider", "bytes_present", "bytes_total"),
+                       "dataset %s" % key)
         provider = _require(block, "provider", "dataset %s" % key)
         if provider not in provider_ids:
             raise ScenarioError("dataset %s references unknown provider %r" % (key, provider))
@@ -220,8 +236,9 @@ def parse_scenario(text: str, *, name: str = "scenario",
         except DomainError as exc:
             raise ScenarioError("dataset %s: %s" % (key, exc)) from exc
 
-    for user, entry in root.get("users", stext.Block()).items():
-        block = entry.value
+    users = _block(root, "users", None, "users")
+    for user in users.entries:
+        block = _block(users, user, ("group", "weight"), "user %s" % user)
         scenario.users.append(UserSpec(
             name=user,
             group=str(_require(block, "group", "user %s" % user)),
@@ -231,10 +248,9 @@ def parse_scenario(text: str, *, name: str = "scenario",
 
     submit_keys = set()
     last_at = None
-    for key, entry in root.get("events", stext.Block()).items():
-        block = entry.value
-        if not isinstance(block, stext.Block):
-            raise ScenarioError("event %s must be an inline map" % key)
+    events = _block(root, "events", None, "events")
+    for key in events.entries:
+        block = _block(events, key, None, "event %s" % key)
         at = _as_int(_require(block, "at", "event %s" % key), "event %s at" % key)
         action = _require(block, "action", "event %s" % key)
         if action not in ACTIONS:
@@ -244,10 +260,13 @@ def parse_scenario(text: str, *, name: str = "scenario",
         if last_at is not None and at < last_at:
             raise ScenarioError("events are not sorted by time at %s" % key)
         last_at = at
+        required, optional = _PARAMS[action]
+        _reject_unknown(block, ("at", "action") + required + optional,
+                        "event %s (%s)" % (key, action))
         params = {k: e.value for k, e in block.items() if k not in ("at", "action")}
-        for required in _REQUIRED_PARAMS[action]:
-            if required not in params:
-                raise ScenarioError("event %s (%s) is missing %r" % (key, action, required))
+        for param in required:
+            if param not in params:
+                raise ScenarioError("event %s (%s) is missing %r" % (key, action, param))
         if action in ("submit", "revoke_token") and params["user"] not in user_names:
             raise ScenarioError("event %s references unknown user %r" % (key, params["user"]))
         if action in ("fail_site", "switch_role") and params["provider"] not in provider_ids:
@@ -299,9 +318,6 @@ class World:
         self.metrics = MetricsAccumulator(scenario.horizon_s)
         self.log.listen(self.metrics.observe)
         self.log.listen(self._on_record)
-        # Reserved randomness stream: drawn in event order only, so replays
-        # stay identical as long as consumers draw deterministically.
-        self.rng = random.Random(scenario.seed)
         self.iam = IamService(seed=scenario.seed)
 
         weights = dict(self.config.weights)
@@ -414,7 +430,9 @@ class World:
         elif kind == "site_recover":
             self._do_site_recover(t, payload["site"])
         elif kind == "elastic_tick":
-            pass  # wakes the stabilization pass so idle nodes can power off
+            # Only wakes the stabilization pass so idle nodes can power off.
+            # Every later wake is > t, so this key is never looked up again.
+            self._ticks.discard((payload["site"], t))
         else:
             raise InvariantViolationError("unknown internal event %r" % kind)
 

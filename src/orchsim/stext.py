@@ -53,9 +53,6 @@ class Block:
         self.line = line
         self.entries: dict[str, Entry] = {}
 
-    def keys(self):
-        return self.entries.keys()
-
     def items(self):
         return self.entries.items()
 

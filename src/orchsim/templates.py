@@ -1,9 +1,10 @@
 """Deployment template parsing, validation and topology queries.
 
 Templates describe a typed node topology (five node kinds) plus named
-outputs.  Parsing is strict: unknown kinds, unknown properties, missing
-mandatory properties and malformed structure are rejected with the offending
-line, never defaulted away.
+outputs.  Parsing is strict: unknown kinds, unknown properties and malformed
+structure are rejected with the offending line, never defaulted away.  The
+semantic rules, mandatory properties included, live in validate() alone;
+parse_template raises from its report.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ KIND_SERVICE = "Service"
 KIND_JOB = "Job"
 KIND_ELASTIC_CLUSTER = "ElasticCluster"
 KINDS = (KIND_COMPUTE, KIND_CONTAINER, KIND_SERVICE, KIND_JOB, KIND_ELASTIC_CLUSTER)
-
-# Node kinds whose instances carry a container image.
-IMAGE_KINDS = (KIND_CONTAINER, KIND_SERVICE, KIND_JOB)
 
 # Properties accepted per kind; anything else is rejected.
 _COMMON_PROPS = ("kind", "depends_on", "preemptible", "bid")
@@ -127,12 +125,34 @@ VIOLATION_BID_WITHOUT_PREEMPTIBLE = "bid_without_preemptible"
 VIOLATION_WORKER_BOUNDS = "worker_bounds"
 VIOLATION_MISSING_IMAGE = "missing_image"
 VIOLATION_MISSING_RESOURCES = "missing_resources"
+VIOLATION_MISSING_MIN_WORKERS = "missing_min_workers"
+VIOLATION_MISSING_MAX_WORKERS = "missing_max_workers"
 VIOLATION_NAME_MISMATCH = "name_mismatch"
 VIOLATION_BAD_BID = "bad_bid"
 
+# Mandatory properties per kind, in checking order, with the violation each
+# absence raises; parse_template turns these into MissingPropertyError.
+_MISSING_CODE = {
+    "image": VIOLATION_MISSING_IMAGE,
+    "resources": VIOLATION_MISSING_RESOURCES,
+    "min_workers": VIOLATION_MISSING_MIN_WORKERS,
+    "max_workers": VIOLATION_MISSING_MAX_WORKERS,
+}
+_MANDATORY_BY_KIND = {
+    KIND_COMPUTE: ("resources",),
+    KIND_CONTAINER: ("image",),
+    KIND_SERVICE: ("image",),
+    KIND_JOB: ("image",),
+    KIND_ELASTIC_CLUSTER: ("resources", "min_workers", "max_workers"),
+}
+
 
 def validate(template: DeploymentTemplate) -> ValidationReport:
-    """Check semantic invariants; violations are data, not exceptions."""
+    """Check semantic invariants; violations are data, not exceptions.
+
+    This is the only table of template rules: parse_template raises from the
+    report, so a parsed template and a built one are held to the same rules.
+    """
     found: list[Violation] = []
     names = set(template.nodes)
 
@@ -150,17 +170,15 @@ def validate(template: DeploymentTemplate) -> ValidationReport:
                                    "bid given but preemptible is false"))
         if node.bid is not None and node.bid < 0:
             found.append(Violation(VIOLATION_BAD_BID, name, "bid must be >= 0"))
-        if node.kind in IMAGE_KINDS and not node.image:
-            found.append(Violation(VIOLATION_MISSING_IMAGE, name,
-                                   "%s node needs a non-empty image" % node.kind))
-        if node.kind in (KIND_COMPUTE, KIND_ELASTIC_CLUSTER) and node.resources is None:
-            found.append(Violation(VIOLATION_MISSING_RESOURCES, name,
-                                   "%s node needs resources" % node.kind))
-        if node.kind == KIND_ELASTIC_CLUSTER:
-            lo, hi = node.min_workers, node.max_workers
-            if lo is None or hi is None or lo < 0 or lo > hi:
-                found.append(Violation(VIOLATION_WORKER_BOUNDS, name,
-                                       "requires 0 <= min_workers <= max_workers"))
+        for prop in _MANDATORY_BY_KIND.get(node.kind, ()):
+            if getattr(node, prop) in (None, ""):
+                found.append(Violation(_MISSING_CODE[prop], name,
+                                       "%s node needs %s" % (node.kind, prop)))
+        lo, hi = node.min_workers, node.max_workers
+        if node.kind == KIND_ELASTIC_CLUSTER and lo is not None and hi is not None \
+                and not 0 <= lo <= hi:
+            found.append(Violation(VIOLATION_WORKER_BOUNDS, name,
+                                   "requires 0 <= min_workers <= max_workers"))
 
     for out_name in sorted(template.outputs):
         target = template.outputs[out_name]
@@ -169,9 +187,9 @@ def validate(template: DeploymentTemplate) -> ValidationReport:
                                    "output references missing node %r" % target))
 
     if not any(v.code == VIOLATION_DANGLING_DEPENDENCY for v in found):
-        in_cycle = _cycle_members(template)
+        _, in_cycle = _peel(template)
         if in_cycle:
-            found.append(Violation(VIOLATION_CYCLE, ",".join(sorted(in_cycle)),
+            found.append(Violation(VIOLATION_CYCLE, ",".join(in_cycle),
                                    "depends_on relation contains a cycle"))
 
     return ValidationReport(tuple(found))
@@ -182,32 +200,46 @@ _EXCEPTION_FOR_CODE = {
     VIOLATION_DANGLING_DEPENDENCY: DanglingReferenceError,
     VIOLATION_DANGLING_OUTPUT: DanglingReferenceError,
 }
+_PROP_FOR_MISSING_CODE = {code: prop for prop, code in _MISSING_CODE.items()}
 
 
 def raise_for_report(report: ValidationReport):
+    """Raise the exception for the report's first violation, report attached."""
     if report.ok:
         return
     first = report.violations[0]
-    exc_cls = _EXCEPTION_FOR_CODE.get(first.code, TemplateError)
-    exc = exc_cls("%s: %s" % (first.subject, first.message)) if exc_cls is not TemplateError \
-        else TemplateError("%s: %s" % (first.subject, first.message))
+    if first.code in _PROP_FOR_MISSING_CODE:
+        exc = MissingPropertyError(first.subject, _PROP_FOR_MISSING_CODE[first.code])
+    else:
+        exc_cls = _EXCEPTION_FOR_CODE.get(first.code, TemplateError)
+        exc = exc_cls("%s: %s" % (first.subject, first.message))
     exc.report = report
     raise exc
 
 
-def _cycle_members(template: DeploymentTemplate) -> set[str]:
-    """Nodes left over after peeling the DAG; empty means acyclic."""
-    remaining = {name: set(spec.depends_on) for name, spec in template.nodes.items()}
-    progress = True
-    while progress:
-        progress = False
-        done = [n for n, deps in remaining.items() if not deps]
-        for n in done:
-            del remaining[n]
-            progress = True
-        for deps in remaining.values():
-            deps.difference_update(done)
-    return set(remaining)
+def _peel(template: DeploymentTemplate) -> tuple[list[str], list[str]]:
+    """Kahn's algorithm over depends_on, lexicographic among the ready set.
+
+    Returns the peeled order and the sorted names left over: the nodes on a
+    cycle or depending on one (or on a missing node).  Empty means acyclic.
+    """
+    pending = {name: set(spec.depends_on) for name, spec in template.nodes.items()}
+    dependants: dict[str, list[str]] = {}
+    for name, deps in pending.items():
+        for dep in deps:
+            dependants.setdefault(dep, []).append(name)
+
+    ready = [name for name, deps in pending.items() if not deps]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        name = heapq.heappop(ready)
+        order.append(name)
+        for follower in dependants.get(name, ()):
+            pending[follower].discard(name)
+            if not pending[follower]:
+                heapq.heappush(ready, follower)
+    return order, sorted(set(pending) - set(order))
 
 
 def _coerce_resources(value, line) -> ResourceVector:
@@ -274,15 +306,6 @@ def _parse_node(name: str, block, line: int) -> NodeSpec:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TemplateSyntaxError(entry.line, "%s must be an integer" % prop)
             fields[prop] = value
-
-    if kind in IMAGE_KINDS and "image" not in fields:
-        raise MissingPropertyError(name, "image")
-    if kind in (KIND_COMPUTE, KIND_ELASTIC_CLUSTER) and "resources" not in fields:
-        raise MissingPropertyError(name, "resources")
-    if kind == KIND_ELASTIC_CLUSTER:
-        for prop in ("min_workers", "max_workers"):
-            if prop not in fields:
-                raise MissingPropertyError(name, prop)
     return NodeSpec(**fields)
 
 
@@ -343,29 +366,13 @@ def aggregate_demand(template: DeploymentTemplate) -> ResourceVector:
 
 def topological_order(template: DeploymentTemplate) -> list[str]:
     """Dependency-respecting node order, lexicographic among the ready set."""
-    pending = {name: set(spec.depends_on) for name, spec in template.nodes.items()}
-    for name, deps in pending.items():
-        missing = deps - set(template.nodes)
+    for name, spec in template.nodes.items():
+        missing = set(spec.depends_on) - set(template.nodes)
         if missing:
             raise DanglingReferenceError(
                 "node %r depends on missing %s" % (name, ", ".join(sorted(missing))))
-    dependants: dict[str, list[str]] = {name: [] for name in template.nodes}
-    for name, deps in pending.items():
-        for dep in deps:
-            dependants[dep].append(name)
-
-    ready = [name for name, deps in pending.items() if not deps]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        name = heapq.heappop(ready)
-        order.append(name)
-        for follower in dependants[name]:
-            pending[follower].discard(name)
-            if not pending[follower]:
-                heapq.heappush(ready, follower)
-    if len(order) != len(template.nodes):
-        stuck = sorted(set(template.nodes) - set(order))
+    order, stuck = _peel(template)
+    if stuck:
         raise CycleError("cycle among nodes: %s" % ", ".join(stuck))
     return order
 

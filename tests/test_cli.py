@@ -178,3 +178,16 @@ def test_sim_run_and_verify(workdir, capsys):
 def test_sim_run_unknown_scenario_domain_error(workdir, capsys):
     assert main(["sim", "run", "missing.scn"]) == 1
     assert "cannot read scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("sla_rank: 8.0", "sla_rank: high", 3),
+    ("free: { cpus: 8, mem_mb: 16384, disk_gb: 200 }", "free: 3", 7),
+    ("cpus: 4,", "cpus: four,", 13),
+])
+def test_rank_malformed_snapshot_names_line(workdir, capsys, old, new, line):
+    (workdir / "bad.stx").write_text(SNAPSHOT.replace(old, new))
+    assert main(["--machine", "rank", "--snapshot", "bad.stx"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "CliError"
+    assert record["message"].startswith("line %d: " % line)

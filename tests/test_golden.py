@@ -1,0 +1,27 @@
+"""Golden report digests: every shipped scenario renders byte for byte as pinned.
+
+A refactor that keeps behaviour must keep these digests.  A change that moves
+one on purpose re-pins it and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from orchsim.simulation import load_scenario, run_scenario
+
+GOLDEN = {
+    "elastic-cluster": "eec14671ead49f47c1649b542705b9cfa3bd405437d9f8b467a32679a5f951cc",
+    "failover": "aa4e5b8a699d44355d5a7eb6280b9510c45dc548dc5b5d2d626e4ecd66112e65",
+    "partition": "a643deacb89c7b5113470712a21da6a05b463924ee4ea6cb65d6d1274f886a3b",
+    "preemption": "f0efa6715f5b0590d72088a26b3d4482f391e5c022e57ef75539ac5923650083",
+    "repository": "283e7054884ce3e6c0aa472d6a3b3f5e46c044e00ee00ebd5d3faf0530e0a090",
+    "two-site-dataset": "ed545ae56eb9359ac9e946726c56d74376067ec050af3c5a8d002d31240e891a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest_is_pinned(name):
+    report = run_scenario(load_scenario("scenarios/%s.scn" % name))
+    digest = hashlib.sha256(report.to_text().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[name]

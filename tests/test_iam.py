@@ -100,3 +100,11 @@ def test_translate_never_outlives_token():
     token = iam.issue_token("ada", ["g"], 77, 3)
     cred = iam.translate(token, CRED_USERPASS, 5)
     assert cred.valid_until <= token.expires_at
+
+
+def test_translate_revoked_rejected():
+    iam = IamService()
+    token = iam.issue_token("ada", ["g"], 100, 0)
+    iam.revoke(token.token_id)
+    with pytest.raises(RevokedTokenError):
+        iam.translate(token, CRED_SSH_KEY, 10)

@@ -212,3 +212,55 @@ def test_failover_scenario_restarts_service():
                 if r["kind"] == "instance_released"
                 and r["request_id"] == "dep-000001.web.0~r1"]
     assert released and released[0]["reason"] == "deleted"
+
+
+UNKNOWN_KEY_BASE = """\
+seed: 1
+horizon_s: 10
+providers:
+  p1:
+    nodes:
+      n1: { cpus: 1, mem_mb: 1, disk_gb: 1 }
+slas:
+  s1: { provider: p1, group: g, sla_rank: 1.0 }
+datasets:
+  d1: { dataset: ds, provider: p1, bytes_present: 1, bytes_total: 2 }
+users:
+  ada: { group: g }
+events:
+  e1: { at: 0, action: fail_site, provider: p1, duration: 5 }
+"""
+
+
+@pytest.mark.parametrize("old, new, key, line", [
+    ("    nodes:", "    zone: eu\n    nodes:", "zone", 5),
+    ("sla_rank: 1.0 }", "sla_rank: 1.0, guaranteed: 3 }", "guaranteed", 8),
+    ("bytes_total: 2 }", "bytes_total: 2, mirror: p1 }", "mirror", 10),
+    ("{ group: g }", "{ group: g, wieght: 2.0 }", "wieght", 12),
+    ("duration: 5 }", "duraton: 5 }", "duraton", 14),
+])
+def test_scenario_unknown_key_rejected_with_line(old, new, key, line):
+    parse_scenario(UNKNOWN_KEY_BASE)  # the base itself is valid
+    text = UNKNOWN_KEY_BASE.replace(old, new)
+    with pytest.raises(ScenarioError, match="line %d: .* unknown key '%s'" % (line, key)):
+        parse_scenario(text)
+
+
+def test_elastic_ticks_are_forgotten_once_they_fire():
+    pushed = []
+
+    class Probe(World):
+        def _push(self, at, kind, payload):
+            pushed.append(kind)
+            super()._push(at, kind, payload)
+
+    world = Probe(load_scenario("scenarios/elastic-cluster.scn"))
+    world.run()
+    assert "elastic_tick" in pushed
+    assert world._ticks == set()
+
+
+@pytest.mark.parametrize("section", ["providers", "slas", "datasets", "users", "events"])
+def test_scenario_section_must_be_a_block(section):
+    with pytest.raises(ScenarioError, match="line 3: %s must be a block" % section):
+        parse_scenario("seed: 1\nhorizon_s: 10\n%s: 3\n" % section)

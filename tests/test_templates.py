@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from orchsim.resources import ResourceVector
 from orchsim.templates import (CycleError, DeploymentTemplate, DuplicateNodeError,
-                               MissingPropertyError, NodeSpec,
+                               MissingPropertyError, NodeSpec, TemplateError,
                                TemplateSyntaxError, UnknownKindError,
                                aggregate_demand, parse_template,
                                serialize_template, topological_order, validate)
@@ -66,17 +67,23 @@ def test_unknown_kind_rejected():
         parse_template(text)
 
 
+MISSING_PROPERTY_CASES = [
+    ("Service", [], "image"),
+    ("Compute", [], "resources"),
+    ("ElasticCluster", ["resources: { cpus: 1, mem_mb: 1, disk_gb: 1 }", "max_workers: 2"],
+     "min_workers"),
+    ("ElasticCluster", ["resources: { cpus: 1, mem_mb: 1, disk_gb: 1 }", "min_workers: 0"],
+     "max_workers"),
+]
+
+
 def test_missing_mandatory_property_rejected():
-    text = """\
-tosca_version: indigo_subset_1
-nodes:
-  web:
-    kind: Service
-"""
-    with pytest.raises(MissingPropertyError) as err:
-        parse_template(text)
-    assert err.value.node == "web"
-    assert err.value.prop == "image"
+    for kind, lines, prop in MISSING_PROPERTY_CASES:
+        text = "tosca_version: indigo_subset_1\nnodes:\n  web:\n    kind: %s\n" % kind
+        text += "".join("    %s\n" % line for line in lines)
+        with pytest.raises(MissingPropertyError) as err:
+            parse_template(text)
+        assert (err.value.node, err.value.prop) == ("web", prop)
 
 
 def test_duplicate_node_rejected():
@@ -307,12 +314,41 @@ def _random_template(rng):
                               outputs=outputs)
 
 
+def _with_defect(template, rng):
+    """The template with one defect of a kind that serialization keeps."""
+    name = rng.choice(sorted(template.nodes))
+    node = template.nodes[name]
+    mandatory = {"Compute": ("resources",),
+                 "ElasticCluster": ("resources", "min_workers", "max_workers")}
+    changes = [
+        {rng.choice(mandatory.get(node.kind, ("image",))): None},
+        {"depends_on": node.depends_on + (name,)},  # a self-loop is a cycle
+        {"depends_on": node.depends_on + ("ghost",)},
+        {"preemptible": False, "bid": 0.5},
+    ]
+    if node.kind == "ElasticCluster":
+        changes.append({"min_workers": 3, "max_workers": 1})
+    nodes, outputs = dict(template.nodes), dict(template.outputs)
+    if rng.random() < 0.2:
+        outputs["broken"] = "ghost"
+    else:
+        nodes[name] = dataclasses.replace(node, **rng.choice(changes))
+    return DeploymentTemplate(version_tag=template.version_tag, nodes=nodes, outputs=outputs)
+
+
 def test_serialize_parse_round_trip_on_random_templates():
     rng = random.Random(42)
-    checked = 0
+    defects = random.Random(43)
+    checked = rejected = 0
     for _ in range(300):
         template = _random_template(rng)
+        if defects.random() < 0.2:
+            template = _with_defect(template, defects)
         if not validate(template).ok:
+            # the parser holds text to the same rules as validate()
+            with pytest.raises(TemplateError):
+                parse_template(serialize_template(template))
+            rejected += 1
             continue
         once = parse_template(serialize_template(template))
         assert once == template
@@ -320,6 +356,7 @@ def test_serialize_parse_round_trip_on_random_templates():
         assert twice == once
         checked += 1
     assert checked > 200
+    assert rejected > 0
 
 
 def test_round_trip_shipped_templates():
