@@ -21,7 +21,7 @@ from . import report as report_mod
 from . import stext
 from .config import ENV_CONFIG, EngineConfig, config_from_env, resolve_preferences
 from .errors import DomainError
-from .ranker import PreferenceList, ProviderSnapshot, rank_providers, scored_candidates
+from .ranker import PreferenceList, ProviderSnapshot, order_by_score, scored_candidates
 from .resources import ResourceVector
 from .simulation import World, load_scenario, run_scenario
 from .templates import TemplateError, parse_template
@@ -196,6 +196,13 @@ def _snapshot_value(block: stext.Block, key: str, default, types, what: str):
     return entry.value
 
 
+def _snapshot_size(block: stext.Block, key: str) -> int:
+    value = _snapshot_value(block, key, 0, int, "an integer")
+    if value < 0:
+        raise CliError("line %d: %s must be >= 0, got %d" % (block.line_of(key), key, value))
+    return value
+
+
 def _load_snapshot(path: str) -> list[ProviderSnapshot]:
     root = stext.parse_stext(_read_file(path))
     block = root.get("candidates")
@@ -205,7 +212,7 @@ def _load_snapshot(path: str) -> list[ProviderSnapshot]:
     for provider_id in block.entries:
         fields = _snapshot_value(block, provider_id, None, stext.Block, "a block")
         free_block = _snapshot_value(fields, "free", stext.Block(), stext.Block, "a block")
-        free = ResourceVector(*(_snapshot_value(free_block, key, 0, int, "an integer")
+        free = ResourceVector(*(_snapshot_size(free_block, key)
                                 for key in ("cpus", "mem_mb", "disk_gb")))
         numbers = {key: float(_snapshot_value(fields, key, default, (int, float), "a number"))
                    for key, default in (("sla_rank", 0.0), ("availability", 1.0),
@@ -220,8 +227,8 @@ def _cmd_rank(args) -> int:
     candidates = _load_snapshot(args.snapshot)
     prefs = resolve_preferences(config.preferences, args.user or "",
                                 [args.group] if args.group else [])
-    ranked = rank_providers(candidates, config.ranker, prefs)
     scores = scored_candidates(candidates, config.ranker)
+    ranked = order_by_score(scores, prefs)
     preferred = set(prefs.providers) if prefs else set()
     rows = [{"rank": i + 1, "provider": pid, "score": "%.6f" % scores[pid],
              "preferred": pid in preferred}

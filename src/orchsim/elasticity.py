@@ -25,6 +25,7 @@ ROLE_DRAINING_TO_CLOUD = "draining_to_cloud"
 DRAINING_ROLES = (ROLE_DRAINING_TO_BATCH, ROLE_DRAINING_TO_CLOUD)
 _DRAIN_TARGET = {ROLE_DRAINING_TO_BATCH: ROLE_BATCH, ROLE_DRAINING_TO_CLOUD: ROLE_CLOUD}
 _DRAIN_FOR_TARGET = {ROLE_BATCH: ROLE_DRAINING_TO_BATCH, ROLE_CLOUD: ROLE_DRAINING_TO_CLOUD}
+_POOL_ROLES = (ROLE_BATCH, ROLE_CLOUD) + DRAINING_ROLES
 
 ACTION_POWER_ON = "power_on"
 ACTION_POWER_OFF = "power_off"
@@ -88,17 +89,51 @@ class ElasticPolicy:
             raise ElasticityError("timings must be >= 0")
 
 
+def _shift(counter: list[int], vector: ResourceVector, sign: int):
+    counter[0] += sign * vector.cpus
+    counter[1] += sign * vector.mem_mb
+    counter[2] += sign * vector.disk_gb
+
+
 class NodePool:
-    """Physical nodes of one site, with exact per-node occupancy accounting."""
+    """Physical nodes of one site, with exact per-node occupancy accounting.
+
+    The pool is the only writer of a node's power, role and used fields (the
+    partition director changes roles through set_role).  Every write goes
+    through _update, which keeps integer counters of the cloud pool's
+    capacity and use in step, so cloud_capacity() and cloud_free() are O(1).
+    audit() recomputes both counters from the nodes and cross-checks them.
+    """
 
     def __init__(self, nodes: list[NodeRecord], t: int = 0):
         self.nodes: dict[str, NodeRecord] = {}
+        self._cloud_capacity = [0, 0, 0]  # summed over the schedulable nodes
+        self._cloud_used = [0, 0, 0]
         for node in nodes:
             if node.node_id in self.nodes:
                 raise ElasticityError("duplicate node %r" % node.node_id)
             if node.power == POWER_ON and node.idle_since is None:
                 node.idle_since = t
             self.nodes[node.node_id] = node
+            self._tally(node, 1)
+
+    def _tally(self, node: NodeRecord, sign: int):
+        """Add (sign 1) or take back (sign -1) a schedulable node's counter share."""
+        if self.is_schedulable(node):
+            _shift(self._cloud_capacity, node.capacity, sign)
+            _shift(self._cloud_used, node.used, sign)
+
+    def _update(self, node: NodeRecord, *, power: str | None = None,
+                role: str | None = None, used: ResourceVector | None = None):
+        """Write a node's power, role or used and move its counter share along."""
+        self._tally(node, -1)
+        if power is not None:
+            node.power = power
+        if role is not None:
+            node.role = role
+        if used is not None:
+            node.used = used
+        self._tally(node, 1)
 
     def node(self, node_id: str) -> NodeRecord:
         record = self.nodes.get(node_id)
@@ -113,15 +148,14 @@ class NodePool:
         return [n for nid, n in sorted(self.nodes.items()) if self.is_schedulable(n)]
 
     def cloud_capacity(self) -> ResourceVector:
-        return ResourceVector.total(n.capacity for n in self.nodes.values()
-                                    if self.is_schedulable(n))
-
-    def cloud_used(self) -> ResourceVector:
-        return ResourceVector.total(n.used for n in self.nodes.values()
-                                    if self.is_schedulable(n))
+        return ResourceVector(*self._cloud_capacity)
 
     def cloud_free(self) -> ResourceVector:
-        return self.cloud_capacity().monus(self.cloud_used())
+        """Cloud capacity minus cloud use, each component clamped at zero."""
+        capacity, used = self._cloud_capacity, self._cloud_used
+        return ResourceVector(max(0, capacity[0] - used[0]),
+                              max(0, capacity[1] - used[1]),
+                              max(0, capacity[2] - used[2]))
 
     def potential_capacity(self) -> ResourceVector:
         """Free space plus everything the cloud pool could power on."""
@@ -142,6 +176,38 @@ class NodePool:
     def draining_capacity(self) -> ResourceVector:
         return ResourceVector.total(n.capacity for n in self.nodes.values()
                                     if n.power == POWER_ON and n.role in DRAINING_ROLES)
+
+    def audit(self):
+        """Recompute the counters and the pool partition from the nodes.
+
+        Raises ElasticityError when a node holds instances while not powered
+        on, when a powered node is in none of the batch, cloud and draining
+        pools (so the pools do not partition the powered capacity), or when a
+        cloud counter differs from its sum over the nodes.
+        """
+        cpus = mem_mb = disk_gb = used_cpus = used_mem_mb = used_disk_gb = 0
+        for node in self.nodes.values():
+            if node.power != POWER_ON:
+                if node.busy:
+                    raise ElasticityError("node %s busy while %s"
+                                          % (node.node_id, node.power))
+            elif node.role == ROLE_CLOUD:
+                capacity, used = node.capacity, node.used
+                cpus += capacity.cpus
+                mem_mb += capacity.mem_mb
+                disk_gb += capacity.disk_gb
+                used_cpus += used.cpus
+                used_mem_mb += used.mem_mb
+                used_disk_gb += used.disk_gb
+            elif node.role not in _POOL_ROLES:
+                raise ElasticityError("pools do not partition powered capacity: node %s "
+                                      "has role %r" % (node.node_id, node.role))
+        capacity, used = [cpus, mem_mb, disk_gb], [used_cpus, used_mem_mb, used_disk_gb]
+        if capacity != self._cloud_capacity or used != self._cloud_used:
+            raise ElasticityError(
+                "cloud counters (capacity %s, used %s) differ from the node sums "
+                "(capacity %s, used %s)"
+                % (self._cloud_capacity, self._cloud_used, capacity, used))
 
     def assign(self, request_id: str, resources: ResourceVector, t: int) -> str:
         """Place an instance on a schedulable node.
@@ -164,7 +230,7 @@ class NodePool:
                         node.capacity.mem_mb - node.used.mem_mb,
                         node.capacity.disk_gb - node.used.disk_gb)
             chosen = max(nodes, key=lambda n: (headroom(n), n.node_id))
-        chosen.used = chosen.used + resources
+        self._update(chosen, used=chosen.used + resources)
         chosen.instances.add(request_id)
         chosen.idle_since = None
         return chosen.node_id
@@ -176,21 +242,25 @@ class NodePool:
         if request_id not in node.instances:
             raise ElasticityError("instance %r is not on node %r" % (request_id, node_id))
         node.instances.discard(request_id)
-        node.used = node.used.monus(resources)
+        self._update(node, used=node.used.monus(resources))
         if node.instances:
             return None
         node.idle_since = t
         if node.role in DRAINING_ROLES:
             from_role = node.role
-            node.role = _DRAIN_TARGET[from_role]
+            self._update(node, role=_DRAIN_TARGET[from_role])
             return RoleTransition(node.node_id, from_role, node.role, "completed")
         return None
+
+    def set_role(self, node_id: str, role: str):
+        """Give a node a new role; the partition director decides when."""
+        self._update(self.node(node_id), role=role)
 
     def power_on(self, node_id: str, t: int, boot_delay_s: int):
         node = self.node(node_id)
         if node.power != POWER_OFF:
             raise ElasticityError("node %r is not off" % node_id)
-        node.power = POWER_BOOTING
+        self._update(node, power=POWER_BOOTING)
         node.ready_at = t + boot_delay_s
         node.idle_since = None
 
@@ -198,7 +268,7 @@ class NodePool:
         node = self.node(node_id)
         if node.power != POWER_BOOTING:
             raise ElasticityError("node %r is not booting" % node_id)
-        node.power = POWER_ON
+        self._update(node, power=POWER_ON)
         node.ready_at = None
         node.idle_since = t
 
@@ -210,7 +280,7 @@ class NodePool:
             raise ElasticityError("refusing to power off busy node %r" % node_id)
         if node.role in DRAINING_ROLES:
             raise ElasticityError("node %r is draining" % node_id)
-        node.power = POWER_OFF
+        self._update(node, power=POWER_OFF)
         node.idle_since = None
         node.ready_at = None
 
@@ -300,10 +370,9 @@ class PartitionDirector:
             raise AlreadyTransitioningError("node %r is already transitioning" % node_id)
         if node.role == target:
             raise ElasticityError("node %r already has role %s" % (node_id, target))
-        if node.busy:
-            from_role = node.role
-            node.role = _DRAIN_FOR_TARGET[target]
-            return RoleTransition(node_id, from_role, node.role, "draining")
         from_role = node.role
-        node.role = target
+        if node.busy:
+            self.pool.set_role(node_id, _DRAIN_FOR_TARGET[target])
+            return RoleTransition(node_id, from_role, node.role, "draining")
+        self.pool.set_role(node_id, target)
         return RoleTransition(node_id, from_role, target, "completed")

@@ -106,7 +106,11 @@ def rank_providers(candidates: list[ProviderSnapshot], config: RankerConfig,
     preference order; the rest follow by descending score with lexicographic
     provider_id as the tie-break.
     """
-    scores = scored_candidates(candidates, config)
+    return order_by_score(scored_candidates(candidates, config), prefs)
+
+
+def order_by_score(scores: dict[str, float], prefs: PreferenceList | None = None) -> list[str]:
+    """The order of rank_providers, from a score map of scored_candidates."""
     preferred: list[str] = []
     if prefs is not None:
         preferred = [p for p in prefs.providers if p in scores]

@@ -10,6 +10,7 @@ lower bids.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -83,6 +84,53 @@ class Decision:
     position: int | None = None
 
 
+class _VictimIndex:
+    """Running preemptibles on schedulable nodes, in victim preference order,
+    and the pool's free space, both as of one running set.
+
+    Order: lowest bid, then youngest start, then request id.  Instances on
+    draining nodes are left out because terminating them frees capacity
+    outside the cloud pool.  The victims a request may displace are a prefix
+    of this order (bids strictly below its own for a preemptible request,
+    all of them for a normal one), and the prefix sums give what any prefix
+    frees without building it.
+    """
+
+    def __init__(self, running: dict[str, RunningInstance], pool: NodePool):
+        self.free = pool.cloud_free()
+        victims = []
+        for instance in running.values():
+            if not instance.request.is_preemptible:
+                continue
+            node = pool.nodes.get(instance.node_id)
+            if node is None or not pool.is_schedulable(node):
+                continue
+            victims.append(instance)
+        victims.sort(key=lambda i: (i.request.bid, -i.start_time, i.request_id))
+        self.victims = victims
+        self.bids = [i.request.bid for i in victims]
+        self.cpus = [0]
+        self.mem_mb = [0]
+        self.disk_gb = [0]
+        for instance in victims:
+            resources = instance.request.resources
+            self.cpus.append(self.cpus[-1] + resources.cpus)
+            self.mem_mb.append(self.mem_mb[-1] + resources.mem_mb)
+            self.disk_gb.append(self.disk_gb[-1] + resources.disk_gb)
+
+    def eligible_count(self, request: InstanceRequest) -> int:
+        if request.is_preemptible:
+            return bisect.bisect_left(self.bids, request.bid)
+        return len(self.victims)
+
+    def enough(self, request: InstanceRequest, count: int) -> bool:
+        """True iff free space plus the first count victims fits the request."""
+        need, free = request.resources, self.free
+        return (need.cpus <= free.cpus + self.cpus[count]
+                and need.mem_mb <= free.mem_mb + self.mem_mb[count]
+                and need.disk_gb <= free.disk_gb + self.disk_gb[count])
+
+
 class UsageLedger:
     """Per-user decayed usage (cpu-seconds) and static weights.
 
@@ -149,6 +197,18 @@ class SiteScheduler:
     def free(self) -> ResourceVector:
         return self.pool.cloud_free()
 
+    def reclaimable(self) -> ResourceVector:
+        """What the running preemptibles on schedulable nodes hold."""
+        sums = [0, 0, 0]
+        for instance in self.running.values():
+            if instance.request.is_preemptible \
+                    and self.pool.is_schedulable(self.pool.nodes[instance.node_id]):
+                resources = instance.request.resources
+                sums[0] += resources.cpus
+                sums[1] += resources.mem_mb
+                sums[2] += resources.disk_gb
+        return ResourceVector(*sums)
+
     def queued_demand(self) -> ResourceVector:
         return ResourceVector.total(r.resources for r in self.queue)
 
@@ -182,12 +242,18 @@ class SiteScheduler:
         for instance in started:
             if instance.request_id == request.request_id:
                 return Decision(DECISION_STARTED, instance=instance)
-        position = self.ordered_queue(t).index(request)
+        key = self._queue_key(t)
+        mine = key(request)
+        position = sum(1 for queued in self.queue if key(queued) < mine)
         return Decision(DECISION_QUEUED, position=position)
 
+    def _queue_key(self, t: int):
+        """Sort key of the fair-share order at t; request ids make keys unique."""
+        priority = self.ledger.priority
+        return lambda r: (-priority(r.user, t), r.arrival_time, r.request_id)
+
     def ordered_queue(self, t: int) -> list[InstanceRequest]:
-        return sorted(self.queue, key=lambda r: (-self.ledger.priority(r.user, t),
-                                                 r.arrival_time, r.request_id))
+        return sorted(self.queue, key=self._queue_key(t))
 
     def quota_allows(self, request: InstanceRequest) -> bool:
         cap = self.quotas.get(request.group)
@@ -198,40 +264,33 @@ class SiteScheduler:
 
     # -- preemption -------------------------------------------------------
 
-    def _eligible_victims(self, request: InstanceRequest) -> list[RunningInstance]:
-        """Running preemptibles this request may displace, preference-ordered.
+    def _victim_index(self) -> _VictimIndex:
+        return _VictimIndex(self.running, self.pool)
 
-        Order: lowest bid, then youngest start, then request id.  Instances on
-        draining nodes are excluded because terminating them frees capacity
-        outside the cloud pool.
-        """
-        victims = []
-        for instance in self.running.values():
-            if not instance.request.is_preemptible:
-                continue
-            node = self.pool.nodes.get(instance.node_id)
-            if node is None or not self.pool.is_schedulable(node):
-                continue
-            if request.is_preemptible and not instance.request.bid < request.bid:
-                continue
-            victims.append(instance)
-        return sorted(victims, key=lambda i: (i.request.bid, -i.start_time, i.request_id))
+    def _eligible_victims(self, request: InstanceRequest,
+                          index: _VictimIndex) -> list[RunningInstance]:
+        """Running preemptibles this request may displace, preference-ordered."""
+        return index.victims[:index.eligible_count(request)]
 
-    def select_victims(self, request: InstanceRequest, t: int | None = None) -> list[RunningInstance]:
+    def select_victims(self, request: InstanceRequest, t: int | None = None,
+                       index: _VictimIndex | None = None) -> list[RunningInstance]:
         """Pick a minimal set of preemptible instances freeing room for request.
 
         Empty when free capacity already fits.  Among minimum-cardinality
         feasible sets, prefers lower bids, then younger instances, then ids.
         Raises InfeasiblePreemptionError when no eligible set is enough.
+        index is the victim index of the current running set; dispatch
+        passes one per start, a standalone call builds its own.
         """
-        free = self.free()
+        if index is None:
+            index = self._victim_index()
+        free = index.free
         if request.resources.fits(free):
             return []
-        eligible = self._eligible_victims(request)
-        total = free + ResourceVector.total(i.request.resources for i in eligible)
-        if not request.resources.fits(total):
+        if not index.enough(request, index.eligible_count(request)):
             raise InfeasiblePreemptionError(
                 "no victim set can free enough capacity for %s" % request.request_id)
+        eligible = self._eligible_victims(request, index)
 
         if len(eligible) > _EXACT_VICTIM_LIMIT:
             return self._greedy_victims(request, free, eligible)
@@ -306,14 +365,14 @@ class SiteScheduler:
                    bid=request.bid, waited_s=t - request.arrival_time)
         return instance
 
-    def _startable(self, request: InstanceRequest, t: int):
+    def _startable(self, request: InstanceRequest, t: int, index: _VictimIndex):
         """(True, victims) when the request can run now, else (False, None)."""
         if not self.quota_allows(request):
             return False, None
-        if request.resources.fits(self.free()):
+        if request.resources.fits(index.free):
             return True, []
         try:
-            return True, self.select_victims(request, t)
+            return True, self.select_victims(request, t, index)
         except InfeasiblePreemptionError:
             return False, None
 
@@ -322,20 +381,22 @@ class SiteScheduler:
 
         With backfill on, lower-priority requests that fit may start while a
         bigger head waits; with backfill off dispatch stops at the first head
-        that cannot start.
+        that cannot start.  Each start changes the running set, so the victim
+        index is rebuilt once per start, not once per queued request.
         """
         started: list[RunningInstance] = []
         while self.queue:
             order = self.ordered_queue(t)
+            index = self._victim_index()
             chosen = None
             if self.backfill:
                 for request in order:
-                    ok, victims = self._startable(request, t)
+                    ok, victims = self._startable(request, t, index)
                     if ok:
                         chosen = (request, victims)
                         break
             else:
-                ok, victims = self._startable(order[0], t)
+                ok, victims = self._startable(order[0], t, index)
                 if ok:
                     chosen = (order[0], victims)
             if chosen is None:
@@ -383,25 +444,45 @@ class SiteScheduler:
     # -- audits -----------------------------------------------------------
 
     def audit(self, t: int):
-        """Cross-check incremental accounting against first principles."""
-        by_node: dict[str, ResourceVector] = {}
+        """Cross-check incremental accounting against first principles.
+
+        Integer sums throughout: the pool's own audit (counters, partition,
+        no busy node powered down), each node's used against its running
+        instances, pooled conservation and the group quotas.
+        """
+        self.pool.audit()
+        by_node: dict[str, list[int]] = {}
         for instance in self.running.values():
-            by_node[instance.node_id] = (
-                by_node.get(instance.node_id, ResourceVector.zero())
-                + instance.request.resources)
+            resources = instance.request.resources
+            sums = by_node.get(instance.node_id)
+            if sums is None:
+                by_node[instance.node_id] = [resources.cpus, resources.mem_mb,
+                                             resources.disk_gb]
+            else:
+                sums[0] += resources.cpus
+                sums[1] += resources.mem_mb
+                sums[2] += resources.disk_gb
+        cpus = mem_mb = disk_gb = 0  # running on schedulable nodes
         for node_id, node in self.pool.nodes.items():
-            expected = by_node.get(node_id, ResourceVector.zero())
-            if node.used != expected:
+            used = node.used
+            expected = by_node.pop(node_id, [0, 0, 0])
+            if [used.cpus, used.mem_mb, used.disk_gb] != expected:
                 raise SchedulerError(
-                    "node %s used %s but running instances sum to %s"
-                    % (node_id, node.used, expected))
-        running_on_cloud = ResourceVector.total(
-            i.request.resources for i in self.running.values()
-            if self.pool.is_schedulable(self.pool.nodes[i.node_id]))
-        if self.free() + running_on_cloud != self.capacity():
+                    "node %s used %s but running instances sum to (%d cpus, %d MB, %d GB)"
+                    % (node_id, used, *expected))
+            if self.pool.is_schedulable(node):
+                cpus += expected[0]
+                mem_mb += expected[1]
+                disk_gb += expected[2]
+        if by_node:
+            raise SchedulerError("instances run on unknown nodes %s" % sorted(by_node))
+        free, capacity = self.free(), self.capacity()
+        if (free.cpus + cpus != capacity.cpus or free.mem_mb + mem_mb != capacity.mem_mb
+                or free.disk_gb + disk_gb != capacity.disk_gb):
             raise SchedulerError(
-                "conservation violated at t=%d: free %s + running %s != capacity %s"
-                % (t, self.free(), running_on_cloud, self.capacity()))
+                "conservation violated at t=%d: free %s + running (%d cpus, %d MB, %d GB) "
+                "!= capacity %s"
+                % (t, free, cpus, mem_mb, disk_gb, capacity))
         for group, used in self.group_running.items():
             cap = self.quotas.get(group)
             if cap is not None and not used.fits(cap):

@@ -28,15 +28,33 @@ from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest
 from .site import Site, make_site
 from .templates import KIND_JOB, KIND_SERVICE, TemplateError
 
-# Event parameters per action: (required, optional); any other key is rejected.
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Value kinds: (what the error says a value must be, test).
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_NAME = ("a name", lambda v: isinstance(v, str))
+_TEXT = ("text", lambda v: isinstance(v, str))
+_NAMES = ("a list of names", lambda v: isinstance(v, list)
+          and all(isinstance(item, str) for item in v))
+_DURATION = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+
+# Event parameters per action: ({required: kind}, {optional: kind}); any other
+# key is rejected, and so is a value of another kind.
 _PARAMS = {
-    "submit": (("template", "user"), ("template_text", "prefs", "duration")),
-    "delete": (("ref",), ("user",)),
-    "fail_site": (("provider", "duration"), ()),
-    "revoke_token": (("user",), ()),
-    "switch_role": (("provider", "node", "target"), ()),
+    "submit": ({"template": _NAME, "user": _NAME},
+               {"template_text": _TEXT, "prefs": _NAMES, "duration": _DURATION}),
+    "delete": ({"ref": _NAME}, {"user": _NAME}),
+    "fail_site": ({"provider": _NAME, "duration": _DURATION}, {}),
+    "revoke_token": ({"user": _NAME}, {}),
+    "switch_role": ({"provider": _NAME, "node": _NAME, "target": _NAME}, {}),
 }
 ACTIONS = tuple(_PARAMS)
+_NODE_KEYS = ("cpus", "mem_mb", "disk_gb", "power", "role")
+_ELASTIC_KEYS = ("t_idle_s", "boot_delay_s", "min_nodes", "max_nodes")
 
 
 class ScenarioError(DomainError):
@@ -84,10 +102,28 @@ class Scenario:
     templates: dict[str, str] = field(default_factory=dict)  # name -> template text
 
 
-def _require(block: stext.Block, key: str, context: str):
-    if key not in block:
-        raise ScenarioError("%s is missing %r" % (context, key))
-    return block.get(key)
+def _at(line: int) -> str:
+    """The "line N: " prefix of an error; the root block has no line of its own."""
+    return "line %d: " % line if line else ""
+
+
+_REQUIRED = object()
+
+
+def _field(block: stext.Block, key: str, context: str, kind=None, default=_REQUIRED):
+    """The value under key, checked against kind; errors name their line.
+
+    A missing key is an error unless a default is given.
+    """
+    entry = block.entry(key)
+    if entry is None:
+        if default is _REQUIRED:
+            raise ScenarioError("%s%s is missing %r" % (_at(block.line), context, key))
+        return default
+    if kind is not None and not kind[1](entry.value):
+        raise ScenarioError("line %d: %s %s must be %s"
+                            % (entry.line, context, key, kind[0]))
+    return entry.value
 
 
 def _reject_unknown(block: stext.Block, allowed, context: str):
@@ -112,52 +148,28 @@ def _block(parent: stext.Block, key: str, allowed, context: str) -> stext.Block:
     return entry.value
 
 
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError("%s must be an integer" % context)
-    return value
-
-
-def _as_number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError("%s must be a number" % context)
-    return float(value)
-
-
-def _node_from_block(node_id: str, block, context: str):
-    if not isinstance(block, stext.Block):
-        raise ScenarioError("%s must be an inline map" % context)
-    fields = {key: entry.value for key, entry in block.items()}
-    power = fields.pop("power", "on")
-    role = fields.pop("role", ROLE_CLOUD)
+def _node_from_block(node_id: str, block: stext.Block, context: str):
+    where = "line %d: %s" % (block.line, context)
+    power = block.get("power", POWER_ON)
+    role = block.get("role", ROLE_CLOUD)
     if power not in (POWER_ON, POWER_OFF):
-        raise ScenarioError("%s: power must be on or off" % context)
+        raise ScenarioError("%s: power must be on or off" % where)
     if role not in (ROLE_BATCH, ROLE_CLOUD):
-        raise ScenarioError("%s: role must be batch or cloud" % context)
+        raise ScenarioError("%s: role must be batch or cloud" % where)
+    sizes = [_field(block, key, context, _INT, 0) for key in ("cpus", "mem_mb", "disk_gb")]
     try:
-        capacity = ResourceVector(_as_int(fields.pop("cpus", 0), context),
-                                  _as_int(fields.pop("mem_mb", 0), context),
-                                  _as_int(fields.pop("disk_gb", 0), context))
+        capacity = ResourceVector(*sizes)
     except DomainError as exc:
-        raise ScenarioError("%s: %s" % (context, exc)) from exc
-    if fields:
-        raise ScenarioError("%s: unknown node keys %s" % (context, sorted(fields)))
+        raise ScenarioError("%s: %s" % (where, exc)) from exc
     return (node_id, capacity, power, role)
 
 
-def _elastic_from_block(block, context: str) -> ElasticPolicy:
-    if not isinstance(block, stext.Block):
-        raise ScenarioError("%s must be an inline map" % context)
-    allowed = ("t_idle_s", "boot_delay_s", "min_nodes", "max_nodes")
-    fields = {}
-    for key, entry in block.items():
-        if key not in allowed:
-            raise ScenarioError("%s: unknown elasticity key %r" % (context, key))
-        fields[key] = _as_int(entry.value, "%s.%s" % (context, key))
+def _elastic_from_block(block: stext.Block, context: str) -> ElasticPolicy:
+    fields = {key: _field(block, key, context, _INT) for key in _ELASTIC_KEYS if key in block}
     try:
         return ElasticPolicy(**fields)
     except DomainError as exc:
-        raise ScenarioError("%s: %s" % (context, exc)) from exc
+        raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
 
 
 def parse_scenario(text: str, *, name: str = "scenario",
@@ -173,32 +185,32 @@ def parse_scenario(text: str, *, name: str = "scenario",
 
     scenario = Scenario(
         name=str(root.get("name", name)),
-        seed=_as_int(_require(root, "seed", "scenario"), "seed"),
-        horizon_s=_as_int(_require(root, "horizon_s", "scenario"), "horizon_s"),
+        seed=_field(root, "seed", "scenario", _INT),
+        horizon_s=_field(root, "horizon_s", "scenario", _INT),
     )
     if scenario.horizon_s <= 0:
-        raise ScenarioError("horizon_s must be > 0")
+        raise ScenarioError("line %d: horizon_s must be > 0" % root.line_of("horizon_s"))
 
     providers = _block(root, "providers", None, "providers")
     for provider_id in providers.entries:
+        context = "provider %s" % provider_id
         block = _block(providers, provider_id,
-                       ("availability", "latency_ms", "elasticity", "nodes"),
-                       "provider %s" % provider_id)
+                       ("availability", "latency_ms", "elasticity", "nodes"), context)
         nodes = []
-        nodes_block = _block(block, "nodes", None, "provider %s nodes" % provider_id)
-        for node_id, node_entry in nodes_block.items():
-            nodes.append(_node_from_block(node_id, node_entry.value,
-                                          "provider %s node %s" % (provider_id, node_id)))
+        nodes_block = _block(block, "nodes", None, "%s nodes" % context)
+        for node_id in nodes_block.entries:
+            node_context = "%s node %s" % (context, node_id)
+            nodes.append(_node_from_block(
+                node_id, _block(nodes_block, node_id, _NODE_KEYS, node_context), node_context))
         elasticity = None
         if "elasticity" in block:
-            elasticity = _elastic_from_block(block.get("elasticity"),
-                                             "provider %s elasticity" % provider_id)
+            elastic_context = "%s elasticity" % context
+            elasticity = _elastic_from_block(
+                _block(block, "elasticity", _ELASTIC_KEYS, elastic_context), elastic_context)
         scenario.providers.append(ProviderSpec(
             provider_id=provider_id,
-            availability=_as_number(block.get("availability", 1.0),
-                                    "provider %s availability" % provider_id),
-            latency_ms=_as_number(block.get("latency_ms", 0.0),
-                                  "provider %s latency_ms" % provider_id),
+            availability=float(_field(block, "availability", context, _NUMBER, 1.0)),
+            latency_ms=float(_field(block, "latency_ms", context, _NUMBER, 0.0)),
             nodes=tuple(nodes),
             elasticity=elasticity,
         ))
@@ -206,43 +218,43 @@ def parse_scenario(text: str, *, name: str = "scenario",
 
     slas = _block(root, "slas", None, "slas")
     for key in slas.entries:
-        block = _block(slas, key, ("provider", "group", "sla_rank"), "sla %s" % key)
-        provider = _require(block, "provider", "sla %s" % key)
+        context = "sla %s" % key
+        block = _block(slas, key, ("provider", "group", "sla_rank"), context)
+        provider = _field(block, "provider", context)
         if provider not in provider_ids:
-            raise ScenarioError("sla %s references unknown provider %r" % (key, provider))
+            raise ScenarioError("line %d: %s references unknown provider %r"
+                                % (block.line, context, provider))
         scenario.slas.append(SLARecord(
             provider_id=provider,
-            group=str(_require(block, "group", "sla %s" % key)),
-            sla_rank=_as_number(_require(block, "sla_rank", "sla %s" % key),
-                                "sla %s sla_rank" % key),
+            group=str(_field(block, "group", context)),
+            sla_rank=float(_field(block, "sla_rank", context, _NUMBER)),
         ))
 
     datasets = _block(root, "datasets", None, "datasets")
     for key in datasets.entries:
+        context = "dataset %s" % key
         block = _block(datasets, key, ("dataset", "provider", "bytes_present", "bytes_total"),
-                       "dataset %s" % key)
-        provider = _require(block, "provider", "dataset %s" % key)
+                       context)
+        provider = _field(block, "provider", context)
         if provider not in provider_ids:
-            raise ScenarioError("dataset %s references unknown provider %r" % (key, provider))
+            raise ScenarioError("line %d: %s references unknown provider %r"
+                                % (block.line, context, provider))
+        fields = dict(dataset_id=str(_field(block, "dataset", context)), provider_id=provider,
+                      bytes_present=_field(block, "bytes_present", context, _INT),
+                      bytes_total=_field(block, "bytes_total", context, _INT))
         try:
-            scenario.datasets.append(DataCatalogEntry(
-                dataset_id=str(_require(block, "dataset", "dataset %s" % key)),
-                provider_id=provider,
-                bytes_present=_as_int(_require(block, "bytes_present", "dataset %s" % key),
-                                      "bytes_present"),
-                bytes_total=_as_int(_require(block, "bytes_total", "dataset %s" % key),
-                                    "bytes_total"),
-            ))
+            scenario.datasets.append(DataCatalogEntry(**fields))
         except DomainError as exc:
-            raise ScenarioError("dataset %s: %s" % (key, exc)) from exc
+            raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
 
     users = _block(root, "users", None, "users")
     for user in users.entries:
-        block = _block(users, user, ("group", "weight"), "user %s" % user)
+        context = "user %s" % user
+        block = _block(users, user, ("group", "weight"), context)
         scenario.users.append(UserSpec(
             name=user,
-            group=str(_require(block, "group", "user %s" % user)),
-            weight=_as_number(block.get("weight", 1.0), "user %s weight" % user),
+            group=str(_field(block, "group", context)),
+            weight=float(_field(block, "weight", context, _NUMBER, 1.0)),
         ))
     user_names = {u.name for u in scenario.users}
 
@@ -250,37 +262,40 @@ def parse_scenario(text: str, *, name: str = "scenario",
     last_at = None
     events = _block(root, "events", None, "events")
     for key in events.entries:
-        block = _block(events, key, None, "event %s" % key)
-        at = _as_int(_require(block, "at", "event %s" % key), "event %s at" % key)
-        action = _require(block, "action", "event %s" % key)
+        context = "event %s" % key
+        block = _block(events, key, None, context)
+        where = _at(block.line) + context
+        at = _field(block, "at", context, _INT)
+        action = _field(block, "action", context)
         if action not in ACTIONS:
-            raise ScenarioError("event %s has unknown action %r" % (key, action))
+            raise ScenarioError("%s has unknown action %r" % (where, action))
         if at < 0 or at > scenario.horizon_s:
-            raise ScenarioError("event %s time %d outside [0, horizon]" % (key, at))
+            raise ScenarioError("%s time %d outside [0, horizon]" % (where, at))
         if last_at is not None and at < last_at:
-            raise ScenarioError("events are not sorted by time at %s" % key)
+            raise ScenarioError("%s: events are not sorted by time" % where)
         last_at = at
         required, optional = _PARAMS[action]
-        _reject_unknown(block, ("at", "action") + required + optional,
-                        "event %s (%s)" % (key, action))
-        params = {k: e.value for k, e in block.items() if k not in ("at", "action")}
+        context = "%s (%s)" % (context, action)
+        kinds = dict(required, **optional)
+        _reject_unknown(block, ("at", "action") + tuple(kinds), context)
         for param in required:
-            if param not in params:
-                raise ScenarioError("event %s (%s) is missing %r" % (key, action, param))
+            _field(block, param, context)
+        params = {param: _field(block, param, context, kinds[param])
+                  for param in block.entries if param in kinds}
         if action in ("submit", "revoke_token") and params["user"] not in user_names:
-            raise ScenarioError("event %s references unknown user %r" % (key, params["user"]))
+            raise ScenarioError("%s references unknown user %r" % (where, params["user"]))
         if action in ("fail_site", "switch_role") and params["provider"] not in provider_ids:
-            raise ScenarioError("event %s references unknown provider %r"
-                                % (key, params["provider"]))
+            raise ScenarioError("%s references unknown provider %r"
+                                % (where, params["provider"]))
         if action == "delete" and params["ref"] not in submit_keys:
-            raise ScenarioError("event %s deletes unknown submit ref %r" % (key, params["ref"]))
+            raise ScenarioError("%s deletes unknown submit ref %r" % (where, params["ref"]))
         if action == "submit":
             submit_keys.add(key)
             template_name = params["template"]
             if "template_text" not in params:
                 if template_loader is None:
-                    raise ScenarioError("event %s: no template loader for %r"
-                                        % (key, template_name))
+                    raise ScenarioError("%s: no template loader for %r"
+                                        % (where, template_name))
                 if template_name not in scenario.templates:
                     scenario.templates[template_name] = template_loader(template_name)
         scenario.events.append(EventSpec(key=key, at=at, action=action, params=params))
@@ -600,50 +615,35 @@ class World:
             self._push(wake, "elastic_tick", {"site": site.site_id})
 
     def _audit(self, t: int):
+        """Audit every site after every event; any violation aborts the run."""
         for site_id in sorted(self.sites):
             site = self.sites[site_id]
             try:
                 site.scheduler.audit(t)
+                self._audit_preemption_soundness(site, t)
             except DomainError as exc:
                 raise InvariantViolationError("site %s at t=%d: %s"
                                               % (site_id, t, exc)) from exc
-            powered = site.pool.powered_capacity()
-            split = (site.pool.pool_capacity(ROLE_BATCH)
-                     + site.pool.pool_capacity(ROLE_CLOUD)
-                     + site.pool.draining_capacity())
-            if powered != split:
-                raise InvariantViolationError(
-                    "site %s at t=%d: pools do not partition powered capacity"
-                    % (site_id, t))
-            for node in site.pool.nodes.values():
-                if node.busy and node.power != POWER_ON:
-                    raise InvariantViolationError(
-                        "site %s node %s busy while %s" % (site_id, node.node_id,
-                                                           node.power))
-            self._audit_preemption_soundness(site, t)
 
     def _audit_preemption_soundness(self, site: Site, t: int):
-        """No normal request may sit queued while victims could free room."""
+        """No normal request may sit queued while victims could free room.
+
+        The site's free plus reclaimable capacity is summed once and compared
+        with every queued normal request the group quota lets run.
+        """
         scheduler = site.scheduler
         if not scheduler.backfill or site.failed(t):
             return
-        if len(scheduler.running) > 8 or len(scheduler.queue) > 8:
-            return  # brute force only at desk scale, matching the contract
-        for request in scheduler.queue:
-            if request.is_preemptible:
-                continue
-            if not scheduler.quota_allows(request):
-                continue
-            free = scheduler.free()
-            preemptibles = [i for i in scheduler.running.values()
-                            if i.request.is_preemptible
-                            and site.pool.is_schedulable(site.pool.nodes[i.node_id])]
-            feasible = request.resources.fits(
-                free + ResourceVector.total(i.request.resources for i in preemptibles))
-            if feasible:
+        normal = [r for r in scheduler.queue
+                  if not r.is_preemptible and scheduler.quota_allows(r)]
+        if not normal:
+            return
+        room = scheduler.free() + scheduler.reclaimable()
+        for request in normal:
+            if request.resources.fits(room):
                 raise InvariantViolationError(
-                    "site %s at t=%d: normal request %s queued despite feasible "
-                    "victim set" % (site.site_id, t, request.request_id))
+                    "normal request %s queued despite feasible victim set"
+                    % request.request_id)
 
 
 def run_scenario(scenario: Scenario, config: EngineConfig | None = None) -> RunReport:

@@ -29,11 +29,7 @@ class Site:
         Counts current free space, nodes that elasticity could power on, and
         capacity held by preemptible instances (reclaimable by normal work).
         """
-        reclaimable = ResourceVector.total(
-            i.request.resources for i in self.scheduler.running.values()
-            if i.request.is_preemptible
-            and self.pool.is_schedulable(self.pool.nodes[i.node_id]))
-        return self.pool.potential_capacity() + reclaimable
+        return self.pool.potential_capacity() + self.scheduler.reclaimable()
 
 
 def make_site(site_id: str, nodes, *, availability: float = 1.0,

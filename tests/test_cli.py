@@ -191,3 +191,29 @@ def test_rank_malformed_snapshot_names_line(workdir, capsys, old, new, line):
     record = json.loads(capsys.readouterr().out.strip())
     assert record["error"] == "CliError"
     assert record["message"].startswith("line %d: " % line)
+
+
+def test_rank_negative_capacity_names_line(workdir, capsys):
+    (workdir / "bad.stx").write_text(SNAPSHOT.replace("cpus: 4,", "cpus: -1,"))
+    assert main(["--machine", "rank", "--snapshot", "bad.stx"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "CliError"
+    assert record["message"] == "line 13: cpus must be >= 0, got -1"
+
+
+def test_rank_scores_each_candidate_once(workdir, capsys, monkeypatch):
+    from orchsim import cli, ranker
+    passes = []
+    scored = ranker.scored_candidates
+
+    def counted(candidates, config):
+        passes.append(len(candidates))
+        return scored(candidates, config)
+
+    assert main(["--machine", "rank", "--snapshot", "snapshot.stx"]) == 0
+    before = capsys.readouterr().out
+    monkeypatch.setattr(cli, "scored_candidates", counted)
+    monkeypatch.setattr(ranker, "scored_candidates", counted)
+    assert main(["--machine", "rank", "--snapshot", "snapshot.stx"]) == 0
+    assert capsys.readouterr().out == before
+    assert passes == [3]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from orchsim.elasticity import (ACTION_POWER_OFF, ACTION_POWER_ON,
                                 AlreadyTransitioningError, ElasticityError,
                                 ElasticityManager, ElasticPolicy, NodePool,
                                 NodeRecord, PartitionDirector, UnknownNodeError)
+from orchsim.resources import ResourceVector
 
 
 def worker_pool(count, power="off", capacity=None):
@@ -215,3 +217,65 @@ def test_draining_node_receives_no_new_work():
     director.switch_role("n1", "batch", t=1)
     decision = sched.submit(req(res=rv(2, 2048, 20), rid="new"), t=2)
     assert decision.instance.node_id == "n2"
+
+
+# -- incremental cloud counters -----------------------------------------------------
+
+
+def _cloud_sums(pool):
+    """Cloud capacity and free space recomputed from the nodes."""
+    cloud = [n for n in pool.nodes.values() if n.power == "on" and n.role == "cloud"]
+    capacity = ResourceVector.total(n.capacity for n in cloud)
+    return capacity, capacity.monus(ResourceVector.total(n.used for n in cloud))
+
+
+def test_cloud_counters_follow_a_random_walk():
+    rng = random.Random(2024)
+    pool = NodePool([NodeRecord(node_id="n%d" % i,
+                                capacity=rv(2 + i % 3, 2048 * (1 + i % 2), 40),
+                                power=rng.choice(["on", "off"]),
+                                role=rng.choice(["cloud", "cloud", "batch"]))
+                     for i in range(6)])
+    director = PartitionDirector(pool)
+    placed = {}  # request id -> (resources, node id)
+    drains_completed = 0
+    for t in range(3000):
+        node_id = rng.choice(sorted(pool.nodes))
+        op = rng.choice(["assign", "assign", "unassign", "unassign", "power_on",
+                         "boot_complete", "power_off", "switch_role"])
+        try:
+            if op == "assign":
+                rid = "r%d" % t
+                resources = rv(rng.randrange(1, 3), rng.randrange(1, 1024),
+                               rng.randrange(1, 10))
+                placed[rid] = (resources, pool.assign(rid, resources, t))
+            elif op == "unassign" and placed:
+                rid = rng.choice(sorted(placed))
+                resources, on = placed.pop(rid)
+                if pool.unassign(rid, resources, on, t) is not None:
+                    drains_completed += 1
+            elif op == "power_on":
+                pool.power_on(node_id, t, boot_delay_s=5)
+            elif op == "boot_complete":
+                pool.boot_complete(node_id, t)
+            elif op == "power_off":
+                pool.power_off(node_id)
+            elif op == "switch_role":
+                director.switch_role(node_id, rng.choice(["batch", "cloud"]), t)
+        except ElasticityError:
+            pass
+        capacity, free = _cloud_sums(pool)
+        assert pool.cloud_capacity() == capacity, t
+        assert pool.cloud_free() == free, t
+        pool.audit()
+    assert drains_completed > 0
+
+
+@pytest.mark.parametrize("field, value", [("power", "off"), ("role", "batch"),
+                                          ("used", rv(1, 0, 0))])
+def test_pool_audit_catches_a_write_that_bypasses_the_pool(field, value):
+    pool = worker_pool(2, power="on")
+    pool.audit()
+    setattr(pool.nodes["w2"], field, value)
+    with pytest.raises(ElasticityError, match="cloud counters"):
+        pool.audit()

@@ -1,14 +1,18 @@
-"""Golden report digests: every shipped scenario renders byte for byte as pinned.
+"""Golden report digests: every shipped scenario and the first replica of each
+benchmark workload render byte for byte as pinned.
 
 A refactor that keeps behaviour must keep these digests.  A change that moves
 one on purpose re-pins it and says why.
 """
 
 import hashlib
+import importlib.util
+import os
+import sys
 
 import pytest
 
-from orchsim.simulation import load_scenario, run_scenario
+from orchsim.simulation import load_scenario, parse_scenario, run_scenario
 
 GOLDEN = {
     "elastic-cluster": "eec14671ead49f47c1649b542705b9cfa3bd405437d9f8b467a32679a5f951cc",
@@ -25,3 +29,29 @@ def test_report_digest_is_pinned(name):
     report = run_scenario(load_scenario("scenarios/%s.scn" % name))
     digest = hashlib.sha256(report.to_text().encode("utf-8")).hexdigest()
     assert digest == GOLDEN[name]
+
+
+# RunReport.to_text() of bench/workloads.py's <workload>(seed=1, replica=0).
+BENCH_GOLDEN = {
+    "backlog": "5b9c4f11a213a382e2480d3228e716649a89b9a674f13d9fcbb5fa7992c42d95",
+    "spot": "a3afb694c5b8153b7ce73e36993b24046836b8b145c76c6db38fde8386397fbc",
+    "federation": "db45125c293d98479fd3a3c9395904a4faaa7b788435bd4075b10626f002c6cd",
+}
+
+
+def _bench_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_workload_digest_is_pinned(name):
+    workload = getattr(_bench_workloads(), name)(1, 0)
+    scenario = parse_scenario(workload.text, name=workload.name,
+                              template_loader=workload.templates.__getitem__)
+    digest = hashlib.sha256(run_scenario(scenario).to_text().encode("utf-8")).hexdigest()
+    assert digest == BENCH_GOLDEN[name]

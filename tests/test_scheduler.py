@@ -197,6 +197,77 @@ def test_preemptible_may_only_displace_strictly_lower_bids():
     assert [v.request_id for v in sched.select_victims(higher)] == ["incumbent"]
 
 
+def reference_victims(sched, request):
+    """select_victims by filter and sort, then the exact or greedy search.
+
+    None when no eligible set frees enough room.
+    """
+    free = sched.free()
+    if request.resources.fits(free):
+        return []
+    eligible = sorted(
+        (i for i in sched.running.values()
+         if i.request.is_preemptible
+         and sched.pool.is_schedulable(sched.pool.nodes[i.node_id])
+         and (not request.is_preemptible or i.request.bid < request.bid)),
+        key=lambda i: (i.request.bid, -i.start_time, i.request_id))
+    freed = ResourceVector.total(i.request.resources for i in eligible)
+    if not request.resources.fits(free + freed):
+        return None
+    if len(eligible) > 16:
+        chosen = list(eligible)
+        for instance in reversed(eligible):
+            without = freed.monus(instance.request.resources)
+            if request.resources.fits(free + without):
+                chosen.remove(instance)
+                freed = without
+        return chosen
+    for size in range(1, len(eligible) + 1):
+        for combo in itertools.combinations(eligible, size):
+            if request.resources.fits(
+                    free + ResourceVector.total(i.request.resources for i in combo)):
+                return list(combo)
+    raise AssertionError("feasible total but no feasible subset")
+
+
+def test_select_victims_matches_reference_on_random_sites():
+    from orchsim.elasticity import PartitionDirector
+    rng = random.Random(31)
+    covered = {"greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0}
+    for trial in range(60):
+        many = trial % 3 == 0  # enough small victims for the greedy path
+        sched = make_scheduler(*[rv(4, 4096, 40)] * (8 if many else 3))
+        for n in range(40 if many else 12):
+            cpus = 1 if many else rng.randrange(1, 4)
+            sched.submit(req(user="u%d" % rng.randrange(4),
+                             res=rv(cpus, rng.randrange(256, 2048), rng.randrange(1, 12)),
+                             bid=rng.choice([None, 0.1, 0.1, 0.2, 0.3, 0.5]),
+                             t=rng.randrange(3) + n // 4, rid="t%d-%d" % (trial, n)),
+                         t=n // 4)
+        if rng.random() < 0.3:
+            busy = sorted({i.node_id for i in sched.running.values()})
+            if busy:
+                PartitionDirector(sched.pool).switch_role(busy[0], "batch", t=20)
+        for k in range(10):
+            probe = req(user="p", res=rv(rng.randrange(1, 9), rng.randrange(256, 8192),
+                                         rng.randrange(1, 60)),
+                        bid=rng.choice([None, 0.15, 0.25, 0.4, 0.9]),
+                        t=30, rid="probe-%d-%d" % (trial, k))
+            expected = reference_victims(sched, probe)
+            if expected is None:
+                covered["infeasible"] += 1
+                with pytest.raises(InfeasiblePreemptionError):
+                    sched.select_victims(probe, 30)
+                continue
+            got = sched.select_victims(probe, 30)
+            assert [v.request_id for v in got] == [v.request_id for v in expected]
+            if got:
+                covered["preemptible" if probe.is_preemptible else "normal"] += 1
+                eligible = sched._eligible_victims(probe, sched._victim_index())
+                covered["greedy"] += len(eligible) > 16
+    assert all(covered.values()), covered
+
+
 def test_higher_bid_preemptible_displaces_lower_on_submit():
     sched = make_scheduler(rv(2, 2048, 20))
     sched.submit(req(user="low", res=rv(2, 2048, 20), bid=0.1, rid="low"), t=0)

@@ -202,6 +202,16 @@ def test_audit_catches_corrupted_accounting():
         world._audit(20)
 
 
+def test_audit_catches_a_drifted_pool_counter():
+    from orchsim.simulation import InvariantViolationError
+    world = World(tiny_scenario(nodes=((2, 2048, 20), (2, 2048, 20))))
+    world.run()
+    world._audit(20)
+    world.sites["site-x"].pool.nodes["n2"].power = "off"  # bypasses the pool's counters
+    with pytest.raises(InvariantViolationError, match="cloud counters"):
+        world._audit(20)
+
+
 def test_failover_scenario_restarts_service():
     report = run_scenario(load_scenario("scenarios/failover.scn"))
     restarted = [r for r in report.records
@@ -264,3 +274,41 @@ def test_elastic_ticks_are_forgotten_once_they_fire():
 def test_scenario_section_must_be_a_block(section):
     with pytest.raises(ScenarioError, match="line 3: %s must be a block" % section):
         parse_scenario("seed: 1\nhorizon_s: 10\n%s: 3\n" % section)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("duration: 5 }", "duration: soon }",
+     "line 14: event e1 (fail_site) duration must be a non-negative integer"),
+    ("duration: 5 }", "duration: -5 }",
+     "line 14: event e1 (fail_site) duration must be a non-negative integer"),
+    ("action: fail_site, provider: p1, duration: 5",
+     "action: submit, template: job, user: ada, duration: soon",
+     "line 14: event e1 (submit) duration must be a non-negative integer"),
+    ("action: fail_site, provider: p1, duration: 5",
+     "action: submit, template: job, user: ada, prefs: p1",
+     "line 14: event e1 (submit) prefs must be a list of names"),
+    ("provider: p1, duration: 5", "provider: 7, duration: 5",
+     "line 14: event e1 (fail_site) provider must be a name"),
+])
+def test_event_parameter_of_wrong_kind_rejected_with_line(old, new, message):
+    text = UNKNOWN_KEY_BASE.replace(old, new)
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(text, template_loader=lambda name: JOB_2CPU)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("{ provider: p1, group: g, sla_rank: 1.0 }", "{ provider: p1, sla_rank: 1.0 }",
+     "line 8: sla s1 is missing 'group'"),
+    ("{ at: 0, action: fail_site, provider: p1, duration: 5 }",
+     "{ at: 0, action: fail_site, provider: p1 }",
+     "line 14: event e1 (fail_site) is missing 'duration'"),
+    ("n1: { cpus: 1,", "n1: { cpus: one,",
+     "line 6: provider p1 node n1 cpus must be an integer"),
+    ("n1: { cpus: 1,", "n1: { cpus: -1,",
+     "line 6: provider p1 node n1: cpus must be >= 0, got -1"),
+])
+def test_scenario_errors_name_their_line_once(old, new, message):
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(UNKNOWN_KEY_BASE.replace(old, new))
+    assert str(caught.value) == message
