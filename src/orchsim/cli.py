@@ -106,6 +106,7 @@ class Session:
                 command["template_text"], world.tokens.get(command["user"], ""),
                 at, prefs=prefs, job_duration_s=command.get("duration"))
             world._stabilize(at)
+            world._audit(at)
             return uuid
         if command["op"] == "depdel":
             user = command.get("user")
@@ -114,6 +115,7 @@ class Session:
             record = world.orchestrator.delete_deployment(
                 command["uuid"], world.tokens.get(user, ""), at)
             world._stabilize(at)
+            world._audit(at)
             return record
         raise CliError("unknown journal op %r" % command["op"])
 
@@ -123,14 +125,29 @@ class Session:
         return result
 
     def save(self):
+        """Append this session's commands to the state file, atomically.
+
+        The new state goes to a temporary file next to the state file, which
+        then replaces it, so a crash mid-write leaves the previous state file
+        whole.
+        """
         stored = {"world": self.world_path, "commands": self.commands}
         if os.path.exists(self.state_path):
             with open(self.state_path, encoding="utf-8") as handle:
                 previous = json.load(handle)
             stored["commands"] = previous.get("commands", []) + self.commands
-        with open(self.state_path, "w", encoding="utf-8") as handle:
-            json.dump(stored, handle, indent=2)
-            handle.write("\n")
+        temp_path = self.state_path + ".tmp"
+        try:
+            with open(temp_path, "w", encoding="utf-8") as handle:
+                json.dump(stored, handle, indent=2)
+                handle.write("\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp_path, self.state_path)
+        except BaseException:
+            if os.path.exists(temp_path):
+                os.unlink(temp_path)
+            raise
 
 
 def _deployment_row(record) -> dict:

@@ -1,9 +1,20 @@
 """Site node pool, power management and batch/cloud role partitioning.
 
-The pool tracks physical nodes (capacity, power state, role, occupancy).
+The pool tracks physical nodes (capacity, power state, role, occupancy) and
+keeps integer counters over its cloud-role nodes, so the elasticity layer
+reads them in O(1) instead of rescanning the nodes after every event:
+
+- per power state (on, booting, off): how many cloud nodes and their summed
+  capacity, which gives the cloud node total, the powered (on or booting)
+  and off counts, the booting and off capacity, and the cloud capacity;
+- cloud use: what the instances on powered-on cloud nodes hold;
+- the idle nodes (powered-on cloud nodes with nothing assigned) with their
+  idle_since, and the earliest of those times.
+
 The elasticity manager powers nodes on from queued demand and off after
-sustained idleness; the partition director commutes nodes between the batch
-and cloud pools through draining transition states so a node is never
+sustained idleness; it asks the counters whether an action can fire before
+it sorts any candidates.  The partition director commutes nodes between the
+batch and cloud pools through draining transition states so a node is never
 counted in two pools at once.
 """
 
@@ -12,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .resources import ResourceVector
+from .resources import ResourceVector, add_into, unchecked
 
 POWER_OFF = "off"
 POWER_BOOTING = "booting"
 POWER_ON = "on"
+_POWER_STATES = (POWER_ON, POWER_BOOTING, POWER_OFF)
 
 ROLE_BATCH = "batch"
 ROLE_CLOUD = "cloud"
@@ -89,43 +101,72 @@ class ElasticPolicy:
             raise ElasticityError("timings must be >= 0")
 
 
-def _shift(counter: list[int], vector: ResourceVector, sign: int):
-    counter[0] += sign * vector.cpus
-    counter[1] += sign * vector.mem_mb
-    counter[2] += sign * vector.disk_gb
+_NOTHING = (0, 0, 0)  # audit: what runs on a node without a running entry
+_KEEP = object()      # _update: leave idle_since as it is
+_UNKNOWN = object()   # _earliest_idle: recompute on the next read
 
 
 class NodePool:
     """Physical nodes of one site, with exact per-node occupancy accounting.
 
-    The pool is the only writer of a node's power, role and used fields (the
-    partition director changes roles through set_role).  Every write goes
-    through _update, which keeps integer counters of the cloud pool's
-    capacity and use in step, so cloud_capacity() and cloud_free() are O(1).
-    audit() recomputes both counters from the nodes and cross-checks them.
+    The pool is the only writer of a node's power, role, used and idle_since
+    and of its instance set (the partition director changes roles through
+    set_role).  Every write goes through _update, which moves the node's
+    share of these counters along with it:
+
+    - _cloud[power]: [cpus, mem_mb, disk_gb, count] of the cloud-role nodes
+      in that power state; the on row is the cloud pool's capacity, the
+      booting and off rows what elasticity has coming or could power on;
+    - _cloud_used: what the instances on powered-on cloud nodes hold;
+    - _idle: idle node id -> idle_since (see is_idle), and _earliest_idle,
+      the smallest of those times, recomputed only after its node leaves.
+
+    So cloud_capacity(), cloud_free(), booting_capacity(),
+    potential_capacity(), cloud_counts() and earliest_idle() are O(1).
+    audit() recomputes every counter from the nodes and cross-checks it.
     """
 
     def __init__(self, nodes: list[NodeRecord], t: int = 0):
         self.nodes: dict[str, NodeRecord] = {}
-        self._cloud_capacity = [0, 0, 0]  # summed over the schedulable nodes
+        # per power state: [cpus, mem_mb, disk_gb, node count] of cloud-role nodes
+        self._cloud = {power: [0, 0, 0, 0] for power in _POWER_STATES}
         self._cloud_used = [0, 0, 0]
+        self._idle: dict[str, int] = {}
+        self._earliest_idle = None
         for node in nodes:
             if node.node_id in self.nodes:
                 raise ElasticityError("duplicate node %r" % node.node_id)
+            if node.power not in _POWER_STATES:
+                raise ElasticityError("node %r has unknown power state %r"
+                                      % (node.node_id, node.power))
             if node.power == POWER_ON and node.idle_since is None:
                 node.idle_since = t
             self.nodes[node.node_id] = node
             self._tally(node, 1)
 
     def _tally(self, node: NodeRecord, sign: int):
-        """Add (sign 1) or take back (sign -1) a schedulable node's counter share."""
-        if self.is_schedulable(node):
-            _shift(self._cloud_capacity, node.capacity, sign)
-            _shift(self._cloud_used, node.used, sign)
+        """Add (sign 1) or take back (sign -1) a node's share of the counters."""
+        if node.role == ROLE_CLOUD:
+            row = self._cloud[node.power]
+            add_into(row, node.capacity, sign)
+            row[3] += sign
+            if node.power == POWER_ON:
+                add_into(self._cloud_used, node.used, sign)
+        if sign < 0:
+            since = self._idle.pop(node.node_id, None)
+            if since is not None and since == self._earliest_idle:
+                self._earliest_idle = _UNKNOWN
+        elif self.is_idle(node):
+            self._idle[node.node_id] = node.idle_since
+            earliest = self._earliest_idle
+            if earliest is None or (earliest is not _UNKNOWN and node.idle_since < earliest):
+                self._earliest_idle = node.idle_since
 
     def _update(self, node: NodeRecord, *, power: str | None = None,
-                role: str | None = None, used: ResourceVector | None = None):
-        """Write a node's power, role or used and move its counter share along."""
+                role: str | None = None, used: ResourceVector | None = None,
+                idle_since=_KEEP):
+        """Write a node's power, role, used or idle_since and move its counter
+        share along; a change to its instance set is made just before."""
         self._tally(node, -1)
         if power is not None:
             node.power = power
@@ -133,6 +174,8 @@ class NodePool:
             node.role = role
         if used is not None:
             node.used = used
+        if idle_since is not _KEEP:
+            node.idle_since = idle_since
         self._tally(node, 1)
 
     def node(self, node_id: str) -> NodeRecord:
@@ -144,26 +187,82 @@ class NodePool:
     def is_schedulable(self, node: NodeRecord) -> bool:
         return node.power == POWER_ON and node.role == ROLE_CLOUD
 
+    def is_idle(self, node: NodeRecord) -> bool:
+        """A powered-on cloud node with nothing assigned since idle_since.
+
+        The one definition of a power-off candidate: reconcile powers such a
+        node off once it has been idle for t_idle_s, and the simulation wakes
+        up when the next one gets there.
+        """
+        return (node.power == POWER_ON and node.role == ROLE_CLOUD
+                and not node.instances and node.idle_since is not None)
+
     def schedulable_nodes(self) -> list[NodeRecord]:
         return [n for nid, n in sorted(self.nodes.items()) if self.is_schedulable(n)]
 
     def cloud_capacity(self) -> ResourceVector:
-        return ResourceVector(*self._cloud_capacity)
+        row = self._cloud[POWER_ON]
+        return unchecked(row[0], row[1], row[2])
 
     def cloud_free(self) -> ResourceVector:
         """Cloud capacity minus cloud use, each component clamped at zero."""
-        capacity, used = self._cloud_capacity, self._cloud_used
-        return ResourceVector(max(0, capacity[0] - used[0]),
-                              max(0, capacity[1] - used[1]),
-                              max(0, capacity[2] - used[2]))
+        capacity, used = self._cloud[POWER_ON], self._cloud_used
+        return unchecked(max(0, capacity[0] - used[0]),
+                         max(0, capacity[1] - used[1]),
+                         max(0, capacity[2] - used[2]))
+
+    def booting_capacity(self) -> ResourceVector:
+        row = self._cloud[POWER_BOOTING]
+        return unchecked(row[0], row[1], row[2])
+
+    def booting_covers(self, demand: ResourceVector) -> bool:
+        """True iff demand fits in the capacity of the booting cloud nodes."""
+        row = self._cloud[POWER_BOOTING]
+        return (demand.cpus <= row[0] and demand.mem_mb <= row[1]
+                and demand.disk_gb <= row[2])
 
     def potential_capacity(self) -> ResourceVector:
         """Free space plus everything the cloud pool could power on."""
-        total = self.cloud_free()
-        for node in self.nodes.values():
-            if node.role == ROLE_CLOUD and node.power in (POWER_OFF, POWER_BOOTING):
-                total = total + node.capacity
-        return total
+        capacity, used = self._cloud[POWER_ON], self._cloud_used
+        booting, off = self._cloud[POWER_BOOTING], self._cloud[POWER_OFF]
+        return unchecked(max(0, capacity[0] - used[0]) + booting[0] + off[0],
+                         max(0, capacity[1] - used[1]) + booting[1] + off[1],
+                         max(0, capacity[2] - used[2]) + booting[2] + off[2])
+
+    def cloud_counts(self) -> tuple[int, int, int]:
+        """(cloud-role nodes, powered ones: on or booting, off ones)."""
+        on = self._cloud[POWER_ON][3]
+        booting = self._cloud[POWER_BOOTING][3]
+        off = self._cloud[POWER_OFF][3]
+        return on + booting + off, on + booting, off
+
+    def conserves(self, cpus: int, mem_mb: int, disk_gb: int) -> bool:
+        """True iff cloud free space plus the given running sums is the cloud
+        capacity, component by component."""
+        capacity, used = self._cloud[POWER_ON], self._cloud_used
+        return (max(0, capacity[0] - used[0]) + cpus == capacity[0]
+                and max(0, capacity[1] - used[1]) + mem_mb == capacity[1]
+                and max(0, capacity[2] - used[2]) + disk_gb == capacity[2])
+
+    def idle_nodes(self) -> list[NodeRecord]:
+        return [self.nodes[node_id] for node_id in self._idle]
+
+    def earliest_idle(self) -> int | None:
+        """The smallest idle_since of an idle node, None when none is idle."""
+        if self._earliest_idle is _UNKNOWN:
+            self._earliest_idle = min(self._idle.values(), default=None)
+        return self._earliest_idle
+
+    def next_idle_due(self, t: int, t_idle_s: int) -> int | None:
+        """The first time after t at which an idle node has been idle t_idle_s."""
+        earliest = self.earliest_idle()
+        if earliest is None:
+            return None
+        if earliest + t_idle_s > t:
+            return earliest + t_idle_s
+        # A due node stayed on (floor or pooled guard): look past the due ones.
+        return min((since + t_idle_s for since in self._idle.values()
+                    if since + t_idle_s > t), default=None)
 
     def powered_capacity(self) -> ResourceVector:
         return ResourceVector.total(n.capacity for n in self.nodes.values()
@@ -177,37 +276,84 @@ class NodePool:
         return ResourceVector.total(n.capacity for n in self.nodes.values()
                                     if n.power == POWER_ON and n.role in DRAINING_ROLES)
 
-    def audit(self):
-        """Recompute the counters and the pool partition from the nodes.
+    def audit(self, running: dict[str, list[int]] | None = None) -> list[int]:
+        """Recompute every counter and the pool partition from the nodes.
 
-        Raises ElasticityError when a node holds instances while not powered
-        on, when a powered node is in none of the batch, cloud and draining
-        pools (so the pools do not partition the powered capacity), or when a
-        cloud counter differs from its sum over the nodes.
+        running, when given, maps a node id to what the instances running
+        there sum to ([cpus, mem_mb, disk_gb]); the caller's ledger, which
+        this pass consumes.  Raises ElasticityError when a node holds
+        instances while not powered on, has an unknown power state, is
+        powered but in none of the batch, cloud and draining pools (so the
+        pools do not partition the powered capacity), has a used that differs
+        from its running entry (none: nothing), when an entry names an
+        unknown node, or when a counter differs from its recomputation.
+        Returns the recomputed cloud use.
         """
-        cpus = mem_mb = disk_gb = used_cpus = used_mem_mb = used_disk_gb = 0
-        for node in self.nodes.values():
-            if node.power != POWER_ON:
-                if node.busy:
-                    raise ElasticityError("node %s busy while %s"
-                                          % (node.node_id, node.power))
-            elif node.role == ROLE_CLOUD:
-                capacity, used = node.capacity, node.used
-                cpus += capacity.cpus
-                mem_mb += capacity.mem_mb
-                disk_gb += capacity.disk_gb
-                used_cpus += used.cpus
-                used_mem_mb += used.mem_mb
-                used_disk_gb += used.disk_gb
-            elif node.role not in _POOL_ROLES:
-                raise ElasticityError("pools do not partition powered capacity: node %s "
-                                      "has role %r" % (node.node_id, node.role))
-        capacity, used = [cpus, mem_mb, disk_gb], [used_cpus, used_mem_mb, used_disk_gb]
-        if capacity != self._cloud_capacity or used != self._cloud_used:
-            raise ElasticityError(
-                "cloud counters (capacity %s, used %s) differ from the node sums "
-                "(capacity %s, used %s)"
-                % (self._cloud_capacity, self._cloud_used, capacity, used))
+        on_cpus = on_mem = on_disk = on_count = 0            # cloud nodes on
+        boot_cpus = boot_mem = boot_disk = boot_count = 0    # cloud nodes booting
+        off_cpus = off_mem = off_disk = off_count = 0        # cloud nodes off
+        used_cpus = used_mem = used_disk = 0                 # used on cloud nodes on
+        idle = {}
+        for node_id, node in self.nodes.items():
+            if running is not None:
+                node_used, expected = node.used, running.pop(node_id, _NOTHING)
+                if (node_used.cpus != expected[0] or node_used.mem_mb != expected[1]
+                        or node_used.disk_gb != expected[2]):
+                    raise ElasticityError(
+                        "node %s used %s but running instances sum to "
+                        "(%d cpus, %d MB, %d GB)" % (node_id, node_used, *expected))
+            power, role, capacity = node.power, node.role, node.capacity
+            if power == POWER_ON:
+                if role == ROLE_CLOUD:
+                    on_cpus += capacity.cpus
+                    on_mem += capacity.mem_mb
+                    on_disk += capacity.disk_gb
+                    on_count += 1
+                    node_used = node.used
+                    used_cpus += node_used.cpus
+                    used_mem += node_used.mem_mb
+                    used_disk += node_used.disk_gb
+                    if self.is_idle(node):
+                        idle[node_id] = node.idle_since
+                elif role not in _POOL_ROLES:
+                    raise ElasticityError("pools do not partition powered capacity: node %s "
+                                          "has role %r" % (node_id, role))
+                continue
+            if node.instances:
+                raise ElasticityError("node %s busy while %s" % (node_id, power))
+            if power not in _POWER_STATES:
+                raise ElasticityError("node %s has unknown power state %r" % (node_id, power))
+            if role != ROLE_CLOUD:
+                continue
+            if power == POWER_OFF:
+                off_cpus += capacity.cpus
+                off_mem += capacity.mem_mb
+                off_disk += capacity.disk_gb
+                off_count += 1
+            else:
+                boot_cpus += capacity.cpus
+                boot_mem += capacity.mem_mb
+                boot_disk += capacity.disk_gb
+                boot_count += 1
+        cloud = {POWER_ON: [on_cpus, on_mem, on_disk, on_count],
+                 POWER_BOOTING: [boot_cpus, boot_mem, boot_disk, boot_count],
+                 POWER_OFF: [off_cpus, off_mem, off_disk, off_count]}
+        used = [used_cpus, used_mem, used_disk]
+        if running:
+            raise ElasticityError("instances run on unknown nodes %s" % sorted(running))
+        earliest = min(idle.values(), default=None)
+        cached = self._earliest_idle
+        if cached is _UNKNOWN:
+            cached = earliest  # nothing to check until the next read sets it
+        if cloud != self._cloud or used != self._cloud_used or idle != self._idle \
+                or cached != earliest:
+            counted = dict(self._cloud, used=self._cloud_used, idle=self._idle,
+                           earliest_idle=cached)
+            recounted = dict(cloud, used=used, idle=idle, earliest_idle=earliest)
+            raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
+                "%s %s, nodes give %s" % (name, counted[name], recounted[name])
+                for name in counted if counted[name] != recounted[name]))
+        return used
 
     def assign(self, request_id: str, resources: ResourceVector, t: int) -> str:
         """Place an instance on a schedulable node.
@@ -230,9 +376,8 @@ class NodePool:
                         node.capacity.mem_mb - node.used.mem_mb,
                         node.capacity.disk_gb - node.used.disk_gb)
             chosen = max(nodes, key=lambda n: (headroom(n), n.node_id))
-        self._update(chosen, used=chosen.used + resources)
         chosen.instances.add(request_id)
-        chosen.idle_since = None
+        self._update(chosen, used=chosen.used + resources, idle_since=None)
         return chosen.node_id
 
     def unassign(self, request_id: str, resources: ResourceVector, node_id: str,
@@ -242,10 +387,11 @@ class NodePool:
         if request_id not in node.instances:
             raise ElasticityError("instance %r is not on node %r" % (request_id, node_id))
         node.instances.discard(request_id)
-        self._update(node, used=node.used.monus(resources))
+        used = node.used.monus(resources)
         if node.instances:
+            self._update(node, used=used)
             return None
-        node.idle_since = t
+        self._update(node, used=used, idle_since=t)
         if node.role in DRAINING_ROLES:
             from_role = node.role
             self._update(node, role=_DRAIN_TARGET[from_role])
@@ -260,17 +406,15 @@ class NodePool:
         node = self.node(node_id)
         if node.power != POWER_OFF:
             raise ElasticityError("node %r is not off" % node_id)
-        self._update(node, power=POWER_BOOTING)
+        self._update(node, power=POWER_BOOTING, idle_since=None)
         node.ready_at = t + boot_delay_s
-        node.idle_since = None
 
     def boot_complete(self, node_id: str, t: int):
         node = self.node(node_id)
         if node.power != POWER_BOOTING:
             raise ElasticityError("node %r is not booting" % node_id)
-        self._update(node, power=POWER_ON)
+        self._update(node, power=POWER_ON, idle_since=t)
         node.ready_at = None
-        node.idle_since = t
 
     def power_off(self, node_id: str):
         node = self.node(node_id)
@@ -280,8 +424,7 @@ class NodePool:
             raise ElasticityError("refusing to power off busy node %r" % node_id)
         if node.role in DRAINING_ROLES:
             raise ElasticityError("node %r is draining" % node_id)
-        self._update(node, power=POWER_OFF)
-        node.idle_since = None
+        self._update(node, power=POWER_OFF, idle_since=None)
         node.ready_at = None
 
 
@@ -295,16 +438,18 @@ class ElasticityManager:
     def __init__(self, policy: ElasticPolicy | None = None):
         self.policy = policy or ElasticPolicy()
         self._floors: dict[str, int] = {}
+        self._top_floor = 0  # the largest registered floor
 
     def register_floor(self, key: str, min_nodes: int):
         self._floors[key] = min_nodes
+        self._top_floor = max(self._floors.values())
 
     def deregister_floor(self, key: str):
         self._floors.pop(key, None)
+        self._top_floor = max(self._floors.values(), default=0)
 
-    def _bounds(self, pool: NodePool) -> tuple[int, int]:
-        cloud_total = sum(1 for n in pool.nodes.values() if n.role == ROLE_CLOUD)
-        floor = max([self.policy.min_nodes] + list(self._floors.values()))
+    def _bounds(self, cloud_total: int) -> tuple[int, int]:
+        floor = max(self.policy.min_nodes, self._top_floor)
         ceiling = self.policy.max_nodes if self.policy.max_nodes is not None else cloud_total
         ceiling = min(ceiling, cloud_total)
         return min(floor, ceiling), ceiling
@@ -317,42 +462,46 @@ class ElasticityManager:
         new capacity cover the queued demand, the node-count floor is met, or
         the ceiling is reached.  Powers off nodes idle for at least t_idle_s,
         lexicographically last first, while staying at or above the floor.
+        Each step first asks the pool's counters whether it can act at all
+        and only then sorts its candidates, so a site with no power action
+        due costs O(1).
         """
-        min_n, max_n = self._bounds(pool)
-        cloud = [n for nid, n in sorted(pool.nodes.items()) if n.role == ROLE_CLOUD]
-        powered = sum(1 for n in cloud if n.power in (POWER_ON, POWER_BOOTING))
+        cloud_total, powered, off = pool.cloud_counts()
+        min_n, max_n = self._bounds(cloud_total)
         actions: list[Action] = []
 
-        booting_cap = ResourceVector.total(
-            n.capacity for n in cloud if n.power == POWER_BOOTING)
-        remaining = queued_demand.monus(booting_cap)
-        off_nodes = sorted(
-            (n for n in cloud if n.power == POWER_OFF),
-            key=lambda n: (-n.capacity.cpus, -n.capacity.mem_mb,
-                           -n.capacity.disk_gb, n.node_id))
-        for node in off_nodes:
-            if powered >= max_n:
-                break
-            if remaining.is_zero() and powered >= min_n:
-                break
-            actions.append(Action(ACTION_POWER_ON, node.node_id))
-            powered += 1
-            remaining = remaining.monus(node.capacity)
+        if off and powered < max_n and (powered < min_n
+                                        or not pool.booting_covers(queued_demand)):
+            remaining = queued_demand.monus(pool.booting_capacity())
+            off_nodes = sorted(
+                (n for n in pool.nodes.values()
+                 if n.role == ROLE_CLOUD and n.power == POWER_OFF),
+                key=lambda n: (-n.capacity.cpus, -n.capacity.mem_mb,
+                               -n.capacity.disk_gb, n.node_id))
+            for node in off_nodes:
+                if powered >= max_n:
+                    break
+                if remaining.is_zero() and powered >= min_n:
+                    break
+                actions.append(Action(ACTION_POWER_ON, node.node_id))
+                powered += 1
+                remaining = remaining.monus(node.capacity)
 
-        free_guard = pool.cloud_free()
-        idle_victims = sorted(
-            (n for n in cloud
-             if n.power == POWER_ON and not n.busy and n.idle_since is not None
-             and t - n.idle_since >= self.policy.t_idle_s),
-            key=lambda n: n.node_id, reverse=True)
-        for node in idle_victims:
-            if powered <= min_n:
-                break
-            if not node.capacity.fits(free_guard):
-                continue  # pooled accounting says this capacity is still spoken for
-            actions.append(Action(ACTION_POWER_OFF, node.node_id))
-            powered -= 1
-            free_guard = free_guard - node.capacity
+        t_idle = self.policy.t_idle_s
+        earliest = pool.earliest_idle()
+        if powered > min_n and earliest is not None and t - earliest >= t_idle:
+            free_guard = pool.cloud_free()
+            idle_victims = sorted(
+                (n for n in pool.idle_nodes() if t - n.idle_since >= t_idle),
+                key=lambda n: n.node_id, reverse=True)
+            for node in idle_victims:
+                if powered <= min_n:
+                    break
+                if not node.capacity.fits(free_guard):
+                    continue  # pooled accounting says this capacity is still spoken for
+                actions.append(Action(ACTION_POWER_OFF, node.node_id))
+                powered -= 1
+                free_guard = free_guard - node.capacity
         return actions
 
 

@@ -276,11 +276,49 @@ def derive_metrics(records: list[dict], horizon_s: int) -> dict:
     }
 
 
+_ABSENT = "<absent>"
+
+
+def _first_difference(reported, derived, path: str = ""):
+    """(path, reported value, derived value) of the first metric that differs.
+
+    Dict keys are walked in the report's order, then keys only the log
+    derives; list items by index.  None when the two are equal.
+    """
+    if isinstance(reported, dict) and isinstance(derived, dict):
+        for key in list(reported) + [k for k in derived if k not in reported]:
+            found = _first_difference(reported.get(key, _ABSENT), derived.get(key, _ABSENT),
+                                      "%s.%s" % (path, key) if path else str(key))
+            if found is not None:
+                return found
+        return None
+    if isinstance(reported, list) and isinstance(derived, list):
+        for index in range(max(len(reported), len(derived))):
+            found = _first_difference(
+                reported[index] if index < len(reported) else _ABSENT,
+                derived[index] if index < len(derived) else _ABSENT,
+                "%s[%d]" % (path, index))
+            if found is not None:
+                return found
+        return None
+    return None if reported == derived else (path, reported, derived)
+
+
 def verify_report(report: RunReport):
-    """Re-derive metrics from the event log; any mismatch is an error."""
+    """Re-derive metrics from the event log; any mismatch is an error.
+
+    The error names the first differing metric path with both values, or
+    the first record out of (t, seq) order.
+    """
     derived = derive_metrics(report.records, report.horizon_s)
     if derived != report.metrics:
-        raise VerificationError("metrics do not match the event log")
-    for earlier, later in zip(report.records, report.records[1:]):
+        path, reported, expected = _first_difference(report.metrics, derived)
+        raise VerificationError(
+            "metrics do not match the event log: %s is %r in the report, %r from the log"
+            % (path or "metrics", reported, expected))
+    for index, (earlier, later) in enumerate(zip(report.records, report.records[1:])):
         if (earlier["t"], earlier["seq"]) >= (later["t"], later["seq"]):
-            raise VerificationError("event log is not totally ordered")
+            raise VerificationError(
+                "event log is not totally ordered: record %d has (t, seq) (%r, %r) "
+                "after (%r, %r)" % (index + 1, later["t"], later["seq"],
+                                    earlier["t"], earlier["seq"]))

@@ -39,13 +39,15 @@ class ResourceVector:
 
     @staticmethod
     def total(vectors) -> "ResourceVector":
-        out = ResourceVector.zero()
+        cpus = mem_mb = disk_gb = 0
         for v in vectors:
-            out = out + v
-        return out
+            cpus += v.cpus
+            mem_mb += v.mem_mb
+            disk_gb += v.disk_gb
+        return unchecked(cpus, mem_mb, disk_gb)
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
+        return unchecked(
             self.cpus + other.cpus,
             self.mem_mb + other.mem_mb,
             self.disk_gb + other.disk_gb,
@@ -55,7 +57,7 @@ class ResourceVector:
         """Componentwise subtraction; going negative is an accounting error."""
         if not other.fits(self):
             raise ResourceError("subtraction would go negative: %s - %s" % (self, other))
-        return ResourceVector(
+        return unchecked(
             self.cpus - other.cpus,
             self.mem_mb - other.mem_mb,
             self.disk_gb - other.disk_gb,
@@ -63,7 +65,7 @@ class ResourceVector:
 
     def monus(self, other: "ResourceVector") -> "ResourceVector":
         """Saturating subtraction: components clamp at zero instead of failing."""
-        return ResourceVector(
+        return unchecked(
             max(0, self.cpus - other.cpus),
             max(0, self.mem_mb - other.mem_mb),
             max(0, self.disk_gb - other.disk_gb),
@@ -87,3 +89,25 @@ class ResourceVector:
 
     def __str__(self):
         return "(%d cpus, %d MB, %d GB)" % (self.cpus, self.mem_mb, self.disk_gb)
+
+
+def add_into(counter: list[int], vector: ResourceVector, sign: int = 1):
+    """Add sign x vector to the first three entries of an integer counter."""
+    counter[0] += sign * vector.cpus
+    counter[1] += sign * vector.mem_mb
+    counter[2] += sign * vector.disk_gb
+
+
+_new = object.__new__
+
+
+def unchecked(cpus: int, mem_mb: int, disk_gb: int) -> ResourceVector:
+    """A ResourceVector built without validation.
+
+    Only for arithmetic whose components are already non-negative ints (sums,
+    clamped differences and counters of validated vectors); everything else
+    goes through the validating constructor.
+    """
+    vector = _new(ResourceVector)
+    vector.__dict__.update(cpus=cpus, mem_mb=mem_mb, disk_gb=disk_gb)
+    return vector

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .elasticity import NodePool
 from .errors import DomainError
-from .resources import ResourceVector
+from .resources import ResourceVector, add_into, unchecked
 
 # Above this many eligible victims the exact minimal-set search switches to a
 # greedy cover with redundancy elimination; desk-scale sites stay well below.
@@ -185,6 +185,7 @@ class SiteScheduler:
         self.quotas: dict[str, ResourceVector] = dict(quotas or {})
         self.running: dict[str, RunningInstance] = {}
         self.queue: list[InstanceRequest] = []
+        self._queued = [0, 0, 0]  # summed resources of the queue
         self.group_running: dict[str, ResourceVector] = {}
         self._seen_ids: set[str] = set()
         self._log = log
@@ -207,10 +208,18 @@ class SiteScheduler:
                 sums[0] += resources.cpus
                 sums[1] += resources.mem_mb
                 sums[2] += resources.disk_gb
-        return ResourceVector(*sums)
+        return unchecked(*sums)
 
     def queued_demand(self) -> ResourceVector:
-        return ResourceVector.total(r.resources for r in self.queue)
+        return unchecked(*self._queued)
+
+    def _enqueue(self, request: InstanceRequest):
+        self.queue.append(request)
+        add_into(self._queued, request.resources)
+
+    def _dequeue(self, request: InstanceRequest):
+        self.queue.remove(request)
+        add_into(self._queued, request.resources, -1)
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -237,7 +246,7 @@ class SiteScheduler:
             self._emit(t, "request_rejected", request_id=request.request_id,
                        reason="exceeds_group_quota")
             return Decision(DECISION_REJECTED_QUOTA)
-        self.queue.append(request)
+        self._enqueue(request)
         started = self.dispatch(t)
         for instance in started:
             if instance.request_id == request.request_id:
@@ -404,7 +413,7 @@ class SiteScheduler:
             request, victims = chosen
             for victim in victims:
                 self._preempt(victim, t, by=request.request_id)
-            self.queue.remove(request)
+            self._dequeue(request)
             started.append(self._start(request, t))
         return started
 
@@ -436,7 +445,7 @@ class SiteScheduler:
     def cancel_queued(self, request_id: str, t: int) -> bool:
         for request in self.queue:
             if request.request_id == request_id:
-                self.queue.remove(request)
+                self._dequeue(request)
                 self._emit(t, "request_cancelled", request_id=request_id)
                 return True
         return False
@@ -446,11 +455,12 @@ class SiteScheduler:
     def audit(self, t: int):
         """Cross-check incremental accounting against first principles.
 
-        Integer sums throughout: the pool's own audit (counters, partition,
-        no busy node powered down), each node's used against its running
-        instances, pooled conservation and the group quotas.
+        Integer sums throughout, with no vector built unless a check fails:
+        the pool's own audit (every pool counter, the partition, no busy node
+        powered down, each node's used against its running instances), pooled
+        conservation, the queued-demand counter against the queue, and the
+        group quotas.
         """
-        self.pool.audit()
         by_node: dict[str, list[int]] = {}
         for instance in self.running.values():
             resources = instance.request.resources
@@ -462,27 +472,24 @@ class SiteScheduler:
                 sums[0] += resources.cpus
                 sums[1] += resources.mem_mb
                 sums[2] += resources.disk_gb
-        cpus = mem_mb = disk_gb = 0  # running on schedulable nodes
-        for node_id, node in self.pool.nodes.items():
-            used = node.used
-            expected = by_node.pop(node_id, [0, 0, 0])
-            if [used.cpus, used.mem_mb, used.disk_gb] != expected:
-                raise SchedulerError(
-                    "node %s used %s but running instances sum to (%d cpus, %d MB, %d GB)"
-                    % (node_id, used, *expected))
-            if self.pool.is_schedulable(node):
-                cpus += expected[0]
-                mem_mb += expected[1]
-                disk_gb += expected[2]
-        if by_node:
-            raise SchedulerError("instances run on unknown nodes %s" % sorted(by_node))
-        free, capacity = self.free(), self.capacity()
-        if (free.cpus + cpus != capacity.cpus or free.mem_mb + mem_mb != capacity.mem_mb
-                or free.disk_gb + disk_gb != capacity.disk_gb):
+        # Every node's used matched its instances, so this is what runs on
+        # the schedulable nodes.
+        cpus, mem_mb, disk_gb = self.pool.audit(by_node)
+        if not self.pool.conserves(cpus, mem_mb, disk_gb):
+            free, capacity = self.free(), self.capacity()
             raise SchedulerError(
                 "conservation violated at t=%d: free %s + running (%d cpus, %d MB, %d GB) "
                 "!= capacity %s"
                 % (t, free, cpus, mem_mb, disk_gb, capacity))
+        queued = [0, 0, 0]
+        for request in self.queue:
+            resources = request.resources
+            queued[0] += resources.cpus
+            queued[1] += resources.mem_mb
+            queued[2] += resources.disk_gb
+        if queued != self._queued:
+            raise SchedulerError("queued demand counter %s differs from the queue sum %s"
+                                 % (self._queued, queued))
         for group, used in self.group_running.items():
             cap = self.quotas.get(group)
             if cap is not None and not used.fits(cap):

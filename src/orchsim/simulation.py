@@ -601,14 +601,7 @@ class World:
 
     def _schedule_idle_tick(self, site: Site, t: int):
         """Wake up again when the next idle node becomes eligible to power off."""
-        t_idle = site.elastic.policy.t_idle_s
-        wake = None
-        for node in site.pool.nodes.values():
-            if (node.role == ROLE_CLOUD and node.power == POWER_ON
-                    and not node.busy and node.idle_since is not None):
-                due = node.idle_since + t_idle
-                if due > t and (wake is None or due < wake):
-                    wake = due
+        wake = site.pool.next_idle_due(t, site.elastic.policy.t_idle_s)
         if wake is not None and wake <= self.scenario.horizon_s \
                 and (site.site_id, wake) not in self._ticks:
             self._ticks.add((site.site_id, wake))

@@ -217,3 +217,42 @@ def test_rank_scores_each_candidate_once(workdir, capsys, monkeypatch):
     assert main(["--machine", "rank", "--snapshot", "snapshot.stx"]) == 0
     assert capsys.readouterr().out == before
     assert passes == [3]
+
+
+def test_session_audits_every_applied_command(workdir):
+    from orchsim.cli import Session
+    from orchsim.config import EngineConfig
+    from orchsim.simulation import InvariantViolationError
+    session = Session("state.json", "world.scn", EngineConfig())
+    with open("single-compute.tpl", encoding="utf-8") as handle:
+        template_text = handle.read()
+    command = {"op": "depcreate", "at": 0, "user": "ada", "template_text": template_text,
+               "prefs": None, "duration": None}
+    session._apply(command)
+    # site-b is not chosen (worse SLA), but its counters drift and every site is audited.
+    session.world.sites["site-b"].pool.nodes["n1"].power = "off"  # around the pool
+    with pytest.raises(InvariantViolationError, match="site site-b at t=5"):
+        session._apply(dict(command, at=5))
+
+
+def test_failed_save_leaves_the_previous_state_file(workdir, capsys, monkeypatch):
+    import orchsim.cli as cli
+    assert main(["--machine", "depcreate", "single-compute.tpl", "--user", "ada",
+                 "--world", "world.scn"]) == 0
+    capsys.readouterr()
+    before = (workdir / ".orchsim-state.json").read_bytes()
+
+    def crash_mid_write(obj, handle, **kwargs):
+        handle.write('{"world": "half a')
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.json, "dump", crash_mid_write)
+        with pytest.raises(OSError, match="disk full"):
+            main(["--machine", "depcreate", "single-compute.tpl", "--user", "ada",
+                  "--at", "10"])
+    assert (workdir / ".orchsim-state.json").read_bytes() == before
+    assert sorted(p.name for p in workdir.iterdir() if p.name.startswith(".orchsim")) == [
+        ".orchsim-state.json"]
+    assert main(["--machine", "deplist"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1

@@ -229,6 +229,25 @@ def _cloud_sums(pool):
     return capacity, capacity.monus(ResourceVector.total(n.used for n in cloud))
 
 
+def _check_elastic_counters(pool, t, t_idle=7):
+    """Every elasticity counter of the pool against a scan of pool.nodes."""
+    cloud = [n for n in pool.nodes.values() if n.role == "cloud"]
+    by_power = {power: [n for n in cloud if n.power == power]
+                for power in ("on", "booting", "off")}
+    assert pool.cloud_counts() == (
+        len(cloud), len(by_power["on"]) + len(by_power["booting"]), len(by_power["off"])), t
+    booting = ResourceVector.total(n.capacity for n in by_power["booting"])
+    off = ResourceVector.total(n.capacity for n in by_power["off"])
+    assert pool.booting_capacity() == booting, t
+    assert pool.potential_capacity() == _cloud_sums(pool)[1] + booting + off, t
+    idle = {n.node_id: n.idle_since for n in by_power["on"]
+            if not n.instances and n.idle_since is not None}
+    assert {n.node_id: n.idle_since for n in pool.idle_nodes()} == idle, t
+    assert pool.earliest_idle() == min(idle.values(), default=None), t
+    assert pool.next_idle_due(t, t_idle) == min(
+        (since + t_idle for since in idle.values() if since + t_idle > t), default=None), t
+
+
 def test_cloud_counters_follow_a_random_walk():
     rng = random.Random(2024)
     pool = NodePool([NodeRecord(node_id="n%d" % i,
@@ -267,15 +286,143 @@ def test_cloud_counters_follow_a_random_walk():
         capacity, free = _cloud_sums(pool)
         assert pool.cloud_capacity() == capacity, t
         assert pool.cloud_free() == free, t
+        _check_elastic_counters(pool, t)
         pool.audit()
     assert drains_completed > 0
 
 
 @pytest.mark.parametrize("field, value", [("power", "off"), ("role", "batch"),
-                                          ("used", rv(1, 0, 0))])
+                                          ("used", rv(1, 0, 0)), ("power", "booting"),
+                                          ("capacity", rv(2, 1024, 10)),
+                                          ("idle_since", 7), ("instances", {"ghost"})])
 def test_pool_audit_catches_a_write_that_bypasses_the_pool(field, value):
     pool = worker_pool(2, power="on")
     pool.audit()
     setattr(pool.nodes["w2"], field, value)
     with pytest.raises(ElasticityError, match="cloud counters"):
         pool.audit()
+
+
+def test_pool_audit_catches_a_drifted_off_capacity():
+    pool = worker_pool(3, power="off")
+    pool.audit()
+    pool.nodes["w3"].capacity = rv(2, 1024, 10)  # an off node grows behind the pool's back
+    with pytest.raises(ElasticityError, match="cloud counters"):
+        pool.audit()
+
+
+def test_pool_audit_checks_used_against_the_running_ledger():
+    pool = worker_pool(2, power="on")
+    node_id = pool.assign("r1", rv(1, 512, 5), t=0)
+    assert pool.audit({node_id: [1, 512, 5]}) == [1, 512, 5]
+    with pytest.raises(ElasticityError, match="running instances sum to"):
+        pool.audit({node_id: [1, 256, 5]})
+    with pytest.raises(ElasticityError, match="unknown nodes"):
+        pool.audit({node_id: [1, 512, 5], "ghost": [1, 0, 0]})
+
+
+# -- reconcile against the full planning pass ---------------------------------------
+
+
+def _reference_reconcile(policy, floors, pool, queued_demand, t):
+    """The planning pass as it was before the counters: every node, every call."""
+    cloud_total = sum(1 for n in pool.nodes.values() if n.role == "cloud")
+    floor = max([policy.min_nodes] + list(floors))
+    ceiling = policy.max_nodes if policy.max_nodes is not None else cloud_total
+    ceiling = min(ceiling, cloud_total)
+    min_n, max_n = min(floor, ceiling), ceiling
+    cloud = [n for nid, n in sorted(pool.nodes.items()) if n.role == "cloud"]
+    powered = sum(1 for n in cloud if n.power in ("on", "booting"))
+    actions = []
+
+    booting_cap = ResourceVector.total(n.capacity for n in cloud if n.power == "booting")
+    remaining = queued_demand.monus(booting_cap)
+    off_nodes = sorted((n for n in cloud if n.power == "off"),
+                       key=lambda n: (-n.capacity.cpus, -n.capacity.mem_mb,
+                                      -n.capacity.disk_gb, n.node_id))
+    for node in off_nodes:
+        if powered >= max_n:
+            break
+        if remaining.is_zero() and powered >= min_n:
+            break
+        actions.append((ACTION_POWER_ON, node.node_id))
+        powered += 1
+        remaining = remaining.monus(node.capacity)
+
+    on = [n for n in cloud if n.power == "on"]
+    free_guard = ResourceVector.total(n.capacity for n in on).monus(
+        ResourceVector.total(n.used for n in on))
+    idle_victims = sorted(
+        (n for n in on if not n.busy and n.idle_since is not None
+         and t - n.idle_since >= policy.t_idle_s),
+        key=lambda n: n.node_id, reverse=True)
+    for node in idle_victims:
+        if powered <= min_n:
+            break
+        if not node.capacity.fits(free_guard):
+            continue
+        actions.append((ACTION_POWER_OFF, node.node_id))
+        powered -= 1
+        free_guard = free_guard - node.capacity
+    return actions
+
+
+def test_reconcile_matches_the_full_planning_pass():
+    rng = random.Random(4711)
+    fired = {ACTION_POWER_ON: 0, ACTION_POWER_OFF: 0}
+    for case in range(400):
+        count = rng.randrange(1, 9)
+        pool = NodePool([NodeRecord(node_id="n%d" % i,
+                                    capacity=rv(rng.choice([1, 2, 4]), 1024 * rng.randrange(1, 5),
+                                                10 * rng.randrange(1, 5)),
+                                    power=rng.choice(["on", "off"]),
+                                    role=rng.choice(["cloud", "cloud", "cloud", "batch"]))
+                         for i in range(count)], t=rng.randrange(0, 50))
+        # Random history: boots, completed boots, work placed and removed.
+        placed = {}
+        clock = 50
+        for step in range(rng.randrange(0, 12)):
+            clock += rng.randrange(0, 40)
+            node_id = rng.choice(sorted(pool.nodes))
+            try:
+                op = rng.choice(["power_on", "boot_complete", "assign", "unassign", "power_off"])
+                if op == "power_on":
+                    pool.power_on(node_id, clock, boot_delay_s=30)
+                elif op == "boot_complete":
+                    pool.boot_complete(node_id, clock)
+                elif op == "assign":
+                    rid = "r%d" % step
+                    resources = rv(1, 512, 5)
+                    placed[rid] = (resources, pool.assign(rid, resources, clock))
+                elif op == "unassign" and placed:
+                    rid = rng.choice(sorted(placed))
+                    resources, on = placed.pop(rid)
+                    pool.unassign(rid, resources, on, clock)
+                else:
+                    pool.power_off(node_id)
+            except ElasticityError:
+                pass
+        pool.audit()
+        max_nodes = rng.choice([None, None, rng.randrange(0, count + 2)])
+        min_nodes = rng.randrange(0, 3)
+        if max_nodes is not None:
+            min_nodes = min(min_nodes, max_nodes)
+        policy = ElasticPolicy(t_idle_s=rng.choice([0, 30, 120]), boot_delay_s=30,
+                               min_nodes=min_nodes, max_nodes=max_nodes)
+        manager = ElasticityManager(policy)
+        floors = {}
+        for key in range(rng.randrange(0, 4)):
+            floors["dep-%d/workers" % key] = rng.randrange(0, 5)
+            manager.register_floor("dep-%d/workers" % key, floors["dep-%d/workers" % key])
+        if floors and rng.random() < 0.5:
+            gone = rng.choice(sorted(floors))
+            del floors[gone]
+            manager.deregister_floor(gone)
+        demand = rng.choice([rv(), rv(rng.randrange(0, 9), rng.randrange(0, 9000),
+                                      rng.randrange(0, 90))])
+        t = clock + rng.randrange(0, 200)
+        actions = [(a.kind, a.node_id) for a in manager.reconcile(pool, demand, t)]
+        assert actions == _reference_reconcile(policy, floors.values(), pool, demand, t), case
+        for kind, _node in actions:
+            fired[kind] += 1
+    assert fired[ACTION_POWER_ON] > 50 and fired[ACTION_POWER_OFF] > 50

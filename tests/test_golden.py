@@ -55,3 +55,16 @@ def test_bench_workload_digest_is_pinned(name):
                               template_loader=workload.templates.__getitem__)
     digest = hashlib.sha256(run_scenario(scenario).to_text().encode("utf-8")).hexdigest()
     assert digest == BENCH_GOLDEN[name]
+
+
+# bench/workloads.py partition_probe(1): the federation mix plus switch_role
+# events, so node roles move through draining and back.
+PROBE_GOLDEN = "7435d9b9126036b71f0913b14924d9ec401bcd26190ba2774cb37d72e36fc5c6"
+
+
+def test_partition_probe_digest_is_pinned():
+    workload = _bench_workloads().partition_probe(1)
+    scenario = parse_scenario(workload.text, name=workload.name,
+                              template_loader=workload.templates.__getitem__)
+    digest = hashlib.sha256(run_scenario(scenario).to_text().encode("utf-8")).hexdigest()
+    assert digest == PROBE_GOLDEN

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from orchsim.resources import ResourceError, ResourceVector
+from orchsim.resources import ResourceError, ResourceVector, unchecked
 
 
 def test_add_and_sub_are_componentwise():
@@ -64,3 +64,16 @@ def test_arithmetic_properties_random():
         assert a.fits(a + b)
         if b.fits(a):
             assert (a - b) + b == a
+        # Results built without validation equal the validated construction,
+        # hash alike and print alike.
+        added = ResourceVector(a.cpus + b.cpus, a.mem_mb + b.mem_mb, a.disk_gb + b.disk_gb)
+        clamped = ResourceVector(max(0, a.cpus - b.cpus), max(0, a.mem_mb - b.mem_mb),
+                                 max(0, a.disk_gb - b.disk_gb))
+        for fast, checked in ((a + b, added), (ResourceVector.total([a, b]), added),
+                              (a.monus(b), clamped),
+                              (unchecked(a.cpus, a.mem_mb, a.disk_gb), a)):
+            assert type(fast) is ResourceVector
+            assert fast == checked and hash(fast) == hash(checked)
+            assert str(fast) == str(checked)
+        if b.fits(a):
+            assert a - b == clamped

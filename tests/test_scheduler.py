@@ -364,6 +364,7 @@ def test_conservation_under_random_churn():
     capacity = sched.capacity()
     live = []
     n = 0
+    deepest = 0
     for t in range(0, 400):
         if rng.random() < 0.5:
             n += 1
@@ -382,7 +383,24 @@ def test_conservation_under_random_churn():
         running_total = ResourceVector.total(
             i.request.resources for i in sched.running.values())
         assert sched.free() + running_total == capacity
+        assert sched.queued_demand() == ResourceVector.total(r.resources for r in sched.queue)
+        deepest = max(deepest, len(sched.queue))
         sched.audit(t)
+    assert deepest > 1  # work waited, so the queue counter moved both ways
+
+
+def test_audit_catches_a_drifted_queue_counter():
+    sched = make_scheduler(rv(1, 1024, 10))
+    sched.submit(req(res=rv(1, 1024, 10), rid="runs"), t=0)
+    sched.submit(req(res=rv(1, 512, 5), rid="waits"), t=0)
+    sched.submit(req(res=rv(1, 256, 2), rid="leaves"), t=0)
+    assert sched.queued_demand() == rv(2, 768, 7)
+    assert sched.cancel_queued("leaves", t=1)
+    assert sched.queued_demand() == rv(1, 512, 5)
+    sched.audit(1)
+    sched.queue.append(req(res=rv(1, 256, 1), rid="sneaked-in"))  # around the counter
+    with pytest.raises(SchedulerError, match="queued demand counter"):
+        sched.audit(0)
 
 
 def test_normal_instances_never_preempted():

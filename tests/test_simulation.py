@@ -87,6 +87,31 @@ def test_verifier_rejects_tampered_metrics():
         verify_report(report)
 
 
+def test_verifier_names_the_first_differing_metric():
+    from orchsim.report import VerificationError
+    scenario = tiny_scenario(events=[submit_event("e1", 0, JOB_2CPU, duration=10)])
+    report = run_scenario(scenario)
+    used = report.metrics["per_site"]["site-x"]["cpu_seconds_used"]
+    report.metrics["per_site"]["site-x"]["cpu_seconds_used"] = used + 1
+    report.metrics["preemptions"] += 1  # later in the walk: not the one named
+    with pytest.raises(VerificationError,
+                       match=r"per_site\.site-x\.cpu_seconds_used is %d in the report, "
+                             r"%d from the log" % (used + 1, used)):
+        verify_report(report)
+    report = run_scenario(scenario)
+    del report.metrics["wait"]["mean_s"]
+    with pytest.raises(VerificationError, match=r"wait\.mean_s is '<absent>' in the report"):
+        verify_report(report)
+
+
+def test_verifier_names_the_first_record_out_of_order():
+    from orchsim.report import VerificationError
+    report = run_scenario(tiny_scenario(events=[submit_event("e1", 0, JOB_2CPU, duration=10)]))
+    report.records[3], report.records[4] = report.records[4], report.records[3]
+    with pytest.raises(VerificationError, match="not totally ordered: record 4 has"):
+        verify_report(report)
+
+
 def test_still_queued_work_is_reported():
     # two 2-cpu jobs on a 2-cpu site; the second queues and the horizon cuts it
     scenario = tiny_scenario(
