@@ -9,8 +9,7 @@ bit-identically.
 """
 
 from .config import EngineConfig, load_config, parse_config
-from .elasticity import (Action, ElasticityManager, ElasticPolicy, NodePool,
-                         NodeRecord, PartitionDirector)
+from .elasticity import Action, ElasticityManager, ElasticPolicy, NodePool, NodeRecord
 from .errors import DomainError
 from .iam import IamService, TokenRecord, TranslatedCredential
 from .orchestrator import (DataCatalog, DataCatalogEntry, DeploymentRecord,
@@ -33,7 +32,7 @@ __all__ = [
     "Action", "DataCatalog", "DataCatalogEntry", "Decision", "DeploymentRecord",
     "DeploymentTemplate", "DomainError", "ElasticPolicy", "ElasticityManager",
     "EngineConfig", "IamService", "InstanceRequest", "NodePool", "NodeRecord",
-    "NodeSpec", "Orchestrator", "PartitionDirector", "PreferenceList",
+    "NodeSpec", "Orchestrator", "PreferenceList",
     "ProviderSnapshot", "RankerConfig", "ResourceVector", "RunReport",
     "RunningInstance", "SLARecord", "Scenario", "Site", "SiteScheduler",
     "TokenRecord", "TranslatedCredential", "UsageLedger", "ValidationReport",

@@ -98,26 +98,27 @@ class Session:
             raise CliError("time goes backward: %d < %d" % (at, self.now))
         self.now = at
         world = self.world
+        # Boots, job expiries, recoveries and idle ticks due by the command's
+        # time fire first, so the command meets the world as of that time.
+        world._advance(at)
         if command["op"] == "depcreate":
             prefs = None
             if command.get("prefs"):
                 prefs = PreferenceList(tuple(command["prefs"]))
-            uuid = world.orchestrator.create_deployment(
+            result = world.orchestrator.create_deployment(
                 command["template_text"], world.tokens.get(command["user"], ""),
                 at, prefs=prefs, job_duration_s=command.get("duration"))
-            world._stabilize(at)
-            world._audit(at)
-            return uuid
-        if command["op"] == "depdel":
+        elif command["op"] == "depdel":
             user = command.get("user")
             if user is None:
                 user = world.orchestrator.get_deployment(command["uuid"]).owner
-            record = world.orchestrator.delete_deployment(
+            result = world.orchestrator.delete_deployment(
                 command["uuid"], world.tokens.get(user, ""), at)
-            world._stabilize(at)
-            world._audit(at)
-            return record
-        raise CliError("unknown journal op %r" % command["op"])
+        else:
+            raise CliError("unknown journal op %r" % command["op"])
+        world._stabilize(at)
+        world._audit(at)
+        return result
 
     def run(self, command: dict):
         result = self._apply(command)

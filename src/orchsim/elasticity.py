@@ -1,21 +1,12 @@
 """Site node pool, power management and batch/cloud role partitioning.
 
-The pool tracks physical nodes (capacity, power state, role, occupancy) and
-keeps integer counters over its cloud-role nodes, so the elasticity layer
-reads them in O(1) instead of rescanning the nodes after every event:
-
-- per power state (on, booting, off): how many cloud nodes and their summed
-  capacity, which gives the cloud node total, the powered (on or booting)
-  and off counts, the booting and off capacity, and the cloud capacity;
-- cloud use: what the instances on powered-on cloud nodes hold;
-- the idle nodes (powered-on cloud nodes with nothing assigned) with their
-  idle_since, and the earliest of those times.
-
-The elasticity manager powers nodes on from queued demand and off after
-sustained idleness; it asks the counters whether an action can fire before
-it sorts any candidates.  The partition director commutes nodes between the
-batch and cloud pools through draining transition states so a node is never
-counted in two pools at once.
+NodePool tracks physical nodes (capacity, power state, role, occupancy) and
+keeps integer counters over its cloud-role nodes, read in O(1).
+ElasticityManager powers nodes on from queued demand and off after sustained
+idleness, asking the counters whether an action can fire before it sorts any
+candidates.
+NodePool.switch_role commutes nodes between the batch and cloud pools
+through draining states so a node is never counted in two pools at once.
 """
 
 from __future__ import annotations
@@ -103,36 +94,31 @@ class ElasticPolicy:
 
 _NOTHING = (0, 0, 0)  # audit: what runs on a node without a running entry
 _KEEP = object()      # _update: leave idle_since as it is
-_UNKNOWN = object()   # _earliest_idle: recompute on the next read
 
 
 class NodePool:
     """Physical nodes of one site, with exact per-node occupancy accounting.
 
     The pool is the only writer of a node's power, role, used and idle_since
-    and of its instance set (the partition director changes roles through
-    set_role).  Every write goes through _update, which moves the node's
-    share of these counters along with it:
+    and of its instance set.  Every write goes through _update, which moves
+    the node's share of these counters along with it:
 
     - _cloud[power]: [cpus, mem_mb, disk_gb, count] of the cloud-role nodes
       in that power state; the on row is the cloud pool's capacity, the
       booting and off rows what elasticity has coming or could power on;
     - _cloud_used: what the instances on powered-on cloud nodes hold;
-    - _idle: idle node id -> idle_since (see is_idle), and _earliest_idle,
-      the smallest of those times, recomputed only after its node leaves.
+    - _idle: idle node id -> idle_since (see is_idle).
 
     So cloud_capacity(), cloud_free(), booting_capacity(),
-    potential_capacity(), cloud_counts() and earliest_idle() are O(1).
+    potential_capacity() and cloud_counts() are O(1).
     audit() recomputes every counter from the nodes and cross-checks it.
     """
 
     def __init__(self, nodes: list[NodeRecord], t: int = 0):
         self.nodes: dict[str, NodeRecord] = {}
-        # per power state: [cpus, mem_mb, disk_gb, node count] of cloud-role nodes
         self._cloud = {power: [0, 0, 0, 0] for power in _POWER_STATES}
         self._cloud_used = [0, 0, 0]
         self._idle: dict[str, int] = {}
-        self._earliest_idle = None
         for node in nodes:
             if node.node_id in self.nodes:
                 raise ElasticityError("duplicate node %r" % node.node_id)
@@ -153,14 +139,9 @@ class NodePool:
             if node.power == POWER_ON:
                 add_into(self._cloud_used, node.used, sign)
         if sign < 0:
-            since = self._idle.pop(node.node_id, None)
-            if since is not None and since == self._earliest_idle:
-                self._earliest_idle = _UNKNOWN
+            self._idle.pop(node.node_id, None)
         elif self.is_idle(node):
             self._idle[node.node_id] = node.idle_since
-            earliest = self._earliest_idle
-            if earliest is None or (earliest is not _UNKNOWN and node.idle_since < earliest):
-                self._earliest_idle = node.idle_since
 
     def _update(self, node: NodeRecord, *, power: str | None = None,
                 role: str | None = None, used: ResourceVector | None = None,
@@ -215,12 +196,6 @@ class NodePool:
         row = self._cloud[POWER_BOOTING]
         return unchecked(row[0], row[1], row[2])
 
-    def booting_covers(self, demand: ResourceVector) -> bool:
-        """True iff demand fits in the capacity of the booting cloud nodes."""
-        row = self._cloud[POWER_BOOTING]
-        return (demand.cpus <= row[0] and demand.mem_mb <= row[1]
-                and demand.disk_gb <= row[2])
-
     def potential_capacity(self) -> ResourceVector:
         """Free space plus everything the cloud pool could power on."""
         capacity, used = self._cloud[POWER_ON], self._cloud_used
@@ -249,9 +224,7 @@ class NodePool:
 
     def earliest_idle(self) -> int | None:
         """The smallest idle_since of an idle node, None when none is idle."""
-        if self._earliest_idle is _UNKNOWN:
-            self._earliest_idle = min(self._idle.values(), default=None)
-        return self._earliest_idle
+        return min(self._idle.values()) if self._idle else None
 
     def next_idle_due(self, t: int, t_idle_s: int) -> int | None:
         """The first time after t at which an idle node has been idle t_idle_s."""
@@ -263,18 +236,6 @@ class NodePool:
         # A due node stayed on (floor or pooled guard): look past the due ones.
         return min((since + t_idle_s for since in self._idle.values()
                     if since + t_idle_s > t), default=None)
-
-    def powered_capacity(self) -> ResourceVector:
-        return ResourceVector.total(n.capacity for n in self.nodes.values()
-                                    if n.power == POWER_ON)
-
-    def pool_capacity(self, role: str) -> ResourceVector:
-        return ResourceVector.total(n.capacity for n in self.nodes.values()
-                                    if n.power == POWER_ON and n.role == role)
-
-    def draining_capacity(self) -> ResourceVector:
-        return ResourceVector.total(n.capacity for n in self.nodes.values()
-                                    if n.power == POWER_ON and n.role in DRAINING_ROLES)
 
     def audit(self, running: dict[str, list[int]] | None = None) -> list[int]:
         """Recompute every counter and the pool partition from the nodes.
@@ -289,10 +250,10 @@ class NodePool:
         unknown node, or when a counter differs from its recomputation.
         Returns the recomputed cloud use.
         """
-        on_cpus = on_mem = on_disk = on_count = 0            # cloud nodes on
-        boot_cpus = boot_mem = boot_disk = boot_count = 0    # cloud nodes booting
-        off_cpus = off_mem = off_disk = off_count = 0        # cloud nodes off
-        used_cpus = used_mem = used_disk = 0                 # used on cloud nodes on
+        # The on row and the use stay in locals: most nodes are on.
+        on_cpus = on_mem = on_disk = on_count = 0
+        used_cpus = used_mem = used_disk = 0
+        cloud = {POWER_BOOTING: [0, 0, 0, 0], POWER_OFF: [0, 0, 0, 0]}
         idle = {}
         for node_id, node in self.nodes.items():
             if running is not None:
@@ -323,33 +284,19 @@ class NodePool:
                 raise ElasticityError("node %s busy while %s" % (node_id, power))
             if power not in _POWER_STATES:
                 raise ElasticityError("node %s has unknown power state %r" % (node_id, power))
-            if role != ROLE_CLOUD:
-                continue
-            if power == POWER_OFF:
-                off_cpus += capacity.cpus
-                off_mem += capacity.mem_mb
-                off_disk += capacity.disk_gb
-                off_count += 1
-            else:
-                boot_cpus += capacity.cpus
-                boot_mem += capacity.mem_mb
-                boot_disk += capacity.disk_gb
-                boot_count += 1
-        cloud = {POWER_ON: [on_cpus, on_mem, on_disk, on_count],
-                 POWER_BOOTING: [boot_cpus, boot_mem, boot_disk, boot_count],
-                 POWER_OFF: [off_cpus, off_mem, off_disk, off_count]}
+            if role == ROLE_CLOUD:
+                row = cloud[power]
+                row[0] += capacity.cpus
+                row[1] += capacity.mem_mb
+                row[2] += capacity.disk_gb
+                row[3] += 1
+        cloud[POWER_ON] = [on_cpus, on_mem, on_disk, on_count]
         used = [used_cpus, used_mem, used_disk]
         if running:
             raise ElasticityError("instances run on unknown nodes %s" % sorted(running))
-        earliest = min(idle.values(), default=None)
-        cached = self._earliest_idle
-        if cached is _UNKNOWN:
-            cached = earliest  # nothing to check until the next read sets it
-        if cloud != self._cloud or used != self._cloud_used or idle != self._idle \
-                or cached != earliest:
-            counted = dict(self._cloud, used=self._cloud_used, idle=self._idle,
-                           earliest_idle=cached)
-            recounted = dict(cloud, used=used, idle=idle, earliest_idle=earliest)
+        if cloud != self._cloud or used != self._cloud_used or idle != self._idle:
+            counted = dict(self._cloud, used=self._cloud_used, idle=self._idle)
+            recounted = dict(cloud, used=used, idle=idle)
             raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
                 "%s %s, nodes give %s" % (name, counted[name], recounted[name])
                 for name in counted if counted[name] != recounted[name]))
@@ -398,9 +345,25 @@ class NodePool:
             return RoleTransition(node.node_id, from_role, node.role, "completed")
         return None
 
-    def set_role(self, node_id: str, role: str):
-        """Give a node a new role; the partition director decides when."""
-        self._update(self.node(node_id), role=role)
+    def switch_role(self, node_id: str, target: str, t: int) -> RoleTransition:
+        """Commute a node to the batch or cloud pool.
+
+        An empty node moves at once; a busy one drains (it leaves its pool and
+        takes no new work) until unassign empties it and completes the move.
+        """
+        if target not in (ROLE_BATCH, ROLE_CLOUD):
+            raise ElasticityError("target role must be batch or cloud, got %r" % target)
+        node = self.node(node_id)
+        if node.role in DRAINING_ROLES:
+            raise AlreadyTransitioningError("node %r is already transitioning" % node_id)
+        if node.role == target:
+            raise ElasticityError("node %r already has role %s" % (node_id, target))
+        from_role = node.role
+        if node.busy:
+            self._update(node, role=_DRAIN_FOR_TARGET[target])
+            return RoleTransition(node_id, from_role, node.role, "draining")
+        self._update(node, role=target)
+        return RoleTransition(node_id, from_role, target, "completed")
 
     def power_on(self, node_id: str, t: int, boot_delay_s: int):
         node = self.node(node_id)
@@ -470,8 +433,8 @@ class ElasticityManager:
         min_n, max_n = self._bounds(cloud_total)
         actions: list[Action] = []
 
-        if off and powered < max_n and (powered < min_n
-                                        or not pool.booting_covers(queued_demand)):
+        if off and powered < max_n and (
+                powered < min_n or not queued_demand.fits(pool.booting_capacity())):
             remaining = queued_demand.monus(pool.booting_capacity())
             off_nodes = sorted(
                 (n for n in pool.nodes.values()
@@ -488,8 +451,8 @@ class ElasticityManager:
                 remaining = remaining.monus(node.capacity)
 
         t_idle = self.policy.t_idle_s
-        earliest = pool.earliest_idle()
-        if powered > min_n and earliest is not None and t - earliest >= t_idle:
+        earliest = pool.earliest_idle() if powered > min_n else None
+        if earliest is not None and t - earliest >= t_idle:
             free_guard = pool.cloud_free()
             idle_victims = sorted(
                 (n for n in pool.idle_nodes() if t - n.idle_since >= t_idle),
@@ -503,25 +466,3 @@ class ElasticityManager:
                 powered -= 1
                 free_guard = free_guard - node.capacity
         return actions
-
-
-class PartitionDirector:
-    """Commutes nodes between the batch and cloud pools with draining."""
-
-    def __init__(self, pool: NodePool):
-        self.pool = pool
-
-    def switch_role(self, node_id: str, target: str, t: int) -> RoleTransition:
-        if target not in (ROLE_BATCH, ROLE_CLOUD):
-            raise ElasticityError("target role must be batch or cloud, got %r" % target)
-        node = self.pool.node(node_id)
-        if node.role in DRAINING_ROLES:
-            raise AlreadyTransitioningError("node %r is already transitioning" % node_id)
-        if node.role == target:
-            raise ElasticityError("node %r already has role %s" % (node_id, target))
-        from_role = node.role
-        if node.busy:
-            self.pool.set_role(node_id, _DRAIN_FOR_TARGET[target])
-            return RoleTransition(node_id, from_role, node.role, "draining")
-        self.pool.set_role(node_id, target)
-        return RoleTransition(node_id, from_role, target, "completed")

@@ -41,6 +41,8 @@ INSTANCE_QUEUED = "queued"
 INSTANCE_RUNNING = "running"
 INSTANCE_ENDED = "ended"
 
+_DEFAULT_JOB_DURATION_S = 60  # a Job node's run time when its submitter gives none
+
 
 class OrchestratorError(DomainError):
     pass
@@ -160,15 +162,13 @@ class Orchestrator:
     def __init__(self, *, sites: dict[str, Site], iam: iam_mod.IamService,
                  slas=(), catalog: DataCatalog | None = None,
                  ranker_config: RankerConfig | None = None,
-                 preferences: dict[str, PreferenceList] | None = None,
-                 default_job_duration_s: int = 60, log=None):
+                 preferences: dict[str, PreferenceList] | None = None, log=None):
         self.sites = sites
         self.iam = iam
         self.slas: list[SLARecord] = list(slas)
         self.catalog = catalog or DataCatalog()
         self.ranker_config = ranker_config or RankerConfig()
         self.preferences = dict(preferences or {})
-        self.default_job_duration_s = default_job_duration_s
         self._log = log
         self._records: dict[str, DeploymentRecord] = {}
         self._instances: dict[str, list[InstanceRef]] = {}
@@ -325,7 +325,7 @@ class Orchestrator:
             duration = None
             if node.kind == KIND_JOB:
                 duration = (job_duration_s if job_duration_s is not None
-                            else self.default_job_duration_s)
+                            else _DEFAULT_JOB_DURATION_S)
             for index in range(count):
                 request_id = "%s.%s.%d" % (record.uuid, node_name, index)
                 resources = node.resources or ResourceVector.zero()

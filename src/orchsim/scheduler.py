@@ -84,29 +84,30 @@ class Decision:
     position: int | None = None
 
 
-class _VictimIndex:
-    """Running preemptibles on schedulable nodes, in victim preference order,
-    and the pool's free space, both as of one running set.
+def _reclaimable(running: dict[str, RunningInstance], pool: NodePool) -> list:
+    """The running instances a normal request may displace: preemptibles on
+    schedulable nodes.  Instances on draining nodes are left out because
+    terminating them frees capacity outside the cloud pool."""
+    nodes = pool.nodes
+    return [instance for instance in running.values()
+            if instance.request.is_preemptible
+            and pool.is_schedulable(nodes[instance.node_id])]
 
-    Order: lowest bid, then youngest start, then request id.  Instances on
-    draining nodes are left out because terminating them frees capacity
-    outside the cloud pool.  The victims a request may displace are a prefix
-    of this order (bids strictly below its own for a preemptible request,
-    all of them for a normal one), and the prefix sums give what any prefix
-    frees without building it.
+
+class _VictimIndex:
+    """The reclaimable instances in victim preference order, and the pool's
+    free space, both as of one running set.
+
+    Order: lowest bid, then youngest start, then request id.  The victims a
+    request may displace are a prefix of this order (bids strictly below its
+    own for a preemptible request, all of them for a normal one), and the
+    prefix sums give what any prefix frees without building it.
     """
 
     def __init__(self, running: dict[str, RunningInstance], pool: NodePool):
         self.free = pool.cloud_free()
-        victims = []
-        for instance in running.values():
-            if not instance.request.is_preemptible:
-                continue
-            node = pool.nodes.get(instance.node_id)
-            if node is None or not pool.is_schedulable(node):
-                continue
-            victims.append(instance)
-        victims.sort(key=lambda i: (i.request.bid, -i.start_time, i.request_id))
+        victims = sorted(_reclaimable(running, pool),
+                         key=lambda i: (i.request.bid, -i.start_time, i.request_id))
         self.victims = victims
         self.bids = [i.request.bid for i in victims]
         self.cpus = [0]
@@ -200,15 +201,8 @@ class SiteScheduler:
 
     def reclaimable(self) -> ResourceVector:
         """What the running preemptibles on schedulable nodes hold."""
-        sums = [0, 0, 0]
-        for instance in self.running.values():
-            if instance.request.is_preemptible \
-                    and self.pool.is_schedulable(self.pool.nodes[instance.node_id]):
-                resources = instance.request.resources
-                sums[0] += resources.cpus
-                sums[1] += resources.mem_mb
-                sums[2] += resources.disk_gb
-        return unchecked(*sums)
+        return ResourceVector.total([i.request.resources
+                                     for i in _reclaimable(self.running, self.pool)])
 
     def queued_demand(self) -> ResourceVector:
         return unchecked(*self._queued)
@@ -398,16 +392,11 @@ class SiteScheduler:
             order = self.ordered_queue(t)
             index = self._victim_index()
             chosen = None
-            if self.backfill:
-                for request in order:
-                    ok, victims = self._startable(request, t, index)
-                    if ok:
-                        chosen = (request, victims)
-                        break
-            else:
-                ok, victims = self._startable(order[0], t, index)
+            for request in order if self.backfill else order[:1]:
+                ok, victims = self._startable(request, t, index)
                 if ok:
-                    chosen = (order[0], victims)
+                    chosen = (request, victims)
+                    break
             if chosen is None:
                 break
             request, victims = chosen
@@ -458,20 +447,29 @@ class SiteScheduler:
         Integer sums throughout, with no vector built unless a check fails:
         the pool's own audit (every pool counter, the partition, no busy node
         powered down, each node's used against its running instances), pooled
-        conservation, the queued-demand counter against the queue, and the
-        group quotas.
+        conservation, the queued-demand counter against the queue, and each
+        group's running counter against its instances and its quota.
         """
         by_node: dict[str, list[int]] = {}
+        by_group: dict[str, list[int]] = {}
         for instance in self.running.values():
-            resources = instance.request.resources
+            request = instance.request
+            resources = request.resources
+            cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
             sums = by_node.get(instance.node_id)
             if sums is None:
-                by_node[instance.node_id] = [resources.cpus, resources.mem_mb,
-                                             resources.disk_gb]
+                by_node[instance.node_id] = [cpus, mem_mb, disk_gb]
             else:
-                sums[0] += resources.cpus
-                sums[1] += resources.mem_mb
-                sums[2] += resources.disk_gb
+                sums[0] += cpus
+                sums[1] += mem_mb
+                sums[2] += disk_gb
+            sums = by_group.get(request.group)
+            if sums is None:
+                by_group[request.group] = [cpus, mem_mb, disk_gb]
+            else:
+                sums[0] += cpus
+                sums[1] += mem_mb
+                sums[2] += disk_gb
         # Every node's used matched its instances, so this is what runs on
         # the schedulable nodes.
         cpus, mem_mb, disk_gb = self.pool.audit(by_node)
@@ -491,6 +489,13 @@ class SiteScheduler:
             raise SchedulerError("queued demand counter %s differs from the queue sum %s"
                                  % (self._queued, queued))
         for group, used in self.group_running.items():
+            sums = by_group.pop(group, (0, 0, 0))
+            if used.cpus != sums[0] or used.mem_mb != sums[1] or used.disk_gb != sums[2]:
+                raise SchedulerError("group %s running counter %s differs from its "
+                                     "instances' sum %s" % (group, used, unchecked(*sums)))
             cap = self.quotas.get(group)
             if cap is not None and not used.fits(cap):
                 raise SchedulerError("group %s exceeds quota: %s > %s" % (group, used, cap))
+        if by_group:
+            raise SchedulerError("groups %s run instances but have no running counter"
+                                 % sorted(by_group))

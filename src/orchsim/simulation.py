@@ -407,16 +407,19 @@ class World:
     # -- run loop -------------------------------------------------------------
 
     def run(self) -> RunReport:
-        while self._heap:
-            at, _seq, kind, payload = heapq.heappop(self._heap)
-            if at > self.scenario.horizon_s:
-                break
-            self._apply(at, kind, payload)
-            self._stabilize(at)
-            self._audit(at)
+        self._advance(self.scenario.horizon_s)
         self._close(self.scenario.horizon_s)
         return RunReport(seed=self.scenario.seed, horizon_s=self.scenario.horizon_s,
                          records=self.log.records, metrics=self.metrics.finalize())
+
+    def _advance(self, until: int):
+        """Apply, stabilize and audit every queued event due by until, in order."""
+        heap = self._heap
+        while heap and heap[0][0] <= until:
+            at, _seq, kind, payload = heapq.heappop(heap)
+            self._apply(at, kind, payload)
+            self._stabilize(at)
+            self._audit(at)
 
     def _close(self, horizon: int):
         for site_id in sorted(self.sites):
@@ -551,8 +554,8 @@ class World:
     def _do_switch_role(self, t: int, event: EventSpec):
         site = self.sites[event.params["provider"]]
         try:
-            transition = site.director.switch_role(event.params["node"],
-                                                   event.params["target"], t)
+            transition = site.pool.switch_role(event.params["node"],
+                                               event.params["target"], t)
         except ElasticityError as exc:
             self.log.emit(t, "role_change_failed", site=site.site_id,
                           node=event.params["node"], detail=str(exc))
@@ -586,12 +589,12 @@ class World:
                                              site.scheduler.queued_demand(), t)
             for action in actions:
                 if action.kind == ACTION_POWER_ON:
-                    delay = site.elastic.policy.boot_delay_s
-                    site.pool.power_on(action.node_id, t, delay)
+                    site.pool.power_on(action.node_id, t, site.elastic.policy.boot_delay_s)
+                    ready_at = site.pool.nodes[action.node_id].ready_at
                     self.log.emit(t, "node_power", site=site.site_id,
                                   node=action.node_id, power="booting",
-                                  ready_at=t + delay)
-                    self._push(t + delay, "boot_complete",
+                                  ready_at=ready_at)
+                    self._push(ready_at, "boot_complete",
                                {"site": site.site_id, "node": action.node_id})
                 else:
                     site.pool.power_off(action.node_id)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elasticity import ElasticityManager, ElasticPolicy, NodePool, PartitionDirector
+from .elasticity import ElasticityManager, ElasticPolicy, NodePool
 from .resources import ResourceVector
 from .scheduler import SiteScheduler
 
@@ -15,7 +15,6 @@ class Site:
     pool: NodePool
     scheduler: SiteScheduler
     elastic: ElasticityManager
-    director: PartitionDirector
     availability: float = 1.0
     latency_ms: float = 0.0
     failed_until: int | None = None
@@ -44,5 +43,4 @@ def make_site(site_id: str, nodes, *, availability: float = 1.0,
                               quotas=quotas, log=log)
     return Site(site_id=site_id, pool=pool, scheduler=scheduler,
                 elastic=ElasticityManager(policy),
-                director=PartitionDirector(pool),
                 availability=availability, latency_ms=latency_ms)

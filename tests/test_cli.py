@@ -256,3 +256,31 @@ def test_failed_save_leaves_the_previous_state_file(workdir, capsys, monkeypatch
         ".orchsim-state.json"]
     assert main(["--machine", "deplist"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_session_fires_the_events_due_before_each_command(workdir, capsys):
+    from orchsim.cli import Session
+    from orchsim.config import EngineConfig
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    world = os.path.join(here, "scenarios", "elastic-cluster.scn")
+    uuids = []
+    for _ in range(4):  # fe1 runs two jobs, the other two wait for w1 and w2 to boot
+        assert main(["--machine", "depcreate", "batch-job.tpl", "--user", "ada",
+                     "--world", world, "--at", "0", "--duration", "100"]) == 0
+        uuids.append(json.loads(capsys.readouterr().out.strip())["uuid"])
+    assert main(["--machine", "depdel", uuids[0], "--at", "600"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["state"] == "DELETED"
+
+    with open(".orchsim-state.json", encoding="utf-8") as handle:
+        stored = json.load(handle)
+    session = Session("replay.json", stored["world"], EngineConfig())
+    for command in stored["commands"]:
+        session._apply(command)
+    site = session.world.sites["site-a"]
+    # Booted at 30, ran the two queued jobs until 130, powered off idle at 250.
+    assert [site.pool.nodes[n].power for n in ("w1", "w2")] == ["off", "off"]
+    assert site.scheduler.queue == [] and site.scheduler.running == {}
+    ended = [r["request_id"] for r in session.world.log.records
+             if r["kind"] == "instance_released" and r["reason"] == "job_completed"]
+    assert sorted(ended) == sorted("%s.crunch.0" % uuid for uuid in uuids)
+    assert all(at > 600 for at, *_ in session.world._heap)

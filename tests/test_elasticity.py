@@ -8,7 +8,7 @@ from conftest import make_pool, make_scheduler, req, rv
 from orchsim.elasticity import (ACTION_POWER_OFF, ACTION_POWER_ON,
                                 AlreadyTransitioningError, ElasticityError,
                                 ElasticityManager, ElasticPolicy, NodePool,
-                                NodeRecord, PartitionDirector, UnknownNodeError)
+                                NodeRecord, UnknownNodeError)
 from orchsim.resources import ResourceVector
 
 
@@ -147,74 +147,66 @@ def test_never_power_off_busy_node():
         pool.power_off("w1")
 
 
-# -- partition director -------------------------------------------------------------
+# -- role switches -------------------------------------------------------------------
 
 
 def test_switch_idle_node_is_immediate():
     pool = worker_pool(1, power="on")
-    director = PartitionDirector(pool)
-    transition = director.switch_role("w1", "batch", t=10)
+    transition = pool.switch_role("w1", "batch", t=10)
     assert transition.state == "completed"
     assert pool.nodes["w1"].role == "batch"
     assert pool.cloud_capacity() == rv()
-    assert pool.pool_capacity("batch") == rv(1, 1024, 10)
+    pool.audit()
 
 
 def test_switch_busy_node_drains_then_completes():
     sched = make_scheduler(rv(2, 2048, 20))
     pool = sched.pool
-    director = PartitionDirector(pool)
     sched.submit(req(res=rv(1, 512, 5), rid="keeper"), t=0)
-    transition = director.switch_role("n1", "batch", t=5)
+    transition = pool.switch_role("n1", "batch", t=5)
     assert transition.state == "draining"
-    assert pool.nodes["n1"].role == "draining_to_batch"
     # excluded from both pools while draining
-    assert pool.pool_capacity("cloud") == rv()
-    assert pool.pool_capacity("batch") == rv()
-    assert pool.draining_capacity() == rv(2, 2048, 20)
+    assert pool.nodes["n1"].role == "draining_to_batch"
+    assert pool.cloud_capacity() == rv()
+    pool.audit()
     sched.release("keeper", 20)
     assert pool.nodes["n1"].role == "batch"
 
 
 def test_switch_on_draining_node_rejected():
     sched = make_scheduler(rv(2, 2048, 20))
-    director = PartitionDirector(sched.pool)
     sched.submit(req(res=rv(1, 512, 5), rid="keeper"), t=0)
-    director.switch_role("n1", "batch", t=1)
+    sched.pool.switch_role("n1", "batch", t=1)
     with pytest.raises(AlreadyTransitioningError):
-        director.switch_role("n1", "cloud", t=2)
+        sched.pool.switch_role("n1", "cloud", t=2)
 
 
 def test_switch_unknown_node_rejected():
-    director = PartitionDirector(worker_pool(1))
     with pytest.raises(UnknownNodeError):
-        director.switch_role("ghost", "batch", t=0)
+        worker_pool(1).switch_role("ghost", "batch", t=0)
 
 
 def test_switch_to_current_role_rejected():
-    director = PartitionDirector(worker_pool(1, power="on"))
     with pytest.raises(ElasticityError):
-        director.switch_role("w1", "cloud", t=0)
+        worker_pool(1, power="on").switch_role("w1", "cloud", t=0)
 
 
 def test_pool_partition_always_exact():
     sched = make_scheduler(rv(2, 2048, 20), rv(2, 2048, 20), rv(2, 2048, 20))
     pool = sched.pool
-    director = PartitionDirector(pool)
     sched.submit(req(res=rv(1, 512, 5), rid="a"), t=0)
-    director.switch_role("n1", "batch", t=1)      # draining (busy)
-    director.switch_role("n2", "batch", t=1)      # immediate
-    total_powered = pool.powered_capacity()
-    split = (pool.pool_capacity("batch") + pool.pool_capacity("cloud")
-             + pool.draining_capacity())
-    assert split == total_powered
+    pool.switch_role("n1", "batch", t=1)      # draining (busy)
+    pool.switch_role("n2", "batch", t=1)      # immediate
+    assert [pool.nodes[n].role for n in ("n1", "n2", "n3")] == [
+        "draining_to_batch", "batch", "cloud"]
+    assert pool.cloud_capacity() == rv(2, 2048, 20)
+    pool.audit()  # every powered node is in exactly one of the pools
 
 
 def test_draining_node_receives_no_new_work():
     sched = make_scheduler(rv(2, 2048, 20), rv(2, 2048, 20))
-    director = PartitionDirector(sched.pool)
     sched.submit(req(res=rv(1, 512, 5), rid="pin"), t=0)  # lands on n1
-    director.switch_role("n1", "batch", t=1)
+    sched.pool.switch_role("n1", "batch", t=1)
     decision = sched.submit(req(res=rv(2, 2048, 20), rid="new"), t=2)
     assert decision.instance.node_id == "n2"
 
@@ -255,7 +247,6 @@ def test_cloud_counters_follow_a_random_walk():
                                 power=rng.choice(["on", "off"]),
                                 role=rng.choice(["cloud", "cloud", "batch"]))
                      for i in range(6)])
-    director = PartitionDirector(pool)
     placed = {}  # request id -> (resources, node id)
     drains_completed = 0
     for t in range(3000):
@@ -280,7 +271,7 @@ def test_cloud_counters_follow_a_random_walk():
             elif op == "power_off":
                 pool.power_off(node_id)
             elif op == "switch_role":
-                director.switch_role(node_id, rng.choice(["batch", "cloud"]), t)
+                pool.switch_role(node_id, rng.choice(["batch", "cloud"]), t)
         except ElasticityError:
             pass
         capacity, free = _cloud_sums(pool)

@@ -231,7 +231,6 @@ def reference_victims(sched, request):
 
 
 def test_select_victims_matches_reference_on_random_sites():
-    from orchsim.elasticity import PartitionDirector
     rng = random.Random(31)
     covered = {"greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0}
     for trial in range(60):
@@ -247,7 +246,9 @@ def test_select_victims_matches_reference_on_random_sites():
         if rng.random() < 0.3:
             busy = sorted({i.node_id for i in sched.running.values()})
             if busy:
-                PartitionDirector(sched.pool).switch_role(busy[0], "batch", t=20)
+                sched.pool.switch_role(busy[0], "batch", t=20)
+        index = sched._victim_index()
+        assert sched.reclaimable() == rv(index.cpus[-1], index.mem_mb[-1], index.disk_gb[-1])
         for k in range(10):
             probe = req(user="p", res=rv(rng.randrange(1, 9), rng.randrange(256, 8192),
                                          rng.randrange(1, 60)),
@@ -401,6 +402,23 @@ def test_audit_catches_a_drifted_queue_counter():
     sched.queue.append(req(res=rv(1, 256, 1), rid="sneaked-in"))  # around the counter
     with pytest.raises(SchedulerError, match="queued demand counter"):
         sched.audit(0)
+
+
+@pytest.mark.parametrize("write", ["zero", "drop", "ghost"])
+def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
+    sched = make_scheduler(rv(4, 4096, 40))
+    sched.submit(req(group="g", res=rv(1, 1024, 10), rid="a"), t=0)
+    sched.submit(req(group="h", res=rv(2, 512, 5), rid="b"), t=0)
+    sched.release("a", 5)  # g's counter is back at zero and stays listed
+    sched.audit(5)
+    if write == "zero":
+        sched.group_running["h"] = rv()
+    elif write == "drop":
+        del sched.group_running["h"]
+    else:
+        sched.group_running["ghost"] = rv(1, 0, 0)
+    with pytest.raises(SchedulerError, match="running counter"):
+        sched.audit(5)
 
 
 def test_normal_instances_never_preempted():
