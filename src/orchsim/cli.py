@@ -21,7 +21,7 @@ from . import report as report_mod
 from . import stext
 from .config import ENV_CONFIG, EngineConfig, config_from_env, resolve_preferences
 from .errors import DomainError
-from .ranker import PreferenceList, ProviderSnapshot, order_by_score, scored_candidates
+from .ranker import ProviderSnapshot, order_by_score, scored_candidates
 from .resources import ResourceVector
 from .simulation import World, load_scenario, run_scenario
 from .templates import TemplateError, parse_template
@@ -98,27 +98,12 @@ class Session:
             raise CliError("time goes backward: %d < %d" % (at, self.now))
         self.now = at
         world = self.world
-        # Boots, job expiries, recoveries and idle ticks due by the command's
-        # time fire first, so the command meets the world as of that time.
-        world._advance(at)
         if command["op"] == "depcreate":
-            prefs = None
-            if command.get("prefs"):
-                prefs = PreferenceList(tuple(command["prefs"]))
-            result = world.orchestrator.create_deployment(
-                command["template_text"], world.tokens.get(command["user"], ""),
-                at, prefs=prefs, job_duration_s=command.get("duration"))
-        elif command["op"] == "depdel":
-            user = command.get("user")
-            if user is None:
-                user = world.orchestrator.get_deployment(command["uuid"]).owner
-            result = world.orchestrator.delete_deployment(
-                command["uuid"], world.tokens.get(user, ""), at)
-        else:
-            raise CliError("unknown journal op %r" % command["op"])
-        world._stabilize(at)
-        world._audit(at)
-        return result
+            return world.command(at, world.submit, command["user"], command["template_text"],
+                                 command.get("prefs"), command.get("duration"))
+        if command["op"] == "depdel":
+            return world.command(at, world.delete, command["uuid"], command.get("user"))
+        raise CliError("unknown journal op %r" % command["op"])
 
     def run(self, command: dict):
         result = self._apply(command)

@@ -9,14 +9,14 @@ small legal state machine and every instance is released on deletion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import iam as iam_mod
 from .config import resolve_preferences
 from .errors import DomainError
 from .ranker import PreferenceList, ProviderSnapshot, RankerConfig, rank_providers
 from .resources import ResourceVector
-from .scheduler import DECISION_REJECTED_QUOTA, DECISION_STARTED, InstanceRequest
+from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest
 from .site import Site
 from .templates import (KIND_ELASTIC_CLUSTER, KIND_JOB, DeploymentTemplate,
                         aggregate_demand, parse_template, topological_order)
@@ -36,10 +36,6 @@ LEGAL_TRANSITIONS = {
 }
 
 ADMIN_GROUP = "admin"
-
-INSTANCE_QUEUED = "queued"
-INSTANCE_RUNNING = "running"
-INSTANCE_ENDED = "ended"
 
 _DEFAULT_JOB_DURATION_S = 60  # a Job node's run time when its submitter gives none
 
@@ -132,16 +128,22 @@ class SiteFailed:
 
 @dataclass
 class InstanceRef:
-    """Orchestrator-side view of one instance of a deployment."""
+    """Orchestrator-side view of one instance of a deployment.
 
+    Whether a site instance runs, waits or has ended is the site scheduler's
+    to say; only a virtual instance, which no scheduler holds, keeps its own
+    ended flag.
+    """
+
+    uuid: str
     site_id: str
     request_id: str
     node_name: str
     kind: str
     resources: ResourceVector
-    status: str
     virtual: bool = False       # carried by the deployment, not by site capacity
     duration_s: int | None = None  # Job nodes only
+    ended: bool = False         # virtual instances only
 
 
 @dataclass
@@ -174,8 +176,6 @@ class Orchestrator:
         self._instances: dict[str, list[InstanceRef]] = {}
         self._by_request_id: dict[tuple[str, str], InstanceRef] = {}
         self._counter = 0
-        if log is not None:
-            log.listen(self._on_record)
 
     # -- logging / registry -------------------------------------------------
 
@@ -183,35 +183,17 @@ class Orchestrator:
         if self._log is not None:
             self._log.emit(t, kind, **payload)
 
-    def _on_record(self, record: dict):
-        """Track instance endings reported by site schedulers."""
-        kind = record.get("kind")
-        if kind == "instance_started":
-            ref = self._by_request_id.get((record["site"], record["request_id"]))
-            if ref is not None:
-                ref.status = INSTANCE_RUNNING
-        elif kind in ("instance_released", "instance_preempted", "instance_killed",
-                      "request_cancelled"):
-            ref = self._by_request_id.get((record["site"], record["request_id"]))
-            if ref is not None:
-                ref.status = INSTANCE_ENDED
-
     def instance_refs(self, uuid: str) -> list[InstanceRef]:
         return list(self._instances.get(uuid, ()))
 
     def find_ref(self, site_id: str, request_id: str) -> InstanceRef | None:
         return self._by_request_id.get((site_id, request_id))
 
-    def add_restart_ref(self, ref: InstanceRef, new_request_id: str) -> InstanceRef:
+    def add_restart_ref(self, ref: InstanceRef, new_request_id: str):
         """Track a site-driven restart of a killed Service/Job instance."""
-        uuid = new_request_id.split(".", 1)[0]
-        new_ref = InstanceRef(site_id=ref.site_id, request_id=new_request_id,
-                              node_name=ref.node_name, kind=ref.kind,
-                              resources=ref.resources, status=INSTANCE_QUEUED,
-                              virtual=ref.virtual, duration_s=ref.duration_s)
-        self._instances.setdefault(uuid, []).append(new_ref)
+        new_ref = replace(ref, request_id=new_request_id)
+        self._instances.setdefault(ref.uuid, []).append(new_ref)
         self._by_request_id[(ref.site_id, new_request_id)] = new_ref
-        return new_ref
 
     def _transition(self, record: DeploymentRecord, state: str, t: int):
         if state not in LEGAL_TRANSITIONS[record.state]:
@@ -329,9 +311,9 @@ class Orchestrator:
             for index in range(count):
                 request_id = "%s.%s.%d" % (record.uuid, node_name, index)
                 resources = node.resources or ResourceVector.zero()
-                ref = InstanceRef(site_id=site_id, request_id=request_id,
-                                  node_name=node_name, kind=node.kind,
-                                  resources=resources, status=INSTANCE_RUNNING,
+                ref = InstanceRef(uuid=record.uuid, site_id=site_id,
+                                  request_id=request_id, node_name=node_name,
+                                  kind=node.kind, resources=resources,
                                   virtual=resources.is_zero(), duration_s=duration)
                 self._instances[record.uuid].append(ref)
                 self._by_request_id[(site_id, request_id)] = ref
@@ -348,8 +330,6 @@ class Orchestrator:
                 if decision.kind == DECISION_REJECTED_QUOTA:
                     self._rollback(record, site, t)
                     return SiteFailed(site_id, "quota_rejected")
-                ref.status = (INSTANCE_RUNNING if decision.kind == DECISION_STARTED
-                              else INSTANCE_QUEUED)
 
         for node_name, node in template.nodes.items():
             if node.kind == KIND_ELASTIC_CLUSTER:
@@ -397,15 +377,14 @@ class Orchestrator:
             raise AuthError("token subject %s may not delete %s" % (token.subject, uuid))
         self._transition(record, DELETE_IN_PROGRESS, t)
         for ref in self._instances.get(uuid, ()):
-            if ref.virtual or ref.status == INSTANCE_ENDED:
-                ref.status = INSTANCE_ENDED
+            if ref.virtual:
+                ref.ended = True
                 continue
             site = self.sites[ref.site_id]
             if ref.request_id in site.scheduler.running:
                 site.scheduler.release(ref.request_id, t, reason="deleted")
-            else:
+            else:  # a no-op once the instance has ended
                 site.scheduler.cancel_queued(ref.request_id, t)
-            ref.status = INSTANCE_ENDED
         for node_name, node in record.template.nodes.items():
             if node.kind == KIND_ELASTIC_CLUSTER and record.chosen_site:
                 self.sites[record.chosen_site].elastic.deregister_floor(

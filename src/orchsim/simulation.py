@@ -421,6 +421,18 @@ class World:
             self._stabilize(at)
             self._audit(at)
 
+    def command(self, t: int, action, *args):
+        """Run action(t, *args) at t as the loop runs a scenario event at t.
+
+        Queued events due before t fire first.  Events due at t fire after the
+        action, because scenario events take the lowest sequence numbers.
+        """
+        self._advance(t - 1)
+        result = action(t, *args)
+        self._stabilize(t)
+        self._audit(t)
+        return result
+
     def _close(self, horizon: int):
         for site_id in sorted(self.sites):
             site = self.sites[site_id]
@@ -454,33 +466,44 @@ class World:
         else:
             raise InvariantViolationError("unknown internal event %r" % kind)
 
-    def _do_submit(self, t: int, event: EventSpec):
-        params = event.params
-        user = params["user"]
-        template_text = params.get("template_text")
-        if template_text is None:
-            template_text = self.scenario.templates[params["template"]]
-        prefs = None
-        if "prefs" in params:
-            prefs = PreferenceList(tuple(params["prefs"]))
-        duration = params.get("duration")
-        try:
-            uuid = self.orchestrator.create_deployment(
-                template_text, self.tokens.get(user, ""), t,
-                prefs=prefs, job_duration_s=duration)
-        except AuthError as exc:
-            self.log.emit(t, "deployment_rejected", event=event.key, user=user,
-                          reason="auth", detail=str(exc))
-            return
-        except TemplateError as exc:
-            self.log.emit(t, "deployment_rejected", event=event.key, user=user,
-                          reason="template", detail=str(exc))
-            return
-        self._deployments_by_ref[event.key] = uuid
+    # -- commands ---------------------------------------------------------------
+
+    def submit(self, t: int, user: str, template_text: str, prefs=None,
+               duration: int | None = None) -> str:
+        """Create a deployment as user; raises the orchestrator's errors.
+
+        No site scheduler holds a virtual Job, so its expiry is queued here.
+        """
+        uuid = self.orchestrator.create_deployment(
+            template_text, self.tokens.get(user, ""), t,
+            prefs=None if prefs is None else PreferenceList(tuple(prefs)),
+            job_duration_s=duration)
         for ref in self.orchestrator.instance_refs(uuid):
             if ref.virtual and ref.kind == KIND_JOB and ref.duration_s is not None:
                 self._push(t + ref.duration_s, "job_expire",
                            {"site": ref.site_id, "request_id": ref.request_id})
+        return uuid
+
+    def delete(self, t: int, uuid: str, user: str | None = None):
+        """Delete a deployment as user (default: its owner); raises the orchestrator's errors."""
+        if user is None:
+            user = self.orchestrator.get_deployment(uuid).owner
+        return self.orchestrator.delete_deployment(uuid, self.tokens.get(user, ""), t)
+
+    def _do_submit(self, t: int, event: EventSpec):
+        params = event.params
+        template_text = params.get("template_text")
+        if template_text is None:
+            template_text = self.scenario.templates[params["template"]]
+        try:
+            uuid = self.submit(t, params["user"], template_text, params.get("prefs"),
+                               params.get("duration"))
+        except (AuthError, TemplateError) as exc:
+            self.log.emit(t, "deployment_rejected", event=event.key, user=params["user"],
+                          reason="auth" if isinstance(exc, AuthError) else "template",
+                          detail=str(exc))
+            return
+        self._deployments_by_ref[event.key] = uuid
 
     def _do_delete(self, t: int, event: EventSpec):
         ref = event.params["ref"]
@@ -489,11 +512,8 @@ class World:
             self.log.emit(t, "delete_failed", event=event.key, ref=ref,
                           reason="not_found")
             return
-        user = event.params.get("user")
-        if user is None:
-            user = self.orchestrator.get_deployment(uuid).owner
         try:
-            self.orchestrator.delete_deployment(uuid, self.tokens.get(user, ""), t)
+            self.delete(t, uuid, event.params.get("user"))
         except (AuthError, NotFoundError, IllegalTransitionError) as exc:
             self.log.emit(t, "delete_failed", event=event.key, ref=ref,
                           reason=type(exc).__name__, detail=str(exc))
@@ -510,13 +530,8 @@ class World:
             ref = self.orchestrator.find_ref(site_id, instance.request_id)
             if ref is None:
                 continue
-            uuid = instance.request_id.split(".", 1)[0]
-            try:
-                record = self.orchestrator.get_deployment(uuid)
-            except NotFoundError:
-                record = None
-            if ref.kind in (KIND_SERVICE, KIND_JOB) and record is not None \
-                    and record.state == CREATE_COMPLETE:
+            record = self.orchestrator.get_deployment(ref.uuid)
+            if ref.kind in (KIND_SERVICE, KIND_JOB) and record.state == CREATE_COMPLETE:
                 self._pending_restarts.setdefault(site_id, []).append(ref)
         self._push(site.failed_until, "site_recover", {"site": site_id})
 
@@ -528,21 +543,19 @@ class World:
         self.log.emit(t, "site_recovered", site=site_id)
         pending = self._pending_restarts.pop(site_id, [])
         for ref in pending:
-            uuid = ref.request_id.split(".", 1)[0]
-            record = self.orchestrator.get_deployment(uuid)
+            record = self.orchestrator.get_deployment(ref.uuid)
             if record.state != CREATE_COMPLETE:
                 continue
             count = self._restart_counter.get(ref.request_id, 0) + 1
             self._restart_counter[ref.request_id] = count
             new_id = "%s~r%d" % (ref.request_id, count)
-            new_ref = self.orchestrator.add_restart_ref(ref, new_id)
+            self.orchestrator.add_restart_ref(ref, new_id)
             request = InstanceRequest(request_id=new_id, user=record.owner,
                                       group=self.orchestrator.owner_group(record, ref.site_id),
                                       resources=ref.resources, arrival_time=t)
             decision = site.scheduler.submit(request, t)
             if decision.kind == DECISION_REJECTED_QUOTA:
                 self.log.emit(t, "restart_rejected", site=site_id, request_id=new_id)
-                new_ref.status = "ended"
 
     def _do_revoke_token(self, t: int, event: EventSpec):
         user = event.params["user"]
@@ -566,11 +579,11 @@ class World:
 
     def _do_job_expire(self, t: int, site_id: str, request_id: str):
         ref = self.orchestrator.find_ref(site_id, request_id)
-        if ref is None or ref.status == "ended":
+        if ref is None or ref.ended:
             return
         site = self.sites[site_id]
         if ref.virtual:
-            ref.status = "ended"
+            ref.ended = True
             self.log.emit(t, "job_completed", site=site_id, request_id=request_id,
                           virtual=True)
             return

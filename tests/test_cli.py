@@ -284,3 +284,57 @@ def test_session_fires_the_events_due_before_each_command(workdir, capsys):
              if r["kind"] == "instance_released" and r["reason"] == "job_completed"]
     assert sorted(ended) == sorted("%s.crunch.0" % uuid for uuid in uuids)
     assert all(at > 600 for at, *_ in session.world._heap)
+
+
+def test_session_completes_a_virtual_job_at_its_duration(workdir, capsys):
+    from orchsim.cli import Session
+    from orchsim.config import EngineConfig
+    (workdir / "virtual-job.tpl").write_text(
+        "tosca_version: indigo_subset_1\nnodes:\n  tick:\n    kind: Job\n    image: tick:1\n")
+    assert main(["--machine", "depcreate", "virtual-job.tpl", "--user", "ada",
+                 "--world", "world.scn", "--duration", "50"]) == 0
+    uuid = json.loads(capsys.readouterr().out.strip())["uuid"]
+    with open(".orchsim-state.json", encoding="utf-8") as handle:
+        stored = json.load(handle)
+    session = Session("replay.json", stored["world"], EngineConfig())
+    for command in stored["commands"]:
+        session.run(command)
+    completed = [(r["t"], r["request_id"], r["virtual"])
+                 for r in session.world.run().records if r["kind"] == "job_completed"]
+    assert completed == [(50, "%s.tick.0" % uuid, True)]
+
+
+def test_command_meets_the_events_due_at_its_time_unfired(workdir, capsys):
+    from orchsim.cli import Session
+    from orchsim.config import EngineConfig
+    from orchsim.simulation import parse_scenario, run_scenario
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    world = os.path.join(here, "scenarios", "elastic-cluster.scn")
+    uuids = []
+    for at in (0, 0, 100):  # fe1 runs the first two jobs until t=100
+        assert main(["--machine", "depcreate", "batch-job.tpl", "--user", "ada",
+                     "--world", world, "--at", str(at), "--duration", "100"]) == 0
+        uuids.append(json.loads(capsys.readouterr().out.strip())["uuid"])
+    jobs = ["%s.crunch.0" % uuid for uuid in uuids]
+
+    with open(".orchsim-state.json", encoding="utf-8") as handle:
+        stored = json.load(handle)
+    session = Session("replay.json", stored["world"], EngineConfig())
+    for command in stored["commands"]:
+        session.run(command)
+    site = session.world.sites["site-a"]
+    assert sorted(site.scheduler.running) == sorted(jobs[:2])
+    assert [r.request_id for r in site.scheduler.queue] == jobs[2:]
+
+    # sim run submits the third job at t=100 before the first two complete, too
+    with open(world, encoding="utf-8") as handle:
+        text = handle.read().split("events:")[0] + "events:\n" + "".join(
+            "  j%d: { at: %d, action: submit, template: batch-job.tpl, user: ada, "
+            "duration: 100 }\n" % (i, at) for i, at in enumerate((0, 0, 100)))
+    scenario = parse_scenario(text, template_loader=lambda name: (workdir / name).read_text())
+    for records in (run_scenario(scenario).records, session.world.run().records):
+        order = [(r["kind"], r.get("request_id")) for r in records if r["t"] == 100
+                 and r["kind"] in ("request_submitted", "instance_released")]
+        assert order[:3] == [("request_submitted", jobs[2]),
+                             ("instance_released", jobs[0]),
+                             ("instance_released", jobs[1])]
