@@ -96,6 +96,9 @@ class Session:
         at = command["at"]
         if at < self.now:
             raise CliError("time goes backward: %d < %d" % (at, self.now))
+        horizon = self.world.scenario.horizon_s
+        if at > horizon:
+            raise CliError("--at %d is past the world's horizon_s %d" % (at, horizon))
         self.now = at
         world = self.world
         if command["op"] == "depcreate":

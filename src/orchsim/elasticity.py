@@ -55,6 +55,7 @@ class NodeRecord:
     ready_at: int | None = None      # only while booting
     idle_since: int | None = None    # only while powered on with nothing assigned
     used: ResourceVector = field(default_factory=ResourceVector.zero)
+    preemptible_used: ResourceVector = field(default_factory=ResourceVector.zero)  # part of used
     instances: set[str] = field(default_factory=set)
 
     @property
@@ -92,24 +93,27 @@ class ElasticPolicy:
             raise ElasticityError("timings must be >= 0")
 
 
-_NOTHING = (0, 0, 0)  # audit: what runs on a node without a running entry
+_NOTHING = (0, 0, 0, 0, 0, 0)  # audit: what runs on a node without a running entry
 _KEEP = object()      # _update: leave idle_since as it is
 
 
 class NodePool:
     """Physical nodes of one site, with exact per-node occupancy accounting.
 
-    The pool is the only writer of a node's power, role, used and idle_since
-    and of its instance set.  Every write goes through _update, which moves
-    the node's share of these counters along with it:
+    The pool is the only writer of a node's power, role, used,
+    preemptible_used and idle_since and of its instance set.  Every write
+    goes through _update, which moves the node's share of these counters
+    along with it:
 
     - _cloud[power]: [cpus, mem_mb, disk_gb, count] of the cloud-role nodes
       in that power state; the on row is the cloud pool's capacity, the
       booting and off rows what elasticity has coming or could power on;
     - _cloud_used: what the instances on powered-on cloud nodes hold;
+    - _cloud_reclaimable: what the preemptible instances among them hold,
+      the capacity a normal request may reclaim;
     - _idle: idle node id -> idle_since (see is_idle).
 
-    So cloud_capacity(), cloud_free(), booting_capacity(),
+    So cloud_capacity(), cloud_free(), reclaimable(), booting_capacity(),
     potential_capacity() and cloud_counts() are O(1).
     audit() recomputes every counter from the nodes and cross-checks it.
     """
@@ -118,7 +122,9 @@ class NodePool:
         self.nodes: dict[str, NodeRecord] = {}
         self._cloud = {power: [0, 0, 0, 0] for power in _POWER_STATES}
         self._cloud_used = [0, 0, 0]
+        self._cloud_reclaimable = [0, 0, 0]
         self._idle: dict[str, int] = {}
+        self.writes = 0  # _update calls so far: what others cache pool reads by
         for node in nodes:
             if node.node_id in self.nodes:
                 raise ElasticityError("duplicate node %r" % node.node_id)
@@ -138,6 +144,7 @@ class NodePool:
             row[3] += sign
             if node.power == POWER_ON:
                 add_into(self._cloud_used, node.used, sign)
+                add_into(self._cloud_reclaimable, node.preemptible_used, sign)
         if sign < 0:
             self._idle.pop(node.node_id, None)
         elif self.is_idle(node):
@@ -145,9 +152,11 @@ class NodePool:
 
     def _update(self, node: NodeRecord, *, power: str | None = None,
                 role: str | None = None, used: ResourceVector | None = None,
-                idle_since=_KEEP):
-        """Write a node's power, role, used or idle_since and move its counter
-        share along; a change to its instance set is made just before."""
+                preemptible_used: ResourceVector | None = None, idle_since=_KEEP):
+        """Write a node's power, role, used, preemptible_used or idle_since and
+        move its counter share along; a change to its instance set is made
+        just before."""
+        self.writes += 1
         self._tally(node, -1)
         if power is not None:
             node.power = power
@@ -155,6 +164,8 @@ class NodePool:
             node.role = role
         if used is not None:
             node.used = used
+        if preemptible_used is not None:
+            node.preemptible_used = preemptible_used
         if idle_since is not _KEEP:
             node.idle_since = idle_since
         self._tally(node, 1)
@@ -191,6 +202,10 @@ class NodePool:
         return unchecked(max(0, capacity[0] - used[0]),
                          max(0, capacity[1] - used[1]),
                          max(0, capacity[2] - used[2]))
+
+    def reclaimable(self) -> ResourceVector:
+        """What the preemptible instances on powered-on cloud nodes hold."""
+        return unchecked(*self._cloud_reclaimable)
 
     def booting_capacity(self) -> ResourceVector:
         row = self._cloud[POWER_BOOTING]
@@ -241,28 +256,37 @@ class NodePool:
         """Recompute every counter and the pool partition from the nodes.
 
         running, when given, maps a node id to what the instances running
-        there sum to ([cpus, mem_mb, disk_gb]); the caller's ledger, which
+        there sum to ([cpus, mem_mb, disk_gb]), optionally followed by what
+        the preemptible ones among them sum to; the caller's ledger, which
         this pass consumes.  Raises ElasticityError when a node holds
         instances while not powered on, has an unknown power state, is
         powered but in none of the batch, cloud and draining pools (so the
-        pools do not partition the powered capacity), has a used that differs
-        from its running entry (none: nothing), when an entry names an
-        unknown node, or when a counter differs from its recomputation.
-        Returns the recomputed cloud use.
+        pools do not partition the powered capacity), has a used or
+        preemptible_used that differs from its running entry (none: nothing),
+        when an entry names an unknown node, or when a counter differs from
+        its recomputation.  Returns the recomputed cloud use.
         """
         # The on row and the use stay in locals: most nodes are on.
         on_cpus = on_mem = on_disk = on_count = 0
         used_cpus = used_mem = used_disk = 0
+        reclaim_cpus = reclaim_mem = reclaim_disk = 0
         cloud = {POWER_BOOTING: [0, 0, 0, 0], POWER_OFF: [0, 0, 0, 0]}
         idle = {}
         for node_id, node in self.nodes.items():
+            node_used, share = node.used, node.preemptible_used
             if running is not None:
-                node_used, expected = node.used, running.pop(node_id, _NOTHING)
+                expected = running.pop(node_id, _NOTHING)
                 if (node_used.cpus != expected[0] or node_used.mem_mb != expected[1]
                         or node_used.disk_gb != expected[2]):
                     raise ElasticityError(
                         "node %s used %s but running instances sum to "
-                        "(%d cpus, %d MB, %d GB)" % (node_id, node_used, *expected))
+                        "(%d cpus, %d MB, %d GB)" % (node_id, node_used, *expected[:3]))
+                if len(expected) > 3:
+                    if (share.cpus != expected[3] or share.mem_mb != expected[4]
+                            or share.disk_gb != expected[5]):
+                        raise ElasticityError(
+                            "node %s preemptible_used %s but running preemptibles sum to "
+                            "(%d cpus, %d MB, %d GB)" % (node_id, share, *expected[3:]))
             power, role, capacity = node.power, node.role, node.capacity
             if power == POWER_ON:
                 if role == ROLE_CLOUD:
@@ -270,10 +294,12 @@ class NodePool:
                     on_mem += capacity.mem_mb
                     on_disk += capacity.disk_gb
                     on_count += 1
-                    node_used = node.used
                     used_cpus += node_used.cpus
                     used_mem += node_used.mem_mb
                     used_disk += node_used.disk_gb
+                    reclaim_cpus += share.cpus
+                    reclaim_mem += share.mem_mb
+                    reclaim_disk += share.disk_gb
                     if self.is_idle(node):
                         idle[node_id] = node.idle_since
                 elif role not in _POOL_ROLES:
@@ -292,22 +318,27 @@ class NodePool:
                 row[3] += 1
         cloud[POWER_ON] = [on_cpus, on_mem, on_disk, on_count]
         used = [used_cpus, used_mem, used_disk]
+        reclaimable = [reclaim_cpus, reclaim_mem, reclaim_disk]
         if running:
             raise ElasticityError("instances run on unknown nodes %s" % sorted(running))
-        if cloud != self._cloud or used != self._cloud_used or idle != self._idle:
-            counted = dict(self._cloud, used=self._cloud_used, idle=self._idle)
-            recounted = dict(cloud, used=used, idle=idle)
+        if (cloud != self._cloud or used != self._cloud_used
+                or reclaimable != self._cloud_reclaimable or idle != self._idle):
+            counted = dict(self._cloud, used=self._cloud_used,
+                           reclaimable=self._cloud_reclaimable, idle=self._idle)
+            recounted = dict(cloud, used=used, reclaimable=reclaimable, idle=idle)
             raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
                 "%s %s, nodes give %s" % (name, counted[name], recounted[name])
                 for name in counted if counted[name] != recounted[name]))
         return used
 
-    def assign(self, request_id: str, resources: ResourceVector, t: int) -> str:
+    def assign(self, request_id: str, resources: ResourceVector, t: int,
+               preemptible: bool = False) -> str:
         """Place an instance on a schedulable node.
 
         First fit by node id; admission is decided against pooled capacity by
         the scheduler, so when fragmentation leaves no single node with room
-        the least-loaded node absorbs the overflow.
+        the least-loaded node absorbs the overflow.  A preemptible instance
+        also counts in the node's preemptible_used.
         """
         nodes = self.schedulable_nodes()
         if not nodes:
@@ -324,21 +355,24 @@ class NodePool:
                         node.capacity.disk_gb - node.used.disk_gb)
             chosen = max(nodes, key=lambda n: (headroom(n), n.node_id))
         chosen.instances.add(request_id)
-        self._update(chosen, used=chosen.used + resources, idle_since=None)
+        share = chosen.preemptible_used + resources if preemptible else None
+        self._update(chosen, used=chosen.used + resources, preemptible_used=share,
+                     idle_since=None)
         return chosen.node_id
 
     def unassign(self, request_id: str, resources: ResourceVector, node_id: str,
-                 t: int) -> RoleTransition | None:
+                 t: int, preemptible: bool = False) -> RoleTransition | None:
         """Remove an instance; completes a pending drain when the node empties."""
         node = self.node(node_id)
         if request_id not in node.instances:
             raise ElasticityError("instance %r is not on node %r" % (request_id, node_id))
         node.instances.discard(request_id)
         used = node.used.monus(resources)
+        share = node.preemptible_used.monus(resources) if preemptible else None
         if node.instances:
-            self._update(node, used=used)
+            self._update(node, used=used, preemptible_used=share)
             return None
-        self._update(node, used=used, idle_since=t)
+        self._update(node, used=used, preemptible_used=share, idle_since=t)
         if node.role in DRAINING_ROLES:
             from_role = node.role
             self._update(node, role=_DRAIN_TARGET[from_role])

@@ -175,6 +175,7 @@ class Orchestrator:
         self._records: dict[str, DeploymentRecord] = {}
         self._instances: dict[str, list[InstanceRef]] = {}
         self._by_request_id: dict[tuple[str, str], InstanceRef] = {}
+        self._templates: dict[str, DeploymentTemplate] = {}  # text -> its parse
         self._counter = 0
 
     # -- logging / registry -------------------------------------------------
@@ -214,7 +215,7 @@ class Orchestrator:
             token = self.iam.validate(token_id, t)
         except iam_mod.IamError as exc:
             raise AuthError(str(exc)) from exc
-        template = parse_template(template_text)
+        template = self._parse(template_text)
 
         self._counter += 1
         uuid = "dep-%06d" % self._counter
@@ -236,6 +237,16 @@ class Orchestrator:
                 break
             self.advance(record, outcome, t)
         return uuid
+
+    def _parse(self, template_text: str) -> DeploymentTemplate:
+        """Parse a template text once; its records share the frozen result.
+
+        Only a successful parse is kept, so a bad text raises on every submit.
+        """
+        template = self._templates.get(template_text)
+        if template is None:
+            template = self._templates[template_text] = parse_template(template_text)
+        return template
 
     def place(self, record: DeploymentRecord, token: iam_mod.TokenRecord, t: int,
               prefs: PreferenceList | None = None) -> list[str]:

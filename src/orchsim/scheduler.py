@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .elasticity import NodePool
@@ -84,12 +85,17 @@ class Decision:
     position: int | None = None
 
 
-def _reclaimable(running: dict[str, RunningInstance], pool: NodePool) -> list:
-    """The running instances a normal request may displace: preemptibles on
+def _victim_key(instance: RunningInstance) -> tuple:
+    """Victim preference order: lowest bid, then youngest start, then id."""
+    return (instance.request.bid, -instance.start_time, instance.request_id)
+
+
+def _reclaimable(instances, pool: NodePool) -> list:
+    """The instances a normal request may displace: preemptibles on
     schedulable nodes.  Instances on draining nodes are left out because
     terminating them frees capacity outside the cloud pool."""
     nodes = pool.nodes
-    return [instance for instance in running.values()
+    return [instance for instance in instances
             if instance.request.is_preemptible
             and pool.is_schedulable(nodes[instance.node_id])]
 
@@ -98,26 +104,30 @@ class _VictimIndex:
     """The reclaimable instances in victim preference order, and the pool's
     free space, both as of one running set.
 
-    Order: lowest bid, then youngest start, then request id.  The victims a
+    Built from the scheduler's victim order (every running preemptible, kept
+    sorted by _victim_key as instances start and end) by leaving out the
+    instances on unschedulable nodes; nothing is sorted here.  The victims a
     request may displace are a prefix of this order (bids strictly below its
     own for a preemptible request, all of them for a normal one), and the
     prefix sums give what any prefix frees without building it.
     """
 
-    def __init__(self, running: dict[str, RunningInstance], pool: NodePool):
+    def __init__(self, ordered: list[tuple], pool: NodePool):
         self.free = pool.cloud_free()
-        victims = sorted(_reclaimable(running, pool),
-                         key=lambda i: (i.request.bid, -i.start_time, i.request_id))
-        self.victims = victims
-        self.bids = [i.request.bid for i in victims]
-        self.cpus = [0]
-        self.mem_mb = [0]
-        self.disk_gb = [0]
-        for instance in victims:
-            resources = instance.request.resources
-            self.cpus.append(self.cpus[-1] + resources.cpus)
-            self.mem_mb.append(self.mem_mb[-1] + resources.mem_mb)
-            self.disk_gb.append(self.disk_gb[-1] + resources.disk_gb)
+        self.victims = _reclaimable(map(operator.itemgetter(-1), ordered), pool)
+        self.bids = []
+        self.cpus, self.mem_mb, self.disk_gb = [0], [0], [0]
+        cpus = mem_mb = disk_gb = 0
+        for instance in self.victims:
+            request = instance.request
+            resources = request.resources
+            cpus += resources.cpus
+            mem_mb += resources.mem_mb
+            disk_gb += resources.disk_gb
+            self.bids.append(request.bid)
+            self.cpus.append(cpus)
+            self.mem_mb.append(mem_mb)
+            self.disk_gb.append(disk_gb)
 
     def eligible_count(self, request: InstanceRequest) -> int:
         if request.is_preemptible:
@@ -185,8 +195,12 @@ class SiteScheduler:
         self.ledger = UsageLedger(half_life_s, weights)
         self.quotas: dict[str, ResourceVector] = dict(quotas or {})
         self.running: dict[str, RunningInstance] = {}
-        self.queue: list[InstanceRequest] = []
+        self.queue: list[InstanceRequest] = []  # in the order of the last dispatch
         self._queued = [0, 0, 0]  # summed resources of the queue
+        # _victim_key(instance) + (instance,) of every running preemptible, sorted
+        self._victims: list[tuple] = []
+        self._index: _VictimIndex | None = None  # as of pool write _index_writes
+        self._index_writes = -1
         self.group_running: dict[str, ResourceVector] = {}
         self._seen_ids: set[str] = set()
         self._log = log
@@ -201,8 +215,7 @@ class SiteScheduler:
 
     def reclaimable(self) -> ResourceVector:
         """What the running preemptibles on schedulable nodes hold."""
-        return ResourceVector.total([i.request.resources
-                                     for i in _reclaimable(self.running, self.pool)])
+        return self.pool.reclaimable()
 
     def queued_demand(self) -> ResourceVector:
         return unchecked(*self._queued)
@@ -211,8 +224,8 @@ class SiteScheduler:
         self.queue.append(request)
         add_into(self._queued, request.resources)
 
-    def _dequeue(self, request: InstanceRequest):
-        self.queue.remove(request)
+    def _dequeue(self, position: int):
+        request = self.queue.pop(position)
         add_into(self._queued, request.resources, -1)
 
     def _emit(self, t, kind, **payload):
@@ -268,7 +281,12 @@ class SiteScheduler:
     # -- preemption -------------------------------------------------------
 
     def _victim_index(self) -> _VictimIndex:
-        return _VictimIndex(self.running, self.pool)
+        """The victim index of the current running set, rebuilt after a pool
+        write only: every start and end of an instance is one."""
+        if self._index_writes != self.pool.writes:
+            self._index = _VictimIndex(self._victims, self.pool)
+            self._index_writes = self.pool.writes
+        return self._index
 
     def _eligible_victims(self, request: InstanceRequest,
                           index: _VictimIndex) -> list[RunningInstance]:
@@ -283,7 +301,7 @@ class SiteScheduler:
         feasible sets, prefers lower bids, then younger instances, then ids.
         Raises InfeasiblePreemptionError when no eligible set is enough.
         index is the victim index of the current running set; dispatch
-        passes one per start, a standalone call builds its own.
+        passes the one it probes with, a standalone call takes _victim_index().
         """
         if index is None:
             index = self._victim_index()
@@ -299,9 +317,11 @@ class SiteScheduler:
             return self._greedy_victims(request, free, eligible)
 
         deficit = request.resources.monus(free)
+        top_cpus, top_mem_mb, top_disk_gb = self._top_sums(eligible)
         for k in range(1, len(eligible) + 1):
-            if not self._cardinality_feasible(eligible, k, deficit):
-                continue
+            if (top_cpus[k - 1] < deficit.cpus or top_mem_mb[k - 1] < deficit.mem_mb
+                    or top_disk_gb[k - 1] < deficit.disk_gb):
+                continue  # no k-subset frees enough
             for combo in itertools.combinations(eligible, k):
                 freed = ResourceVector.total(i.request.resources for i in combo)
                 if request.resources.fits(free + freed):
@@ -309,25 +329,28 @@ class SiteScheduler:
         raise InfeasiblePreemptionError("unreachable: feasibility pre-check passed")
 
     @staticmethod
-    def _cardinality_feasible(eligible, k, deficit) -> bool:
-        # The k largest contributions per component bound what any k-subset frees.
-        def top_sum(get):
-            return sum(sorted((get(i.request.resources) for i in eligible), reverse=True)[:k])
-        return (top_sum(lambda r: r.cpus) >= deficit.cpus
-                and top_sum(lambda r: r.mem_mb) >= deficit.mem_mb
-                and top_sum(lambda r: r.disk_gb) >= deficit.disk_gb)
+    def _top_sums(eligible) -> list[list[int]]:
+        """Per component, entry k - 1 sums the k largest contributions: what no
+        k-subset of eligible can free more than."""
+        resources = [i.request.resources for i in eligible]
+        return [list(itertools.accumulate(sorted(component, reverse=True)))
+                for component in ([r.cpus for r in resources],
+                                  [r.mem_mb for r in resources],
+                                  [r.disk_gb for r in resources])]
 
     @staticmethod
     def _greedy_victims(request, free, eligible) -> list[RunningInstance]:
-        chosen = list(eligible)
-        freed = ResourceVector.total(i.request.resources for i in chosen)
+        freed = ResourceVector.total(i.request.resources for i in eligible)
+        kept = []
         # Drop victims we never needed, worst preference first.
         for instance in reversed(eligible):
             without = freed.monus(instance.request.resources)
             if request.resources.fits(free + without):
-                chosen.remove(instance)
                 freed = without
-        return chosen
+            else:
+                kept.append(instance)
+        kept.reverse()
+        return kept
 
     def _preempt(self, victim: RunningInstance, t: int, by: str):
         if not victim.request.is_preemptible:
@@ -340,13 +363,16 @@ class SiteScheduler:
 
     def _drop_running(self, instance: RunningInstance, t: int):
         """End a running instance: accrue cpus x elapsed to its owner, free its room."""
-        self.ledger.accrue(instance.request.user,
-                           instance.request.resources.cpus * (t - instance.start_time), t)
-        del self.running[instance.request_id]
-        group = instance.request.group
-        self.group_running[group] = self.group_running[group] - instance.request.resources
-        transition = self.pool.unassign(instance.request_id, instance.request.resources,
-                                        instance.node_id, t)
+        request = instance.request
+        self.ledger.accrue(request.user, request.resources.cpus * (t - instance.start_time), t)
+        del self.running[request.request_id]
+        if request.is_preemptible:
+            victims = self._victims
+            del victims[bisect.bisect_left(victims, _victim_key(instance))]
+        group = request.group
+        self.group_running[group] = self.group_running[group] - request.resources
+        transition = self.pool.unassign(request.request_id, request.resources,
+                                        instance.node_id, t, request.is_preemptible)
         if transition is not None:
             self._emit(t, "role_changed", node=transition.node_id,
                        from_role=transition.from_role, to_role=transition.to_role,
@@ -355,9 +381,12 @@ class SiteScheduler:
     # -- dispatch ---------------------------------------------------------
 
     def _start(self, request: InstanceRequest, t: int) -> RunningInstance:
-        node_id = self.pool.assign(request.request_id, request.resources, t)
+        node_id = self.pool.assign(request.request_id, request.resources, t,
+                                   request.is_preemptible)
         instance = RunningInstance(request=request, start_time=t, node_id=node_id)
         self.running[request.request_id] = instance
+        if request.is_preemptible:
+            bisect.insort(self._victims, _victim_key(instance) + (instance,))
         group = request.group
         self.group_running[group] = (
             self.group_running.get(group, ResourceVector.zero()) + request.resources)
@@ -384,26 +413,34 @@ class SiteScheduler:
 
         With backfill on, lower-priority requests that fit may start while a
         bigger head waits; with backfill off dispatch stops at the first head
-        that cannot start.  Each start changes the running set, so the victim
-        index is rebuilt once per start, not once per queued request.
+        that cannot start.
+
+        The queue is sorted into fair-share order once per call.  Within one
+        event time only a preemption changes a priority (the victim's owner
+        accrues usage), so a start without victims just leaves the order and
+        a start that preempted re-sorts it.  The victim index is taken from
+        the kept victim order (a filter and prefix sums, no sort) and rebuilt
+        only after the running set or the pool changed, so at most once per
+        start, never once per queued request.
         """
         started: list[RunningInstance] = []
-        while self.queue:
-            order = self.ordered_queue(t)
+        queue = self.queue
+        key = self._queue_key(t)
+        queue.sort(key=key)
+        while queue:
             index = self._victim_index()
-            chosen = None
-            for request in order if self.backfill else order[:1]:
+            for position, request in enumerate(queue if self.backfill else queue[:1]):
                 ok, victims = self._startable(request, t, index)
                 if ok:
-                    chosen = (request, victims)
                     break
-            if chosen is None:
+            else:
                 break
-            request, victims = chosen
             for victim in victims:
                 self._preempt(victim, t, by=request.request_id)
-            self._dequeue(request)
+            self._dequeue(position)
             started.append(self._start(request, t))
+            if victims:
+                queue.sort(key=key)
         return started
 
     # -- lifecycle --------------------------------------------------------
@@ -432,9 +469,9 @@ class SiteScheduler:
         return killed
 
     def cancel_queued(self, request_id: str, t: int) -> bool:
-        for request in self.queue:
+        for position, request in enumerate(self.queue):
             if request.request_id == request_id:
-                self._dequeue(request)
+                self._dequeue(position)
                 self._emit(t, "request_cancelled", request_id=request_id)
                 return True
         return False
@@ -446,23 +483,31 @@ class SiteScheduler:
 
         Integer sums throughout, with no vector built unless a check fails:
         the pool's own audit (every pool counter, the partition, no busy node
-        powered down, each node's used against its running instances), pooled
-        conservation, the queued-demand counter against the queue, and each
-        group's running counter against its instances and its quota.
+        powered down, each node's used and preemptible_used against its
+        running instances), the victim order against the running
+        preemptibles, pooled conservation, the queued-demand counter against
+        the queue, and each group's running counter against its instances and
+        its quota.
         """
-        by_node: dict[str, list[int]] = {}
+        by_node: dict[str, list[int]] = {}  # [all, then preemptible] x 3 components
         by_group: dict[str, list[int]] = {}
+        preemptibles = 0
         for instance in self.running.values():
             request = instance.request
             resources = request.resources
             cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
             sums = by_node.get(instance.node_id)
             if sums is None:
-                by_node[instance.node_id] = [cpus, mem_mb, disk_gb]
+                sums = by_node[instance.node_id] = [cpus, mem_mb, disk_gb, 0, 0, 0]
             else:
                 sums[0] += cpus
                 sums[1] += mem_mb
                 sums[2] += disk_gb
+            if request.bid is not None:
+                sums[3] += cpus
+                sums[4] += mem_mb
+                sums[5] += disk_gb
+                preemptibles += 1
             sums = by_group.get(request.group)
             if sums is None:
                 by_group[request.group] = [cpus, mem_mb, disk_gb]
@@ -473,6 +518,7 @@ class SiteScheduler:
         # Every node's used matched its instances, so this is what runs on
         # the schedulable nodes.
         cpus, mem_mb, disk_gb = self.pool.audit(by_node)
+        self._audit_victim_order(preemptibles)
         if not self.pool.conserves(cpus, mem_mb, disk_gb):
             free, capacity = self.free(), self.capacity()
             raise SchedulerError(
@@ -499,3 +545,20 @@ class SiteScheduler:
         if by_group:
             raise SchedulerError("groups %s run instances but have no running counter"
                                  % sorted(by_group))
+
+    def _audit_victim_order(self, preemptibles: int):
+        """The victim order holds exactly the running preemptibles, each under
+        its own key, in strictly increasing key order."""
+        victims, running = self._victims, self.running
+        if len(victims) != preemptibles:
+            raise SchedulerError("victim order holds %d entries for %d running preemptibles"
+                                 % (len(victims), preemptibles))
+        for bid, negative_start, request_id, instance in victims:
+            request = instance.request
+            if (running.get(request_id) is not instance or bid is None or request.bid != bid
+                    or instance.start_time != -negative_start
+                    or request.request_id != request_id):
+                raise SchedulerError("victim order entry %r is not a running preemptible "
+                                     "under its key" % ((bid, negative_start, request_id),))
+        if not all(map(operator.lt, victims, itertools.islice(victims, 1, None))):
+            raise SchedulerError("victim order is not sorted")

@@ -338,3 +338,15 @@ def test_command_meets_the_events_due_at_its_time_unfired(workdir, capsys):
         assert order[:3] == [("request_submitted", jobs[2]),
                              ("instance_released", jobs[0]),
                              ("instance_released", jobs[1])]
+
+
+def test_command_past_the_horizon_is_rejected_before_the_world_advances(workdir, capsys):
+    assert main(["depcreate", "single-compute.tpl", "--user", "ada", "--world", "world.scn",
+                 "--at", "10"]) == 0
+    capsys.readouterr()
+    assert main(["depcreate", "single-compute.tpl", "--user", "ada", "--at", "5000"]) == 1
+    assert "--at 5000 is past the world's horizon_s 1000" in capsys.readouterr().err
+    with open(".orchsim-state.json", encoding="utf-8") as handle:
+        assert [c["at"] for c in json.load(handle)["commands"]] == [10]
+    # the horizon itself is still inside the world
+    assert main(["depcreate", "single-compute.tpl", "--user", "ada", "--at", "1000"]) == 0

@@ -247,7 +247,7 @@ def test_cloud_counters_follow_a_random_walk():
                                 power=rng.choice(["on", "off"]),
                                 role=rng.choice(["cloud", "cloud", "batch"]))
                      for i in range(6)])
-    placed = {}  # request id -> (resources, node id)
+    placed = {}  # request id -> (resources, node id, preemptible)
     drains_completed = 0
     for t in range(3000):
         node_id = rng.choice(sorted(pool.nodes))
@@ -258,11 +258,13 @@ def test_cloud_counters_follow_a_random_walk():
                 rid = "r%d" % t
                 resources = rv(rng.randrange(1, 3), rng.randrange(1, 1024),
                                rng.randrange(1, 10))
-                placed[rid] = (resources, pool.assign(rid, resources, t))
+                preemptible = t % 2 == 0
+                placed[rid] = (resources, pool.assign(rid, resources, t, preemptible),
+                               preemptible)
             elif op == "unassign" and placed:
                 rid = rng.choice(sorted(placed))
-                resources, on = placed.pop(rid)
-                if pool.unassign(rid, resources, on, t) is not None:
+                resources, on, preemptible = placed.pop(rid)
+                if pool.unassign(rid, resources, on, t, preemptible) is not None:
                     drains_completed += 1
             elif op == "power_on":
                 pool.power_on(node_id, t, boot_delay_s=5)
@@ -278,14 +280,25 @@ def test_cloud_counters_follow_a_random_walk():
         assert pool.cloud_capacity() == capacity, t
         assert pool.cloud_free() == free, t
         _check_elastic_counters(pool, t)
-        pool.audit()
+        assert pool.reclaimable() == ResourceVector.total(
+            resources for resources, on, preemptible in placed.values()
+            if preemptible and pool.is_schedulable(pool.nodes[on])), t
+        ledger = {}  # what runs on each node, then what of it is preemptible
+        for resources, on, preemptible in placed.values():
+            sums = ledger.setdefault(on, [0] * 6)
+            for offset in (0, 3) if preemptible else (0,):
+                sums[offset] += resources.cpus
+                sums[offset + 1] += resources.mem_mb
+                sums[offset + 2] += resources.disk_gb
+        pool.audit(ledger)
     assert drains_completed > 0
 
 
 @pytest.mark.parametrize("field, value", [("power", "off"), ("role", "batch"),
                                           ("used", rv(1, 0, 0)), ("power", "booting"),
                                           ("capacity", rv(2, 1024, 10)),
-                                          ("idle_since", 7), ("instances", {"ghost"})])
+                                          ("idle_since", 7), ("instances", {"ghost"}),
+                                          ("preemptible_used", rv(1, 0, 0))])
 def test_pool_audit_catches_a_write_that_bypasses_the_pool(field, value):
     pool = worker_pool(2, power="on")
     pool.audit()

@@ -5,11 +5,14 @@ import pytest
 
 from conftest import make_scheduler, req, rv
 
+from orchsim.elasticity import ElasticityError
+from orchsim.report import EventLog
 from orchsim.resources import ResourceVector
 from orchsim.scheduler import (DECISION_QUEUED, DECISION_REJECTED_QUOTA,
                                DECISION_STARTED, DuplicateRequestError,
                                InfeasiblePreemptionError, InstanceRequest,
-                               SchedulerError, UnknownInstanceError, UsageLedger)
+                               SchedulerError, UnknownInstanceError, UsageLedger,
+                               _reclaimable, _victim_key)
 
 # -- priority -----------------------------------------------------------------
 
@@ -299,6 +302,25 @@ def test_dispatch_fifo_among_equal_priorities():
     assert "second" not in sched.running
 
 
+def test_dispatch_reorders_the_queue_after_a_preemption():
+    """Preempting charges the victim's owner, so the rest of the pass runs in
+    the new fair-share order: c (no usage) starts before b, whose preemptible
+    was just charged 3 cpus x 1000 s."""
+    log = EventLog()
+    sched = make_scheduler(rv(6, 6144, 60), log=log)
+    sched.submit(req(user="x", res=rv(3, 3072, 30), rid="px"), t=0)
+    sched.submit(req(user="b", res=rv(3, 3072, 30), bid=0.1, rid="pb"), t=0)
+    sched.submit(req(user="a", res=rv(4, 4096, 40), t=1, rid="n"), t=1)
+    sched.submit(req(user="b", res=rv(1, 1024, 10), bid=0.1, t=2, rid="b"), t=2)
+    sched.submit(req(user="c", res=rv(1, 1024, 10), bid=0.1, t=3, rid="c"), t=3)
+    assert [r.request_id for r in sched.ordered_queue(1000)] == ["n", "b", "c"]
+    sched.release("px", 1000)
+    started = [r["request_id"] for r in log.records
+               if r["kind"] == "instance_started" and r["t"] == 1000]
+    assert started == ["n", "c", "b"]
+    assert [r["request_id"] for r in log.records if r["kind"] == "instance_preempted"] == ["pb"]
+
+
 def test_backfill_starts_smaller_request_behind_big_head():
     for backfill, expect_started in ((True, True), (False, False)):
         sched = make_scheduler(rv(2, 2048, 20), backfill=backfill)
@@ -359,6 +381,17 @@ def test_zero_resource_request_invalid():
 # -- invariants -----------------------------------------------------------------
 
 
+def check_victim_order(sched):
+    """The kept victim order and reclaimable() against a filter and sort of running."""
+    running = sched.running.values()
+    assert [entry[-1] for entry in sched._victims] == sorted(
+        (i for i in running if i.request.is_preemptible), key=_victim_key)
+    reclaimable = sorted(_reclaimable(running, sched.pool), key=_victim_key)
+    assert sched._victim_index().victims == reclaimable
+    assert sched.reclaimable() == ResourceVector.total(i.request.resources
+                                                       for i in reclaimable)
+
+
 def test_conservation_under_random_churn():
     rng = random.Random(77)
     sched = make_scheduler(rv(4, 4096, 40), rv(4, 4096, 40))
@@ -375,10 +408,12 @@ def test_conservation_under_random_churn():
                     bid=rng.choice([None, 0.1, 0.5]), t=t,
                     rid="c%05d" % n)
             sched.submit(r, t)
+            check_victim_order(sched)
         if live and rng.random() < 0.4:
             victim = rng.choice(live)
             if victim in sched.running:
                 sched.release(victim, t)
+                check_victim_order(sched)
             live.remove(victim)
         live = [rid for rid in sched.running]
         running_total = ResourceVector.total(
@@ -419,6 +454,87 @@ def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
         sched.group_running["ghost"] = rv(1, 0, 0)
     with pytest.raises(SchedulerError, match="running counter"):
         sched.audit(5)
+
+
+def test_victim_order_follows_a_random_walk():
+    """Starts, preemptions, releases, kills, drains and their completion, and
+    power changes each leave the victim order and reclaimable() exact."""
+    rng = random.Random(4242)
+    log = EventLog()
+    sched = make_scheduler(*[rv(2 + i % 3, 2048, 40) for i in range(5)], log=log)
+    pool = sched.pool
+    powered = 0
+    for t in range(1500):
+        op = rng.choice(["submit"] * 5 + ["release"] * 3 + ["kill", "switch_role", "power"])
+        if op == "submit":
+            sched.submit(req(user=rng.choice("abc"),
+                             res=rv(rng.randrange(1, 4), rng.randrange(256, 2048),
+                                    rng.randrange(1, 20)),
+                             bid=rng.choice([None, 0.1, 0.2, 0.5, 0.5]), t=t), t)
+        elif op == "release" and sched.running:
+            sched.release(rng.choice(sorted(sched.running)), t)
+        elif op == "kill" and rng.random() < 0.1:
+            sched.kill_running(t)
+        elif op in ("switch_role", "power"):
+            node = pool.nodes[rng.choice(sorted(pool.nodes))]
+            try:
+                if op == "switch_role":
+                    pool.switch_role(node.node_id, rng.choice(["batch", "cloud"]), t)
+                elif node.power == "on":
+                    pool.power_off(node.node_id)
+                    powered += 1
+                else:
+                    pool.power_on(node.node_id, t, boot_delay_s=0)
+                    pool.boot_complete(node.node_id, t)
+                    powered += 1
+            except ElasticityError:
+                continue
+            sched.dispatch(t)
+        check_victim_order(sched)
+        try:
+            sched.audit(t)
+        except SchedulerError as exc:
+            # Known defect (per-node admission in ROADMAP.md): assign
+            # overcommits a node when no single node fits, and a role switch
+            # or power-off of another node then leaves the cloud pool running
+            # more than its capacity.  The audit checks the pool counters and
+            # the victim order before this.
+            assert str(exc).startswith("conservation violated"), exc
+    kinds = {(r["kind"], r.get("state")) for r in log.records}
+    assert {("instance_preempted", None), ("instance_killed", None),
+            ("role_changed", "completed")} <= kinds
+    assert powered > 0
+
+
+@pytest.mark.parametrize("write, message", [
+    ("counter", "reclaimable"), ("node_share", "preemptible_used"),
+    ("drop", "holds 1 entries for 2"), ("twice", "holds 3 entries for 2"),
+    ("swap", "not sorted"), ("stale", "under its key"), ("normal", "under its key")])
+def test_audit_catches_a_victim_order_or_reclaimable_counter_written_around_the_scheduler(
+        write, message):
+    sched = make_scheduler(rv(4, 4096, 40))
+    sched.submit(req(res=rv(1, 512, 5), bid=0.1, rid="low"), t=0)
+    sched.submit(req(res=rv(1, 512, 5), bid=0.3, rid="high"), t=1)
+    sched.submit(req(res=rv(1, 512, 5), rid="normal"), t=2)
+    sched.audit(2)
+    victims = sched._victims
+    if write == "counter":
+        sched.pool._cloud_reclaimable[0] += 1
+    elif write == "node_share":
+        sched.pool.nodes["n1"].preemptible_used = rv(1, 512, 5)
+    elif write == "drop":
+        del victims[0]
+    elif write == "twice":
+        victims.append(victims[-1])
+    elif write == "swap":
+        victims.reverse()
+    elif write == "stale":
+        bid, _, request_id, instance = victims[0]
+        victims[0] = (bid, 5, request_id, instance)
+    else:
+        victims[0] = (None, -2, "normal", sched.running["normal"])
+    with pytest.raises((SchedulerError, ElasticityError), match=message):
+        sched.audit(2)
 
 
 def test_normal_instances_never_preempted():

@@ -337,3 +337,33 @@ def test_scenario_errors_name_their_line_once(old, new, message):
     with pytest.raises(ScenarioError) as caught:
         parse_scenario(UNKNOWN_KEY_BASE.replace(old, new))
     assert str(caught.value) == message
+
+
+def test_each_template_text_is_parsed_once_and_a_bad_one_every_time(monkeypatch):
+    import orchsim.orchestrator as orchestrator
+    cyclic = ("tosca_version: indigo_subset_1\nnodes:\n"
+              "  a: { kind: Service, image: 'x:1', depends_on: [b] }\n"
+              "  b: { kind: Service, image: 'x:1', depends_on: [a] }\n")
+    parsed = []
+    real = orchestrator.parse_template
+
+    def counting(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(orchestrator, "parse_template", counting)
+    scenario = tiny_scenario(events=[
+        submit_event("e1", 0, JOB_2CPU, duration=5),
+        submit_event("bad1", 1, cyclic),
+        submit_event("e2", 6, JOB_2CPU, duration=5),
+        submit_event("bad2", 7, cyclic),
+    ])
+    report = run_scenario(scenario)
+    assert parsed == [JOB_2CPU, cyclic, cyclic]
+    rejected = [(r["event"], r["reason"]) for r in report.records
+                if r["kind"] == "deployment_rejected"]
+    assert rejected == [("bad1", "template"), ("bad2", "template")]
+    # the two deployments sharing one parsed template run and end on their own
+    completed = [(r["t"], r["request_id"]) for r in report.records
+                 if r["kind"] == "instance_released" and r["reason"] == "job_completed"]
+    assert completed == [(5, "dep-000001.j.0"), (11, "dep-000002.j.0")]
