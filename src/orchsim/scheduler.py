@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 from .elasticity import NodePool
 from .errors import DomainError
@@ -54,6 +55,11 @@ class InstanceRequest:
     resources: ResourceVector
     bid: float | None = None
     arrival_time: int = 0
+    # repr((group, cpus, mem_mb, disk_gb, bid)): all of the request that
+    # decides whether it can start in a given pool state (see
+    # SiteScheduler.dispatch).  Interned, so equal shapes are one string
+    # whose hash is computed once.
+    shape: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.resources.is_zero():
@@ -61,6 +67,9 @@ class InstanceRequest:
                                  % self.request_id)
         if self.bid is not None and self.bid < 0:
             raise SchedulerError("bid must be >= 0")
+        resources = self.resources
+        object.__setattr__(self, "shape", sys.intern(repr(
+            (self.group, resources.cpus, resources.mem_mb, resources.disk_gb, self.bid))))
 
     @property
     def is_preemptible(self) -> bool:
@@ -102,14 +111,16 @@ def _reclaimable(instances, pool: NodePool) -> list:
 
 class _VictimIndex:
     """The reclaimable instances in victim preference order, and the pool's
-    free space, both as of one running set.
+    free space, both as of one pool write.
 
-    Built from the scheduler's victim order (every running preemptible, kept
-    sorted by _victim_key as instances start and end) by leaving out the
-    instances on unschedulable nodes; nothing is sorted here.  The victims a
-    request may displace are a prefix of this order (bids strictly below its
-    own for a preemptible request, all of them for a normal one), and the
-    prefix sums give what any prefix frees without building it.
+    Built for a victim search only, when a request does not fit the free
+    space, and kept until the next pool write (SiteScheduler._victim_index).
+    It filters the scheduler's victim order (every running preemptible, kept
+    sorted by _victim_key as instances start and end) down to the instances
+    on schedulable nodes; nothing is sorted here.  The victims a request may
+    displace are a prefix of this order (bids strictly below its own for a
+    preemptible request, all of them for a normal one), and the prefix sums
+    give what any prefix frees without building it.
     """
 
     def __init__(self, ordered: list[tuple], pool: NodePool):
@@ -195,8 +206,12 @@ class SiteScheduler:
         self.ledger = UsageLedger(half_life_s, weights)
         self.quotas: dict[str, ResourceVector] = dict(quotas or {})
         self.running: dict[str, RunningInstance] = {}
-        self.queue: list[InstanceRequest] = []  # in the order of the last dispatch
+        self.queue: list[InstanceRequest] = []  # in the order of the last sort
         self._queued = [0, 0, 0]  # summed resources of the queue
+        self._shapes: dict[str, int] = {}  # InstanceRequest.shape -> queued requests
+        # shapes that failed a probe, as of pool write _unstartable_writes
+        self._unstartable: set[str] = set()
+        self._unstartable_writes = -1
         # _victim_key(instance) + (instance,) of every running preemptible, sorted
         self._victims: list[tuple] = []
         self._index: _VictimIndex | None = None  # as of pool write _index_writes
@@ -223,10 +238,17 @@ class SiteScheduler:
     def _enqueue(self, request: InstanceRequest):
         self.queue.append(request)
         add_into(self._queued, request.resources)
+        shapes, shape = self._shapes, request.shape
+        shapes[shape] = shapes.get(shape, 0) + 1
 
     def _dequeue(self, position: int):
         request = self.queue.pop(position)
         add_into(self._queued, request.resources, -1)
+        shapes, shape = self._shapes, request.shape
+        if shapes[shape] == 1:
+            del shapes[shape]
+        else:
+            shapes[shape] -= 1
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -281,8 +303,9 @@ class SiteScheduler:
     # -- preemption -------------------------------------------------------
 
     def _victim_index(self) -> _VictimIndex:
-        """The victim index of the current running set, rebuilt after a pool
-        write only: every start and end of an instance is one."""
+        """The victim index of the current pool state, built when a victim
+        search asks for it and rebuilt after a pool write only: every start
+        and end of an instance is one."""
         if self._index_writes != self.pool.writes:
             self._index = _VictimIndex(self._victims, self.pool)
             self._index_writes = self.pool.writes
@@ -293,18 +316,15 @@ class SiteScheduler:
         """Running preemptibles this request may displace, preference-ordered."""
         return index.victims[:index.eligible_count(request)]
 
-    def select_victims(self, request: InstanceRequest, t: int | None = None,
-                       index: _VictimIndex | None = None) -> list[RunningInstance]:
+    def select_victims(self, request: InstanceRequest,
+                       t: int | None = None) -> list[RunningInstance]:
         """Pick a minimal set of preemptible instances freeing room for request.
 
         Empty when free capacity already fits.  Among minimum-cardinality
         feasible sets, prefers lower bids, then younger instances, then ids.
         Raises InfeasiblePreemptionError when no eligible set is enough.
-        index is the victim index of the current running set; dispatch
-        passes the one it probes with, a standalone call takes _victim_index().
         """
-        if index is None:
-            index = self._victim_index()
+        index = self._victim_index()
         free = index.free
         if request.resources.fits(free):
             return []
@@ -397,16 +417,31 @@ class SiteScheduler:
                    bid=request.bid, waited_s=t - request.arrival_time)
         return instance
 
-    def _startable(self, request: InstanceRequest, t: int, index: _VictimIndex):
-        """(True, victims) when the request can run now, else (False, None)."""
+    def _startable(self, request: InstanceRequest, t: int) -> list[RunningInstance] | None:
+        """The victims to preempt so the request can start now ([] when free
+        space fits it), or None when it cannot start.
+
+        Only the request's shape and the pool state decide this: the quota
+        and group_running, the pool's free space and the victim index move
+        with pool writes only, and neither t nor the queue is read.  The fit
+        is tested against the pool's free space; the victim index is built
+        only when a victim search is needed.
+        """
         if not self.quota_allows(request):
-            return False, None
-        if request.resources.fits(index.free):
-            return True, []
+            return None
+        if request.resources.fits(self.pool.cloud_free()):
+            return []
         try:
-            return True, self.select_victims(request, t, index)
+            return self.select_victims(request, t)
         except InfeasiblePreemptionError:
-            return False, None
+            return None
+
+    def _unstartable_shapes(self) -> set[str]:
+        """The shapes that failed a probe since the last pool write."""
+        if self._unstartable_writes != self.pool.writes:
+            self._unstartable.clear()
+            self._unstartable_writes = self.pool.writes
+        return self._unstartable
 
     def dispatch(self, t: int) -> list[RunningInstance]:
         """Start queued work, highest fair-share priority first.
@@ -415,24 +450,34 @@ class SiteScheduler:
         bigger head waits; with backfill off dispatch stops at the first head
         that cannot start.
 
-        The queue is sorted into fair-share order once per call.  Within one
-        event time only a preemption changes a priority (the victim's owner
-        accrues usage), so a start without victims just leaves the order and
-        a start that preempted re-sorts it.  The victim index is taken from
-        the kept victim order (a filter and prefix sums, no sort) and rebuilt
-        only after the running set or the pool changed, so at most once per
-        start, never once per queued request.
+        Whether a request can start depends on its shape and the pool state
+        only (see _startable), so a shape is probed once per pool write: a
+        failed probe puts the shape in the unstartable set, which the next
+        pool write empties, and a queued request of a shape in the set is
+        skipped as failed.  With backfill on, a call returns at once when
+        every queued shape is in the set: nothing could start.  Otherwise the
+        queue is sorted into fair-share order once per call (with backfill
+        off the head can change as usage decays, so it is always sorted).
+        Within one event time only a preemption changes a priority (the
+        victim's owner accrues usage), so a start without victims just
+        leaves the order and a start that preempted re-sorts it.
         """
         started: list[RunningInstance] = []
         queue = self.queue
+        if not queue or (self.backfill and self._shapes.keys() <= self._unstartable_shapes()):
+            return started
         key = self._queue_key(t)
         queue.sort(key=key)
         while queue:
-            index = self._victim_index()
+            unstartable = self._unstartable_shapes()
             for position, request in enumerate(queue if self.backfill else queue[:1]):
-                ok, victims = self._startable(request, t, index)
-                if ok:
+                shape = request.shape
+                if shape in unstartable:
+                    continue
+                victims = self._startable(request, t)
+                if victims is not None:
                     break
+                unstartable.add(shape)
             else:
                 break
             for victim in victims:
@@ -485,9 +530,10 @@ class SiteScheduler:
         the pool's own audit (every pool counter, the partition, no busy node
         powered down, each node's used and preemptible_used against its
         running instances), the victim order against the running
-        preemptibles, pooled conservation, the queued-demand counter against
-        the queue, and each group's running counter against its instances and
-        its quota.
+        preemptibles, pooled conservation, the queued-demand and per-shape
+        counters against the queue, and each group's running counter against
+        its instances and its quota.  The unstartable shapes are a cache of
+        _startable, not a counter, so they are not re-probed here.
         """
         by_node: dict[str, list[int]] = {}  # [all, then preemptible] x 3 components
         by_group: dict[str, list[int]] = {}
@@ -526,14 +572,20 @@ class SiteScheduler:
                 "!= capacity %s"
                 % (t, free, cpus, mem_mb, disk_gb, capacity))
         queued = [0, 0, 0]
+        shapes: dict[str, int] = {}
         for request in self.queue:
             resources = request.resources
             queued[0] += resources.cpus
             queued[1] += resources.mem_mb
             queued[2] += resources.disk_gb
+            shape = request.shape
+            shapes[shape] = shapes.get(shape, 0) + 1
         if queued != self._queued:
             raise SchedulerError("queued demand counter %s differs from the queue sum %s"
                                  % (self._queued, queued))
+        if shapes != self._shapes:
+            raise SchedulerError("queued shape counter %s differs from the queue's %s"
+                                 % (self._shapes, shapes))
         for group, used in self.group_running.items():
             sums = by_group.pop(group, (0, 0, 0))
             if used.cpus != sums[0] or used.mem_mb != sums[1] or used.disk_gb != sums[2]:

@@ -388,6 +388,9 @@ class World:
         self._pending_restarts: dict[str, list] = {}
         self._restart_counter: dict[str, int] = {}
         self._ticks: set[tuple[str, int]] = set()
+        # Nodes idle from the start power off t_idle_s later, event or not.
+        for spec in scenario.providers:
+            self._schedule_idle_tick(self.sites[spec.provider_id], 0)
 
     # -- event plumbing -----------------------------------------------------
 

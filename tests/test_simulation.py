@@ -295,6 +295,30 @@ def test_elastic_ticks_are_forgotten_once_they_fire():
     assert world._ticks == set()
 
 
+def test_nodes_idle_from_the_start_power_off_before_the_first_event():
+    """n1 is on and idle from t=0 with t_idle_s 120, and the first scenario
+    event is at t=300: n1 powers off at t=120, not at that event."""
+    text = """\
+seed: 1
+horizon_s: 400
+providers:
+  p1:
+    elasticity: { t_idle_s: 120, boot_delay_s: 30, min_nodes: 0 }
+    nodes:
+      n1: { cpus: 2, mem_mb: 2048, disk_gb: 20 }
+      b1: { cpus: 2, mem_mb: 2048, disk_gb: 20, role: batch }
+users:
+  ada: { group: research }
+events:
+  commute: { at: 300, action: switch_role, provider: p1, node: b1, target: cloud }
+"""
+    report = run_scenario(parse_scenario(text))
+    offs = [(r["t"], r["node"]) for r in report.records
+            if r["kind"] == "node_power" and r["power"] == "off"]
+    assert offs[0] == (120, "n1")
+    verify_report(parse_report(report.to_text()))
+
+
 @pytest.mark.parametrize("section", ["providers", "slas", "datasets", "users", "events"])
 def test_scenario_section_must_be_a_block(section):
     with pytest.raises(ScenarioError, match="line 3: %s must be a block" % section):
