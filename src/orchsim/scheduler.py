@@ -58,7 +58,8 @@ class InstanceRequest:
     # repr((group, cpus, mem_mb, disk_gb, bid)): all of the request that
     # decides whether it can start in a given pool state (see
     # SiteScheduler.dispatch).  Interned, so equal shapes are one string
-    # whose hash is computed once.
+    # whose hash is computed once: dispatch looks up every queued request's
+    # shape in the set of shapes that cannot start.
     shape: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,7 +92,6 @@ class RunningInstance:
 class Decision:
     kind: str
     instance: RunningInstance | None = None
-    position: int | None = None
 
 
 def _victim_key(instance: RunningInstance) -> tuple:
@@ -107,50 +107,6 @@ def _reclaimable(instances, pool: NodePool) -> list:
     return [instance for instance in instances
             if instance.request.is_preemptible
             and pool.is_schedulable(nodes[instance.node_id])]
-
-
-class _VictimIndex:
-    """The reclaimable instances in victim preference order, and the pool's
-    free space, both as of one pool write.
-
-    Built for a victim search only, when a request does not fit the free
-    space, and kept until the next pool write (SiteScheduler._victim_index).
-    It filters the scheduler's victim order (every running preemptible, kept
-    sorted by _victim_key as instances start and end) down to the instances
-    on schedulable nodes; nothing is sorted here.  The victims a request may
-    displace are a prefix of this order (bids strictly below its own for a
-    preemptible request, all of them for a normal one), and the prefix sums
-    give what any prefix frees without building it.
-    """
-
-    def __init__(self, ordered: list[tuple], pool: NodePool):
-        self.free = pool.cloud_free()
-        self.victims = _reclaimable(map(operator.itemgetter(-1), ordered), pool)
-        self.bids = []
-        self.cpus, self.mem_mb, self.disk_gb = [0], [0], [0]
-        cpus = mem_mb = disk_gb = 0
-        for instance in self.victims:
-            request = instance.request
-            resources = request.resources
-            cpus += resources.cpus
-            mem_mb += resources.mem_mb
-            disk_gb += resources.disk_gb
-            self.bids.append(request.bid)
-            self.cpus.append(cpus)
-            self.mem_mb.append(mem_mb)
-            self.disk_gb.append(disk_gb)
-
-    def eligible_count(self, request: InstanceRequest) -> int:
-        if request.is_preemptible:
-            return bisect.bisect_left(self.bids, request.bid)
-        return len(self.victims)
-
-    def enough(self, request: InstanceRequest, count: int) -> bool:
-        """True iff free space plus the first count victims fits the request."""
-        need, free = request.resources, self.free
-        return (need.cpus <= free.cpus + self.cpus[count]
-                and need.mem_mb <= free.mem_mb + self.mem_mb[count]
-                and need.disk_gb <= free.disk_gb + self.disk_gb[count])
 
 
 class UsageLedger:
@@ -208,14 +164,11 @@ class SiteScheduler:
         self.running: dict[str, RunningInstance] = {}
         self.queue: list[InstanceRequest] = []  # in the order of the last sort
         self._queued = [0, 0, 0]  # summed resources of the queue
-        self._shapes: dict[str, int] = {}  # InstanceRequest.shape -> queued requests
         # shapes that failed a probe, as of pool write _unstartable_writes
         self._unstartable: set[str] = set()
         self._unstartable_writes = -1
         # _victim_key(instance) + (instance,) of every running preemptible, sorted
         self._victims: list[tuple] = []
-        self._index: _VictimIndex | None = None  # as of pool write _index_writes
-        self._index_writes = -1
         self.group_running: dict[str, ResourceVector] = {}
         self._seen_ids: set[str] = set()
         self._log = log
@@ -238,17 +191,10 @@ class SiteScheduler:
     def _enqueue(self, request: InstanceRequest):
         self.queue.append(request)
         add_into(self._queued, request.resources)
-        shapes, shape = self._shapes, request.shape
-        shapes[shape] = shapes.get(shape, 0) + 1
 
     def _dequeue(self, position: int):
         request = self.queue.pop(position)
         add_into(self._queued, request.resources, -1)
-        shapes, shape = self._shapes, request.shape
-        if shapes[shape] == 1:
-            del shapes[shape]
-        else:
-            shapes[shape] -= 1
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -280,10 +226,7 @@ class SiteScheduler:
         for instance in started:
             if instance.request_id == request.request_id:
                 return Decision(DECISION_STARTED, instance=instance)
-        key = self._queue_key(t)
-        mine = key(request)
-        position = sum(1 for queued in self.queue if key(queued) < mine)
-        return Decision(DECISION_QUEUED, position=position)
+        return Decision(DECISION_QUEUED)
 
     def _queue_key(self, t: int):
         """Sort key of the fair-share order at t; request ids make keys unique."""
@@ -302,36 +245,31 @@ class SiteScheduler:
 
     # -- preemption -------------------------------------------------------
 
-    def _victim_index(self) -> _VictimIndex:
-        """The victim index of the current pool state, built when a victim
-        search asks for it and rebuilt after a pool write only: every start
-        and end of an instance is one."""
-        if self._index_writes != self.pool.writes:
-            self._index = _VictimIndex(self._victims, self.pool)
-            self._index_writes = self.pool.writes
-        return self._index
+    def _eligible_victims(self, request: InstanceRequest) -> list[RunningInstance]:
+        """Running preemptibles on schedulable nodes this request may displace,
+        in victim preference order: the prefix of the victim order with bids
+        strictly below its own for a preemptible request, all of it for a
+        normal one."""
+        victims = self._victims
+        if request.is_preemptible:
+            victims = victims[:bisect.bisect_left(victims, (request.bid,))]
+        return _reclaimable(map(operator.itemgetter(-1), victims), self.pool)
 
-    def _eligible_victims(self, request: InstanceRequest,
-                          index: _VictimIndex) -> list[RunningInstance]:
-        """Running preemptibles this request may displace, preference-ordered."""
-        return index.victims[:index.eligible_count(request)]
-
-    def select_victims(self, request: InstanceRequest,
-                       t: int | None = None) -> list[RunningInstance]:
+    def select_victims(self, request: InstanceRequest) -> list[RunningInstance]:
         """Pick a minimal set of preemptible instances freeing room for request.
 
         Empty when free capacity already fits.  Among minimum-cardinality
         feasible sets, prefers lower bids, then younger instances, then ids.
         Raises InfeasiblePreemptionError when no eligible set is enough.
         """
-        index = self._victim_index()
-        free = index.free
+        free = self.pool.cloud_free()
         if request.resources.fits(free):
             return []
-        if not index.enough(request, index.eligible_count(request)):
+        eligible = self._eligible_victims(request)
+        if not request.resources.fits(
+                free + ResourceVector.total(i.request.resources for i in eligible)):
             raise InfeasiblePreemptionError(
                 "no victim set can free enough capacity for %s" % request.request_id)
-        eligible = self._eligible_victims(request, index)
 
         if len(eligible) > _EXACT_VICTIM_LIMIT:
             return self._greedy_victims(request, free, eligible)
@@ -417,22 +355,20 @@ class SiteScheduler:
                    bid=request.bid, waited_s=t - request.arrival_time)
         return instance
 
-    def _startable(self, request: InstanceRequest, t: int) -> list[RunningInstance] | None:
+    def _startable(self, request: InstanceRequest) -> list[RunningInstance] | None:
         """The victims to preempt so the request can start now ([] when free
         space fits it), or None when it cannot start.
 
         Only the request's shape and the pool state decide this: the quota
-        and group_running, the pool's free space and the victim index move
-        with pool writes only, and neither t nor the queue is read.  The fit
-        is tested against the pool's free space; the victim index is built
-        only when a victim search is needed.
+        and group_running, the pool's free space and the victim order move
+        with pool writes only, and neither the time nor the queue is read.
         """
         if not self.quota_allows(request):
             return None
         if request.resources.fits(self.pool.cloud_free()):
             return []
         try:
-            return self.select_victims(request, t)
+            return self.select_victims(request)
         except InfeasiblePreemptionError:
             return None
 
@@ -454,17 +390,18 @@ class SiteScheduler:
         only (see _startable), so a shape is probed once per pool write: a
         failed probe puts the shape in the unstartable set, which the next
         pool write empties, and a queued request of a shape in the set is
-        skipped as failed.  With backfill on, a call returns at once when
-        every queued shape is in the set: nothing could start.  Otherwise the
-        queue is sorted into fair-share order once per call (with backfill
-        off the head can change as usage decays, so it is always sorted).
-        Within one event time only a preemption changes a priority (the
-        victim's owner accrues usage), so a start without victims just
-        leaves the order and a start that preempted re-sorts it.
+        skipped as failed.  With backfill on, a call returns at once when the
+        shape of every queued request is in the set: nothing could start.
+        Otherwise the queue is sorted into fair-share order once per call
+        (with backfill off the head can change as usage decays, so it is
+        always sorted).  Within one event time only a preemption changes a
+        priority (the victim's owner accrues usage), so a start without
+        victims just leaves the order and a start that preempted re-sorts it.
         """
         started: list[RunningInstance] = []
         queue = self.queue
-        if not queue or (self.backfill and self._shapes.keys() <= self._unstartable_shapes()):
+        unstartable = self._unstartable_shapes()
+        if not queue or (self.backfill and all(r.shape in unstartable for r in queue)):
             return started
         key = self._queue_key(t)
         queue.sort(key=key)
@@ -474,7 +411,7 @@ class SiteScheduler:
                 shape = request.shape
                 if shape in unstartable:
                     continue
-                victims = self._startable(request, t)
+                victims = self._startable(request)
                 if victims is not None:
                     break
                 unstartable.add(shape)
@@ -530,10 +467,10 @@ class SiteScheduler:
         the pool's own audit (every pool counter, the partition, no busy node
         powered down, each node's used and preemptible_used against its
         running instances), the victim order against the running
-        preemptibles, pooled conservation, the queued-demand and per-shape
-        counters against the queue, and each group's running counter against
-        its instances and its quota.  The unstartable shapes are a cache of
-        _startable, not a counter, so they are not re-probed here.
+        preemptibles, pooled conservation, the queued-demand counter against
+        the queue, and each group's running counter against its instances
+        and its quota.  The unstartable shapes are a cache of _startable, not
+        a counter, so they are not re-probed here.
         """
         by_node: dict[str, list[int]] = {}  # [all, then preemptible] x 3 components
         by_group: dict[str, list[int]] = {}
@@ -572,20 +509,14 @@ class SiteScheduler:
                 "!= capacity %s"
                 % (t, free, cpus, mem_mb, disk_gb, capacity))
         queued = [0, 0, 0]
-        shapes: dict[str, int] = {}
         for request in self.queue:
             resources = request.resources
             queued[0] += resources.cpus
             queued[1] += resources.mem_mb
             queued[2] += resources.disk_gb
-            shape = request.shape
-            shapes[shape] = shapes.get(shape, 0) + 1
         if queued != self._queued:
             raise SchedulerError("queued demand counter %s differs from the queue sum %s"
                                  % (self._queued, queued))
-        if shapes != self._shapes:
-            raise SchedulerError("queued shape counter %s differs from the queue's %s"
-                                 % (self._shapes, shapes))
         for group, used in self.group_running.items():
             sums = by_group.pop(group, (0, 0, 0))
             if used.cpus != sums[0] or used.mem_mb != sums[1] or used.disk_gb != sums[2]:

@@ -1,5 +1,6 @@
-"""Golden report digests: every shipped scenario and the first replica of each
-benchmark workload render byte for byte as pinned.
+"""Golden report digests: every shipped scenario, the first replica of each
+benchmark workload and every seed-1 spot replica render byte for byte as
+pinned.
 
 A refactor that keeps behaviour must keep these digests.  A change that moves
 one on purpose re-pins it and says why.
@@ -48,13 +49,32 @@ def _bench_workloads():
     return module
 
 
-@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
-def test_bench_workload_digest_is_pinned(name):
-    workload = getattr(_bench_workloads(), name)(1, 0)
+def _workload_digest(workload) -> str:
     scenario = parse_scenario(workload.text, name=workload.name,
                               template_loader=workload.templates.__getitem__)
-    digest = hashlib.sha256(run_scenario(scenario).to_text().encode("utf-8")).hexdigest()
-    assert digest == BENCH_GOLDEN[name]
+    return hashlib.sha256(run_scenario(scenario).to_text().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_GOLDEN))
+def test_bench_workload_digest_is_pinned(name):
+    assert _workload_digest(getattr(_bench_workloads(), name)(1, 0)) == BENCH_GOLDEN[name]
+
+
+# spot(seed=1, replica) for the other replicas: spot is the workload whose
+# victim searches take both the exact and the greedy path.
+SPOT_REPLICA_GOLDEN = {
+    1: "50b702dbef8808ea348e1a573651b666635685065b2d4b4741488c80ab9742e3",
+    2: "cb421a6d016a3881052054368876ea8b9d105da9146f051a02fba2fe9475863f",
+    3: "66456a58bdc008cd23e83269656cfe95f852c0ff4f6afc9f7f61c107b6614e32",
+    4: "a00c612f990023f008b4249917026a157d295870961b5e803c4a4f04a08a6dd9",
+    5: "0bb0b46b78735e22893d599ea7131197e60031ceaf16c74f6484797cfd3eacb7",
+}
+
+
+@pytest.mark.parametrize("replica", sorted(SPOT_REPLICA_GOLDEN))
+def test_spot_replica_digest_is_pinned(replica):
+    assert (_workload_digest(_bench_workloads().spot(1, replica))
+            == SPOT_REPLICA_GOLDEN[replica])
 
 
 # bench/workloads.py partition_probe(1): the federation mix plus switch_role
@@ -63,8 +83,4 @@ PROBE_GOLDEN = "7435d9b9126036b71f0913b14924d9ec401bcd26190ba2774cb37d72e36fc5c6
 
 
 def test_partition_probe_digest_is_pinned():
-    workload = _bench_workloads().partition_probe(1)
-    scenario = parse_scenario(workload.text, name=workload.name,
-                              template_loader=workload.templates.__getitem__)
-    digest = hashlib.sha256(run_scenario(scenario).to_text().encode("utf-8")).hexdigest()
-    assert digest == PROBE_GOLDEN
+    assert _workload_digest(_bench_workloads().partition_probe(1)) == PROBE_GOLDEN

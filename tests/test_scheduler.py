@@ -93,7 +93,6 @@ def test_normal_request_queues_behind_normals():
     sched.submit(req(res=rv(2, 2048, 20)), t=0)
     decision = sched.submit(req(res=rv(1, 512, 5)), t=1)
     assert decision.kind == DECISION_QUEUED
-    assert decision.position == 0
 
 
 def test_quota_rejects_only_never_satisfiable():
@@ -235,7 +234,8 @@ def reference_victims(sched, request):
 
 def test_select_victims_matches_reference_on_random_sites():
     rng = random.Random(31)
-    covered = {"greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0}
+    covered = {"greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0,
+               "equal_bid": 0}
     for trial in range(60):
         many = trial % 3 == 0  # enough small victims for the greedy path
         sched = make_scheduler(*[rv(4, 4096, 40)] * (8 if many else 3))
@@ -250,25 +250,27 @@ def test_select_victims_matches_reference_on_random_sites():
             busy = sorted({i.node_id for i in sched.running.values()})
             if busy:
                 sched.pool.switch_role(busy[0], "batch", t=20)
-        index = sched._victim_index()
-        assert sched.reclaimable() == rv(index.cpus[-1], index.mem_mb[-1], index.disk_gb[-1])
+        every = sched._eligible_victims(req(user="p", rid="normal-%d" % trial))
+        assert sched.reclaimable() == ResourceVector.total(i.request.resources
+                                                           for i in every)
         for k in range(10):
+            # The running bids too: a victim at the probe's own bid is not eligible.
             probe = req(user="p", res=rv(rng.randrange(1, 9), rng.randrange(256, 8192),
                                          rng.randrange(1, 60)),
-                        bid=rng.choice([None, 0.15, 0.25, 0.4, 0.9]),
+                        bid=rng.choice([None, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.9]),
                         t=30, rid="probe-%d-%d" % (trial, k))
+            covered["equal_bid"] += any(i.request.bid == probe.bid for i in every)
             expected = reference_victims(sched, probe)
             if expected is None:
                 covered["infeasible"] += 1
                 with pytest.raises(InfeasiblePreemptionError):
-                    sched.select_victims(probe, 30)
+                    sched.select_victims(probe)
                 continue
-            got = sched.select_victims(probe, 30)
+            got = sched.select_victims(probe)
             assert [v.request_id for v in got] == [v.request_id for v in expected]
             if got:
                 covered["preemptible" if probe.is_preemptible else "normal"] += 1
-                eligible = sched._eligible_victims(probe, sched._victim_index())
-                covered["greedy"] += len(eligible) > 16
+                covered["greedy"] += len(sched._eligible_victims(probe)) > 16
     assert all(covered.values()), covered
 
 
@@ -382,12 +384,13 @@ def test_zero_resource_request_invalid():
 
 
 def check_victim_order(sched):
-    """The kept victim order and reclaimable() against a filter and sort of running."""
+    """The kept victim order, a normal request's eligible victims and
+    reclaimable() against a filter and sort of running."""
     running = sched.running.values()
     assert [entry[-1] for entry in sched._victims] == sorted(
         (i for i in running if i.request.is_preemptible), key=_victim_key)
     reclaimable = sorted(_reclaimable(running, sched.pool), key=_victim_key)
-    assert sched._victim_index().victims == reclaimable
+    assert sched._eligible_victims(req(user="normal-probe")) == reclaimable
     assert sched.reclaimable() == ResourceVector.total(i.request.resources
                                                        for i in reclaimable)
 
@@ -456,11 +459,9 @@ def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
         sched.audit(5)
 
 
-@pytest.mark.parametrize("write, message", [
-    ("bump", "queued shape counter"), ("drop", "queued shape counter"),
-    ("ghost", "queued shape counter"), ("regroup", "queued shape counter"),
-    ("sneak", "queued demand counter")])
+@pytest.mark.parametrize("write, message", [("sneak", "queued demand counter")])
 def test_audit_catches_a_shape_counter_written_around_the_scheduler(write, message):
+    """A queue written around the scheduler trips the queued-demand counter."""
     sched = make_scheduler(rv(1, 1024, 10))
     sched.submit(req(res=rv(1, 1024, 10), rid="runs"), t=0)
     sched.submit(req(group="g", res=rv(1, 512, 5), bid=0.1, rid="a"), t=0)
@@ -468,28 +469,17 @@ def test_audit_catches_a_shape_counter_written_around_the_scheduler(write, messa
     sched.submit(req(group="h", res=rv(1, 512, 5), bid=0.1, rid="c"), t=0)
     assert sched.cancel_queued("b", t=1)
     sched.audit(1)
-    shapes = sched._shapes
-    g_shape = sched.queue[0].shape
-    assert shapes == {g_shape: 1, sched.queue[1].shape: 1}
-    if write == "bump":
-        shapes[g_shape] += 1
-    elif write == "drop":
-        del shapes[g_shape]
-    elif write == "ghost":
-        shapes[req(group="g", res=rv(2, 512, 5)).shape] = 1
-    elif write == "regroup":  # same demand, another group's shape
-        sched.queue[0] = req(group="h", res=rv(1, 512, 5), bid=0.1, rid="a2")
-    else:
-        sched.queue.append(req(res=rv(1, 512, 5), rid="sneaked-in"))
+    assert [r.request_id for r in sched.queue] == ["a", "c"]
+    # a queued request the queued-demand counter never saw
+    sched.queue.append(req(res=rv(1, 512, 5), rid="sneaked-in"))
     with pytest.raises(SchedulerError, match=message):
         sched.audit(1)
 
 
 def memo_free_dispatch(sched, t, probes):
-    """The dispatch loop without the unstartable shapes, the early return or
-    the victim index: every pass probes every queued request (the head only
-    with backfill off), with victims from reference_victims.  probes[0]
-    counts the probes."""
+    """The dispatch loop without the unstartable shapes or the early return:
+    every pass probes every queued request (the head only with backfill off),
+    with victims from reference_victims.  probes[0] counts the probes."""
     started = []
     queue = sched.queue
     key = sched._queue_key(t)
@@ -513,10 +503,10 @@ def memo_free_dispatch(sched, t, probes):
 
 @pytest.mark.parametrize("backfill", [True, False])
 def test_dispatch_matches_a_memo_free_dispatch_on_a_random_walk(backfill):
-    """The unstartable shapes, the early return and the lazy victim index
-    change no start, no victim and no victim order: a scheduler with them and
-    one running memo_free_dispatch take the same steps and must log the same
-    records and return the same starts."""
+    """The unstartable shapes and the early return change no start, no
+    victim and no victim order: a scheduler with them and one running
+    memo_free_dispatch take the same steps and must log the same records and
+    return the same starts."""
     rng = random.Random(808)
     capacities = [rv(2 + i % 3, 2048, 40) for i in range(5)]
     quotas = {"g": rv(4, 4096, 60)}
@@ -526,9 +516,9 @@ def test_dispatch_matches_a_memo_free_dispatch_on_a_random_walk(backfill):
     probes = {"real": 0, "ref": [0]}
     startable = real._startable
 
-    def counted(request, t):
+    def counted(request):
         probes["real"] += 1
-        return startable(request, t)
+        return startable(request)
 
     real._startable = counted
     ref.dispatch = lambda t: memo_free_dispatch(ref, t, probes["ref"])
@@ -618,9 +608,9 @@ def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypat
     counts = {"victims": 0}
     select_victims = sched.select_victims
 
-    def counted(request, t=None):
+    def counted(request):
         counts["victims"] += 1
-        return select_victims(request, t)
+        return select_victims(request)
 
     monkeypatch.setattr(sched, "select_victims", counted)
     sched.queue = _CountingQueue(sched.queue)
