@@ -17,6 +17,7 @@ default config file for the CLI.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -61,6 +62,27 @@ def _parse_scalar(text: str, lineno: int):
     return text
 
 
+def _parse_number(text: str, lineno: int, key: str, positive: bool = False) -> float:
+    value = _parse_scalar(text, lineno)
+    if isinstance(value, (bool, str)) or not math.isfinite(value):
+        raise ConfigError("line %d: %s must be a number" % (lineno, key))
+    if positive and value <= 0:
+        raise ConfigError("line %d: %s must be > 0" % (lineno, key))
+    return float(value)
+
+
+def _checked(lineno: int, make, *args, **kwargs):
+    """make(*args, **kwargs), its error reported at lineno.
+
+    A value spread over several keys is rebuilt at each of its lines, so a
+    rule across keys fails at the line of the key that breaks it.
+    """
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise ConfigError("line %d: %s" % (lineno, exc)) from exc
+
+
 def _parse_list(text: str, lineno: int) -> list[str]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -95,19 +117,22 @@ def parse_config(text: str) -> EngineConfig:
         key = key.strip()
         value = value.strip()
         if key in ("w_sla", "w_avail", "w_lat", "w_data"):
-            ranker_weights[key] = float(_parse_scalar(value, lineno))
+            ranker_weights[key] = _parse_number(value, lineno, key)
+            config.ranker = _checked(lineno, RankerConfig, **ranker_weights)
         elif key.startswith("prefs."):
             scope = key[len("prefs."):]
-            config.preferences[scope] = PreferenceList(tuple(_parse_list(value, lineno)))
+            config.preferences[scope] = _checked(lineno, PreferenceList,
+                                                 tuple(_parse_list(value, lineno)))
         elif key == "half_life_s":
-            config.half_life_s = float(_parse_scalar(value, lineno))
+            config.half_life_s = _parse_number(value, lineno, key, positive=True)
         elif key == "backfill":
             parsed = _parse_scalar(value, lineno)
             if not isinstance(parsed, bool):
                 raise ConfigError("line %d: backfill must be true or false" % lineno)
             config.backfill = parsed
         elif key.startswith("weights."):
-            config.weights[key[len("weights."):]] = float(_parse_scalar(value, lineno))
+            config.weights[key[len("weights."):]] = _parse_number(value, lineno, key,
+                                                                  positive=True)
         elif key.startswith("quota."):
             config.quotas[key[len("quota."):]] = _parse_quota(value, lineno)
         elif key in ("t_idle_s", "boot_delay_s", "min_nodes", "max_nodes"):
@@ -115,14 +140,11 @@ def parse_config(text: str) -> EngineConfig:
             if isinstance(parsed, bool) or not isinstance(parsed, int):
                 raise ConfigError("line %d: %s must be an integer" % (lineno, key))
             elastic_fields[key] = parsed
+            config.elasticity = _checked(lineno, ElasticPolicy, **elastic_fields)
         elif key == "policy_file":
             config.policy_file = str(value)
         else:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
-    if ranker_weights:
-        config.ranker = RankerConfig(**ranker_weights)
-    if elastic_fields:
-        config.elasticity = ElasticPolicy(**elastic_fields)
     return config
 
 

@@ -44,13 +44,6 @@ class TokenRecord:
 
 
 @dataclass(frozen=True)
-class PolicyRule:
-    group: str
-    provider_id: str
-    permit: bool = True
-
-
-@dataclass(frozen=True)
 class TranslatedCredential:
     kind: str
     subject: str

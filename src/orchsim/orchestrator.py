@@ -4,7 +4,9 @@ The engine validates the caller's token, parses the template, gathers
 SLA / monitoring / data-catalog facts into provider snapshots, asks the
 ranker for an ordered site list frozen for the whole create request, then
 walks that list until a site accepts.  Deployment records move through a
-small legal state machine and every instance is released on deletion.
+small legal state machine and every instance is released on deletion.  Each
+site instance keeps the request it was submitted with: when a failed site
+recovers, its killed Service and Job instances are resubmitted from it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from . import iam as iam_mod
 from .config import resolve_preferences
 from .errors import DomainError
 from .ranker import PreferenceList, ProviderSnapshot, RankerConfig, rank_providers
-from .resources import ResourceVector
-from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest
+from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest, RunningInstance
 from .site import Site
-from .templates import (KIND_ELASTIC_CLUSTER, KIND_JOB, DeploymentTemplate,
-                        aggregate_demand, parse_template, topological_order)
+from .templates import (KIND_ELASTIC_CLUSTER, KIND_JOB, KIND_SERVICE,
+                        DeploymentTemplate, aggregate_demand, parse_template,
+                        topological_order)
 
 CREATE_IN_PROGRESS = "CREATE_IN_PROGRESS"
 CREATE_COMPLETE = "CREATE_COMPLETE"
@@ -53,10 +55,6 @@ class NotFoundError(OrchestratorError):
 
 
 class IllegalTransitionError(OrchestratorError):
-    pass
-
-
-class NoEligibleProviderError(OrchestratorError):
     pass
 
 
@@ -114,18 +112,6 @@ class DataCatalog:
         return present / total
 
 
-@dataclass(frozen=True)
-class SiteAccepted:
-    site_id: str
-    outputs: dict[str, str]
-
-
-@dataclass(frozen=True)
-class SiteFailed:
-    site_id: str
-    reason: str
-
-
 @dataclass
 class InstanceRef:
     """Orchestrator-side view of one instance of a deployment.
@@ -140,8 +126,9 @@ class InstanceRef:
     request_id: str
     node_name: str
     kind: str
-    resources: ResourceVector
-    virtual: bool = False       # carried by the deployment, not by site capacity
+    # What the site was submitted; None for a virtual instance, which is
+    # carried by the deployment, not by site capacity.
+    request: InstanceRequest | None = None
     duration_s: int | None = None  # Job nodes only
     ended: bool = False         # virtual instances only
 
@@ -176,6 +163,7 @@ class Orchestrator:
         self._instances: dict[str, list[InstanceRef]] = {}
         self._by_request_id: dict[tuple[str, str], InstanceRef] = {}
         self._templates: dict[str, DeploymentTemplate] = {}  # text -> its parse
+        self._killed: dict[str, list[InstanceRef]] = {}  # failed site -> restarts due
         self._counter = 0
 
     # -- logging / registry -------------------------------------------------
@@ -190,11 +178,9 @@ class Orchestrator:
     def find_ref(self, site_id: str, request_id: str) -> InstanceRef | None:
         return self._by_request_id.get((site_id, request_id))
 
-    def add_restart_ref(self, ref: InstanceRef, new_request_id: str):
-        """Track a site-driven restart of a killed Service/Job instance."""
-        new_ref = replace(ref, request_id=new_request_id)
-        self._instances.setdefault(ref.uuid, []).append(new_ref)
-        self._by_request_id[(ref.site_id, new_request_id)] = new_ref
+    def _add_ref(self, ref: InstanceRef):
+        self._instances[ref.uuid].append(ref)
+        self._by_request_id[(ref.site_id, ref.request_id)] = ref
 
     def _transition(self, record: DeploymentRecord, state: str, t: int):
         if state not in LEGAL_TRANSITIONS[record.state]:
@@ -225,17 +211,20 @@ class Orchestrator:
         self._instances[uuid] = []
         self._emit(t, "deployment_state", uuid=uuid, state=CREATE_IN_PROGRESS, site=None)
 
-        try:
-            ranked = self.place(record, token, t, prefs=prefs)
-        except NoEligibleProviderError:
-            return uuid
-
-        for site_id in ranked:
-            outcome = self._try_site(record, site_id, t, job_duration_s)
-            if isinstance(outcome, SiteAccepted):
-                self.advance(record, outcome, t)
+        for site_id in self.place(record, token, t, prefs=prefs):
+            reason = self._try_site(record, site_id, t, job_duration_s)
+            record.attempts.append((site_id, reason or "ok"))
+            if reason is None:
+                record.chosen_site = site_id
+                record.outputs = {
+                    output_name: "%s/%s/%s.%s.0" % (site_id, node_name, uuid, node_name)
+                    for output_name, node_name in template.outputs.items()}
+                self._transition(record, CREATE_COMPLETE, t)
                 break
-            self.advance(record, outcome, t)
+            self._emit(t, "deployment_attempt_failed", uuid=uuid, site=site_id,
+                       reason=reason)
+        else:  # no eligible site, or every ranked site failed
+            self._transition(record, CREATE_FAILED, t)
         return uuid
 
     def _parse(self, template_text: str) -> DeploymentTemplate:
@@ -250,16 +239,19 @@ class Orchestrator:
 
     def place(self, record: DeploymentRecord, token: iam_mod.TokenRecord, t: int,
               prefs: PreferenceList | None = None) -> list[str]:
-        """Rank eligible sites for the record; freezes the list on the record."""
+        """Rank eligible sites for the record; freezes the list on the record.
+
+        A site is eligible when one of the token's groups holds an SLA there,
+        the token may use it and the template's demand fits its free capacity.
+        """
         demand = aggregate_demand(record.template)
         datasets = sorted({d for node in record.template.nodes.values()
                            for d in node.input_datasets})
         candidates = []
         for site_id in sorted(self.sites):
             site = self.sites[site_id]
-            group_slas = [s for s in self.slas
-                          if s.provider_id == site_id and s.group in token.groups]
-            if not group_slas:
+            sla = self._best_sla(site_id, token.groups)
+            if sla is None:
                 continue
             if not self.iam.authorize(token, site_id):
                 continue
@@ -268,15 +260,14 @@ class Orchestrator:
                 continue
             candidates.append(ProviderSnapshot(
                 provider_id=site_id,
-                sla_rank=max(s.sla_rank for s in group_slas),
+                sla_rank=sla.sla_rank,
                 availability=site.availability,
                 latency_ms=site.latency_ms,
                 free_capacity=free,
                 data_locality=self.catalog.locality(site_id, datasets),
             ))
         if not candidates:
-            self._transition(record, CREATE_FAILED, t)
-            raise NoEligibleProviderError("no eligible provider for %s" % record.uuid)
+            return []
 
         if prefs is None:
             prefs = resolve_preferences(self.preferences, token.subject, token.groups)
@@ -285,32 +276,24 @@ class Orchestrator:
         self._emit(t, "deployment_ranked", uuid=record.uuid, ranked=list(ranked))
         return ranked
 
-    def advance(self, record: DeploymentRecord, event, t: int) -> DeploymentRecord:
-        """Apply a site outcome; exhausting the ranked list fails the create."""
-        if record.state != CREATE_IN_PROGRESS:
-            raise IllegalTransitionError(
-                "cannot advance %s in state %s" % (record.uuid, record.state))
-        if isinstance(event, SiteAccepted):
-            record.attempts.append((event.site_id, "ok"))
-            record.chosen_site = event.site_id
-            record.outputs = dict(event.outputs)
-            self._transition(record, CREATE_COMPLETE, t)
-        elif isinstance(event, SiteFailed):
-            record.attempts.append((event.site_id, event.reason))
-            self._emit(t, "deployment_attempt_failed", uuid=record.uuid,
-                       site=event.site_id, reason=event.reason)
-            if len(record.attempts) >= len(record.ranked_sites):
-                self._transition(record, CREATE_FAILED, t)
-        else:
-            raise OrchestratorError("unknown advance event %r" % (event,))
-        return record
+    def _best_sla(self, site_id: str, groups) -> SLARecord | None:
+        """The best-ranked SLA of one of groups at the site (ties: group name)."""
+        return min((s for s in self.slas if s.provider_id == site_id and s.group in groups),
+                   key=lambda s: (-s.sla_rank, s.group), default=None)
 
     def _try_site(self, record: DeploymentRecord, site_id: str, t: int,
-                  job_duration_s: int | None):
+                  job_duration_s: int | None) -> str | None:
+        """Submit the record's instances to a site: None if it takes them all,
+        else why not, with the attempt rolled back.
+
+        The accounting group is the owner's group holding the site's best SLA;
+        a ranked site holds an SLA of the token's groups, so there is one.
+        """
         site = self.sites[site_id]
         if site.failed(t):
-            return SiteFailed(site_id, "site_unavailable")
+            return "site_unavailable"
 
+        group = self._best_sla(site_id, self.iam.groups_of(record.owner)).group
         template = record.template
         for node_name in topological_order(template):
             node = template.nodes[node_name]
@@ -319,60 +302,76 @@ class Orchestrator:
             if node.kind == KIND_JOB:
                 duration = (job_duration_s if job_duration_s is not None
                             else _DEFAULT_JOB_DURATION_S)
+            bid = (node.bid if node.bid is not None else 0.0) if node.preemptible else None
             for index in range(count):
                 request_id = "%s.%s.%d" % (record.uuid, node_name, index)
-                resources = node.resources or ResourceVector.zero()
-                ref = InstanceRef(uuid=record.uuid, site_id=site_id,
-                                  request_id=request_id, node_name=node_name,
-                                  kind=node.kind, resources=resources,
-                                  virtual=resources.is_zero(), duration_s=duration)
-                self._instances[record.uuid].append(ref)
-                self._by_request_id[(site_id, request_id)] = ref
-                if ref.virtual:
+                request = None
+                if node.resources is not None and not node.resources.is_zero():
+                    request = InstanceRequest(request_id=request_id, user=record.owner,
+                                              group=group, resources=node.resources,
+                                              bid=bid, arrival_time=t)
+                self._add_ref(InstanceRef(uuid=record.uuid, site_id=site_id,
+                                          request_id=request_id, node_name=node_name,
+                                          kind=node.kind, request=request,
+                                          duration_s=duration))
+                if request is None:
                     self._emit(t, "virtual_instance", site=site_id,
                                request_id=request_id, uuid=record.uuid,
                                node_name=node_name, image=node.image)
-                    continue
-                bid = (node.bid if node.bid is not None else 0.0) if node.preemptible else None
-                request = InstanceRequest(request_id=request_id, user=record.owner,
-                                          group=self.owner_group(record, site_id),
-                                          resources=resources, bid=bid, arrival_time=t)
-                decision = site.scheduler.submit(request, t)
-                if decision.kind == DECISION_REJECTED_QUOTA:
-                    self._rollback(record, site, t)
-                    return SiteFailed(site_id, "quota_rejected")
+                elif site.scheduler.submit(request, t).kind == DECISION_REJECTED_QUOTA:
+                    self._rollback(record, t)
+                    return "quota_rejected"
 
         for node_name, node in template.nodes.items():
             if node.kind == KIND_ELASTIC_CLUSTER:
                 site.elastic.register_floor("%s/%s" % (record.uuid, node_name),
                                             node.min_workers)
+        return None
 
-        outputs = {}
-        for output_name, node_name in template.outputs.items():
-            first = "%s.%s.0" % (record.uuid, node_name)
-            outputs[output_name] = "%s/%s/%s" % (site_id, node_name, first)
-        return SiteAccepted(site_id, outputs)
-
-    def owner_group(self, record: DeploymentRecord, site_id: str) -> str:
-        """Accounting group at the site: the owner's group holding the best SLA."""
-        token_groups = self.iam.groups_of(record.owner)
-        group_slas = sorted((s for s in self.slas if s.provider_id == site_id
-                             and s.group in token_groups),
-                            key=lambda s: (-s.sla_rank, s.group))
-        if group_slas:
-            return group_slas[0].group
-        return sorted(token_groups)[0] if token_groups else record.owner
-
-    def _rollback(self, record: DeploymentRecord, site: Site, t: int):
+    def _rollback(self, record: DeploymentRecord, t: int):
         """Undo a failed site attempt: free everything, forget the refs."""
         for ref in reversed(self._instances[record.uuid]):
-            if not ref.virtual:
-                if ref.request_id in site.scheduler.running:
-                    site.scheduler.release(ref.request_id, t, reason="rolled_back")
-                else:
-                    site.scheduler.cancel_queued(ref.request_id, t)
-            self._by_request_id.pop((site.site_id, ref.request_id), None)
+            self._stop(ref, t, "rolled_back")
+            del self._by_request_id[ref.site_id, ref.request_id]
         self._instances[record.uuid] = []
+
+    def _stop(self, ref: InstanceRef, t: int, reason: str):
+        """Release the instance if it runs, else cancel it (a no-op once it has ended)."""
+        if ref.request is None:
+            ref.ended = True
+            return
+        scheduler = self.sites[ref.site_id].scheduler
+        if ref.request_id in scheduler.running:
+            scheduler.release(ref.request_id, t, reason=reason)
+        else:
+            scheduler.cancel_queued(ref.request_id, t)
+
+    # -- site failure ---------------------------------------------------------
+
+    def note_killed(self, site_id: str, killed: list[RunningInstance]):
+        """Remember the Service and Job instances a site failure killed."""
+        for instance in killed:
+            ref = self._by_request_id[site_id, instance.request_id]
+            if ref.kind in (KIND_SERVICE, KIND_JOB):
+                self._killed.setdefault(site_id, []).append(ref)
+
+    def restart_killed(self, site_id: str, t: int):
+        """Resubmit, as <request_id>~r1 arriving at t, each instance killed on
+        the recovered site whose deployment is still up.
+
+        A request id runs at most once, so the suffix is always ~r1; a
+        restarted instance killed again comes back as <request_id>~r1~r1.
+        """
+        scheduler = self.sites[site_id].scheduler
+        for ref in self._killed.pop(site_id, ()):
+            if self._records[ref.uuid].state != CREATE_COMPLETE:
+                continue
+            request = replace(ref.request, request_id=ref.request_id + "~r1",
+                              arrival_time=t)
+            self._add_ref(replace(ref, request_id=request.request_id, request=request))
+            if scheduler.submit(request, t).kind == DECISION_REJECTED_QUOTA:
+                self._emit(t, "restart_rejected", site=site_id,
+                           request_id=request.request_id)
 
     # -- delete / query ---------------------------------------------------
 
@@ -387,15 +386,8 @@ class Orchestrator:
         if token.subject != record.owner and ADMIN_GROUP not in token.groups:
             raise AuthError("token subject %s may not delete %s" % (token.subject, uuid))
         self._transition(record, DELETE_IN_PROGRESS, t)
-        for ref in self._instances.get(uuid, ()):
-            if ref.virtual:
-                ref.ended = True
-                continue
-            site = self.sites[ref.site_id]
-            if ref.request_id in site.scheduler.running:
-                site.scheduler.release(ref.request_id, t, reason="deleted")
-            else:  # a no-op once the instance has ended
-                site.scheduler.cancel_queued(ref.request_id, t)
+        for ref in self._instances[uuid]:
+            self._stop(ref, t, "deleted")
         for node_name, node in record.template.nodes.items():
             if node.kind == KIND_ELASTIC_CLUSTER and record.chosen_site:
                 self.sites[record.chosen_site].elastic.deregister_floor(

@@ -18,15 +18,14 @@ from .elasticity import (ACTION_POWER_ON, ElasticityError, ElasticPolicy,
                          NodeRecord, POWER_OFF, POWER_ON, ROLE_BATCH, ROLE_CLOUD)
 from .errors import DomainError
 from .iam import IamService
-from .orchestrator import (CREATE_COMPLETE, AuthError, DataCatalog,
-                           DataCatalogEntry, IllegalTransitionError,
-                           NotFoundError, Orchestrator, SLARecord)
+from .orchestrator import (AuthError, DataCatalog, DataCatalogEntry,
+                           IllegalTransitionError, NotFoundError, Orchestrator,
+                           SLARecord)
 from .ranker import PreferenceList
 from .report import EventLog, MetricsAccumulator, RunReport
 from .resources import ResourceVector
-from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest
 from .site import Site, make_site
-from .templates import KIND_JOB, KIND_SERVICE, TemplateError
+from .templates import KIND_JOB, TemplateError
 
 
 def _is_int(value) -> bool:
@@ -41,6 +40,7 @@ _TEXT = ("text", lambda v: isinstance(v, str))
 _NAMES = ("a list of names", lambda v: isinstance(v, list)
           and all(isinstance(item, str) for item in v))
 _DURATION = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_WEIGHT = ("a positive number", lambda v: _NUMBER[1](v) and v > 0)
 
 # Event parameters per action: ({required: kind}, {optional: kind}); any other
 # key is rejected, and so is a value of another kind.
@@ -254,7 +254,7 @@ def parse_scenario(text: str, *, name: str = "scenario",
         scenario.users.append(UserSpec(
             name=user,
             group=str(_field(block, "group", context)),
-            weight=float(_field(block, "weight", context, _NUMBER, 1.0)),
+            weight=float(_field(block, "weight", context, _WEIGHT, 1.0)),
         ))
     user_names = {u.name for u in scenario.users}
 
@@ -385,8 +385,6 @@ class World:
         for event in scenario.events:
             self._push(event.at, "scenario", {"event": event})
         self._deployments_by_ref: dict[str, str] = {}
-        self._pending_restarts: dict[str, list] = {}
-        self._restart_counter: dict[str, int] = {}
         self._ticks: set[tuple[str, int]] = set()
         # Nodes idle from the start power off t_idle_s later, event or not.
         for spec in scenario.providers:
@@ -482,7 +480,7 @@ class World:
             prefs=None if prefs is None else PreferenceList(tuple(prefs)),
             job_duration_s=duration)
         for ref in self.orchestrator.instance_refs(uuid):
-            if ref.virtual and ref.kind == KIND_JOB and ref.duration_s is not None:
+            if ref.request is None and ref.kind == KIND_JOB and ref.duration_s is not None:
                 self._push(t + ref.duration_s, "job_expire",
                            {"site": ref.site_id, "request_id": ref.request_id})
         return uuid
@@ -528,14 +526,7 @@ class World:
         until = t + int(duration)
         site.failed_until = max(site.failed_until or 0, until)
         self.log.emit(t, "site_failed", site=site_id, until=site.failed_until)
-        killed = site.scheduler.kill_running(t)
-        for instance in killed:
-            ref = self.orchestrator.find_ref(site_id, instance.request_id)
-            if ref is None:
-                continue
-            record = self.orchestrator.get_deployment(ref.uuid)
-            if ref.kind in (KIND_SERVICE, KIND_JOB) and record.state == CREATE_COMPLETE:
-                self._pending_restarts.setdefault(site_id, []).append(ref)
+        self.orchestrator.note_killed(site_id, site.scheduler.kill_running(t))
         self._push(site.failed_until, "site_recover", {"site": site_id})
 
     def _do_site_recover(self, t: int, site_id: str):
@@ -544,21 +535,7 @@ class World:
             return  # an overlapping later failure superseded this recovery
         site.failed_until = None
         self.log.emit(t, "site_recovered", site=site_id)
-        pending = self._pending_restarts.pop(site_id, [])
-        for ref in pending:
-            record = self.orchestrator.get_deployment(ref.uuid)
-            if record.state != CREATE_COMPLETE:
-                continue
-            count = self._restart_counter.get(ref.request_id, 0) + 1
-            self._restart_counter[ref.request_id] = count
-            new_id = "%s~r%d" % (ref.request_id, count)
-            self.orchestrator.add_restart_ref(ref, new_id)
-            request = InstanceRequest(request_id=new_id, user=record.owner,
-                                      group=self.orchestrator.owner_group(record, ref.site_id),
-                                      resources=ref.resources, arrival_time=t)
-            decision = site.scheduler.submit(request, t)
-            if decision.kind == DECISION_REJECTED_QUOTA:
-                self.log.emit(t, "restart_rejected", site=site_id, request_id=new_id)
+        self.orchestrator.restart_killed(site_id, t)
 
     def _do_revoke_token(self, t: int, event: EventSpec):
         user = event.params["user"]
@@ -585,7 +562,7 @@ class World:
         if ref is None or ref.ended:
             return
         site = self.sites[site_id]
-        if ref.virtual:
+        if ref.request is None:
             ref.ended = True
             self.log.emit(t, "job_completed", site=site_id, request_id=request_id,
                           virtual=True)

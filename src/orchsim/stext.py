@@ -224,9 +224,9 @@ def _dump_scalar(value) -> str:
 def dump_stext(data: dict, indent: int = 0) -> str:
     """Render nested dicts/lists/scalars in the format parse_stext accepts.
 
-    Dicts with only scalar values may be passed inside a ("inline", dict)
-    marker via dump helpers; here plain nested dicts become indented blocks,
-    lists become inline lists and everything else a scalar.
+    A non-empty dict whose values are all scalars is written inline as
+    ``key: { k: v, ... }``; any other dict becomes an indented block, a list
+    or tuple an inline list and everything else a scalar.
     """
     lines = []
     pad = "  " * indent

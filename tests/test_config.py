@@ -69,6 +69,25 @@ def test_malformed_lines_rejected():
         parse_config("backfill = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("t_idle_s = soon\n")
+    # Bad numbers and rules of the built objects name their line; a rule
+    # across keys names the line of the key that breaks it.
+    for text, message in [
+        ("w_avail = 2\nw_sla = abc\n", "line 2: w_sla must be a number"),
+        ("half_life_s = abc\n", "line 1: half_life_s must be a number"),
+        ("\nhalf_life_s = 0\n", "line 2: half_life_s must be > 0"),
+        ("weights.ada = abc\n", "line 1: weights.ada must be a number"),
+        ("weights.ada = -2\n", "line 1: weights.ada must be > 0"),
+        ("w_sla = -1\n", "line 1: weights must be >= 0"),
+        ("w_sla = 0\nw_avail = 0\nw_lat = 0\nw_data = 0\n",
+         "line 4: at least one weight must be positive"),
+        ("prefs.ada = [a, b, a]\n", "line 1: preference list contains duplicates"),
+        ("min_nodes = 3\nt_idle_s = 5\nmax_nodes = 2\n",
+         "line 3: min_nodes must be <= max_nodes"),
+        ("boot_delay_s = -1\n", "line 1: timings must be >= 0"),
+    ]:
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == message
 
 
 def test_resolve_preferences_user_over_group():

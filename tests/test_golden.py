@@ -1,6 +1,6 @@
 """Golden report digests: every shipped scenario, the first replica of each
-benchmark workload and every seed-1 spot replica render byte for byte as
-pinned.
+benchmark workload and every seed-1 spot and federation replica render byte
+for byte as pinned.
 
 A refactor that keeps behaviour must keep these digests.  A change that moves
 one on purpose re-pins it and says why.
@@ -60,21 +60,28 @@ def test_bench_workload_digest_is_pinned(name):
     assert _workload_digest(getattr(_bench_workloads(), name)(1, 0)) == BENCH_GOLDEN[name]
 
 
-# spot(seed=1, replica) for the other replicas: spot is the workload whose
-# victim searches take both the exact and the greedy path.
-SPOT_REPLICA_GOLDEN = {
-    1: "50b702dbef8808ea348e1a573651b666635685065b2d4b4741488c80ab9742e3",
-    2: "cb421a6d016a3881052054368876ea8b9d105da9146f051a02fba2fe9475863f",
-    3: "66456a58bdc008cd23e83269656cfe95f852c0ff4f6afc9f7f61c107b6614e32",
-    4: "a00c612f990023f008b4249917026a157d295870961b5e803c4a4f04a08a6dd9",
-    5: "0bb0b46b78735e22893d599ea7131197e60031ceaf16c74f6484797cfd3eacb7",
+# <workload>(seed=1, replica) for the other replicas.  Spot is the workload
+# whose victim searches take both the exact and the greedy path.  Federation
+# replica 0 kills nothing; replicas 2, 4 and 5 restart killed instances when
+# their site recovers, and replicas 2-5 fail over from a failed site.
+REPLICA_GOLDEN = {
+    ("spot", 1): "50b702dbef8808ea348e1a573651b666635685065b2d4b4741488c80ab9742e3",
+    ("spot", 2): "cb421a6d016a3881052054368876ea8b9d105da9146f051a02fba2fe9475863f",
+    ("spot", 3): "66456a58bdc008cd23e83269656cfe95f852c0ff4f6afc9f7f61c107b6614e32",
+    ("spot", 4): "a00c612f990023f008b4249917026a157d295870961b5e803c4a4f04a08a6dd9",
+    ("spot", 5): "0bb0b46b78735e22893d599ea7131197e60031ceaf16c74f6484797cfd3eacb7",
+    ("federation", 1): "df14046e924dc2bf6a7e671ee2b6764d8c43b49e9d38f10640a07976429158ac",
+    ("federation", 2): "894744037a80dfa06ebce07147aaf37277953f1417f57876f16bbd75eb371f61",
+    ("federation", 3): "d2e5868c17b66c7a7df75ab4191ae63dff99b68bfd599fe30348f1d44fe1ed3c",
+    ("federation", 4): "c6c2694476e9366c97c1ff9cf28286f113e9ab91cb85e3bf690dddc61ad97e44",
+    ("federation", 5): "a7193a105001a211cd2a7067e41fd24f88d19c55126299e2de1e8f0d93a760ab",
 }
 
 
-@pytest.mark.parametrize("replica", sorted(SPOT_REPLICA_GOLDEN))
-def test_spot_replica_digest_is_pinned(replica):
-    assert (_workload_digest(_bench_workloads().spot(1, replica))
-            == SPOT_REPLICA_GOLDEN[replica])
+@pytest.mark.parametrize("workload,replica", sorted(REPLICA_GOLDEN))
+def test_replica_digest_is_pinned(workload, replica):
+    assert (_workload_digest(getattr(_bench_workloads(), workload)(1, replica))
+            == REPLICA_GOLDEN[workload, replica])
 
 
 # bench/workloads.py partition_probe(1): the federation mix plus switch_role

@@ -7,8 +7,7 @@ from orchsim.iam import IamService
 from orchsim.orchestrator import (ADMIN_GROUP, CREATE_COMPLETE, CREATE_FAILED,
                                   DELETED, AuthError, DataCatalog,
                                   DataCatalogEntry, IllegalTransitionError,
-                                  NotFoundError, Orchestrator, SiteAccepted,
-                                  SLARecord)
+                                  NotFoundError, Orchestrator, SLARecord)
 from orchsim.ranker import PreferenceList, RankerConfig
 from orchsim.report import EventLog
 from orchsim.site import make_site
@@ -195,15 +194,6 @@ def test_preferences_override_score_order():
     token = issue(iam)
     uuid = orch.create_deployment(SIMPLE, token.token_id, 0)
     assert orch.get_deployment(uuid).ranked_sites == ("site-b", "site-a")
-
-
-def test_advance_rejects_illegal_transition():
-    orch, iam, _, _ = build_world()
-    token = issue(iam)
-    uuid = orch.create_deployment(SIMPLE, token.token_id, 0)
-    record = orch.get_deployment(uuid)
-    with pytest.raises(IllegalTransitionError):
-        orch.advance(record, SiteAccepted("site-a", {}), 1)
 
 
 def test_delete_restores_capacity_exactly():

@@ -249,6 +249,82 @@ def test_failover_scenario_restarts_service():
     assert released and released[0]["reason"] == "deleted"
 
 
+SPOT_SERVICE = """\
+tosca_version: indigo_subset_1
+nodes:
+  svc:
+    kind: Service
+    image: spot-web:1
+    resources: { cpus: 2, mem_mb: 1024, disk_gb: 10 }
+    preemptible: true
+    bid: 0.5
+"""
+
+VM_4CPU = """\
+tosca_version: indigo_subset_1
+nodes:
+  vm:
+    kind: Compute
+    resources: { cpus: 4, mem_mb: 2048, disk_gb: 20 }
+"""
+
+
+def test_restart_keeps_the_bid_of_a_preemptible_service():
+    outage = EventSpec(key="outage", at=10, action="fail_site",
+                       params={"provider": "site-x", "duration": 10})
+    scenario = tiny_scenario(
+        events=[submit_event("spot", 0, SPOT_SERVICE), outage,
+                submit_event("vm", 30, VM_4CPU)],
+        horizon=50, nodes=((4, 4096, 40),))
+    report = run_scenario(scenario)
+    restarted = [r for r in report.records
+                 if r["kind"] == "request_submitted" and "~r" in r["request_id"]]
+    assert [(r["request_id"], r["t"], r["bid"]) for r in restarted] == [
+        ("dep-000001.svc.0~r1", 20, 0.5)]
+    preempted = [r for r in report.records if r["kind"] == "instance_preempted"]
+    assert [(r["request_id"], r["preempted_by"]) for r in preempted] == [
+        ("dep-000001.svc.0~r1", "dep-000002.vm.0")]
+
+
+ONE_THEN_SIX_CPUS = """\
+tosca_version: indigo_subset_1
+nodes:
+  small:
+    kind: Compute
+    resources: { cpus: 1, mem_mb: 512, disk_gb: 5 }
+  big:
+    kind: Compute
+    resources: { cpus: 6, mem_mb: 1024, disk_gb: 10 }
+    depends_on: [small]
+"""
+
+
+def test_quota_rejection_rolls_back_each_ranked_site():
+    from orchsim.config import parse_config
+    from orchsim.orchestrator import CREATE_FAILED, SLARecord
+    scenario = Scenario(
+        name="rollback", seed=1, horizon_s=20,
+        providers=[ProviderSpec(provider_id=sid, nodes=(("n1", rv(8, 16384, 200), "on", "cloud"),))
+                   for sid in ("site-a", "site-b")],
+        slas=[SLARecord("site-a", "g", 5.0), SLARecord("site-b", "g", 3.0)],
+        users=[UserSpec("ada", "g", 1.0)])
+    world = World(scenario, parse_config("quota.g = 4,8192,100\n"))
+    before = {sid: site.scheduler.free() for sid, site in world.sites.items()}
+    uuid = world.command(0, world.submit, "ada", ONE_THEN_SIX_CPUS)
+    record = world.orchestrator.get_deployment(uuid)
+    assert record.ranked_sites == ("site-a", "site-b")
+    assert record.state == CREATE_FAILED
+    steps = [(r["kind"], r.get("site"), r.get("reason")) for r in world.log.records
+             if r["kind"] in ("instance_released", "deployment_attempt_failed")]
+    assert steps == [
+        ("instance_released", "site-a", "rolled_back"),
+        ("deployment_attempt_failed", "site-a", "quota_rejected"),
+        ("instance_released", "site-b", "rolled_back"),
+        ("deployment_attempt_failed", "site-b", "quota_rejected"),
+    ]
+    assert {sid: site.scheduler.free() for sid, site in world.sites.items()} == before
+
+
 UNKNOWN_KEY_BASE = """\
 seed: 1
 horizon_s: 10
@@ -356,6 +432,8 @@ def test_event_parameter_of_wrong_kind_rejected_with_line(old, new, message):
      "line 6: provider p1 node n1 cpus must be an integer"),
     ("n1: { cpus: 1,", "n1: { cpus: -1,",
      "line 6: provider p1 node n1: cpus must be >= 0, got -1"),
+    ("{ group: g }", "{ group: g, weight: -1.0 }",
+     "line 12: user ada weight must be a positive number"),
 ])
 def test_scenario_errors_name_their_line_once(old, new, message):
     with pytest.raises(ScenarioError) as caught:
