@@ -93,8 +93,7 @@ class ElasticPolicy:
             raise ElasticityError("timings must be >= 0")
 
 
-_NOTHING = (0, 0, 0, 0, 0, 0)  # audit: what runs on a node without a running entry
-_KEEP = object()      # _update: leave idle_since as it is
+_KEEP = object()  # _update: leave idle_since as it is
 
 
 class NodePool:
@@ -115,7 +114,9 @@ class NodePool:
 
     So cloud_capacity(), cloud_free(), reclaimable(), booting_capacity(),
     potential_capacity() and cloud_counts() are O(1).
-    audit() recomputes every counter from the nodes and cross-checks it.
+    audit() recomputes every counter from the nodes and cross-checks it;
+    SiteScheduler.audit, which owns the running instances, checks each node's
+    instance set, used and preemptible_used against them.
     """
 
     def __init__(self, nodes: list[NodeRecord], t: int = 0):
@@ -252,19 +253,14 @@ class NodePool:
         return min((since + t_idle_s for since in self._idle.values()
                     if since + t_idle_s > t), default=None)
 
-    def audit(self, running: dict[str, list[int]] | None = None) -> list[int]:
+    def audit(self) -> list[int]:
         """Recompute every counter and the pool partition from the nodes.
 
-        running, when given, maps a node id to what the instances running
-        there sum to ([cpus, mem_mb, disk_gb]), optionally followed by what
-        the preemptible ones among them sum to; the caller's ledger, which
-        this pass consumes.  Raises ElasticityError when a node holds
-        instances while not powered on, has an unknown power state, is
-        powered but in none of the batch, cloud and draining pools (so the
-        pools do not partition the powered capacity), has a used or
-        preemptible_used that differs from its running entry (none: nothing),
-        when an entry names an unknown node, or when a counter differs from
-        its recomputation.  Returns the recomputed cloud use.
+        Raises ElasticityError when a node holds instances while not powered
+        on, has an unknown power state, is powered but in none of the batch,
+        cloud and draining pools (so the pools do not partition the powered
+        capacity), or when a counter differs from its recomputation.  Returns
+        the recomputed cloud use.
         """
         # The on row and the use stay in locals: most nodes are on.
         on_cpus = on_mem = on_disk = on_count = 0
@@ -273,20 +269,6 @@ class NodePool:
         cloud = {POWER_BOOTING: [0, 0, 0, 0], POWER_OFF: [0, 0, 0, 0]}
         idle = {}
         for node_id, node in self.nodes.items():
-            node_used, share = node.used, node.preemptible_used
-            if running is not None:
-                expected = running.pop(node_id, _NOTHING)
-                if (node_used.cpus != expected[0] or node_used.mem_mb != expected[1]
-                        or node_used.disk_gb != expected[2]):
-                    raise ElasticityError(
-                        "node %s used %s but running instances sum to "
-                        "(%d cpus, %d MB, %d GB)" % (node_id, node_used, *expected[:3]))
-                if len(expected) > 3:
-                    if (share.cpus != expected[3] or share.mem_mb != expected[4]
-                            or share.disk_gb != expected[5]):
-                        raise ElasticityError(
-                            "node %s preemptible_used %s but running preemptibles sum to "
-                            "(%d cpus, %d MB, %d GB)" % (node_id, share, *expected[3:]))
             power, role, capacity = node.power, node.role, node.capacity
             if power == POWER_ON:
                 if role == ROLE_CLOUD:
@@ -294,6 +276,7 @@ class NodePool:
                     on_mem += capacity.mem_mb
                     on_disk += capacity.disk_gb
                     on_count += 1
+                    node_used, share = node.used, node.preemptible_used
                     used_cpus += node_used.cpus
                     used_mem += node_used.mem_mb
                     used_disk += node_used.disk_gb
@@ -319,8 +302,6 @@ class NodePool:
         cloud[POWER_ON] = [on_cpus, on_mem, on_disk, on_count]
         used = [used_cpus, used_mem, used_disk]
         reclaimable = [reclaim_cpus, reclaim_mem, reclaim_disk]
-        if running:
-            raise ElasticityError("instances run on unknown nodes %s" % sorted(running))
         if (cloud != self._cloud or used != self._cloud_used
                 or reclaimable != self._cloud_reclaimable or idle != self._idle):
             counted = dict(self._cloud, used=self._cloud_used,

@@ -361,6 +361,9 @@ class Orchestrator:
 
         A request id runs at most once, so the suffix is always ~r1; a
         restarted instance killed again comes back as <request_id>~r1~r1.
+        The request already passed this site's quota check, which reads only
+        the request's own group and resources and the quotas fixed at
+        configuration, so the resubmission queues or starts.
         """
         scheduler = self.sites[site_id].scheduler
         for ref in self._killed.pop(site_id, ()):
@@ -369,9 +372,7 @@ class Orchestrator:
             request = replace(ref.request, request_id=ref.request_id + "~r1",
                               arrival_time=t)
             self._add_ref(replace(ref, request_id=request.request_id, request=request))
-            if scheduler.submit(request, t).kind == DECISION_REJECTED_QUOTA:
-                self._emit(t, "restart_rejected", site=site_id,
-                           request_id=request.request_id)
+            scheduler.submit(request, t)
 
     # -- delete / query ---------------------------------------------------
 

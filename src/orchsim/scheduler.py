@@ -463,44 +463,63 @@ class SiteScheduler:
     def audit(self, t: int):
         """Cross-check incremental accounting against first principles.
 
-        Integer sums throughout, with no vector built unless a check fails:
-        the pool's own audit (every pool counter, the partition, no busy node
-        powered down, each node's used and preemptible_used against its
-        running instances), the victim order against the running
-        preemptibles, pooled conservation, the queued-demand counter against
-        the queue, and each group's running counter against its instances
-        and its quota.  The unstartable shapes are a cache of _startable, not
-        a counter, so they are not re-probed here.
+        Integer sums throughout, with no vector built unless a check fails.
+        One walk over the pool's nodes checks each node's instance set
+        against running, both ways, and its used and preemptible_used against
+        its instances.  Then come the pool's own audit (its counters, the
+        partition, no busy node powered down), the victim order, pooled
+        conservation, the queued-demand counter and each group's running
+        counter and quota.  The unstartable shapes are a cache of _startable,
+        not a counter, so they are not re-probed here.
         """
-        by_node: dict[str, list[int]] = {}  # [all, then preemptible] x 3 components
+        running = self.running
         by_group: dict[str, list[int]] = {}
-        preemptibles = 0
-        for instance in self.running.values():
-            request = instance.request
-            resources = request.resources
-            cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
-            sums = by_node.get(instance.node_id)
-            if sums is None:
-                sums = by_node[instance.node_id] = [cpus, mem_mb, disk_gb, 0, 0, 0]
-            else:
+        visited = preemptibles = 0
+        for node_id, node in self.pool.nodes.items():
+            node_cpus = node_mem_mb = node_disk_gb = 0
+            share_cpus = share_mem_mb = share_disk_gb = 0
+            for request_id in node.instances:
+                instance = running.get(request_id)
+                if instance is None or instance.node_id != node_id:
+                    raise SchedulerError("node %s holds instance %s, which %s" % (
+                        node_id, request_id, "is not running" if instance is None
+                        else "runs on node %s" % instance.node_id))
+                request = instance.request
+                resources = request.resources
+                cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
+                node_cpus += cpus
+                node_mem_mb += mem_mb
+                node_disk_gb += disk_gb
+                if request.bid is not None:
+                    share_cpus += cpus
+                    share_mem_mb += mem_mb
+                    share_disk_gb += disk_gb
+                    preemptibles += 1
+                sums = by_group.get(request.group)
+                if sums is None:
+                    sums = by_group[request.group] = [0, 0, 0]
                 sums[0] += cpus
                 sums[1] += mem_mb
                 sums[2] += disk_gb
-            if request.bid is not None:
-                sums[3] += cpus
-                sums[4] += mem_mb
-                sums[5] += disk_gb
-                preemptibles += 1
-            sums = by_group.get(request.group)
-            if sums is None:
-                by_group[request.group] = [cpus, mem_mb, disk_gb]
-            else:
-                sums[0] += cpus
-                sums[1] += mem_mb
-                sums[2] += disk_gb
-        # Every node's used matched its instances, so this is what runs on
-        # the schedulable nodes.
-        cpus, mem_mb, disk_gb = self.pool.audit(by_node)
+            visited += len(node.instances)
+            used, share = node.used, node.preemptible_used
+            if (used.cpus != node_cpus or used.mem_mb != node_mem_mb
+                    or used.disk_gb != node_disk_gb):
+                raise SchedulerError(
+                    "node %s used %s but running instances sum to (%d cpus, %d MB, %d GB)"
+                    % (node_id, used, node_cpus, node_mem_mb, node_disk_gb))
+            if (share.cpus != share_cpus or share.mem_mb != share_mem_mb
+                    or share.disk_gb != share_disk_gb):
+                raise SchedulerError(
+                    "node %s preemptible_used %s but running preemptibles sum to "
+                    "(%d cpus, %d MB, %d GB)"
+                    % (node_id, share, share_cpus, share_mem_mb, share_disk_gb))
+        if visited != len(running):
+            held = set().union(*(node.instances for node in self.pool.nodes.values()))
+            raise SchedulerError("running instances %s are on no node's instance set"
+                                 % sorted(running.keys() - held))
+        # Each node's used matched its instances: this is what runs on cloud nodes.
+        cpus, mem_mb, disk_gb = self.pool.audit()
         self._audit_victim_order(preemptibles)
         if not self.pool.conserves(cpus, mem_mb, disk_gb):
             free, capacity = self.free(), self.capacity()

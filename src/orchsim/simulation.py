@@ -41,6 +41,8 @@ _NAMES = ("a list of names", lambda v: isinstance(v, list)
           and all(isinstance(item, str) for item in v))
 _DURATION = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
 _WEIGHT = ("a positive number", lambda v: _NUMBER[1](v) and v > 0)
+_LATENCY = ("a non-negative number", lambda v: _NUMBER[1](v) and v >= 0)
+_AVAILABILITY = ("a number in [0, 1]", lambda v: _NUMBER[1](v) and 0 <= v <= 1)
 
 # Event parameters per action: ({required: kind}, {optional: kind}); any other
 # key is rejected, and so is a value of another kind.
@@ -209,8 +211,8 @@ def parse_scenario(text: str, *, name: str = "scenario",
                 _block(block, "elasticity", _ELASTIC_KEYS, elastic_context), elastic_context)
         scenario.providers.append(ProviderSpec(
             provider_id=provider_id,
-            availability=float(_field(block, "availability", context, _NUMBER, 1.0)),
-            latency_ms=float(_field(block, "latency_ms", context, _NUMBER, 0.0)),
+            availability=float(_field(block, "availability", context, _AVAILABILITY, 1.0)),
+            latency_ms=float(_field(block, "latency_ms", context, _LATENCY, 0.0)),
             nodes=tuple(nodes),
             elasticity=elasticity,
         ))
@@ -224,11 +226,12 @@ def parse_scenario(text: str, *, name: str = "scenario",
         if provider not in provider_ids:
             raise ScenarioError("line %d: %s references unknown provider %r"
                                 % (block.line, context, provider))
-        scenario.slas.append(SLARecord(
-            provider_id=provider,
-            group=str(_field(block, "group", context)),
-            sla_rank=float(_field(block, "sla_rank", context, _NUMBER)),
-        ))
+        fields = dict(provider_id=provider, group=str(_field(block, "group", context)),
+                      sla_rank=float(_field(block, "sla_rank", context, _NUMBER)))
+        try:
+            scenario.slas.append(SLARecord(**fields))
+        except DomainError as exc:
+            raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
 
     datasets = _block(root, "datasets", None, "datasets")
     for key in datasets.entries:

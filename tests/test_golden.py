@@ -1,6 +1,5 @@
-"""Golden report digests: every shipped scenario, the first replica of each
-benchmark workload and every seed-1 spot and federation replica render byte
-for byte as pinned.
+"""Golden report digests: every shipped scenario and every seed-1 replica of
+each benchmark workload render byte for byte as pinned.
 
 A refactor that keeps behaviour must keep these digests.  A change that moves
 one on purpose re-pins it and says why.
@@ -60,11 +59,18 @@ def test_bench_workload_digest_is_pinned(name):
     assert _workload_digest(getattr(_bench_workloads(), name)(1, 0)) == BENCH_GOLDEN[name]
 
 
-# <workload>(seed=1, replica) for the other replicas.  Spot is the workload
-# whose victim searches take both the exact and the greedy path.  Federation
-# replica 0 kills nothing; replicas 2, 4 and 5 restart killed instances when
-# their site recovers, and replicas 2-5 fail over from a failed site.
+# <workload>(seed=1, replica) for the other replicas, so every seed-1 replica
+# of the three workloads runs through the per-event audit.  Backlog keeps a
+# deep queue of spot VMs that never start.  Spot is the workload whose victim
+# searches take both the exact and the greedy path.  Federation replica 0
+# kills nothing; replicas 2, 4 and 5 restart killed instances when their site
+# recovers, and replicas 2-5 fail over from a failed site.
 REPLICA_GOLDEN = {
+    ("backlog", 1): "9219a91e49b8823dafcdc18fc287081c81db1e50189e9ea79b7bd213847df381",
+    ("backlog", 2): "fef55a01791ef5c49c7559f07ebf1ae82575846000f7abb3188ac7bb4c368e49",
+    ("backlog", 3): "b2eb6ad627076ce63bb5d0299e6cf7cf1e2bd0057d80c57bc3b3aeae70b6333f",
+    ("backlog", 4): "dfd76292522318f25e5f4b95ae7d583229fe8eeed1e4bdd574dde8cced3bba96",
+    ("backlog", 5): "9fc5c7efd6b75efe9b1ec092df6e20277a8848b4d6eff91e43ee203cc01588b9",
     ("spot", 1): "50b702dbef8808ea348e1a573651b666635685065b2d4b4741488c80ab9742e3",
     ("spot", 2): "cb421a6d016a3881052054368876ea8b9d105da9146f051a02fba2fe9475863f",
     ("spot", 3): "66456a58bdc008cd23e83269656cfe95f852c0ff4f6afc9f7f61c107b6614e32",

@@ -459,6 +459,47 @@ def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
         sched.audit(5)
 
 
+_NODE_SET_WRITES = {
+    "ghost": "node n1 holds instance ghost, which is not running",
+    "lost": r"node n1 used \(2 cpus, 1024 MB, 10 GB\) but running instances sum to",
+    "moved": "node n1 holds instance b, which runs on node n2",
+    "unassigned": r"running instances \['b'\] are on no node's instance set",
+}
+
+
+@pytest.mark.parametrize("write", sorted(_NODE_SET_WRITES))
+def test_audit_catches_a_node_instance_set_written_around_the_scheduler(write):
+    """Each node's instance set must hold exactly the running instances that
+    name it, not only sum to its used.  unassigned takes b off n1 through the
+    pool, which keeps n1's used and every pool counter consistent, so only
+    the count of running instances on the nodes' sets can see it."""
+    sched = make_scheduler(rv(4, 4096, 40), rv(4, 4096, 40))
+    sched.submit(req(res=rv(1, 512, 5), rid="a"), t=0)
+    sched.submit(req(res=rv(1, 512, 5), bid=0.1, rid="b"), t=0)
+    assert sched.pool.nodes["n1"].instances == {"a", "b"}
+    sched.audit(0)
+    if write == "ghost":
+        sched.pool.nodes["n1"].instances.add("ghost")
+    elif write == "lost":
+        sched.pool.nodes["n1"].instances.discard("b")
+    elif write == "moved":
+        sched.running["b"].node_id = "n2"
+    else:
+        sched.pool.unassign("b", rv(1, 512, 5), "n1", t=0, preemptible=True)
+    with pytest.raises(SchedulerError, match=_NODE_SET_WRITES[write]):
+        sched.audit(0)
+
+
+def test_audit_checks_each_node_used_against_its_running_instances():
+    sched = make_scheduler(rv(4, 4096, 40), rv(4, 4096, 40))
+    sched.submit(req(res=rv(1, 512, 5), rid="a"), t=0)
+    sched.audit(0)
+    sched.pool.nodes["n1"].used = rv(1, 256, 5)  # drifts behind the pool's back
+    with pytest.raises(SchedulerError, match=r"node n1 used \(1 cpus, 256 MB, 5 GB\) but "
+                       r"running instances sum to \(1 cpus, 512 MB, 5 GB\)"):
+        sched.audit(0)
+
+
 @pytest.mark.parametrize("write, message", [("sneak", "queued demand counter")])
 def test_audit_catches_a_shape_counter_written_around_the_scheduler(write, message):
     """A queue written around the scheduler trips the queued-demand counter."""

@@ -434,10 +434,20 @@ def test_event_parameter_of_wrong_kind_rejected_with_line(old, new, message):
      "line 6: provider p1 node n1: cpus must be >= 0, got -1"),
     ("{ group: g }", "{ group: g, weight: -1.0 }",
      "line 12: user ada weight must be a positive number"),
+    ("sla_rank: 1.0 }", "sla_rank: -1.0 }",
+     "line 8: sla s1: sla_rank must be >= 0"),
+    ("  p1:\n    nodes:", "  p1:\n    availability: 7\n    nodes:",
+     "line 5: provider p1 availability must be a number in [0, 1]"),
+    ("  p1:\n    nodes:", "  p1:\n    availability: -0.5\n    nodes:",
+     "line 5: provider p1 availability must be a number in [0, 1]"),
+    ("  p1:\n    nodes:", "  p1:\n    latency_ms: -3\n    nodes:",
+     "line 5: provider p1 latency_ms must be a non-negative number"),
 ])
 def test_scenario_errors_name_their_line_once(old, new, message):
+    text = UNKNOWN_KEY_BASE.replace(old, new)
+    assert text != UNKNOWN_KEY_BASE
     with pytest.raises(ScenarioError) as caught:
-        parse_scenario(UNKNOWN_KEY_BASE.replace(old, new))
+        parse_scenario(text)
     assert str(caught.value) == message
 
 
