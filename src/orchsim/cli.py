@@ -22,7 +22,7 @@ from . import stext
 from .config import ENV_CONFIG, EngineConfig, config_from_env, resolve_preferences
 from .errors import DomainError
 from .ranker import ProviderSnapshot, order_by_score, scored_candidates
-from .resources import ResourceVector
+from .resources import RESOURCE_KEYS, ResourceVector
 from .simulation import World, load_scenario, run_scenario
 from .templates import TemplateError, parse_template
 
@@ -192,38 +192,38 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _snapshot_value(block: stext.Block, key: str, default, types, what: str):
-    """The value under key, or default; a value of another type fails with its line."""
-    entry = block.entry(key)
-    if entry is None:
-        return default
-    if isinstance(entry.value, bool) or not isinstance(entry.value, types):
-        raise CliError("line %d: %s must be %s" % (entry.line, key, what))
-    return entry.value
-
-
-def _snapshot_size(block: stext.Block, key: str) -> int:
-    value = _snapshot_value(block, key, 0, int, "an integer")
-    if value < 0:
-        raise CliError("line %d: %s must be >= 0, got %d" % (block.line_of(key), key, value))
-    return value
+# Ranker facts per candidate: (value kind, default).
+_SNAPSHOT_NUMBERS = {"sla_rank": (stext.NON_NEGATIVE, 0.0), "availability": (stext.FRACTION, 1.0),
+                     "latency_ms": (stext.NON_NEGATIVE, 0.0),
+                     "data_locality": (stext.FRACTION, 1.0)}
 
 
 def _load_snapshot(path: str) -> list[ProviderSnapshot]:
-    root = stext.parse_stext(_read_file(path))
-    block = root.get("candidates")
-    if not isinstance(block, stext.Block) or not len(block):
+    text = _read_file(path)
+    try:
+        return _read_snapshot(stext.parse_stext(text))
+    except stext.StextError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _read_snapshot(root: stext.Block) -> list[ProviderSnapshot]:
+    root.reject_unknown(("candidates",), "snapshot")
+    block = root.block("candidates", None, "candidates")
+    if not len(block):
         raise CliError("snapshot file has no candidates block")
     snapshots = []
     for provider_id in block.entries:
-        fields = _snapshot_value(block, provider_id, None, stext.Block, "a block")
-        free_block = _snapshot_value(fields, "free", stext.Block(), stext.Block, "a block")
-        free = ResourceVector(*(_snapshot_size(free_block, key)
-                                for key in ("cpus", "mem_mb", "disk_gb")))
-        numbers = {key: float(_snapshot_value(fields, key, default, (int, float), "a number"))
-                   for key, default in (("sla_rank", 0.0), ("availability", 1.0),
-                                        ("latency_ms", 0.0), ("data_locality", 1.0))}
-        snapshots.append(ProviderSnapshot(provider_id=provider_id, free_capacity=free,
+        context = "candidate %s" % provider_id
+        fields = block.block(provider_id, ("free",) + tuple(_SNAPSHOT_NUMBERS), context)
+        free = fields.block("free", RESOURCE_KEYS, context + " free")
+        sizes = [free.field(key, context + " free", stext.INT, 0) for key in RESOURCE_KEYS]
+        try:
+            capacity = ResourceVector(*sizes)
+        except DomainError as exc:
+            raise CliError("line %d: %s" % (free.line, exc)) from exc
+        numbers = {key: float(fields.field(key, context, kind, default))
+                   for key, (kind, default) in _SNAPSHOT_NUMBERS.items()}
+        snapshots.append(ProviderSnapshot(provider_id=provider_id, free_capacity=capacity,
                                           **numbers))
     return snapshots
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-_FIELDS = ("cpus", "mem_mb", "disk_gb")
+RESOURCE_KEYS = ("cpus", "mem_mb", "disk_gb")
 
 
 class ResourceError(DomainError):
@@ -26,7 +26,7 @@ class ResourceVector:
     disk_gb: int = 0
 
     def __post_init__(self):
-        for name in _FIELDS:
+        for name in RESOURCE_KEYS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ResourceError("%s must be an integer, got %r" % (name, value))

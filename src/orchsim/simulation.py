@@ -23,39 +23,24 @@ from .orchestrator import (AuthError, DataCatalog, DataCatalogEntry,
                            SLARecord)
 from .ranker import PreferenceList
 from .report import EventLog, MetricsAccumulator, RunReport
-from .resources import ResourceVector
+from .resources import RESOURCE_KEYS, ResourceVector
 from .site import Site, make_site
 from .templates import KIND_JOB, TemplateError
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# Value kinds: (what the error says a value must be, test).
-_INT = ("an integer", _is_int)
-_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
-_NAME = ("a name", lambda v: isinstance(v, str))
-_TEXT = ("text", lambda v: isinstance(v, str))
-_NAMES = ("a list of names", lambda v: isinstance(v, list)
-          and all(isinstance(item, str) for item in v))
-_DURATION = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
-_WEIGHT = ("a positive number", lambda v: _NUMBER[1](v) and v > 0)
-_LATENCY = ("a non-negative number", lambda v: _NUMBER[1](v) and v >= 0)
-_AVAILABILITY = ("a number in [0, 1]", lambda v: _NUMBER[1](v) and 0 <= v <= 1)
-
 # Event parameters per action: ({required: kind}, {optional: kind}); any other
 # key is rejected, and so is a value of another kind.
 _PARAMS = {
-    "submit": ({"template": _NAME, "user": _NAME},
-               {"template_text": _TEXT, "prefs": _NAMES, "duration": _DURATION}),
-    "delete": ({"ref": _NAME}, {"user": _NAME}),
-    "fail_site": ({"provider": _NAME, "duration": _DURATION}, {}),
-    "revoke_token": ({"user": _NAME}, {}),
-    "switch_role": ({"provider": _NAME, "node": _NAME, "target": _NAME}, {}),
+    "submit": ({"template": stext.NAME, "user": stext.NAME},
+               {"template_text": stext.TEXT, "prefs": stext.NAMES,
+                "duration": stext.NON_NEGATIVE_INT}),
+    "delete": ({"ref": stext.NAME}, {"user": stext.NAME}),
+    "fail_site": ({"provider": stext.NAME, "duration": stext.NON_NEGATIVE_INT}, {}),
+    "revoke_token": ({"user": stext.NAME}, {}),
+    "switch_role": ({"provider": stext.NAME, "node": stext.NAME, "target": stext.NAME}, {}),
 }
 ACTIONS = tuple(_PARAMS)
-_NODE_KEYS = ("cpus", "mem_mb", "disk_gb", "power", "role")
+_NODE_KEYS = RESOURCE_KEYS + ("power", "role")
 _ELASTIC_KEYS = ("t_idle_s", "boot_delay_s", "min_nodes", "max_nodes")
 
 
@@ -104,52 +89,6 @@ class Scenario:
     templates: dict[str, str] = field(default_factory=dict)  # name -> template text
 
 
-def _at(line: int) -> str:
-    """The "line N: " prefix of an error; the root block has no line of its own."""
-    return "line %d: " % line if line else ""
-
-
-_REQUIRED = object()
-
-
-def _field(block: stext.Block, key: str, context: str, kind=None, default=_REQUIRED):
-    """The value under key, checked against kind; errors name their line.
-
-    A missing key is an error unless a default is given.
-    """
-    entry = block.entry(key)
-    if entry is None:
-        if default is _REQUIRED:
-            raise ScenarioError("%s%s is missing %r" % (_at(block.line), context, key))
-        return default
-    if kind is not None and not kind[1](entry.value):
-        raise ScenarioError("line %d: %s %s must be %s"
-                            % (entry.line, context, key, kind[0]))
-    return entry.value
-
-
-def _reject_unknown(block: stext.Block, allowed, context: str):
-    for key, entry in block.items():
-        if key not in allowed:
-            raise ScenarioError("line %d: %s has unknown key %r" % (entry.line, context, key))
-
-
-def _block(parent: stext.Block, key: str, allowed, context: str) -> stext.Block:
-    """The block under key, empty when absent.
-
-    A scalar there, or a key in it outside allowed (None allows any), fails
-    with its line.
-    """
-    entry = parent.entry(key)
-    if entry is None:
-        return stext.Block()
-    if not isinstance(entry.value, stext.Block):
-        raise ScenarioError("line %d: %s must be a block" % (entry.line, context))
-    if allowed is not None:
-        _reject_unknown(entry.value, allowed, context)
-    return entry.value
-
-
 def _node_from_block(node_id: str, block: stext.Block, context: str):
     where = "line %d: %s" % (block.line, context)
     power = block.get("power", POWER_ON)
@@ -158,7 +97,7 @@ def _node_from_block(node_id: str, block: stext.Block, context: str):
         raise ScenarioError("%s: power must be on or off" % where)
     if role not in (ROLE_BATCH, ROLE_CLOUD):
         raise ScenarioError("%s: role must be batch or cloud" % where)
-    sizes = [_field(block, key, context, _INT, 0) for key in ("cpus", "mem_mb", "disk_gb")]
+    sizes = [block.field(key, context, stext.INT, 0) for key in RESOURCE_KEYS]
     try:
         capacity = ResourceVector(*sizes)
     except DomainError as exc:
@@ -167,7 +106,7 @@ def _node_from_block(node_id: str, block: stext.Block, context: str):
 
 
 def _elastic_from_block(block: stext.Block, context: str) -> ElasticPolicy:
-    fields = {key: _field(block, key, context, _INT) for key in _ELASTIC_KEYS if key in block}
+    fields = {key: block.field(key, context, stext.INT) for key in _ELASTIC_KEYS if key in block}
     try:
         return ElasticPolicy(**fields)
     except DomainError as exc:
@@ -181,95 +120,101 @@ def parse_scenario(text: str, *, name: str = "scenario",
         root = stext.parse_stext(text)
     except stext.StextError as exc:
         raise ScenarioError("scenario: %s" % exc) from exc
+    try:
+        return _read_scenario(root, name, template_loader)
+    except stext.StextError as exc:
+        raise ScenarioError(str(exc)) from exc
 
-    _reject_unknown(root, ("name", "seed", "horizon_s", "providers", "slas", "datasets",
-                           "users", "events"), "scenario")
+
+def _read_scenario(root: stext.Block, name: str, template_loader) -> Scenario:
+    root.reject_unknown(("name", "seed", "horizon_s", "providers", "slas", "datasets",
+                         "users", "events"), "scenario")
 
     scenario = Scenario(
         name=str(root.get("name", name)),
-        seed=_field(root, "seed", "scenario", _INT),
-        horizon_s=_field(root, "horizon_s", "scenario", _INT),
+        seed=root.field("seed", "scenario", stext.INT),
+        horizon_s=root.field("horizon_s", "scenario", stext.INT),
     )
     if scenario.horizon_s <= 0:
         raise ScenarioError("line %d: horizon_s must be > 0" % root.line_of("horizon_s"))
 
-    providers = _block(root, "providers", None, "providers")
+    providers = root.block("providers", None, "providers")
     for provider_id in providers.entries:
         context = "provider %s" % provider_id
-        block = _block(providers, provider_id,
-                       ("availability", "latency_ms", "elasticity", "nodes"), context)
+        block = providers.block(provider_id,
+                                ("availability", "latency_ms", "elasticity", "nodes"), context)
         nodes = []
-        nodes_block = _block(block, "nodes", None, "%s nodes" % context)
+        nodes_block = block.block("nodes", None, "%s nodes" % context)
         for node_id in nodes_block.entries:
             node_context = "%s node %s" % (context, node_id)
             nodes.append(_node_from_block(
-                node_id, _block(nodes_block, node_id, _NODE_KEYS, node_context), node_context))
+                node_id, nodes_block.block(node_id, _NODE_KEYS, node_context), node_context))
         elasticity = None
         if "elasticity" in block:
             elastic_context = "%s elasticity" % context
             elasticity = _elastic_from_block(
-                _block(block, "elasticity", _ELASTIC_KEYS, elastic_context), elastic_context)
+                block.block("elasticity", _ELASTIC_KEYS, elastic_context), elastic_context)
         scenario.providers.append(ProviderSpec(
             provider_id=provider_id,
-            availability=float(_field(block, "availability", context, _AVAILABILITY, 1.0)),
-            latency_ms=float(_field(block, "latency_ms", context, _LATENCY, 0.0)),
+            availability=float(block.field("availability", context, stext.FRACTION, 1.0)),
+            latency_ms=float(block.field("latency_ms", context, stext.NON_NEGATIVE, 0.0)),
             nodes=tuple(nodes),
             elasticity=elasticity,
         ))
     provider_ids = {p.provider_id for p in scenario.providers}
 
-    slas = _block(root, "slas", None, "slas")
+    slas = root.block("slas", None, "slas")
     for key in slas.entries:
         context = "sla %s" % key
-        block = _block(slas, key, ("provider", "group", "sla_rank"), context)
-        provider = _field(block, "provider", context)
+        block = slas.block(key, ("provider", "group", "sla_rank"), context)
+        provider = block.field("provider", context)
         if provider not in provider_ids:
             raise ScenarioError("line %d: %s references unknown provider %r"
                                 % (block.line, context, provider))
-        fields = dict(provider_id=provider, group=str(_field(block, "group", context)),
-                      sla_rank=float(_field(block, "sla_rank", context, _NUMBER)))
+        fields = dict(provider_id=provider, group=str(block.field("group", context)),
+                      sla_rank=float(block.field("sla_rank", context, stext.NUMBER)))
         try:
             scenario.slas.append(SLARecord(**fields))
         except DomainError as exc:
             raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
 
-    datasets = _block(root, "datasets", None, "datasets")
+    datasets = root.block("datasets", None, "datasets")
     for key in datasets.entries:
         context = "dataset %s" % key
-        block = _block(datasets, key, ("dataset", "provider", "bytes_present", "bytes_total"),
-                       context)
-        provider = _field(block, "provider", context)
+        block = datasets.block(key, ("dataset", "provider", "bytes_present", "bytes_total"),
+                               context)
+        provider = block.field("provider", context)
         if provider not in provider_ids:
             raise ScenarioError("line %d: %s references unknown provider %r"
                                 % (block.line, context, provider))
-        fields = dict(dataset_id=str(_field(block, "dataset", context)), provider_id=provider,
-                      bytes_present=_field(block, "bytes_present", context, _INT),
-                      bytes_total=_field(block, "bytes_total", context, _INT))
+        fields = dict(dataset_id=str(block.field("dataset", context)), provider_id=provider,
+                      bytes_present=block.field("bytes_present", context, stext.INT),
+                      bytes_total=block.field("bytes_total", context, stext.INT))
         try:
             scenario.datasets.append(DataCatalogEntry(**fields))
         except DomainError as exc:
             raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
 
-    users = _block(root, "users", None, "users")
+    users = root.block("users", None, "users")
     for user in users.entries:
         context = "user %s" % user
-        block = _block(users, user, ("group", "weight"), context)
+        block = users.block(user, ("group", "weight"), context)
         scenario.users.append(UserSpec(
             name=user,
-            group=str(_field(block, "group", context)),
-            weight=float(_field(block, "weight", context, _WEIGHT, 1.0)),
+            group=str(block.field("group", context)),
+            weight=float(block.field("weight", context, stext.POSITIVE, 1.0)),
         ))
     user_names = {u.name for u in scenario.users}
 
     submit_keys = set()
     last_at = None
-    events = _block(root, "events", None, "events")
+    events = root.block("events", None, "events")
     for key in events.entries:
         context = "event %s" % key
-        block = _block(events, key, None, context)
-        where = _at(block.line) + context
-        at = _field(block, "at", context, _INT)
-        action = _field(block, "action", context)
+        block = events.block(key, None, context)
+        where = "line %d: %s" % (block.line, context)
+        at = block.field("at", context, stext.INT)
+        action = block.field("action", context)
         if action not in ACTIONS:
             raise ScenarioError("%s has unknown action %r" % (where, action))
         if at < 0 or at > scenario.horizon_s:
@@ -280,10 +225,10 @@ def parse_scenario(text: str, *, name: str = "scenario",
         required, optional = _PARAMS[action]
         context = "%s (%s)" % (context, action)
         kinds = dict(required, **optional)
-        _reject_unknown(block, ("at", "action") + tuple(kinds), context)
+        block.reject_unknown(("at", "action") + tuple(kinds), context)
         for param in required:
-            _field(block, param, context)
-        params = {param: _field(block, param, context, kinds[param])
+            block.field(param, context)
+        params = {param: block.field(param, context, kinds[param])
                   for param in block.entries if param in kinds}
         if action in ("submit", "revoke_token") and params["user"] not in user_names:
             raise ScenarioError("%s references unknown user %r" % (where, params["user"]))

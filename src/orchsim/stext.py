@@ -12,6 +12,10 @@ Rules: two-space indentation per level, ``#`` starts a comment, keys are
 identifiers, duplicate keys at the same level are rejected, scalars are
 ints, decimals, true/false or strings (quote with ``"..."`` to force a
 string).  There are no block sequences; lists and maps are inline only.
+
+Readers take values through ``Block.field``, ``Block.block`` and
+``Block.reject_unknown``, which check each value against a kind from the
+table below and name the offending line in every error.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ _FLOAT_RE = re.compile(r"^[+-]?([0-9]+\.[0-9]*|\.[0-9]+)$")
 
 
 class StextError(DomainError):
+    """A defect at a line; line 0 is the root block, which has no line to name."""
+
     def __init__(self, line: int, message: str):
-        super().__init__("line %d: %s" % (line, message))
+        super().__init__("line %d: %s" % (line, message) if line else message)
         self.line = line
         self.message = message
 
@@ -38,6 +44,33 @@ class DuplicateKeyError(StextError):
         super().__init__(line, "duplicate key %r" % key)
         self.key = key
         self.parent = parent
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Value kinds: (what an error says a value must be, test).
+INT = ("an integer", _is_int)
+NON_NEGATIVE_INT = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+NUMBER = ("a number", _is_number)
+NON_NEGATIVE = ("a non-negative number", lambda v: _is_number(v) and v >= 0)
+POSITIVE = ("a positive number", lambda v: _is_number(v) and v > 0)
+FRACTION = ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1)
+BOOL = ("true or false", lambda v: isinstance(v, bool))
+NAME = ("a name", lambda v: isinstance(v, str))
+TEXT = ("text", lambda v: isinstance(v, str))
+NAMES = ("a list of names", lambda v: isinstance(v, list)
+         and all(isinstance(item, str) for item in v))
+BLOCK = ("a block", lambda v: isinstance(v, Block))
+KINDS = (INT, NON_NEGATIVE_INT, NUMBER, NON_NEGATIVE, POSITIVE, FRACTION, BOOL, NAME, TEXT,
+         NAMES, BLOCK)
+
+REQUIRED = object()
 
 
 @dataclass
@@ -52,9 +85,6 @@ class Block:
     def __init__(self, line: int = 0):
         self.line = line
         self.entries: dict[str, Entry] = {}
-
-    def items(self):
-        return self.entries.items()
 
     def __contains__(self, key):
         return key in self.entries
@@ -72,6 +102,42 @@ class Block:
     def line_of(self, key, default=None):
         entry = self.entries.get(key)
         return default if entry is None else entry.line
+
+    def field(self, key, context="", kind=None, default=REQUIRED):
+        """The value under key, checked against kind.
+
+        A missing key is an error at this block's line unless a default is
+        given; a value of another kind is an error at its own line.  context
+        names this block in the message.
+        """
+        entry = self.entries.get(key)
+        if entry is None:
+            if default is REQUIRED:
+                raise StextError(self.line, ("%s is missing %r" % (context, key)).lstrip())
+            return default
+        if kind is not None and not kind[1](entry.value):
+            raise StextError(entry.line, ("%s %s must be %s" % (context, key, kind[0])).lstrip())
+        return entry.value
+
+    def reject_unknown(self, allowed, context: str):
+        for key, entry in self.entries.items():
+            if key not in allowed:
+                raise StextError(entry.line, "%s has unknown key %r" % (context, key))
+
+    def block(self, key, allowed, context: str) -> "Block":
+        """The block under key, empty when absent.
+
+        A scalar there, or a key in it outside allowed (None allows any), is
+        an error at its line; context names that block.
+        """
+        entry = self.entries.get(key)
+        if entry is None:
+            return Block()
+        if not BLOCK[1](entry.value):
+            raise StextError(entry.line, "%s must be %s" % (context, BLOCK[0]))
+        if allowed is not None:
+            entry.value.reject_unknown(allowed, context)
+        return entry.value
 
 
 def _strip_comment(raw: str) -> str:

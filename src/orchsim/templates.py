@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import stext
 from .errors import DomainError
-from .resources import ResourceVector
+from .resources import RESOURCE_KEYS, ResourceVector
 
 VERSION_TAG = "indigo_subset_1"
 
@@ -25,14 +25,16 @@ KIND_JOB = "Job"
 KIND_ELASTIC_CLUSTER = "ElasticCluster"
 KINDS = (KIND_COMPUTE, KIND_CONTAINER, KIND_SERVICE, KIND_JOB, KIND_ELASTIC_CLUSTER)
 
-# Properties accepted per kind; anything else is rejected.
-_COMMON_PROPS = ("kind", "depends_on", "preemptible", "bid")
+# Properties accepted per kind, with the value kind of each; anything else is
+# rejected.
+_COMMON_PROPS = {"kind": stext.NAME, "depends_on": stext.NAMES, "preemptible": stext.BOOL,
+                 "bid": stext.NON_NEGATIVE, "resources": stext.BLOCK}
 _PROPS_BY_KIND = {
-    KIND_COMPUTE: _COMMON_PROPS + ("resources",),
-    KIND_CONTAINER: _COMMON_PROPS + ("image", "resources"),
-    KIND_SERVICE: _COMMON_PROPS + ("image", "resources"),
-    KIND_JOB: _COMMON_PROPS + ("image", "resources", "input_datasets"),
-    KIND_ELASTIC_CLUSTER: _COMMON_PROPS + ("resources", "min_workers", "max_workers"),
+    KIND_COMPUTE: _COMMON_PROPS,
+    KIND_CONTAINER: dict(_COMMON_PROPS, image=stext.NAME),
+    KIND_SERVICE: dict(_COMMON_PROPS, image=stext.NAME),
+    KIND_JOB: dict(_COMMON_PROPS, image=stext.NAME, input_datasets=stext.NAMES),
+    KIND_ELASTIC_CLUSTER: dict(_COMMON_PROPS, min_workers=stext.INT, max_workers=stext.INT),
 }
 
 
@@ -242,88 +244,47 @@ def _peel(template: DeploymentTemplate) -> tuple[list[str], list[str]]:
     return order, sorted(set(pending) - set(order))
 
 
-def _coerce_resources(value, line) -> ResourceVector:
-    if not isinstance(value, stext.Block):
-        raise TemplateSyntaxError(line, "resources must be an inline map")
-    fields = {}
-    for key, entry in value.items():
-        if key not in ("cpus", "mem_mb", "disk_gb"):
-            raise TemplateSyntaxError(entry.line, "unknown resource component %r" % key)
-        if isinstance(entry.value, bool) or not isinstance(entry.value, int) or entry.value < 0:
-            raise TemplateSyntaxError(entry.line, "%s must be a non-negative integer" % key)
-        fields[key] = entry.value
-    for key in ("cpus", "mem_mb", "disk_gb"):
-        if key not in fields:
-            raise TemplateSyntaxError(line, "resources is missing %r" % key)
-    return ResourceVector(**fields)
-
-
-def _coerce_str_list(value, line, what) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TemplateSyntaxError(line, "%s must be a list of names" % what)
-    return tuple(value)
-
-
-def _parse_node(name: str, block, line: int) -> NodeSpec:
-    if not isinstance(block, stext.Block):
-        raise TemplateSyntaxError(line, "node %r must be a block of properties" % name)
-    kind_entry = block.entry("kind")
-    if kind_entry is None:
+def _parse_node(nodes: stext.Block, name: str) -> NodeSpec:
+    context = "node %s" % name
+    block = nodes.block(name, None, context)
+    kind = block.get("kind")
+    if kind is None:
         raise MissingPropertyError(name, "kind")
-    kind = kind_entry.value
     if kind not in KINDS:
         raise UnknownKindError(name, str(kind))
-
-    allowed = _PROPS_BY_KIND[kind]
-    for prop, entry in block.items():
-        if prop not in allowed:
-            raise TemplateSyntaxError(entry.line, "unknown property %r for kind %s" % (prop, kind))
-
-    fields: dict = {"name": name, "kind": kind}
-    for prop, entry in block.items():
-        value = entry.value
-        if prop == "kind":
-            continue
-        if prop == "resources":
-            fields["resources"] = _coerce_resources(value, entry.line)
-        elif prop == "image":
-            if not isinstance(value, str) or not value:
-                raise TemplateSyntaxError(entry.line, "image must be a non-empty string")
-            fields["image"] = value
-        elif prop == "preemptible":
-            if not isinstance(value, bool):
-                raise TemplateSyntaxError(entry.line, "preemptible must be true or false")
-            fields["preemptible"] = value
-        elif prop == "bid":
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-                raise TemplateSyntaxError(entry.line, "bid must be a non-negative decimal")
-            fields["bid"] = float(value)
-        elif prop == "depends_on":
-            fields["depends_on"] = _coerce_str_list(value, entry.line, "depends_on")
-        elif prop == "input_datasets":
-            fields["input_datasets"] = _coerce_str_list(value, entry.line, "input_datasets")
-        elif prop in ("min_workers", "max_workers"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TemplateSyntaxError(entry.line, "%s must be an integer" % prop)
-            fields[prop] = value
-    return NodeSpec(**fields)
+    props = _PROPS_BY_KIND[kind]
+    block.reject_unknown(props, context)
+    fields = {prop: block.field(prop, context, props[prop]) for prop in block.entries}
+    resources = fields.get("resources")
+    if resources is not None:
+        where = context + " resources"
+        resources.reject_unknown(RESOURCE_KEYS, where)
+        fields["resources"] = ResourceVector(
+            *(resources.field(key, where, stext.NON_NEGATIVE_INT) for key in RESOURCE_KEYS))
+    if "bid" in fields:
+        fields["bid"] = float(fields["bid"])
+    for prop in ("depends_on", "input_datasets"):
+        if prop in fields:
+            fields[prop] = tuple(fields[prop])
+    return NodeSpec(name=name, **fields)
 
 
 def parse_template(text: str) -> DeploymentTemplate:
     """Parse and fully validate template text; any defect raises a TemplateError."""
     try:
-        root = stext.parse_stext(text)
+        template = _read_template(stext.parse_stext(text))
     except stext.DuplicateKeyError as exc:
         if exc.parent == "nodes":
             raise DuplicateNodeError(exc.key) from exc
         raise TemplateSyntaxError(exc.line, exc.message) from exc
     except stext.StextError as exc:
         raise TemplateSyntaxError(exc.line, exc.message) from exc
+    raise_for_report(validate(template))
+    return template
 
-    for key, entry in root.items():
-        if key not in ("tosca_version", "nodes", "outputs"):
-            raise TemplateSyntaxError(entry.line, "unknown top-level key %r" % key)
 
+def _read_template(root: stext.Block) -> DeploymentTemplate:
+    root.reject_unknown(("tosca_version", "nodes", "outputs"), "template")
     version_entry = root.entry("tosca_version")
     if version_entry is None:
         raise MissingPropertyError("template", "tosca_version")
@@ -331,26 +292,12 @@ def parse_template(text: str) -> DeploymentTemplate:
         raise TemplateSyntaxError(version_entry.line,
                                   "unsupported tosca_version %r (expected %s)"
                                   % (version_entry.value, VERSION_TAG))
-
-    nodes: dict[str, NodeSpec] = {}
-    nodes_block = root.get("nodes", stext.Block())
-    if not isinstance(nodes_block, stext.Block):
-        raise TemplateSyntaxError(root.line_of("nodes", 0), "nodes must be a block")
-    for name, entry in nodes_block.items():
-        nodes[name] = _parse_node(name, entry.value, entry.line)
-
-    outputs: dict[str, str] = {}
-    outputs_block = root.get("outputs", stext.Block())
-    if not isinstance(outputs_block, stext.Block):
-        raise TemplateSyntaxError(root.line_of("outputs", 0), "outputs must be a block")
-    for out_name, entry in outputs_block.items():
-        if not isinstance(entry.value, str):
-            raise TemplateSyntaxError(entry.line, "output %r must name a node" % out_name)
-        outputs[out_name] = entry.value
-
-    template = DeploymentTemplate(version_tag=version_entry.value, nodes=nodes, outputs=outputs)
-    raise_for_report(validate(template))
-    return template
+    nodes = root.block("nodes", None, "nodes")
+    outputs = root.block("outputs", None, "outputs")
+    return DeploymentTemplate(
+        version_tag=version_entry.value,
+        nodes={name: _parse_node(nodes, name) for name in nodes.entries},
+        outputs={name: outputs.field(name, "output", stext.NAME) for name in outputs.entries})
 
 
 def aggregate_demand(template: DeploymentTemplate) -> ResourceVector:
@@ -365,15 +312,16 @@ def aggregate_demand(template: DeploymentTemplate) -> ResourceVector:
 
 
 def topological_order(template: DeploymentTemplate) -> list[str]:
-    """Dependency-respecting node order, lexicographic among the ready set."""
-    for name, spec in template.nodes.items():
-        missing = set(spec.depends_on) - set(template.nodes)
-        if missing:
-            raise DanglingReferenceError(
-                "node %r depends on missing %s" % (name, ", ".join(sorted(missing))))
+    """Dependency-respecting node order, lexicographic among the ready set.
+
+    Nodes left over sit on a cycle or depend on a missing node; validate()
+    names which, and its first such violation is raised.
+    """
     order, stuck = _peel(template)
     if stuck:
-        raise CycleError("cycle among nodes: %s" % ", ".join(stuck))
+        violations = validate(template).violations
+        raise_for_report(ValidationReport(tuple(
+            v for v in violations if v.code in (VIOLATION_CYCLE, VIOLATION_DANGLING_DEPENDENCY))))
     return order
 
 

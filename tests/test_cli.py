@@ -201,6 +201,41 @@ def test_rank_negative_capacity_names_line(workdir, capsys):
     assert record["message"] == "line 13: cpus must be >= 0, got -1"
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("availability: 0.99", "availability: 7", 4),
+    ("latency_ms: 25.0", "latency_ms: -3", 5),
+    ("data_locality: 0.0", "data_locality: 2", 6),
+    ("sla_rank: 8.0", "sla_rank: -1", 3),
+])
+def test_rank_out_of_range_snapshot_names_line(workdir, capsys, old, new, line):
+    (workdir / "bad.stx").write_text(SNAPSHOT.replace(old, new))
+    assert main(["--machine", "rank", "--snapshot", "bad.stx"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "CliError"
+    assert record["message"].startswith("line %d: candidate east " % line)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("availability: 0.99", "availabilty: 0.99",
+     "line 4: candidate east has unknown key 'availabilty'"),
+    ("disk_gb: 200 }", "disk_gb: 200, gpu: 8 }",
+     "line 7: candidate east free has unknown key 'gpu'"),
+])
+def test_rank_snapshot_rejects_unknown_keys(workdir, capsys, old, new, message):
+    (workdir / "bad.stx").write_text(SNAPSHOT.replace(old, new))
+    assert main(["--machine", "rank", "--snapshot", "bad.stx"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record == {"error": "CliError", "message": message}
+
+
+def test_rank_snapshot_syntax_error_is_cli_error(workdir, capsys):
+    (workdir / "bad.stx").write_text(SNAPSHOT.replace("  east:", "\teast:"))
+    assert main(["--machine", "rank", "--snapshot", "bad.stx"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "CliError"
+    assert record["message"].startswith("line 2: ")
+
+
 def test_rank_scores_each_candidate_once(workdir, capsys, monkeypatch):
     from orchsim import cli, ranker
     passes = []

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from orchsim import stext
 from orchsim.stext import (Block, DuplicateKeyError, StextError, dump_stext,
                            parse_stext)
 
@@ -86,3 +89,66 @@ def test_dump_round_trip_including_quoting():
     assert root.get("inline").get("label") == "web:1"
     assert root.get("block").get("list") == ["x", "y, z"]
     assert root.get("block").get("nested").get("leaf") == 1
+
+
+# -- typed reader -----------------------------------------------------------
+
+READER = """\
+seed: 3
+site:
+  weight: -2
+  res: { cpus: 2 }
+"""
+
+
+def test_field_returns_checked_value_or_default():
+    root = parse_stext(READER)
+    assert root.field("seed", "scenario", stext.INT) == 3
+    assert root.field("absent", "scenario", stext.INT, 7) == 7
+
+
+def test_missing_root_key_has_no_line_prefix():
+    with pytest.raises(StextError) as err:
+        parse_stext(READER).field("horizon_s", "scenario", stext.INT)
+    assert str(err.value) == "scenario is missing 'horizon_s'"
+    assert err.value.line == 0
+
+
+def test_missing_nested_key_names_its_block_line():
+    res = parse_stext(READER).block("site", None, "site").block("res", None, "site res")
+    with pytest.raises(StextError) as err:
+        res.field("mem_mb", "site res", stext.NON_NEGATIVE_INT)
+    assert str(err.value) == "line 4: site res is missing 'mem_mb'"
+
+
+def test_wrong_kind_names_the_entry_line():
+    site = parse_stext(READER).block("site", None, "site")
+    with pytest.raises(StextError) as err:
+        site.field("weight", "site", stext.POSITIVE)
+    assert str(err.value) == "line 3: site weight must be a positive number"
+    with pytest.raises(StextError) as err:
+        parse_stext("a: x\n").field("a", kind=stext.INT)
+    assert str(err.value) == "line 1: a must be an integer"
+
+
+def test_block_on_a_scalar_and_unknown_keys():
+    root = parse_stext(READER)
+    with pytest.raises(StextError) as err:
+        root.block("seed", None, "seed")
+    assert str(err.value) == "line 1: seed must be a block"
+    with pytest.raises(StextError) as err:
+        root.block("site", ("weight",), "site")
+    assert str(err.value) == "line 4: site has unknown key 'res'"
+    with pytest.raises(StextError) as err:
+        root.reject_unknown(("seed",), "scenario")
+    assert str(err.value) == "line 2: scenario has unknown key 'site'"
+    assert len(root.block("absent", (), "absent")) == 0
+
+
+def test_every_kind_phrase_is_documented():
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "docs", "formats.md"), encoding="utf-8") as handle:
+        docs = handle.read()
+    section = " ".join(docs.split("## Value kinds", 1)[1].split("\n## ", 1)[0].split())
+    for phrase, _ in stext.KINDS:
+        assert "`%s`" % phrase in section

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from orchsim.resources import ResourceVector
-from orchsim.templates import (CycleError, DeploymentTemplate, DuplicateNodeError,
-                               MissingPropertyError, NodeSpec, TemplateError,
+from orchsim.templates import (CycleError, DanglingReferenceError, DeploymentTemplate,
+                               DuplicateNodeError, MissingPropertyError, NodeSpec, TemplateError,
                                TemplateSyntaxError, UnknownKindError,
                                aggregate_demand, parse_template,
                                serialize_template, topological_order, validate)
@@ -86,6 +86,12 @@ def test_missing_mandatory_property_rejected():
         assert (err.value.node, err.value.prop) == ("web", prop)
 
 
+def test_empty_image_is_a_missing_image():
+    with pytest.raises(MissingPropertyError) as err:
+        parse_template(_node("Container", 'image: ""'))
+    assert (err.value.node, err.value.prop) == ("server", "image")
+
+
 def test_duplicate_node_rejected():
     text = MINIMAL + "  server:\n    kind: Compute\n    resources: { cpus: 1, mem_mb: 1, disk_gb: 1 }\n"
     with pytest.raises(DuplicateNodeError):
@@ -108,6 +114,52 @@ nodes:
 """
     with pytest.raises(TemplateSyntaxError):
         parse_template(text)
+
+
+def _node(kind, *props):
+    return ("tosca_version: indigo_subset_1\nnodes:\n  server:\n    kind: %s\n" % kind
+            + "".join("    %s\n" % prop for prop in props))
+
+
+_RESOURCES = "resources: { cpus: 2, mem_mb: 4096, disk_gb: 100 }"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_node("Compute", "resources: 4"), 5,
+     "node server resources must be a block"),
+    (_node("Compute", "resources: { cpus: 2, mem_mb: 4096 }"), 5,
+     "node server resources is missing 'disk_gb'"),
+    (_node("Compute", "resources: { cpus: 2, mem_mb: 1, disk_gb: 1, gpu: 1 }"), 5,
+     "node server resources has unknown key 'gpu'"),
+    (_node("Compute", "resources: { cpus: -1, mem_mb: 1, disk_gb: 1 }"), 5,
+     "node server resources cpus must be a non-negative integer"),
+    (_node("Compute", "resources: { cpus: 1.5, mem_mb: 1, disk_gb: 1 }"), 5,
+     "node server resources cpus must be a non-negative integer"),
+    (_node("Container", "image: [a, b]"), 5,
+     "node server image must be a name"),
+    (_node("Compute", _RESOURCES, "preemptible: yes"), 6,
+     "node server preemptible must be true or false"),
+    (_node("Compute", _RESOURCES, "preemptible: true", "bid: -1"), 7,
+     "node server bid must be a non-negative number"),
+    (_node("Compute", _RESOURCES, "depends_on: other"), 6,
+     "node server depends_on must be a list of names"),
+    (_node("Job", "image: crunch:2", "input_datasets: d1"), 6,
+     "node server input_datasets must be a list of names"),
+    (_node("ElasticCluster", _RESOURCES, "min_workers: 1.5", "max_workers: 2"), 6,
+     "node server min_workers must be an integer"),
+    (_node("ElasticCluster", _RESOURCES, "min_workers: 1", "max_workers: many"), 7,
+     "node server max_workers must be an integer"),
+    (_node("Compute", _RESOURCES, "flavor: m1.large"), 6,
+     "node server has unknown key 'flavor'"),
+    (MINIMAL + "extras: 1\n", 6, "template has unknown key 'extras'"),
+    (MINIMAL + "outputs:\n  endpoint: 3\n", 7, "output endpoint must be a name"),
+    ("tosca_version: indigo_subset_1\nnodes:\n  server: 3\n", 3, "node server must be a block"),
+])
+def test_template_syntax_errors_name_their_line(text, line, message):
+    with pytest.raises(TemplateSyntaxError) as err:
+        parse_template(text)
+    assert err.value.line == line
+    assert str(err.value) == "line %d: %s" % (line, message)
 
 
 def test_syntax_error_carries_line():
@@ -260,6 +312,20 @@ def test_toposort_cycle_raises():
     template = _template_with_edges(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(CycleError):
         topological_order(template)
+
+
+def test_toposort_raises_the_violation_validate_reports():
+    template = _template_with_edges(["a", "b", "c"], [("a", "b"), ("b", "a")])
+    with pytest.raises(CycleError) as err:
+        topological_order(template)
+    assert str(err.value) == "a,b: depends_on relation contains a cycle"
+    assert err.value.report.codes() == ("cycle",)
+    dangling = DeploymentTemplate(version_tag="indigo_subset_1", nodes={
+        "a": NodeSpec(name="a", kind="Compute", resources=ResourceVector(1, 1, 1),
+                      depends_on=("ghost",))})
+    with pytest.raises(DanglingReferenceError) as err:
+        topological_order(dangling)
+    assert str(err.value) == "a: depends_on references missing node 'ghost'"
 
 
 def test_toposort_random_dags_are_valid_linear_extensions():
