@@ -11,7 +11,7 @@ def rv(c, m, d):
     return ResourceVector(c, m, d)
 
 
-pool = NodePool([NodeRecord(node_id="n1", capacity=rv(4, 4096, 40))])
+pool = NodePool("demo", [NodeRecord(node_id="n1", capacity=rv(4, 4096, 40))])
 sched = SiteScheduler("demo", pool, half_life_s=600, weights={"heavy": 1.0, "light": 1.0})
 
 print("=== decayed usage drives priority: p = w / (1 + U) ===")
@@ -43,7 +43,7 @@ print("submit bid 0.50:", sched.submit(high, 21).kind,
 
 print()
 print("=== victim selection is minimal, lowest bids first ===")
-pool2 = NodePool([NodeRecord(node_id="n1", capacity=rv(4, 4096, 20))])
+pool2 = NodePool("demo2", [NodeRecord(node_id="n1", capacity=rv(4, 4096, 20))])
 sched2 = SiteScheduler("demo2", pool2)
 for rid, size, bid in (("x", rv(1, 1024, 5), 0.1),
                        ("y", rv(1, 1024, 5), 0.2),

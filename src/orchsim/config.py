@@ -9,7 +9,6 @@ Recognized keys:
     weights.<user> = <decimal>                       initial fair-share weight
     quota.<group> = cpus,mem_mb,disk_gb              group cap
     t_idle_s / boot_delay_s / min_nodes / max_nodes  elasticity policy
-    policy_file = <path>                             iam permit rules
 
 Unknown keys are rejected.  The ORCH_CONFIG environment variable names the
 default config file for the CLI.
@@ -42,7 +41,6 @@ class EngineConfig:
     weights: dict[str, float] = field(default_factory=dict)
     quotas: dict[str, ResourceVector] = field(default_factory=dict)
     elasticity: ElasticPolicy = field(default_factory=ElasticPolicy)
-    policy_file: str | None = None
 
 
 def _parse_scalar(text: str, lineno: int):
@@ -141,8 +139,6 @@ def parse_config(text: str) -> EngineConfig:
                 raise ConfigError("line %d: %s must be an integer" % (lineno, key))
             elastic_fields[key] = parsed
             config.elasticity = _checked(lineno, ElasticPolicy, **elastic_fields)
-        elif key == "policy_file":
-            config.policy_file = str(value)
         else:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
     return config

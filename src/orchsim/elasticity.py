@@ -64,14 +64,6 @@ class NodeRecord:
 
 
 @dataclass(frozen=True)
-class RoleTransition:
-    node_id: str
-    from_role: str
-    to_role: str
-    state: str  # "completed" | "draining"
-
-
-@dataclass(frozen=True)
 class Action:
     kind: str
     node_id: str
@@ -117,9 +109,15 @@ class NodePool:
     audit() recomputes every counter from the nodes and cross-checks it;
     SiteScheduler.audit, which owns the running instances, checks each node's
     instance set, used and preemptible_used against them.
+
+    The pool also logs its node changes: a site_node record per node at
+    construction, node_power on every power write and role_changed when a
+    role switch starts or a drain completes.
     """
 
-    def __init__(self, nodes: list[NodeRecord], t: int = 0):
+    def __init__(self, site_id: str, nodes: list[NodeRecord], *, t: int = 0, log=None):
+        self.site_id = site_id
+        self._log = log
         self.nodes: dict[str, NodeRecord] = {}
         self._cloud = {power: [0, 0, 0, 0] for power in _POWER_STATES}
         self._cloud_used = [0, 0, 0]
@@ -136,6 +134,14 @@ class NodePool:
                 node.idle_since = t
             self.nodes[node.node_id] = node
             self._tally(node, 1)
+            capacity = node.capacity
+            self._emit(t, "site_node", node=node.node_id, cpus=capacity.cpus,
+                       mem_mb=capacity.mem_mb, disk_gb=capacity.disk_gb,
+                       power=node.power, role=node.role)
+
+    def _emit(self, t, kind, **payload):
+        if self._log is not None:
+            self._log.emit(t, kind, site=self.site_id, **payload)
 
     def _tally(self, node: NodeRecord, sign: int):
         """Add (sign 1) or take back (sign -1) a node's share of the counters."""
@@ -342,7 +348,7 @@ class NodePool:
         return chosen.node_id
 
     def unassign(self, request_id: str, resources: ResourceVector, node_id: str,
-                 t: int, preemptible: bool = False) -> RoleTransition | None:
+                 t: int, preemptible: bool = False):
         """Remove an instance; completes a pending drain when the node empties."""
         node = self.node(node_id)
         if request_id not in node.instances:
@@ -352,15 +358,19 @@ class NodePool:
         share = node.preemptible_used.monus(resources) if preemptible else None
         if node.instances:
             self._update(node, used=used, preemptible_used=share)
-            return None
+            return
         self._update(node, used=used, preemptible_used=share, idle_since=t)
         if node.role in DRAINING_ROLES:
-            from_role = node.role
-            self._update(node, role=_DRAIN_TARGET[from_role])
-            return RoleTransition(node.node_id, from_role, node.role, "completed")
-        return None
+            self._switch(node, _DRAIN_TARGET[node.role], "completed", t)
 
-    def switch_role(self, node_id: str, target: str, t: int) -> RoleTransition:
+    def _switch(self, node: NodeRecord, role: str, state: str, t: int):
+        """Write a node's role and log the change."""
+        from_role = node.role
+        self._update(node, role=role)
+        self._emit(t, "role_changed", node=node.node_id, from_role=from_role,
+                   to_role=role, state=state)
+
+    def switch_role(self, node_id: str, target: str, t: int):
         """Commute a node to the batch or cloud pool.
 
         An empty node moves at once; a busy one drains (it leaves its pool and
@@ -373,12 +383,10 @@ class NodePool:
             raise AlreadyTransitioningError("node %r is already transitioning" % node_id)
         if node.role == target:
             raise ElasticityError("node %r already has role %s" % (node_id, target))
-        from_role = node.role
         if node.busy:
-            self._update(node, role=_DRAIN_FOR_TARGET[target])
-            return RoleTransition(node_id, from_role, node.role, "draining")
-        self._update(node, role=target)
-        return RoleTransition(node_id, from_role, target, "completed")
+            self._switch(node, _DRAIN_FOR_TARGET[target], "draining", t)
+        else:
+            self._switch(node, target, "completed", t)
 
     def power_on(self, node_id: str, t: int, boot_delay_s: int):
         node = self.node(node_id)
@@ -386,6 +394,7 @@ class NodePool:
             raise ElasticityError("node %r is not off" % node_id)
         self._update(node, power=POWER_BOOTING, idle_since=None)
         node.ready_at = t + boot_delay_s
+        self._emit(t, "node_power", node=node_id, power=POWER_BOOTING, ready_at=node.ready_at)
 
     def boot_complete(self, node_id: str, t: int):
         node = self.node(node_id)
@@ -393,8 +402,9 @@ class NodePool:
             raise ElasticityError("node %r is not booting" % node_id)
         self._update(node, power=POWER_ON, idle_since=t)
         node.ready_at = None
+        self._emit(t, "node_power", node=node_id, power=POWER_ON)
 
-    def power_off(self, node_id: str):
+    def power_off(self, node_id: str, t: int):
         node = self.node(node_id)
         if node.power != POWER_ON:
             raise ElasticityError("node %r is not on" % node_id)
@@ -404,6 +414,7 @@ class NodePool:
             raise ElasticityError("node %r is draining" % node_id)
         self._update(node, power=POWER_OFF, idle_since=None)
         node.ready_at = None
+        self._emit(t, "node_power", node=node_id, power=POWER_OFF)
 
 
 class ElasticityManager:

@@ -107,17 +107,6 @@ class IamService:
     def add_permit(self, group: str, provider_id: str):
         self._permits.add((group, provider_id))
 
-    def load_policy(self, text: str):
-        """Read permit rules, one per line: ``permit <group> <provider_id>``."""
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] != "permit":
-                raise IamError("policy line %d: expected 'permit <group> <provider>'" % lineno)
-            self.add_permit(parts[1], parts[2])
-
     def authorize(self, token: TokenRecord, provider_id: str) -> bool:
         """Default-deny: true only when some group of the token is permitted."""
         return any((group, provider_id) in self._permits for group in token.groups)

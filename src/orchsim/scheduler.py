@@ -173,17 +173,7 @@ class SiteScheduler:
         self._seen_ids: set[str] = set()
         self._log = log
 
-    # -- capacity ---------------------------------------------------------
-
-    def capacity(self) -> ResourceVector:
-        return self.pool.cloud_capacity()
-
-    def free(self) -> ResourceVector:
-        return self.pool.cloud_free()
-
-    def reclaimable(self) -> ResourceVector:
-        """What the running preemptibles on schedulable nodes hold."""
-        return self.pool.reclaimable()
+    # -- queue ------------------------------------------------------------
 
     def queued_demand(self) -> ResourceVector:
         return unchecked(*self._queued)
@@ -329,12 +319,8 @@ class SiteScheduler:
             del victims[bisect.bisect_left(victims, _victim_key(instance))]
         group = request.group
         self.group_running[group] = self.group_running[group] - request.resources
-        transition = self.pool.unassign(request.request_id, request.resources,
-                                        instance.node_id, t, request.is_preemptible)
-        if transition is not None:
-            self._emit(t, "role_changed", node=transition.node_id,
-                       from_role=transition.from_role, to_role=transition.to_role,
-                       state=transition.state)
+        self.pool.unassign(request.request_id, request.resources, instance.node_id, t,
+                           request.is_preemptible)
 
     # -- dispatch ---------------------------------------------------------
 
@@ -460,7 +446,7 @@ class SiteScheduler:
 
     # -- audits -----------------------------------------------------------
 
-    def audit(self, t: int):
+    def audit(self, t: int, failed: bool = False):
         """Cross-check incremental accounting against first principles.
 
         Integer sums throughout, with no vector built unless a check fails.
@@ -469,8 +455,11 @@ class SiteScheduler:
         its instances.  Then come the pool's own audit (its counters, the
         partition, no busy node powered down), the victim order, pooled
         conservation, the queued-demand counter and each group's running
-        counter and quota.  The unstartable shapes are a cache of _startable,
-        not a counter, so they are not re-probed here.
+        counter and quota.  Last comes preemption soundness: with backfill
+        on and the site not failed, no normal request the quota lets run may
+        sit queued while free plus reclaimable space fits it.  The
+        unstartable shapes are a cache of _startable, not a counter, so they
+        are not re-probed here.
         """
         running = self.running
         by_group: dict[str, list[int]] = {}
@@ -522,17 +511,25 @@ class SiteScheduler:
         cpus, mem_mb, disk_gb = self.pool.audit()
         self._audit_victim_order(preemptibles)
         if not self.pool.conserves(cpus, mem_mb, disk_gb):
-            free, capacity = self.free(), self.capacity()
+            free, capacity = self.pool.cloud_free(), self.pool.cloud_capacity()
             raise SchedulerError(
                 "conservation violated at t=%d: free %s + running (%d cpus, %d MB, %d GB) "
                 "!= capacity %s"
                 % (t, free, cpus, mem_mb, disk_gb, capacity))
         queued = [0, 0, 0]
+        check_soundness = self.backfill and not failed
+        room = unsound = None
         for request in self.queue:
             resources = request.resources
             queued[0] += resources.cpus
             queued[1] += resources.mem_mb
             queued[2] += resources.disk_gb
+            if (check_soundness and unsound is None and request.bid is None
+                    and self.quota_allows(request)):
+                if room is None:
+                    room = self.pool.cloud_free() + self.pool.reclaimable()
+                if resources.fits(room):
+                    unsound = request
         if queued != self._queued:
             raise SchedulerError("queued demand counter %s differs from the queue sum %s"
                                  % (self._queued, queued))
@@ -547,6 +544,9 @@ class SiteScheduler:
         if by_group:
             raise SchedulerError("groups %s run instances but have no running counter"
                                  % sorted(by_group))
+        if unsound is not None:
+            raise SchedulerError("normal request %s queued despite feasible victim set"
+                                 % unsound.request_id)
 
     def _audit_victim_order(self, preemptibles: int):
         """The victim order holds exactly the running preemptibles, each under

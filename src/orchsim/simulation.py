@@ -259,8 +259,11 @@ def load_scenario(path: str) -> Scenario:
             else os.path.join(base, template_name)
         if not os.path.exists(candidate):
             raise ScenarioError("template file %r not found" % template_name)
-        with open(candidate, encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(candidate, encoding="utf-8") as handle:
+                return handle.read()
+        except OSError as exc:
+            raise ScenarioError("cannot read template %r: %s" % (template_name, exc)) from exc
 
     try:
         with open(path, encoding="utf-8") as handle:
@@ -302,10 +305,6 @@ class World:
                              quotas=self.config.quotas,
                              log=self.log, t=0)
             self.sites[spec.provider_id] = site
-            for node_id, capacity, power, role in spec.nodes:
-                self.log.emit(0, "site_node", site=spec.provider_id, node=node_id,
-                              cpus=capacity.cpus, mem_mb=capacity.mem_mb,
-                              disk_gb=capacity.disk_gb, power=power, role=role)
 
         self.tokens: dict[str, str] = {}
         for user in scenario.users:
@@ -317,9 +316,6 @@ class World:
         for sla in scenario.slas:
             # A signed SLA implies the group may use the provider.
             self.iam.add_permit(sla.group, sla.provider_id)
-        if self.config.policy_file:
-            with open(self.config.policy_file, encoding="utf-8") as handle:
-                self.iam.load_policy(handle.read())
 
         self.orchestrator = Orchestrator(
             sites=self.sites, iam=self.iam, slas=scenario.slas,
@@ -402,10 +398,7 @@ class World:
         elif kind == "job_expire":
             self._do_job_expire(t, payload["site"], payload["request_id"])
         elif kind == "boot_complete":
-            site = self.sites[payload["site"]]
-            site.pool.boot_complete(payload["node"], t)
-            self.log.emit(t, "node_power", site=payload["site"], node=payload["node"],
-                          power=POWER_ON)
+            self.sites[payload["site"]].pool.boot_complete(payload["node"], t)
         elif kind == "site_recover":
             self._do_site_recover(t, payload["site"])
         elif kind == "elastic_tick":
@@ -495,15 +488,10 @@ class World:
     def _do_switch_role(self, t: int, event: EventSpec):
         site = self.sites[event.params["provider"]]
         try:
-            transition = site.pool.switch_role(event.params["node"],
-                                               event.params["target"], t)
+            site.pool.switch_role(event.params["node"], event.params["target"], t)
         except ElasticityError as exc:
             self.log.emit(t, "role_change_failed", site=site.site_id,
                           node=event.params["node"], detail=str(exc))
-            return
-        self.log.emit(t, "role_changed", site=site.site_id, node=transition.node_id,
-                      from_role=transition.from_role, to_role=transition.to_role,
-                      state=transition.state)
 
     def _do_job_expire(self, t: int, site_id: str, request_id: str):
         ref = self.orchestrator.find_ref(site_id, request_id)
@@ -531,16 +519,10 @@ class World:
             for action in actions:
                 if action.kind == ACTION_POWER_ON:
                     site.pool.power_on(action.node_id, t, site.elastic.policy.boot_delay_s)
-                    ready_at = site.pool.nodes[action.node_id].ready_at
-                    self.log.emit(t, "node_power", site=site.site_id,
-                                  node=action.node_id, power="booting",
-                                  ready_at=ready_at)
-                    self._push(ready_at, "boot_complete",
+                    self._push(site.pool.nodes[action.node_id].ready_at, "boot_complete",
                                {"site": site.site_id, "node": action.node_id})
                 else:
-                    site.pool.power_off(action.node_id)
-                    self.log.emit(t, "node_power", site=site.site_id,
-                                  node=action.node_id, power=POWER_OFF)
+                    site.pool.power_off(action.node_id, t)
             self._schedule_idle_tick(site, t)
 
     def _schedule_idle_tick(self, site: Site, t: int):
@@ -556,31 +538,10 @@ class World:
         for site_id in sorted(self.sites):
             site = self.sites[site_id]
             try:
-                site.scheduler.audit(t)
-                self._audit_preemption_soundness(site, t)
+                site.scheduler.audit(t, failed=site.failed(t))
             except DomainError as exc:
                 raise InvariantViolationError("site %s at t=%d: %s"
                                               % (site_id, t, exc)) from exc
-
-    def _audit_preemption_soundness(self, site: Site, t: int):
-        """No normal request may sit queued while victims could free room.
-
-        The site's free plus reclaimable capacity is summed once and compared
-        with every queued normal request the group quota lets run.
-        """
-        scheduler = site.scheduler
-        if not scheduler.backfill or site.failed(t):
-            return
-        normal = [r for r in scheduler.queue
-                  if not r.is_preemptible and scheduler.quota_allows(r)]
-        if not normal:
-            return
-        room = scheduler.free() + scheduler.reclaimable()
-        for request in normal:
-            if request.resources.fits(room):
-                raise InvariantViolationError(
-                    "normal request %s queued despite feasible victim set"
-                    % request.request_id)
 
 
 def run_scenario(scenario: Scenario, config: EngineConfig | None = None) -> RunReport:

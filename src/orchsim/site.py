@@ -28,7 +28,7 @@ class Site:
         Counts current free space, nodes that elasticity could power on, and
         capacity held by preemptible instances (reclaimable by normal work).
         """
-        return self.pool.potential_capacity() + self.scheduler.reclaimable()
+        return self.pool.potential_capacity() + self.pool.reclaimable()
 
 
 def make_site(site_id: str, nodes, *, availability: float = 1.0,
@@ -37,7 +37,7 @@ def make_site(site_id: str, nodes, *, availability: float = 1.0,
               weights: dict[str, float] | None = None,
               quotas: dict[str, ResourceVector] | None = None,
               log=None, t: int = 0) -> Site:
-    pool = NodePool(list(nodes), t=t)
+    pool = NodePool(site_id, list(nodes), t=t, log=log)
     scheduler = SiteScheduler(site_id, pool, half_life_s=half_life_s,
                               backfill=backfill, weights=weights,
                               quotas=quotas, log=log)

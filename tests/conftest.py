@@ -13,14 +13,14 @@ def rv(cpus=0, mem=0, disk=0) -> ResourceVector:
     return ResourceVector(cpus, mem, disk)
 
 
-def make_pool(*capacities, t=0, prefix="n", power="on") -> NodePool:
+def make_pool(*capacities, t=0, prefix="n", power="on", log=None) -> NodePool:
     nodes = [NodeRecord(node_id="%s%d" % (prefix, i + 1), capacity=c, power=power)
              for i, c in enumerate(capacities)]
-    return NodePool(nodes, t=t)
+    return NodePool("site-t", nodes, t=t, log=log)
 
 
 def make_scheduler(*capacities, **kwargs) -> SiteScheduler:
-    pool = make_pool(*capacities)
+    pool = make_pool(*capacities, log=kwargs.get("log"))
     return SiteScheduler("site-t", pool, **kwargs)
 
 

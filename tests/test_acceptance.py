@@ -147,7 +147,7 @@ def test_criterion_3_preemption_correctness():
                     rng.randrange(1, 20)) for _ in range(rng.randrange(1, 9))]
         slack = rv(rng.randrange(0, 3), rng.randrange(0, 1024), rng.randrange(0, 10))
         capacity = ResourceVector.total(sizes) + slack
-        pool = NodePool([NodeRecord(node_id="n1", capacity=capacity)])
+        pool = NodePool("s", [NodeRecord(node_id="n1", capacity=capacity)])
         sched = SiteScheduler("s", pool)
         for i, size in enumerate(sizes):
             bid = rng.choice([None, 0.0, 0.1, 0.25, 0.5, 1.0])
@@ -158,7 +158,7 @@ def test_criterion_3_preemption_correctness():
         probe = InstanceRequest("probe", "pu", "g",
                                 rv(rng.randrange(1, 7), rng.randrange(256, 4096),
                                    rng.randrange(1, 40)), probe_bid, 1)
-        free = sched.free()
+        free = sched.pool.cloud_free()
         eligible = [inst for inst in sched.running.values()
                     if inst.request.is_preemptible
                     and (probe_bid is None or inst.request.bid < probe_bid)]
@@ -181,7 +181,7 @@ def test_criterion_3_preemption_correctness():
 
 
 def _fair_share_run(weights, half_life=600, duration=50, half_lives=100):
-    pool = NodePool([NodeRecord(node_id="n1", capacity=rv(2, 4096, 100))])
+    pool = NodePool("s", [NodeRecord(node_id="n1", capacity=rv(2, 4096, 100))])
     sched = SiteScheduler("s", pool, half_life_s=half_life, weights=weights)
     horizon = half_lives * half_life
     cpu_time = {user: 0 for user in weights}
@@ -261,7 +261,7 @@ def test_criterion_5_conservation():
         for site_id, site in world.sites.items():
             running_total = ResourceVector.total(
                 inst.request.resources for inst in site.scheduler.running.values())
-            assert site.scheduler.free() + running_total == site.scheduler.capacity()
+            assert site.pool.cloud_free() + running_total == site.pool.cloud_capacity()
     _passed(5, "conservation exact across %d shipped scenarios" % len(SHIPPED))
 
 

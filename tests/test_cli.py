@@ -180,6 +180,15 @@ def test_sim_run_unknown_scenario_domain_error(workdir, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+def test_sim_run_template_directory_is_a_scenario_error(workdir, capsys):
+    (workdir / "dir.scn").write_text(
+        WORLD + "events:\n  e1: { at: 0, action: submit, template: \".\", user: ada }\n")
+    assert main(["--machine", "sim", "run", "dir.scn"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "ScenarioError"
+    assert record["message"].startswith("cannot read template '.': ")
+
+
 @pytest.mark.parametrize("old, new, line", [
     ("sla_rank: 8.0", "sla_rank: high", 3),
     ("free: { cpus: 8, mem_mb: 16384, disk_gb: 200 }", "free: 3", 7),

@@ -25,7 +25,6 @@ t_idle_s = 60
 boot_delay_s = 10
 min_nodes = 1
 max_nodes = 4
-policy_file = extra-permits.txt
 """
 
 
@@ -43,7 +42,6 @@ def test_parse_full_config():
     assert config.elasticity.boot_delay_s == 10
     assert config.elasticity.min_nodes == 1
     assert config.elasticity.max_nodes == 4
-    assert config.policy_file == "extra-permits.txt"
 
 
 def test_defaults_when_empty():
@@ -52,12 +50,13 @@ def test_defaults_when_empty():
     assert config.backfill is True
     assert config.half_life_s == 3600.0
     assert config.quotas == {}
-    assert config.policy_file is None
 
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("w_price = 3.0\n")
+    with pytest.raises(ConfigError, match="line 1: unknown key 'policy_file'"):
+        parse_config("policy_file = permits.txt\n")
 
 
 def test_malformed_lines_rejected():

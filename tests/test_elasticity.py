@@ -9,12 +9,19 @@ from orchsim.elasticity import (ACTION_POWER_OFF, ACTION_POWER_ON,
                                 AlreadyTransitioningError, ElasticityError,
                                 ElasticityManager, ElasticPolicy, NodePool,
                                 NodeRecord, UnknownNodeError)
+from orchsim.report import EventLog
 from orchsim.resources import ResourceVector
 
 
-def worker_pool(count, power="off", capacity=None):
+def worker_pool(count, power="off", capacity=None, log=None):
     capacity = capacity or rv(1, 1024, 10)
-    return make_pool(*[capacity] * count, power=power, prefix="w")
+    return make_pool(*[capacity] * count, power=power, prefix="w", log=log)
+
+
+def logged(log, kind):
+    """The records of one kind, without t and seq."""
+    return [{key: value for key, value in record.items() if key not in ("t", "seq")}
+            for record in log.records if record["kind"] == kind]
 
 
 # -- reconcile -------------------------------------------------------------------
@@ -108,7 +115,7 @@ def test_reconcile_powers_on_to_reach_floor_without_demand():
 
 
 def test_reconcile_heterogeneous_largest_first():
-    pool = NodePool([
+    pool = NodePool("s", [
         NodeRecord(node_id="small", capacity=rv(1, 1024, 10), power="off"),
         NodeRecord(node_id="big", capacity=rv(4, 4096, 40), power="off"),
     ])
@@ -129,48 +136,79 @@ def test_reconcile_is_deterministic():
 
 
 def test_power_on_off_cycle():
-    pool = worker_pool(1)
+    log = EventLog()
+    pool = worker_pool(1, log=log)
     pool.power_on("w1", t=0, boot_delay_s=30)
     assert pool.nodes["w1"].power == "booting"
     assert pool.nodes["w1"].ready_at == 30
     pool.boot_complete("w1", t=30)
     assert pool.nodes["w1"].power == "on"
     assert pool.nodes["w1"].idle_since == 30
-    pool.power_off("w1")
+    pool.power_off("w1", t=40)
     assert pool.nodes["w1"].power == "off"
+    assert [(r["t"], r["kind"]) for r in log.records] == [
+        (0, "site_node"), (0, "node_power"), (30, "node_power"), (40, "node_power")]
+    assert logged(log, "node_power") == [
+        {"kind": "node_power", "site": "site-t", "node": "w1", "power": "booting",
+         "ready_at": 30},
+        {"kind": "node_power", "site": "site-t", "node": "w1", "power": "on"},
+        {"kind": "node_power", "site": "site-t", "node": "w1", "power": "off"}]
+
+
+def test_pool_logs_each_node_at_construction():
+    log = EventLog()
+    NodePool("s", [NodeRecord(node_id="b", capacity=rv(2, 1024, 10), power="off"),
+                   NodeRecord(node_id="a", capacity=rv(1, 512, 5), role="batch")],
+             t=7, log=log)
+    assert [r["t"] for r in log.records] == [7, 7]
+    assert logged(log, "site_node") == [
+        {"kind": "site_node", "site": "s", "node": "b", "cpus": 2, "mem_mb": 1024,
+         "disk_gb": 10, "power": "off", "role": "cloud"},
+        {"kind": "site_node", "site": "s", "node": "a", "cpus": 1, "mem_mb": 512,
+         "disk_gb": 5, "power": "on", "role": "batch"}]
 
 
 def test_never_power_off_busy_node():
     pool = worker_pool(1, power="on")
     pool.assign("r1", rv(1, 512, 5), t=0)
     with pytest.raises(ElasticityError):
-        pool.power_off("w1")
+        pool.power_off("w1", t=0)
 
 
 # -- role switches -------------------------------------------------------------------
 
 
 def test_switch_idle_node_is_immediate():
-    pool = worker_pool(1, power="on")
-    transition = pool.switch_role("w1", "batch", t=10)
-    assert transition.state == "completed"
+    log = EventLog()
+    pool = worker_pool(1, power="on", log=log)
+    pool.switch_role("w1", "batch", t=10)
+    assert log.records[-1]["t"] == 10
+    assert logged(log, "role_changed") == [
+        {"kind": "role_changed", "site": "site-t", "node": "w1", "from_role": "cloud",
+         "to_role": "batch", "state": "completed"}]
     assert pool.nodes["w1"].role == "batch"
     assert pool.cloud_capacity() == rv()
     pool.audit()
 
 
 def test_switch_busy_node_drains_then_completes():
-    sched = make_scheduler(rv(2, 2048, 20))
+    log = EventLog()
+    sched = make_scheduler(rv(2, 2048, 20), log=log)
     pool = sched.pool
     sched.submit(req(res=rv(1, 512, 5), rid="keeper"), t=0)
-    transition = pool.switch_role("n1", "batch", t=5)
-    assert transition.state == "draining"
+    pool.switch_role("n1", "batch", t=5)
+    assert (log.records[-1]["kind"], log.records[-1]["state"]) == ("role_changed", "draining")
     # excluded from both pools while draining
     assert pool.nodes["n1"].role == "draining_to_batch"
     assert pool.cloud_capacity() == rv()
     pool.audit()
     sched.release("keeper", 20)
     assert pool.nodes["n1"].role == "batch"
+    # The drain completes as the instance leaves, before its release record.
+    assert [(r["t"], r["kind"], r.get("state")) for r in log.records[-2:]] == [
+        (20, "role_changed", "completed"), (20, "instance_released", None)]
+    assert [(r["from_role"], r["to_role"]) for r in logged(log, "role_changed")] == [
+        ("cloud", "draining_to_batch"), ("draining_to_batch", "batch")]
 
 
 def test_switch_on_draining_node_rejected():
@@ -242,13 +280,13 @@ def _check_elastic_counters(pool, t, t_idle=7):
 
 def test_cloud_counters_follow_a_random_walk():
     rng = random.Random(2024)
-    pool = NodePool([NodeRecord(node_id="n%d" % i,
-                                capacity=rv(2 + i % 3, 2048 * (1 + i % 2), 40),
-                                power=rng.choice(["on", "off"]),
-                                role=rng.choice(["cloud", "cloud", "batch"]))
-                     for i in range(6)])
+    log = EventLog()
+    pool = NodePool("s", [NodeRecord(node_id="n%d" % i,
+                                     capacity=rv(2 + i % 3, 2048 * (1 + i % 2), 40),
+                                     power=rng.choice(["on", "off"]),
+                                     role=rng.choice(["cloud", "cloud", "batch"]))
+                          for i in range(6)], log=log)
     placed = {}  # request id -> (resources, node id, preemptible)
-    drains_completed = 0
     for t in range(3000):
         node_id = rng.choice(sorted(pool.nodes))
         op = rng.choice(["assign", "assign", "unassign", "unassign", "power_on",
@@ -264,14 +302,13 @@ def test_cloud_counters_follow_a_random_walk():
             elif op == "unassign" and placed:
                 rid = rng.choice(sorted(placed))
                 resources, on, preemptible = placed.pop(rid)
-                if pool.unassign(rid, resources, on, t, preemptible) is not None:
-                    drains_completed += 1
+                pool.unassign(rid, resources, on, t, preemptible)
             elif op == "power_on":
                 pool.power_on(node_id, t, boot_delay_s=5)
             elif op == "boot_complete":
                 pool.boot_complete(node_id, t)
             elif op == "power_off":
-                pool.power_off(node_id)
+                pool.power_off(node_id, t)
             elif op == "switch_role":
                 pool.switch_role(node_id, rng.choice(["batch", "cloud"]), t)
         except ElasticityError:
@@ -290,7 +327,9 @@ def test_cloud_counters_follow_a_random_walk():
             assert node.preemptible_used == ResourceVector.total(
                 r for r, preemptible in here if preemptible), t
         pool.audit()
-    assert drains_completed > 0
+    assert any(r["kind"] == "role_changed" and r["state"] == "completed"
+               and r["from_role"] in ("draining_to_batch", "draining_to_cloud")
+               for r in log.records)
 
 
 @pytest.mark.parametrize("field, value", [("power", "off"), ("role", "batch"),
@@ -303,6 +342,28 @@ def test_pool_audit_catches_a_write_that_bypasses_the_pool(field, value):
     pool.audit()
     setattr(pool.nodes["w2"], field, value)
     with pytest.raises(ElasticityError, match="cloud counters"):
+        pool.audit()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("power", "off", "node w1 busy while off"),
+    ("power", "booting", "node w1 busy while booting"),
+    ("role", "limbo", "pools do not partition powered capacity: node w1 has role 'limbo'")])
+def test_pool_audit_catches_a_busy_node_powered_down_or_out_of_every_pool(
+        field, value, message):
+    pool = worker_pool(1, power="on")
+    pool.assign("r1", rv(1, 512, 5), t=0)
+    pool.audit()
+    setattr(pool.nodes["w1"], field, value)
+    with pytest.raises(ElasticityError, match="^%s$" % message):
+        pool.audit()
+
+
+def test_pool_audit_catches_an_unknown_power_state():
+    pool = worker_pool(2, power="on")
+    pool.audit()
+    pool.nodes["w2"].power = "asleep"
+    with pytest.raises(ElasticityError, match="^node w2 has unknown power state 'asleep'$"):
         pool.audit()
 
 
@@ -365,12 +426,13 @@ def test_reconcile_matches_the_full_planning_pass():
     fired = {ACTION_POWER_ON: 0, ACTION_POWER_OFF: 0}
     for case in range(400):
         count = rng.randrange(1, 9)
-        pool = NodePool([NodeRecord(node_id="n%d" % i,
-                                    capacity=rv(rng.choice([1, 2, 4]), 1024 * rng.randrange(1, 5),
-                                                10 * rng.randrange(1, 5)),
-                                    power=rng.choice(["on", "off"]),
-                                    role=rng.choice(["cloud", "cloud", "cloud", "batch"]))
-                         for i in range(count)], t=rng.randrange(0, 50))
+        nodes = [NodeRecord(node_id="n%d" % i,
+                            capacity=rv(rng.choice([1, 2, 4]), 1024 * rng.randrange(1, 5),
+                                        10 * rng.randrange(1, 5)),
+                            power=rng.choice(["on", "off"]),
+                            role=rng.choice(["cloud", "cloud", "cloud", "batch"]))
+                 for i in range(count)]
+        pool = NodePool("s", nodes, t=rng.randrange(0, 50))
         # Random history: boots, completed boots, work placed and removed.
         placed = {}
         clock = 50
@@ -392,7 +454,7 @@ def test_reconcile_matches_the_full_planning_pass():
                     resources, on = placed.pop(rid)
                     pool.unassign(rid, resources, on, clock)
                 else:
-                    pool.power_off(node_id)
+                    pool.power_off(node_id, clock)
             except ElasticityError:
                 pass
         pool.audit()

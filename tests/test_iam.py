@@ -65,16 +65,6 @@ def test_authorize_default_deny():
     assert iam.authorize(token, "site-b") is False
 
 
-def test_policy_file_lines():
-    iam = IamService()
-    iam.load_policy("# comment\npermit research site-a\n\npermit hep site-b\n")
-    token = iam.issue_token("ada", ["hep"], 100, 0)
-    assert iam.authorize(token, "site-b")
-    assert not iam.authorize(token, "site-a")
-    with pytest.raises(IamError):
-        iam.load_policy("deny research site-a\n")
-
-
 def test_translate_deterministic_and_kind_sensitive():
     iam = IamService()
     token = iam.issue_token("ada", ["g"], 100, 0)

@@ -199,13 +199,13 @@ def test_preferences_override_score_order():
 def test_delete_restores_capacity_exactly():
     orch, iam, sites, _ = build_world(site_ids=("site-a",))
     scheduler = sites["site-a"].scheduler
-    before = scheduler.free()
+    before = scheduler.pool.cloud_free()
     token = issue(iam)
     uuid = orch.create_deployment(SIMPLE, token.token_id, 0)
-    assert scheduler.free() != before
+    assert scheduler.pool.cloud_free() != before
     record = orch.delete_deployment(uuid, token.token_id, 10)
     assert record.state == DELETED
-    assert scheduler.free() == before
+    assert scheduler.pool.cloud_free() == before
 
 
 def test_delete_requires_owner_or_admin():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import rv
+from conftest import req, rv
 
 from orchsim.report import derive_metrics, parse_report, verify_report
 from orchsim.simulation import (EventSpec, ProviderSpec, Scenario, ScenarioError,
@@ -205,7 +205,7 @@ def test_deleted_deployment_restores_site_capacity():
     world.run()
     site = world.sites["site-a"]
     assert site.scheduler.running == {}
-    assert site.scheduler.free() == site.scheduler.capacity()
+    assert site.pool.cloud_free() == site.pool.cloud_capacity()
 
 
 def test_preemption_scenario_counts_one_eviction():
@@ -309,7 +309,7 @@ def test_quota_rejection_rolls_back_each_ranked_site():
         slas=[SLARecord("site-a", "g", 5.0), SLARecord("site-b", "g", 3.0)],
         users=[UserSpec("ada", "g", 1.0)])
     world = World(scenario, parse_config("quota.g = 4,8192,100\n"))
-    before = {sid: site.scheduler.free() for sid, site in world.sites.items()}
+    before = {sid: site.pool.cloud_free() for sid, site in world.sites.items()}
     uuid = world.command(0, world.submit, "ada", ONE_THEN_SIX_CPUS)
     record = world.orchestrator.get_deployment(uuid)
     assert record.ranked_sites == ("site-a", "site-b")
@@ -322,7 +322,7 @@ def test_quota_rejection_rolls_back_each_ranked_site():
         ("instance_released", "site-b", "rolled_back"),
         ("deployment_attempt_failed", "site-b", "quota_rejected"),
     ]
-    assert {sid: site.scheduler.free() for sid, site in world.sites.items()} == before
+    assert {sid: site.pool.cloud_free() for sid, site in world.sites.items()} == before
 
 
 UNKNOWN_KEY_BASE = """\
@@ -479,3 +479,99 @@ def test_each_template_text_is_parsed_once_and_a_bad_one_every_time(monkeypatch)
     completed = [(r["t"], r["request_id"]) for r in report.records
                  if r["kind"] == "instance_released" and r["reason"] == "job_completed"]
     assert completed == [(5, "dep-000001.j.0"), (11, "dep-000002.j.0")]
+
+
+# -- audit checks that a run never trips --------------------------------------------
+
+
+@pytest.mark.parametrize("failed, backfill, queued", [
+    (False, True, "fits_free"), (False, True, "fits_reclaimable"),
+    (True, True, "fits_free"), (False, False, "fits_free"), (False, True, "over_quota")])
+def test_audit_catches_a_normal_request_queued_while_it_could_start(failed, backfill, queued):
+    """A normal request enqueued around dispatch while free plus reclaimable
+    space fits it breaks preemption soundness, unless the site is failed,
+    backfill is off or its group's quota holds it back."""
+    from orchsim.config import EngineConfig
+    from orchsim.simulation import InvariantViolationError
+    config = EngineConfig(backfill=backfill, quotas={"capped": rv(1, 1024, 10)})
+    world = World(tiny_scenario(), config)
+    world.run()
+    site = world.sites["site-x"]
+    scheduler = site.scheduler
+    if failed:
+        site.failed_until = 30
+    if queued == "fits_reclaimable":
+        scheduler.submit(req(res=rv(2, 2048, 20), bid=0.1, rid="spot"), t=20)
+    if queued == "over_quota":
+        scheduler.submit(req(group="capped", res=rv(1, 1024, 10), rid="held"), t=20)
+    scheduler._enqueue(req(group="capped" if queued == "over_quota" else "g",
+                           res=rv(1, 1024, 10), rid="stuck"))
+    if failed or not backfill or queued == "over_quota":
+        world._audit(20)
+    else:
+        with pytest.raises(InvariantViolationError, match=(
+                r"^site site-x at t=20: normal request stuck queued despite feasible "
+                r"victim set$")):
+            world._audit(20)
+
+
+VIRTUAL_JOB = """\
+tosca_version: indigo_subset_1
+nodes:
+  tick:
+    kind: Job
+    image: tick:1
+"""
+
+
+class _ExpiryProbe(World):
+    """Records every job_expire the loop applies."""
+
+    def __init__(self, *args):
+        self.expired = []
+        super().__init__(*args)
+
+    def _do_job_expire(self, t, site_id, request_id):
+        self.expired.append((t, request_id))
+        super()._do_job_expire(t, site_id, request_id)
+
+
+def _virtual_job_deleted_before_it_expires():
+    world = _ExpiryProbe(tiny_scenario(events=[
+        submit_event("e1", 0, VIRTUAL_JOB, duration=10),
+        EventSpec(key="d1", at=5, action="delete", params={"ref": "e1"})]))
+    return world, world.run()
+
+
+def test_deleting_a_deployment_ends_its_virtual_instance():
+    world, report = _virtual_job_deleted_before_it_expires()
+    uuid = world._deployments_by_ref["e1"]
+    [ref] = world.orchestrator.instance_refs(uuid)
+    assert ref.request is None and ref.ended
+    states = [(r["t"], r["state"]) for r in report.records
+              if r["kind"] == "deployment_state" and r["uuid"] == uuid]
+    assert states[-2:] == [(5, "DELETE_IN_PROGRESS"), (5, "DELETED")]
+    # No site scheduler ever held it.
+    kinds = {r["kind"] for r in report.records}
+    assert "virtual_instance" in kinds
+    assert not kinds & {"request_submitted", "request_cancelled", "instance_released"}
+    verify_report(parse_report(report.to_text()))
+
+
+def test_job_expire_of_an_ended_instance_does_nothing():
+    world, report = _virtual_job_deleted_before_it_expires()
+    assert world.expired == [(10, "dep-000001.tick.0")]
+    assert [r for r in report.records if r["kind"] == "job_completed"] == []
+    assert [r for r in report.records if r["t"] == 10] == []
+
+
+def test_deleting_a_rejected_submit_fails_as_not_found():
+    report = run_scenario(tiny_scenario(events=[
+        submit_event("bad", 0, "tosca_version: indigo_subset_1\nnodes:\n  a: { kind: Job }\n"),
+        EventSpec(key="d1", at=1, action="delete", params={"ref": "bad"})]))
+    rejected = [(r["event"], r["reason"]) for r in report.records
+                if r["kind"] == "deployment_rejected"]
+    assert rejected == [("bad", "template")]
+    failed = [r for r in report.records if r["kind"] == "delete_failed"]
+    assert failed == [{"t": 1, "seq": failed[0]["seq"], "kind": "delete_failed",
+                       "event": "d1", "ref": "bad", "reason": "not_found"}]
