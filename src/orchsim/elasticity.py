@@ -437,8 +437,13 @@ class ElasticityManager:
         self._floors.pop(key, None)
         self._top_floor = max(self._floors.values(), default=0)
 
+    def floor(self) -> int:
+        """The node count reconcile keeps powered: the policy's min_nodes or
+        the largest registered floor."""
+        return max(self.policy.min_nodes, self._top_floor)
+
     def _bounds(self, cloud_total: int) -> tuple[int, int]:
-        floor = max(self.policy.min_nodes, self._top_floor)
+        floor = self.floor()
         ceiling = self.policy.max_nodes if self.policy.max_nodes is not None else cloud_total
         ceiling = min(ceiling, cloud_total)
         return min(floor, ceiling), ceiling

@@ -329,10 +329,12 @@ class World:
         for event in scenario.events:
             self._push(event.at, "scenario", {"event": event})
         self._deployments_by_ref: dict[str, str] = {}
-        self._ticks: set[tuple[str, int]] = set()
+        self._ticks: set[int] = set()  # times of the queued elastic_tick wakes
+        # site id -> (_inputs(site), next idle due) at the end of its last visit
+        self._settled: dict[str, tuple] = {}
         # Nodes idle from the start power off t_idle_s later, event or not.
-        for spec in scenario.providers:
-            self._schedule_idle_tick(self.sites[spec.provider_id], 0)
+        for site in self.sites.values():
+            self._schedule_wake(site.pool.next_idle_due(0, site.elastic.policy.t_idle_s))
 
     # -- event plumbing -----------------------------------------------------
 
@@ -402,9 +404,10 @@ class World:
         elif kind == "site_recover":
             self._do_site_recover(t, payload["site"])
         elif kind == "elastic_tick":
-            # Only wakes the stabilization pass so idle nodes can power off.
-            # Every later wake is > t, so this key is never looked up again.
-            self._ticks.discard((payload["site"], t))
+            # Only wakes the stabilization pass, which visits every site with
+            # an idle node come due.  One wake serves every site due at t, and
+            # every later wake is > t, so t is never looked up again.
+            self._ticks.discard(t)
         else:
             raise InvariantViolationError("unknown internal event %r" % kind)
 
@@ -509,29 +512,74 @@ class World:
     # -- stabilization and audits ----------------------------------------------
 
     def _stabilize(self, t: int):
+        """Bring every site that is not failed to a fixpoint at t: dispatch
+        starts nothing more and reconcile plans no power action.
+
+        A site is visited only when it may not be at one already: its inputs
+        (_inputs: pool writes, queue writes, elasticity floor) moved since the
+        end of its last visit, an idle node came due since then, or backfill
+        is off and its queue is not empty.  Skipping any other site is exact,
+        because its last visit ended at a fixpoint and nothing it read moved:
+        - with backfill on, a finished dispatch leaves every queued shape
+          unstartable at that pool state, and whether a shape can start
+          depends on the pool state only (SiteScheduler._startable), not on
+          the time or the queue order; with backfill off the head can change
+          as usage decays, so a non-empty queue is always visited;
+        - reconcile reads only the pool counters, the queued demand and the
+          floor, and reads t only through which idle nodes are due; the next
+          due time is kept from the visit;
+        - the visit repeats reconcile until it plans nothing, and its power
+          actions only remove schedulable free space, so dispatch still
+          starts nothing after them.  A second pass at the same t therefore
+          changes nothing, which is also why one elastic_tick per time is
+          enough however many sites come due then.
+        Neither dispatch nor reconcile reads whether the site is failed: a
+        failed site is not visited, and once it recovers the same test
+        decides, so the kills and restarts move its inputs like any other
+        writes.  Every site is still audited after every event (_audit).
+        """
         for spec in self.scenario.providers:
             site = self.sites[spec.provider_id]
             if site.failed(t):
                 continue
-            site.scheduler.dispatch(t)
-            actions = site.elastic.reconcile(site.pool,
-                                             site.scheduler.queued_demand(), t)
+            settled = self._settled.get(site.site_id)
+            if (settled is not None and settled[0] == self._inputs(site)
+                    and (settled[1] is None or settled[1] > t)
+                    and (site.scheduler.backfill or not site.scheduler.queue)):
+                continue
+            self._visit(site, t)
+
+    @staticmethod
+    def _inputs(site: Site) -> tuple:
+        """What a site's dispatch and reconcile read, as counters: unchanged
+        counters mean an unchanged pool, queue and floor."""
+        return site.pool.writes, site.scheduler.queue_writes, site.elastic.floor()
+
+    def _visit(self, site: Site, t: int):
+        """Dispatch, then reconcile and apply power actions until reconcile
+        plans nothing; record the inputs and the next idle due time."""
+        site.scheduler.dispatch(t)
+        policy = site.elastic.policy
+        while True:
+            actions = site.elastic.reconcile(site.pool, site.scheduler.queued_demand(), t)
+            if not actions:
+                break
             for action in actions:
                 if action.kind == ACTION_POWER_ON:
-                    site.pool.power_on(action.node_id, t, site.elastic.policy.boot_delay_s)
+                    site.pool.power_on(action.node_id, t, policy.boot_delay_s)
                     self._push(site.pool.nodes[action.node_id].ready_at, "boot_complete",
                                {"site": site.site_id, "node": action.node_id})
                 else:
                     site.pool.power_off(action.node_id, t)
-            self._schedule_idle_tick(site, t)
+        wake = site.pool.next_idle_due(t, policy.t_idle_s)
+        self._schedule_wake(wake)
+        self._settled[site.site_id] = (self._inputs(site), wake)
 
-    def _schedule_idle_tick(self, site: Site, t: int):
-        """Wake up again when the next idle node becomes eligible to power off."""
-        wake = site.pool.next_idle_due(t, site.elastic.policy.t_idle_s)
-        if wake is not None and wake <= self.scenario.horizon_s \
-                and (site.site_id, wake) not in self._ticks:
-            self._ticks.add((site.site_id, wake))
-            self._push(wake, "elastic_tick", {"site": site.site_id})
+    def _schedule_wake(self, wake: int | None):
+        """Queue an elastic_tick at wake, once per time, up to the horizon."""
+        if wake is not None and wake <= self.scenario.horizon_s and wake not in self._ticks:
+            self._ticks.add(wake)
+            self._push(wake, "elastic_tick", {})
 
     def _audit(self, t: int):
         """Audit every site after every event; any violation aborts the run."""

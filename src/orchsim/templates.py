@@ -131,6 +131,7 @@ VIOLATION_MISSING_MIN_WORKERS = "missing_min_workers"
 VIOLATION_MISSING_MAX_WORKERS = "missing_max_workers"
 VIOLATION_NAME_MISMATCH = "name_mismatch"
 VIOLATION_BAD_BID = "bad_bid"
+VIOLATION_NO_NODES = "no_nodes"
 
 # Mandatory properties per kind, in checking order, with the violation each
 # absence raises; parse_template turns these into MissingPropertyError.
@@ -157,6 +158,8 @@ def validate(template: DeploymentTemplate) -> ValidationReport:
     """
     found: list[Violation] = []
     names = set(template.nodes)
+    if not names:
+        found.append(Violation(VIOLATION_NO_NODES, "template", "declares no nodes"))
 
     for name in sorted(template.nodes):
         node = template.nodes[name]

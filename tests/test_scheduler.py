@@ -374,6 +374,23 @@ def test_release_triggers_dispatch():
     assert "b" in sched.running
 
 
+def test_every_queue_write_moves_the_queue_write_counter():
+    """submit enqueues, a dispatch start and cancel_queued dequeue: each is
+    one write.  A rollback cancels through cancel_queued (test_simulation)."""
+    sched = make_scheduler(rv(2, 2048, 20))
+    full = rv(2, 2048, 20)
+    sched.submit(req(res=full, rid="a"), t=0)  # enqueue, then start
+    assert sched.queue_writes == 2
+    sched.submit(req(res=full, rid="b"), t=1)  # enqueue only
+    assert sched.queue_writes == 3
+    sched.release("a", 2)  # its dispatch starts b
+    assert "b" in sched.running and sched.queue_writes == 4
+    sched.submit(req(res=full, rid="c"), t=3)
+    assert sched.cancel_queued("c", 4) and sched.queue_writes == 6
+    assert not sched.cancel_queued("c", 5) and sched.queue_writes == 6
+    assert sched.dispatch(6) == [] and sched.queue_writes == 6
+
+
 def test_zero_resource_request_invalid():
     with pytest.raises(SchedulerError):
         InstanceRequest(request_id="r", user="u", group="g",

@@ -565,6 +565,15 @@ def test_job_expire_of_an_ended_instance_does_nothing():
     assert [r for r in report.records if r["t"] == 10] == []
 
 
+def test_a_submit_of_a_template_without_nodes_is_rejected():
+    report = run_scenario(tiny_scenario(events=[
+        submit_event("empty", 0, "tosca_version: indigo_subset_1\nnodes: {}\n")]))
+    rejected = [(r["event"], r["reason"], r["detail"]) for r in report.records
+                if r["kind"] == "deployment_rejected"]
+    assert rejected == [("empty", "template", "template: declares no nodes")]
+    assert report.metrics["deployments"] == {}
+
+
 def test_deleting_a_rejected_submit_fails_as_not_found():
     report = run_scenario(tiny_scenario(events=[
         submit_event("bad", 0, "tosca_version: indigo_subset_1\nnodes:\n  a: { kind: Job }\n"),
@@ -575,3 +584,230 @@ def test_deleting_a_rejected_submit_fails_as_not_found():
     failed = [r for r in report.records if r["kind"] == "delete_failed"]
     assert failed == [{"t": 1, "seq": failed[0]["seq"], "kind": "delete_failed",
                        "event": "d1", "ref": "bad", "reason": "not_found"}]
+
+
+# -- event-driven stabilization ------------------------------------------------------
+
+
+class _VisitEverySite(World):
+    """The stabilize loop without its skip test: every site that is not
+    failed is visited after every event."""
+
+    def _stabilize(self, t):
+        for spec in self.scenario.providers:
+            site = self.sites[spec.provider_id]
+            if not site.failed(t):
+                self._visit(site, t)
+
+
+class _FixpointProbe(World):
+    """After every event checks that each site that is not failed is at a
+    fixpoint: a fresh dispatch starts nothing and reconcile plans nothing."""
+
+    def __init__(self, *args):
+        self.checked = 0
+        super().__init__(*args)
+
+    def _audit(self, t):
+        super()._audit(t)
+        for site_id, site in self.sites.items():
+            if site.failed(t):
+                continue
+            assert site.scheduler.dispatch(t) == [], (site_id, t)
+            assert site.elastic.reconcile(site.pool, site.scheduler.queued_demand(), t) == [], \
+                (site_id, t)
+            self.checked += 1
+
+
+SERVICE_1CPU = """\
+tosca_version: indigo_subset_1
+nodes:
+  svc:
+    kind: Service
+    image: web:1
+    resources: { cpus: 1, mem_mb: 1024, disk_gb: 10 }
+"""
+
+CLUSTER_3_WORKERS = """\
+tosca_version: indigo_subset_1
+nodes:
+  front:
+    kind: Compute
+    resources: { cpus: 1, mem_mb: 1024, disk_gb: 10 }
+  workers:
+    kind: ElasticCluster
+    resources: { cpus: 1, mem_mb: 1024, disk_gb: 10 }
+    min_workers: 3
+    max_workers: 3
+    depends_on: [front]
+"""
+
+
+def _vm(cpus):
+    return ("tosca_version: indigo_subset_1\nnodes:\n  vm:\n    kind: Compute\n"
+            "    resources: { cpus: %d, mem_mb: 1024, disk_gb: 10 }\n" % cpus)
+
+
+def _two_sites(p1_nodes, events, p2_nodes="      m1: { cpus: 2, mem_mb: 4096, disk_gb: 50 }\n",
+               t_idle_s=20, groups=("research", "research")):
+    """A two-site scenario: p1 ranks above p2 for group research."""
+    return ("seed: 2\nhorizon_s: 300\nproviders:\n"
+            "  p1:\n    elasticity: { t_idle_s: %d, boot_delay_s: 10 }\n    nodes:\n%s"
+            "  p2:\n    elasticity: { t_idle_s: %d, boot_delay_s: 10 }\n    nodes:\n%s"
+            "slas:\n  s1: { provider: p1, group: %s, sla_rank: 5.0 }\n"
+            "  s2: { provider: p2, group: %s, sla_rank: 3.0 }\n"
+            "users:\n  ada: { group: %s }\n  ben: { group: %s }\nevents:\n%s"
+            % (t_idle_s, p1_nodes, t_idle_s, p2_nodes, groups[0], groups[1],
+               groups[0], groups[1], events))
+
+
+_TEMPLATES = {"svc": SERVICE_1CPU, "job": JOB_2CPU, "cluster": CLUSTER_3_WORKERS,
+              "vm-4": _vm(4), "vm-8": _vm(8)}
+
+# Two overlapping failures of p1 (until 60, then until 90) while a service
+# runs there and jobs fail over to p2; idle nodes come due during the outage.
+FAIL_OVERLAP = _two_sites(
+    "      n1: { cpus: 2, mem_mb: 4096, disk_gb: 50 }\n"
+    "      n2: { cpus: 2, mem_mb: 4096, disk_gb: 50, power: off }\n",
+    "  svc: { at: 0, action: submit, template: svc, user: ada }\n"
+    "  out1: { at: 10, action: fail_site, provider: p1, duration: 50 }\n"
+    "  out2: { at: 30, action: fail_site, provider: p1, duration: 60 }\n"
+    "  job1: { at: 40, action: submit, template: job, user: ada, duration: 30 }\n"
+    "  job2: { at: 95, action: submit, template: job, user: ben, duration: 30 }\n"
+    "  end: { at: 200, action: delete, ref: svc }\n")
+
+# An elastic cluster registers a floor of three workers on p1 and drops it
+# when deleted; the extra workers' nodes then power off once idle.
+FLOOR = _two_sites(
+    "      n1: { cpus: 4, mem_mb: 8192, disk_gb: 100 }\n"
+    + "".join("      w%d: { cpus: 1, mem_mb: 1024, disk_gb: 10, power: off }\n" % i
+              for i in range(1, 4)),
+    "  cluster: { at: 10, action: submit, template: cluster, user: ada }\n"
+    "  job: { at: 100, action: submit, template: job, user: ada, duration: 50 }\n"
+    "  gone: { at: 200, action: delete, ref: cluster }\n")
+
+# 8 cpus queue on p1 while a and b are on (a busy) and c is off: c powers on
+# up to the ceiling, then b comes due at t=10 and powers off, which leaves
+# the demand uncovered, so the same pass powers b back on.
+CHURN = _two_sites(
+    "      a: { cpus: 4, mem_mb: 4096, disk_gb: 40 }\n"
+    "      b: { cpus: 4, mem_mb: 4096, disk_gb: 40 }\n"
+    "      c: { cpus: 4, mem_mb: 4096, disk_gb: 40, power: off }\n",
+    "  small: { at: 0, action: submit, template: vm-4, user: ada }\n"
+    "  big: { at: 0, action: submit, template: vm-8, user: ada }\n"
+    "  other: { at: 20, action: submit, template: job, user: ben, duration: 5 }\n",
+    t_idle_s=10, groups=("research", "other"))
+
+_SHIPPED = ("repository", "two-site-dataset", "failover", "partition", "preemption",
+            "elastic-cluster")
+
+
+def _scenario_for(name):
+    if name in _SHIPPED:
+        return load_scenario("scenarios/%s.scn" % name)
+    if name == "federation(1, 0)":
+        from test_golden import _bench_workloads
+        workload = _bench_workloads().federation(1, 0)
+        return parse_scenario(workload.text, name=workload.name,
+                              template_loader=workload.templates.__getitem__)
+    text = {"fail_site overlap": FAIL_OVERLAP, "floor": FLOOR, "churn": CHURN}[name]
+    return parse_scenario(text, name=name, template_loader=_TEMPLATES.__getitem__)
+
+
+_RUNS = ([(name, backfill) for name in _SHIPPED for backfill in (True, False)]
+         + [(name, True) for name in ("fail_site overlap", "floor", "churn",
+                                      "federation(1, 0)")]
+         + [("churn", False)])
+
+
+@pytest.mark.parametrize("name, backfill", _RUNS)
+def test_every_site_is_at_a_fixpoint_after_every_event(name, backfill):
+    from orchsim.config import EngineConfig
+    world = _FixpointProbe(_scenario_for(name), EngineConfig(backfill=backfill))
+    world.run()
+    assert world.checked > 0
+
+
+@pytest.mark.parametrize("name, backfill", _RUNS)
+def test_skipping_settled_sites_keeps_the_report(name, backfill):
+    from orchsim.config import EngineConfig
+    config = EngineConfig(backfill=backfill)
+    skipping = World(_scenario_for(name), config).run().to_text()
+    assert skipping == _VisitEverySite(_scenario_for(name), config).run().to_text()
+
+
+def test_a_pass_powers_back_on_a_node_it_powered_off_while_demand_is_uncovered():
+    """The pass that powers b off at t=10 runs reconcile again and powers it
+    back on at once, whatever other site has an event at t=10."""
+    report = run_scenario(_scenario_for("churn"))
+    at_10 = [(r["node"], r["power"]) for r in report.records
+             if r["kind"] == "node_power" and r["site"] == "p1" and r["t"] == 10]
+    assert at_10[:2] == [("b", "off"), ("b", "booting")]
+
+
+def test_sites_due_at_the_same_time_share_one_idle_wake():
+    """p1 and p2 each run a job until t=10 and then idle: both come due at
+    t=70 (and both nodes, idle from t=0, were due at t=60 before the jobs)."""
+    ticks = []
+
+    class Probe(World):
+        def _push(self, at, kind, payload):
+            if kind == "elastic_tick":
+                ticks.append(at)
+            super()._push(at, kind, payload)
+
+    text = _two_sites(
+        "      n1: { cpus: 2, mem_mb: 4096, disk_gb: 50 }\n",
+        "  j1: { at: 0, action: submit, template: job, user: ada, duration: 10 }\n"
+        "  j2: { at: 0, action: submit, template: job, user: ben, duration: 10 }\n",
+        t_idle_s=60, groups=("g1", "g2"))
+    report = Probe(parse_scenario(text, template_loader=_TEMPLATES.__getitem__)).run()
+    assert ticks == [60, 70]
+    offs = sorted((r["t"], r["site"], r["node"]) for r in report.records
+                  if r["kind"] == "node_power" and r["power"] == "off")
+    assert offs == [(70, "p1", "n1"), (70, "p2", "m1")]
+
+
+def test_a_floor_change_alone_brings_a_visit():
+    visits = []
+
+    class Probe(World):
+        def _visit(self, site, t):
+            visits.append((site.site_id, t))
+            super()._visit(site, t)
+
+    world = Probe(Scenario(name="floor", seed=1, horizon_s=100, providers=[ProviderSpec(
+        provider_id="p1", nodes=(("n1", rv(2, 2048, 20), "on", "cloud"),
+                                 ("n2", rv(2, 2048, 20), "off", "cloud")))]))
+    site = world.sites["p1"]
+    world._stabilize(0)
+    world._stabilize(1)
+    assert visits == [("p1", 0)]
+    site.elastic.register_floor("dep/workers", 2)
+    world._stabilize(2)
+    assert visits[-1] == ("p1", 2) and site.pool.nodes["n2"].power == "booting"
+    settled = World._inputs(site)
+    site.elastic.deregister_floor("dep/workers")
+    assert World._inputs(site) != settled
+    world._stabilize(3)
+    assert visits == [("p1", 0), ("p1", 2), ("p1", 3)]
+
+
+def test_a_rollback_cancelling_a_queued_request_moves_the_queue_write_counter():
+    """The small node queues (p1's on node is full) and the big one exceeds
+    its group's quota, so the attempt rolls back and cancels the small one."""
+    from orchsim.config import parse_config
+    text = _two_sites(
+        "      n1: { cpus: 2, mem_mb: 4096, disk_gb: 50 }\n"
+        "      n2: { cpus: 8, mem_mb: 16384, disk_gb: 200, power: off }\n",
+        "  filler: { at: 0, action: submit, template: job, user: ben, duration: 100 }\n",
+        p2_nodes="      m1: { cpus: 1, mem_mb: 1024, disk_gb: 10 }\n", groups=("g", "g"))
+    world = World(parse_scenario(text, template_loader=_TEMPLATES.__getitem__),
+                  parse_config("quota.g = 4,8192,100\n"))
+    scheduler = world.sites["p1"].scheduler
+    world.command(1, lambda t: None)  # the filler starts on n1 at t=0
+    before = scheduler.queue_writes
+    world.command(2, world.submit, "ada", ONE_THEN_SIX_CPUS)
+    cancelled = [r["request_id"] for r in world.log.records if r["kind"] == "request_cancelled"]
+    assert cancelled == ["dep-000002.small.0"]
+    assert scheduler.queue == [] and scheduler.queue_writes == before + 2

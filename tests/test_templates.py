@@ -197,6 +197,18 @@ def test_validate_bid_without_preemptible():
     assert report.codes() == ("bid_without_preemptible",)
 
 
+@pytest.mark.parametrize("text", [
+    "tosca_version: indigo_subset_1\nnodes: {}\n",
+    "tosca_version: indigo_subset_1\n",
+])
+def test_a_template_without_nodes_is_rejected(text):
+    assert validate(DeploymentTemplate(version_tag="indigo_subset_1")).codes() == ("no_nodes",)
+    with pytest.raises(TemplateError) as caught:
+        parse_template(text)
+    assert str(caught.value) == "template: declares no nodes"
+    assert caught.value.report.codes() == ("no_nodes",)
+
+
 def test_validate_worker_bounds():
     template = DeploymentTemplate(
         version_tag="indigo_subset_1",
