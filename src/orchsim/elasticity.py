@@ -106,9 +106,11 @@ class NodePool:
 
     So cloud_capacity(), cloud_free(), reclaimable(), booting_capacity(),
     potential_capacity() and cloud_counts() are O(1).
-    audit() recomputes every counter from the nodes and cross-checks it;
-    SiteScheduler.audit, which owns the running instances, checks each node's
-    instance set, used and preemptible_used against them.
+    audit(running) walks the nodes once: it checks each node's instance set,
+    used and preemptible_used against the site's running instances and
+    recomputes every counter from the nodes to cross-check it.
+    SiteScheduler.audit calls it and checks the rest of the site from what
+    it returns.
 
     The pool also logs its node changes: a site_node record per node at
     construction, node_power on every power write and role_changed when a
@@ -259,14 +261,19 @@ class NodePool:
         return min((since + t_idle_s for since in self._idle.values()
                     if since + t_idle_s > t), default=None)
 
-    def audit(self) -> list[int]:
-        """Recompute every counter and the pool partition from the nodes.
+    def audit(self, running) -> tuple[list[int], int, dict[str, list[int]]]:
+        """Recompute every counter and the pool partition from the nodes and
+        check each node's instance set against running, the site's running
+        instances by request id, both ways, and its used and preemptible_used
+        against their sums, all in one walk.
 
-        Raises ElasticityError when a node holds instances while not powered
-        on, has an unknown power state, is powered but in none of the batch,
-        cloud and draining pools (so the pools do not partition the powered
-        capacity), or when a counter differs from its recomputation.  Returns
-        the recomputed cloud use.
+        Raises ElasticityError when a check fails, a busy node is not powered
+        on, a power state is unknown, a powered node is in none of the batch,
+        cloud and draining pools or a counter differs from its recount.  Each
+        node's checks run in turn; running instances on no node and the
+        counters are checked after the walk.
+        Returns the recounted cloud use, the number of running preemptibles
+        and each request group's [cpus, mem_mb, disk_gb] sums.
         """
         # The on row and the use stay in locals: most nodes are on.
         on_cpus = on_mem = on_disk = on_count = 0
@@ -274,15 +281,54 @@ class NodePool:
         reclaim_cpus = reclaim_mem = reclaim_disk = 0
         cloud = {POWER_BOOTING: [0, 0, 0, 0], POWER_OFF: [0, 0, 0, 0]}
         idle = {}
+        by_group: dict[str, list[int]] = {}
+        held = preemptibles = 0
         for node_id, node in self.nodes.items():
             power, role, capacity = node.power, node.role, node.capacity
+            node_used, share = node.used, node.preemptible_used
+            node_cpus = node_mem = node_disk = 0
+            share_cpus = share_mem = share_disk = 0
+            for request_id in node.instances:
+                instance = running.get(request_id)
+                if instance is None or instance.node_id != node_id:
+                    raise ElasticityError("node %s holds instance %s, which %s" % (
+                        node_id, request_id, "is not running" if instance is None
+                        else "runs on node %s" % instance.node_id))
+                request = instance.request
+                resources = request.resources
+                cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
+                node_cpus += cpus
+                node_mem += mem_mb
+                node_disk += disk_gb
+                if request.bid is not None:
+                    share_cpus += cpus
+                    share_mem += mem_mb
+                    share_disk += disk_gb
+                    preemptibles += 1
+                sums = by_group.get(request.group)
+                if sums is None:
+                    sums = by_group[request.group] = [0, 0, 0]
+                sums[0] += cpus
+                sums[1] += mem_mb
+                sums[2] += disk_gb
+            held += len(node.instances)
+            if (node_used.cpus != node_cpus or node_used.mem_mb != node_mem
+                    or node_used.disk_gb != node_disk):
+                raise ElasticityError(
+                    "node %s used %s but running instances sum to (%d cpus, %d MB, %d GB)"
+                    % (node_id, node_used, node_cpus, node_mem, node_disk))
+            if (share.cpus != share_cpus or share.mem_mb != share_mem
+                    or share.disk_gb != share_disk):
+                raise ElasticityError(
+                    "node %s preemptible_used %s but running preemptibles sum to "
+                    "(%d cpus, %d MB, %d GB)"
+                    % (node_id, share, share_cpus, share_mem, share_disk))
             if power == POWER_ON:
                 if role == ROLE_CLOUD:
                     on_cpus += capacity.cpus
                     on_mem += capacity.mem_mb
                     on_disk += capacity.disk_gb
                     on_count += 1
-                    node_used, share = node.used, node.preemptible_used
                     used_cpus += node_used.cpus
                     used_mem += node_used.mem_mb
                     used_disk += node_used.disk_gb
@@ -305,6 +351,10 @@ class NodePool:
                 row[1] += capacity.mem_mb
                 row[2] += capacity.disk_gb
                 row[3] += 1
+        if held != len(running):
+            on_nodes = set().union(*(node.instances for node in self.nodes.values()))
+            raise ElasticityError("running instances %s are on no node's instance set"
+                                  % sorted(running.keys() - on_nodes))
         cloud[POWER_ON] = [on_cpus, on_mem, on_disk, on_count]
         used = [used_cpus, used_mem, used_disk]
         reclaimable = [reclaim_cpus, reclaim_mem, reclaim_disk]
@@ -316,7 +366,7 @@ class NodePool:
             raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
                 "%s %s, nodes give %s" % (name, counted[name], recounted[name])
                 for name in counted if counted[name] != recounted[name]))
-        return used
+        return used, preemptibles, by_group
 
     def assign(self, request_id: str, resources: ResourceVector, t: int,
                preemptible: bool = False) -> str:

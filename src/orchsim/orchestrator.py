@@ -154,7 +154,10 @@ class Orchestrator:
                  preferences: dict[str, PreferenceList] | None = None, log=None):
         self.sites = sites
         self.iam = iam
-        self.slas: list[SLARecord] = list(slas)
+        # site id -> its SLAs, best first: by -sla_rank, then group name
+        self._site_slas: dict[str, list[SLARecord]] = {}
+        for sla in sorted(slas, key=lambda s: (-s.sla_rank, s.group)):
+            self._site_slas.setdefault(sla.provider_id, []).append(sla)
         self.catalog = catalog or DataCatalog()
         self.ranker_config = ranker_config or RankerConfig()
         self.preferences = dict(preferences or {})
@@ -278,8 +281,10 @@ class Orchestrator:
 
     def _best_sla(self, site_id: str, groups) -> SLARecord | None:
         """The best-ranked SLA of one of groups at the site (ties: group name)."""
-        return min((s for s in self.slas if s.provider_id == site_id and s.group in groups),
-                   key=lambda s: (-s.sla_rank, s.group), default=None)
+        for sla in self._site_slas.get(site_id, ()):
+            if sla.group in groups:
+                return sla
+        return None
 
     def _try_site(self, record: DeploymentRecord, site_id: str, t: int,
                   job_duration_s: int | None) -> str | None:

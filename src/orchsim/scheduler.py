@@ -16,7 +16,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 
-from .elasticity import NodePool
+from .elasticity import ElasticityError, NodePool
 from .errors import DomainError
 from .resources import ResourceVector, add_into, unchecked
 
@@ -453,66 +453,42 @@ class SiteScheduler:
         """Cross-check incremental accounting against first principles.
 
         Integer sums throughout, with no vector built unless a check fails.
-        One walk over the pool's nodes checks each node's instance set
-        against running, both ways, and its used and preemptible_used against
-        its instances.  Then come the pool's own audit (its counters, the
-        partition, no busy node powered down), the victim order, pooled
-        conservation, the queued-demand counter and each group's running
-        counter and quota.  Last comes preemption soundness: with backfill
-        on and the site not failed, no normal request the quota lets run may
-        sit queued while free plus reclaimable space fits it.  The
+        The pool's audit walks the nodes once: each node's instance set
+        against running, both ways, its used and preemptible_used against
+        its instances, the pool's counters, the partition and no busy node
+        powered down.  It returns the running use on cloud nodes, the
+        running preemptibles and each group's sums, and this audit checks the
+        rest from them without walking the nodes again: the victim order,
+        pooled conservation, the queued-demand counter and each group's
+        running counter and quota.  Last comes preemption soundness: with
+        backfill on and the site not failed, no normal request the quota lets
+        run may sit queued while free plus reclaimable space fits it.  The
         unstartable shapes are a cache of _startable, not a counter, so they
         are not re-probed here.
         """
         running = self.running
-        by_group: dict[str, list[int]] = {}
-        visited = preemptibles = 0
-        for node_id, node in self.pool.nodes.items():
-            node_cpus = node_mem_mb = node_disk_gb = 0
-            share_cpus = share_mem_mb = share_disk_gb = 0
-            for request_id in node.instances:
-                instance = running.get(request_id)
-                if instance is None or instance.node_id != node_id:
-                    raise SchedulerError("node %s holds instance %s, which %s" % (
-                        node_id, request_id, "is not running" if instance is None
-                        else "runs on node %s" % instance.node_id))
-                request = instance.request
-                resources = request.resources
-                cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
-                node_cpus += cpus
-                node_mem_mb += mem_mb
-                node_disk_gb += disk_gb
-                if request.bid is not None:
-                    share_cpus += cpus
-                    share_mem_mb += mem_mb
-                    share_disk_gb += disk_gb
-                    preemptibles += 1
-                sums = by_group.get(request.group)
-                if sums is None:
-                    sums = by_group[request.group] = [0, 0, 0]
-                sums[0] += cpus
-                sums[1] += mem_mb
-                sums[2] += disk_gb
-            visited += len(node.instances)
-            used, share = node.used, node.preemptible_used
-            if (used.cpus != node_cpus or used.mem_mb != node_mem_mb
-                    or used.disk_gb != node_disk_gb):
-                raise SchedulerError(
-                    "node %s used %s but running instances sum to (%d cpus, %d MB, %d GB)"
-                    % (node_id, used, node_cpus, node_mem_mb, node_disk_gb))
-            if (share.cpus != share_cpus or share.mem_mb != share_mem_mb
-                    or share.disk_gb != share_disk_gb):
-                raise SchedulerError(
-                    "node %s preemptible_used %s but running preemptibles sum to "
-                    "(%d cpus, %d MB, %d GB)"
-                    % (node_id, share, share_cpus, share_mem_mb, share_disk_gb))
-        if visited != len(running):
-            held = set().union(*(node.instances for node in self.pool.nodes.values()))
-            raise SchedulerError("running instances %s are on no node's instance set"
-                                 % sorted(running.keys() - held))
-        # Each node's used matched its instances: this is what runs on cloud nodes.
-        cpus, mem_mb, disk_gb = self.pool.audit()
-        self._audit_victim_order(preemptibles)
+        try:
+            (cpus, mem_mb, disk_gb), preemptibles, by_group = self.pool.audit(running)
+        except ElasticityError as exc:
+            raise SchedulerError(str(exc)) from exc
+        # The victim order holds exactly the running preemptibles, each under
+        # its own key, in strictly increasing key order.
+        victims = self._victims
+        if len(victims) != preemptibles:
+            raise SchedulerError("victim order holds %d entries for %d running preemptibles"
+                                 % (len(victims), preemptibles))
+        previous = ()  # below every entry
+        for entry in victims:
+            bid, negative_start, request_id, instance = entry
+            request = instance.request
+            if (running.get(request_id) is not instance or bid is None or request.bid != bid
+                    or instance.start_time != -negative_start
+                    or request.request_id != request_id):
+                raise SchedulerError("victim order entry %r is not a running preemptible "
+                                     "under its key" % ((bid, negative_start, request_id),))
+            if entry <= previous:  # valid entries differ by request id
+                raise SchedulerError("victim order is not sorted")
+            previous = entry
         if not self.pool.conserves(cpus, mem_mb, disk_gb):
             free, capacity = self.pool.cloud_free(), self.pool.cloud_capacity()
             raise SchedulerError(
@@ -550,20 +526,3 @@ class SiteScheduler:
         if unsound is not None:
             raise SchedulerError("normal request %s queued despite feasible victim set"
                                  % unsound.request_id)
-
-    def _audit_victim_order(self, preemptibles: int):
-        """The victim order holds exactly the running preemptibles, each under
-        its own key, in strictly increasing key order."""
-        victims, running = self._victims, self.running
-        if len(victims) != preemptibles:
-            raise SchedulerError("victim order holds %d entries for %d running preemptibles"
-                                 % (len(victims), preemptibles))
-        for bid, negative_start, request_id, instance in victims:
-            request = instance.request
-            if (running.get(request_id) is not instance or bid is None or request.bid != bid
-                    or instance.start_time != -negative_start
-                    or request.request_id != request_id):
-                raise SchedulerError("victim order entry %r is not a running preemptible "
-                                     "under its key" % ((bid, negative_start, request_id),))
-        if not all(map(operator.lt, victims, itertools.islice(victims, 1, None))):
-            raise SchedulerError("victim order is not sorted")

@@ -305,6 +305,8 @@ class World:
                              quotas=self.config.quotas,
                              log=self.log, t=0)
             self.sites[spec.provider_id] = site
+        # (site id, site) in id order, the order every event audits them in
+        self._audit_order = tuple(sorted(self.sites.items()))
 
         self.tokens: dict[str, str] = {}
         for user in scenario.users:
@@ -582,9 +584,9 @@ class World:
             self._push(wake, "elastic_tick", {})
 
     def _audit(self, t: int):
-        """Audit every site after every event; any violation aborts the run."""
-        for site_id in sorted(self.sites):
-            site = self.sites[site_id]
+        """Audit every site after every event, in site id order; any violation
+        aborts the run."""
+        for site_id, site in self._audit_order:
             try:
                 site.scheduler.audit(t, failed=site.failed(t))
             except DomainError as exc:

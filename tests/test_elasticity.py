@@ -11,11 +11,20 @@ from orchsim.elasticity import (ACTION_POWER_OFF, ACTION_POWER_ON,
                                 NodeRecord, UnknownNodeError)
 from orchsim.report import EventLog
 from orchsim.resources import ResourceVector
+from orchsim.scheduler import RunningInstance
 
 
 def worker_pool(count, power="off", capacity=None, log=None):
     capacity = capacity or rv(1, 1024, 10)
     return make_pool(*[capacity] * count, power=power, prefix="w", log=log)
+
+
+def running_of(placed):
+    """The running map NodePool.audit checks the nodes against, from what a
+    test assigned: request id -> (resources, node id, preemptible)."""
+    return {rid: RunningInstance(req(res=resources, bid=0.5 if preemptible else None, rid=rid),
+                                 start_time=0, node_id=node_id)
+            for rid, (resources, node_id, preemptible) in placed.items()}
 
 
 def logged(log, kind):
@@ -188,7 +197,7 @@ def test_switch_idle_node_is_immediate():
          "to_role": "batch", "state": "completed"}]
     assert pool.nodes["w1"].role == "batch"
     assert pool.cloud_capacity() == rv()
-    pool.audit()
+    pool.audit({})
 
 
 def test_switch_busy_node_drains_then_completes():
@@ -201,7 +210,7 @@ def test_switch_busy_node_drains_then_completes():
     # excluded from both pools while draining
     assert pool.nodes["n1"].role == "draining_to_batch"
     assert pool.cloud_capacity() == rv()
-    pool.audit()
+    pool.audit(sched.running)
     sched.release("keeper", 20)
     assert pool.nodes["n1"].role == "batch"
     # The drain completes as the instance leaves, before its release record.
@@ -238,7 +247,7 @@ def test_pool_partition_always_exact():
     assert [pool.nodes[n].role for n in ("n1", "n2", "n3")] == [
         "draining_to_batch", "batch", "cloud"]
     assert pool.cloud_capacity() == rv(2, 2048, 20)
-    pool.audit()  # every powered node is in exactly one of the pools
+    pool.audit(sched.running)  # every powered node is in exactly one of the pools
 
 
 def test_draining_node_receives_no_new_work():
@@ -326,10 +335,21 @@ def test_cloud_counters_follow_a_random_walk():
             assert node.used == ResourceVector.total(r for r, _ in here), t
             assert node.preemptible_used == ResourceVector.total(
                 r for r, preemptible in here if preemptible), t
-        pool.audit()
+        pool.audit(running_of(placed))
     assert any(r["kind"] == "role_changed" and r["state"] == "completed"
                and r["from_role"] in ("draining_to_batch", "draining_to_cloud")
                for r in log.records)
+
+
+# A write to a node's instances or use fails the instance-set check of the
+# pool's walk, with its per-node message, before the counters are compared.
+_BYPASS_MESSAGES = {
+    "used": r"^node w2 used \(1 cpus, 0 MB, 0 GB\) but running instances sum to "
+            r"\(0 cpus, 0 MB, 0 GB\)$",
+    "instances": "^node w2 holds instance ghost, which is not running$",
+    "preemptible_used": r"^node w2 preemptible_used \(1 cpus, 0 MB, 0 GB\) but running "
+                        r"preemptibles sum to \(0 cpus, 0 MB, 0 GB\)$",
+}
 
 
 @pytest.mark.parametrize("field, value", [("power", "off"), ("role", "batch"),
@@ -339,10 +359,10 @@ def test_cloud_counters_follow_a_random_walk():
                                           ("preemptible_used", rv(1, 0, 0))])
 def test_pool_audit_catches_a_write_that_bypasses_the_pool(field, value):
     pool = worker_pool(2, power="on")
-    pool.audit()
+    pool.audit({})
     setattr(pool.nodes["w2"], field, value)
-    with pytest.raises(ElasticityError, match="cloud counters"):
-        pool.audit()
+    with pytest.raises(ElasticityError, match=_BYPASS_MESSAGES.get(field, "cloud counters")):
+        pool.audit({})
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -352,27 +372,88 @@ def test_pool_audit_catches_a_write_that_bypasses_the_pool(field, value):
 def test_pool_audit_catches_a_busy_node_powered_down_or_out_of_every_pool(
         field, value, message):
     pool = worker_pool(1, power="on")
-    pool.assign("r1", rv(1, 512, 5), t=0)
-    pool.audit()
+    running = running_of({"r1": (rv(1, 512, 5), pool.assign("r1", rv(1, 512, 5), t=0), False)})
+    pool.audit(running)
     setattr(pool.nodes["w1"], field, value)
     with pytest.raises(ElasticityError, match="^%s$" % message):
-        pool.audit()
+        pool.audit(running)
 
 
 def test_pool_audit_catches_an_unknown_power_state():
     pool = worker_pool(2, power="on")
-    pool.audit()
+    pool.audit({})
     pool.nodes["w2"].power = "asleep"
     with pytest.raises(ElasticityError, match="^node w2 has unknown power state 'asleep'$"):
-        pool.audit()
+        pool.audit({})
 
 
 def test_pool_audit_catches_a_drifted_off_capacity():
     pool = worker_pool(3, power="off")
-    pool.audit()
+    pool.audit({})
     pool.nodes["w3"].capacity = rv(2, 1024, 10)  # an off node grows behind the pool's back
     with pytest.raises(ElasticityError, match="cloud counters"):
-        pool.audit()
+        pool.audit({})
+
+
+def _two_instances_on_w1():
+    """Two on nodes; w1 runs a normal instance a and a preemptible b."""
+    pool = worker_pool(2, power="on", capacity=rv(4, 4096, 40))
+    placed = {rid: (rv(1, 512, 5), pool.assign(rid, rv(1, 512, 5), 0, preemptible), preemptible)
+              for rid, preemptible in (("a", False), ("b", True))}
+    return pool, running_of(placed)
+
+
+def test_pool_audit_returns_the_sums_of_what_runs_on_its_nodes():
+    pool, running = _two_instances_on_w1()
+    running["c"] = RunningInstance(req(group="h", res=rv(3, 256, 1), rid="c"),
+                                   start_time=0, node_id=pool.assign("c", rv(3, 256, 1), 0))
+    pool.switch_role("w2", "batch", t=1)  # c drains with w2 and leaves the cloud use
+    assert pool.nodes["w2"].role == "draining_to_batch"
+    assert pool.audit(running) == ([2, 1024, 10], 1, {"g": [2, 1024, 10], "h": [3, 256, 1]})
+
+
+_INSTANCE_SET_WRITES = {
+    "ghost": "node w1 holds instance ghost, which is not running",
+    "on_two_nodes": "node w2 holds instance a, which runs on node w1",
+    "names_another_node": "node w1 holds instance a, which runs on node w2",
+    "on_no_node": r"running instances \['c'\] are on no node's instance set",
+    "used": r"node w1 used \(1 cpus, 512 MB, 5 GB\) but running instances sum to "
+            r"\(2 cpus, 1024 MB, 10 GB\)",
+    "preemptible_used": r"node w1 preemptible_used \(0 cpus, 0 MB, 0 GB\) but running "
+                        r"preemptibles sum to \(1 cpus, 512 MB, 5 GB\)",
+    "empty_node_used": r"node w2 used \(1 cpus, 0 MB, 0 GB\) but running instances sum to "
+                       r"\(0 cpus, 0 MB, 0 GB\)",
+    "empty_node_share": r"node w2 preemptible_used \(0 cpus, 1 MB, 0 GB\) but running "
+                        r"preemptibles sum to \(0 cpus, 0 MB, 0 GB\)",
+}
+
+
+@pytest.mark.parametrize("write", sorted(_INSTANCE_SET_WRITES))
+def test_pool_audit_checks_each_node_instance_set_against_what_runs(write):
+    """Given the site's running instances, the pool's walk checks each node's
+    instance set both ways and its used and preemptible_used against them."""
+    pool, running = _two_instances_on_w1()
+    assert pool.nodes["w1"].instances == {"a", "b"}
+    pool.audit(running)
+    w1, w2 = pool.nodes["w1"], pool.nodes["w2"]
+    if write == "ghost":
+        w1.instances.add("ghost")
+    elif write == "on_two_nodes":
+        w2.instances.add("a")
+    elif write == "names_another_node":
+        running["a"].node_id = "w2"
+    elif write == "on_no_node":
+        running["c"] = RunningInstance(req(rid="c"), start_time=0, node_id="w1")
+    elif write == "used":
+        w1.used = rv(1, 512, 5)
+    elif write == "preemptible_used":
+        w1.preemptible_used = rv()
+    elif write == "empty_node_used":
+        w2.used = rv(1, 0, 0)
+    else:
+        w2.preemptible_used = rv(0, 1, 0)
+    with pytest.raises(ElasticityError, match="^%s$" % _INSTANCE_SET_WRITES[write]):
+        pool.audit(running)
 
 
 # -- reconcile against the full planning pass ---------------------------------------
@@ -448,16 +529,16 @@ def test_reconcile_matches_the_full_planning_pass():
                 elif op == "assign":
                     rid = "r%d" % step
                     resources = rv(1, 512, 5)
-                    placed[rid] = (resources, pool.assign(rid, resources, clock))
+                    placed[rid] = (resources, pool.assign(rid, resources, clock), False)
                 elif op == "unassign" and placed:
                     rid = rng.choice(sorted(placed))
-                    resources, on = placed.pop(rid)
+                    resources, on, _ = placed.pop(rid)
                     pool.unassign(rid, resources, on, clock)
                 else:
                     pool.power_off(node_id, clock)
             except ElasticityError:
                 pass
-        pool.audit()
+        pool.audit(running_of(placed))
         max_nodes = rng.choice([None, None, rng.randrange(0, count + 2)])
         min_nodes = rng.randrange(0, 3)
         if max_nodes is not None:

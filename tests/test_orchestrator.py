@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import rv
@@ -118,6 +120,47 @@ def test_place_requires_group_sla_and_permit():
     outsider = issue(iam, subject="eve", groups=("strangers",))
     uuid2 = orch.create_deployment(SIMPLE, outsider.token_id, 1)
     assert orch.get_deployment(uuid2).state == CREATE_FAILED
+
+
+def test_equal_sla_ranks_account_to_the_smaller_group_name():
+    slas = [SLARecord("site-a", "zeta", 5.0), SLARecord("site-a", "alpha", 5.0),
+            SLARecord("site-a", "beta", 4.0)]
+    orch, iam, _, log = build_world(site_ids=("site-a",), slas=slas)
+    token = issue(iam, groups=("zeta", "beta", "alpha"))
+    uuid = orch.create_deployment(SIMPLE, token.token_id, 0)
+    assert orch.get_deployment(uuid).state == CREATE_COMPLETE
+    assert [r["group"] for r in log.records if r["kind"] == "request_submitted"] == ["alpha"]
+    assert orch._best_sla("site-a", {"zeta", "beta"}).group == "zeta"
+    assert orch._best_sla("site-a", {"beta"}).sla_rank == 4.0
+
+
+def test_a_site_with_slas_for_other_groups_only_is_ineligible():
+    slas = [SLARecord("site-a", "research", 5.0), SLARecord("site-b", "physics", 9.0)]
+    orch, iam, _, _ = build_world(site_ids=("site-a", "site-b"), slas=slas)
+    iam.add_permit("research", "site-b")  # the permit alone does not make it eligible
+    token = issue(iam)
+    uuid = orch.create_deployment(SIMPLE, token.token_id, 0)
+    assert orch.get_deployment(uuid).ranked_sites == ("site-a",)
+    assert orch._best_sla("site-b", {"research"}) is None
+    assert orch._best_sla("site-c", {"research", "physics"}) is None
+
+
+def test_best_sla_matches_the_best_rank_then_group_name_rule():
+    """The per-site index gives what a scan of every SLA gives: the SLA of one
+    of the groups at the site with the highest rank, ties to the smaller
+    group name."""
+    rng = random.Random(515)
+    sites, groups = ["s%d" % i for i in range(5)], ["g%d" % i for i in range(6)]
+    for case in range(200):
+        slas = [SLARecord(rng.choice(sites), rng.choice(groups), float(rng.randrange(0, 4)))
+                for _ in range(rng.randrange(0, 25))]
+        orch = Orchestrator(sites={}, iam=IamService(seed=1), slas=slas)
+        for _ in range(10):
+            site_id = rng.choice(sites + ["elsewhere"])
+            wanted = set(rng.sample(groups, rng.randrange(0, 4)))
+            matching = [s for s in slas if s.provider_id == site_id and s.group in wanted]
+            expected = min(matching, key=lambda s: (-s.sla_rank, s.group), default=None)
+            assert orch._best_sla(site_id, wanted) is expected, case
 
 
 def test_data_locality_drives_placement():

@@ -237,6 +237,30 @@ def test_audit_catches_a_drifted_pool_counter():
         world._audit(20)
 
 
+def test_audit_reports_the_first_site_by_id_when_two_are_corrupted():
+    """The audit order is fixed once, by site id, whatever the scenario's
+    provider order: with two sites broken, the first id is the one named."""
+    from orchsim.orchestrator import SLARecord
+    from orchsim.simulation import InvariantViolationError
+    scenario = Scenario(
+        name="order", seed=1, horizon_s=20,
+        providers=[ProviderSpec(provider_id=sid, nodes=(("n1", rv(2, 2048, 20), "on", "cloud"),))
+                   for sid in ("site-c", "site-a", "site-b")],
+        slas=[SLARecord("site-a", "g", 5.0)],
+        users=[UserSpec("ada", "g", 1.0)])
+    world = World(scenario)
+    assert list(world.sites) == ["site-c", "site-a", "site-b"]
+    world.run()
+    world._audit(20)
+    for sid in ("site-c", "site-b"):
+        world.sites[sid].pool.nodes["n1"].power = "off"  # bypasses the pool's counters
+    with pytest.raises(InvariantViolationError, match="^site site-b at t=20: cloud counters"):
+        world._audit(20)
+    world.sites["site-a"].pool.nodes["n1"].power = "off"
+    with pytest.raises(InvariantViolationError, match="^site site-a at t=20: cloud counters"):
+        world._audit(20)
+
+
 def test_failover_scenario_restarts_service():
     report = run_scenario(load_scenario("scenarios/failover.scn"))
     restarted = [r for r in report.records
