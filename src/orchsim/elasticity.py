@@ -105,7 +105,7 @@ class NodePool:
     - _idle: idle node id -> idle_since (see is_idle).
 
     So cloud_capacity(), cloud_free(), reclaimable(), booting_capacity(),
-    potential_capacity() and cloud_counts() are O(1).
+    potential_free() and cloud_counts() are O(1).
     audit(running) walks the nodes once: it checks each node's instance set,
     used and preemptible_used against the site's running instances and
     recomputes every counter from the nodes to cross-check it.
@@ -220,13 +220,18 @@ class NodePool:
         row = self._cloud[POWER_BOOTING]
         return unchecked(row[0], row[1], row[2])
 
-    def potential_capacity(self) -> ResourceVector:
-        """Free space plus everything the cloud pool could power on."""
-        capacity, used = self._cloud[POWER_ON], self._cloud_used
+    def potential_free(self) -> tuple[int, int, int]:
+        """What the site could offer a new deployment, as (cpus, mem_mb, disk_gb).
+
+        Counts current free space, the cloud nodes elasticity could power on
+        (booting or off), and what preemptible instances hold (reclaimable by
+        normal work).
+        """
+        capacity, used, held = self._cloud[POWER_ON], self._cloud_used, self._cloud_reclaimable
         booting, off = self._cloud[POWER_BOOTING], self._cloud[POWER_OFF]
-        return unchecked(max(0, capacity[0] - used[0]) + booting[0] + off[0],
-                         max(0, capacity[1] - used[1]) + booting[1] + off[1],
-                         max(0, capacity[2] - used[2]) + booting[2] + off[2])
+        return (max(0, capacity[0] - used[0]) + booting[0] + off[0] + held[0],
+                max(0, capacity[1] - used[1]) + booting[1] + off[1] + held[1],
+                max(0, capacity[2] - used[2]) + booting[2] + off[2] + held[2])
 
     def cloud_counts(self) -> tuple[int, int, int]:
         """(cloud-role nodes, powered ones: on or booting, off ones)."""

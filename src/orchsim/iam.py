@@ -58,6 +58,7 @@ class IamService:
         self._seed = seed
         self._counter = 0
         self._tokens: dict[str, TokenRecord] = {}
+        self._groups: dict[str, frozenset[str]] = {}  # subject -> groups_of(subject)
         self._permits: set[tuple[str, str]] = set()
 
     def issue_token(self, subject: str, groups, ttl_s: int, t: int) -> TokenRecord:
@@ -74,6 +75,7 @@ class IamService:
             expires_at=t + ttl_s,
         )
         self._tokens[token.token_id] = token
+        self._groups[subject] = self._groups.get(subject, frozenset()) | token.groups
         return token
 
     def validate(self, token_id: str, t: int) -> TokenRecord:
@@ -96,13 +98,10 @@ class IamService:
             raise UnknownTokenError("unknown token %r" % token_id)
         token.revoked = True
 
-    def groups_of(self, subject: str) -> set[str]:
-        """Union of groups over all of a subject's issued tokens."""
-        groups: set[str] = set()
-        for token in self._tokens.values():
-            if token.subject == subject:
-                groups |= set(token.groups)
-        return groups
+    def groups_of(self, subject: str) -> frozenset[str]:
+        """Union of groups over all of a subject's issued tokens, revoked and
+        expired ones included."""
+        return self._groups.get(subject, frozenset())
 
     def add_permit(self, group: str, provider_id: str):
         self._permits.add((group, provider_id))

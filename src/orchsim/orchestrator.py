@@ -1,12 +1,13 @@
 """Deployment orchestration: placement, failover and deployment CRUD.
 
-The engine validates the caller's token, parses the template, gathers
-SLA / monitoring / data-catalog facts into provider snapshots, asks the
-ranker for an ordered site list frozen for the whole create request, then
-walks that list until a site accepts.  Deployment records move through a
-small legal state machine and every instance is released on deletion.  Each
-site instance keeps the request it was submitted with: when a failed site
-recovers, its killed Service and Job instances are resubmitted from it.
+The engine validates the caller's token, parses the template, filters the
+sites by SLA, permit and capacity, gathers SLA / monitoring / data-catalog
+facts into provider snapshots, asks the ranker for an ordered site list
+frozen for the whole create request, then walks that list until a site
+accepts.  Deployment records move through a small legal state machine and
+every instance is released on deletion.  Each site instance keeps the
+request it was submitted with: when a failed site recovers, its killed
+Service and Job instances are resubmitted from it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import iam as iam_mod
 from .config import resolve_preferences
 from .errors import DomainError
 from .ranker import PreferenceList, ProviderSnapshot, RankerConfig, rank_providers
+from .resources import unchecked
 from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest, RunningInstance
 from .site import Site
 from .templates import (KIND_ELASTIC_CLUSTER, KIND_JOB, KIND_SERVICE,
@@ -84,18 +86,27 @@ class DataCatalogEntry:
 
 
 class DataCatalog:
-    """Dataset placement facts; answers locality fractions per provider."""
+    """Dataset placement facts; answers locality fractions per provider.
+
+    The entries are fixed at construction and indexed there: a dataset's
+    size is the largest bytes_total of its entries, and the bytes present at
+    a provider are the sum over that (dataset, provider) pair's entries.
+    """
 
     def __init__(self, entries=()):
-        self.entries: list[DataCatalogEntry] = list(entries)
+        self.entries: tuple[DataCatalogEntry, ...] = tuple(entries)
+        self._totals: dict[str, int] = {}
+        self._present: dict[tuple[str, str], int] = {}
+        for e in self.entries:
+            self._totals[e.dataset_id] = max(self._totals.get(e.dataset_id, 0), e.bytes_total)
+            key = (e.dataset_id, e.provider_id)
+            self._present[key] = self._present.get(key, 0) + e.bytes_present
 
     def dataset_total(self, dataset_id: str) -> int | None:
-        sizes = [e.bytes_total for e in self.entries if e.dataset_id == dataset_id]
-        return max(sizes) if sizes else None
+        return self._totals.get(dataset_id)
 
     def bytes_present(self, dataset_id: str, provider_id: str) -> int:
-        return sum(e.bytes_present for e in self.entries
-                   if e.dataset_id == dataset_id and e.provider_id == provider_id)
+        return self._present.get((dataset_id, provider_id), 0)
 
     def locality(self, provider_id: str, dataset_ids) -> float:
         """Fraction of required dataset bytes already at the provider."""
@@ -147,7 +158,37 @@ class DeploymentRecord:
     ranked_sites: tuple[str, ...] = ()
 
 
+@dataclass(frozen=True)
+class ParsedTemplate:
+    """A template text's parse and what every create of it reads, derived once."""
+
+    template: DeploymentTemplate
+    demand: tuple[int, int, int]  # aggregate_demand as (cpus, mem_mb, disk_gb)
+    datasets: tuple[str, ...]     # the nodes' input datasets, sorted, no repeats
+    order: tuple[str, ...]        # topological_order: the submit order
+
+
 class Orchestrator:
+    """Deployment CRUD over a fixed set of sites, SLAs, data catalog,
+    ranker config and preferences.
+
+    Between creates only site capacity (and the issued tokens and permits)
+    moves, so a create derives each placement fact at the coarsest level it
+    depends on:
+
+    - per template text: the parse, its aggregate demand, its sorted input
+      datasets and its topological order (ParsedTemplate);
+    - per token group set: the sites where one of the groups holds an SLA,
+      with the best such SLA;
+    - per candidate set: the ranked site list, keyed by group set, datasets,
+      resolved preferences and candidate ids, which is all the ranker's
+      scores read (free capacity only decides who is a candidate);
+    - per create: the permit check, the capacity filter on three ints, and
+      each attempt's accounting group from the owner's current groups.
+
+    Each cache gains at most one entry per create.
+    """
+
     def __init__(self, *, sites: dict[str, Site], iam: iam_mod.IamService,
                  slas=(), catalog: DataCatalog | None = None,
                  ranker_config: RankerConfig | None = None,
@@ -165,7 +206,12 @@ class Orchestrator:
         self._records: dict[str, DeploymentRecord] = {}
         self._instances: dict[str, list[InstanceRef]] = {}
         self._by_request_id: dict[tuple[str, str], InstanceRef] = {}
-        self._templates: dict[str, DeploymentTemplate] = {}  # text -> its parse
+        self._templates: dict[str, ParsedTemplate] = {}  # text -> its parse
+        # token groups -> (site id, site, best SLA) of each site with an SLA of
+        # one of them, by site id
+        self._sla_sites: dict[frozenset[str], tuple[tuple[str, Site, SLARecord], ...]] = {}
+        # (groups, datasets, prefs, candidate ids) -> the ranked candidate ids
+        self._rankings: dict[tuple, tuple[str, ...]] = {}
         self._killed: dict[str, list[InstanceRef]] = {}  # failed site -> restarts due
         self._counter = 0
 
@@ -204,7 +250,8 @@ class Orchestrator:
             token = self.iam.validate(token_id, t)
         except iam_mod.IamError as exc:
             raise AuthError(str(exc)) from exc
-        template = self._parse(template_text)
+        parsed = self._parse(template_text)
+        template = parsed.template
 
         self._counter += 1
         uuid = "dep-%06d" % self._counter
@@ -214,8 +261,8 @@ class Orchestrator:
         self._instances[uuid] = []
         self._emit(t, "deployment_state", uuid=uuid, state=CREATE_IN_PROGRESS, site=None)
 
-        for site_id in self.place(record, token, t, prefs=prefs):
-            reason = self._try_site(record, site_id, t, job_duration_s)
+        for site_id in self.place(record, parsed, token, t, prefs=prefs):
+            reason = self._try_site(record, parsed.order, site_id, t, job_duration_s)
             record.attempts.append((site_id, reason or "ok"))
             if reason is None:
                 record.chosen_site = site_id
@@ -230,54 +277,74 @@ class Orchestrator:
             self._transition(record, CREATE_FAILED, t)
         return uuid
 
-    def _parse(self, template_text: str) -> DeploymentTemplate:
+    def _parse(self, template_text: str) -> ParsedTemplate:
         """Parse a template text once; its records share the frozen result.
 
         Only a successful parse is kept, so a bad text raises on every submit.
+        parse_template validates fully, so the order derived here cannot fail.
         """
-        template = self._templates.get(template_text)
-        if template is None:
-            template = self._templates[template_text] = parse_template(template_text)
-        return template
+        parsed = self._templates.get(template_text)
+        if parsed is None:
+            template = parse_template(template_text)
+            demand = aggregate_demand(template)
+            parsed = self._templates[template_text] = ParsedTemplate(
+                template=template,
+                demand=(demand.cpus, demand.mem_mb, demand.disk_gb),
+                datasets=tuple(sorted({d for node in template.nodes.values()
+                                       for d in node.input_datasets})),
+                order=tuple(topological_order(template)))
+        return parsed
 
-    def place(self, record: DeploymentRecord, token: iam_mod.TokenRecord, t: int,
-              prefs: PreferenceList | None = None) -> list[str]:
+    def place(self, record: DeploymentRecord, parsed: ParsedTemplate,
+              token: iam_mod.TokenRecord, t: int,
+              prefs: PreferenceList | None = None) -> tuple[str, ...]:
         """Rank eligible sites for the record; freezes the list on the record.
 
         A site is eligible when one of the token's groups holds an SLA there,
-        the token may use it and the template's demand fits its free capacity.
+        the token may use it and the template's demand fits its potential
+        free capacity.  The SLA-holding sites come from the group set's cache
+        and the ranking from the candidate set's; the permit and capacity
+        checks run on every create.
         """
-        demand = aggregate_demand(record.template)
-        datasets = sorted({d for node in record.template.nodes.values()
-                           for d in node.input_datasets})
-        candidates = []
-        for site_id in sorted(self.sites):
-            site = self.sites[site_id]
-            sla = self._best_sla(site_id, token.groups)
-            if sla is None:
-                continue
+        cpus, mem_mb, disk_gb = parsed.demand
+        candidates = []  # (site id, site, best SLA, potential free)
+        for site_id, site, sla in self._sites_with_sla(token.groups):
             if not self.iam.authorize(token, site_id):
                 continue
-            free = site.potential_free_capacity()
-            if not demand.fits(free):
-                continue
-            candidates.append(ProviderSnapshot(
+            free = site.pool.potential_free()
+            if cpus <= free[0] and mem_mb <= free[1] and disk_gb <= free[2]:
+                candidates.append((site_id, site, sla, free))
+        if not candidates:
+            return ()
+
+        if prefs is None:
+            prefs = resolve_preferences(self.preferences, token.subject, token.groups)
+        key = (token.groups, parsed.datasets, prefs, tuple(c[0] for c in candidates))
+        ranked = self._rankings.get(key)
+        if ranked is None:
+            snapshots = [ProviderSnapshot(
                 provider_id=site_id,
                 sla_rank=sla.sla_rank,
                 availability=site.availability,
                 latency_ms=site.latency_ms,
-                free_capacity=free,
-                data_locality=self.catalog.locality(site_id, datasets),
-            ))
-        if not candidates:
-            return []
-
-        if prefs is None:
-            prefs = resolve_preferences(self.preferences, token.subject, token.groups)
-        ranked = rank_providers(candidates, self.ranker_config, prefs)
-        record.ranked_sites = tuple(ranked)
+                free_capacity=unchecked(*free),
+                data_locality=self.catalog.locality(site_id, parsed.datasets),
+            ) for site_id, site, sla, free in candidates]
+            ranked = self._rankings[key] = tuple(
+                rank_providers(snapshots, self.ranker_config, prefs))
+        record.ranked_sites = ranked
         self._emit(t, "deployment_ranked", uuid=record.uuid, ranked=list(ranked))
         return ranked
+
+    def _sites_with_sla(self, groups: frozenset[str]) -> tuple[tuple[str, Site, SLARecord], ...]:
+        """(site id, site, best SLA) of each site, by id, where one of groups
+        holds an SLA; the sites and SLAs are fixed, so once per group set."""
+        sites = self._sla_sites.get(groups)
+        if sites is None:
+            sites = self._sla_sites[groups] = tuple(
+                (site_id, self.sites[site_id], sla) for site_id in sorted(self.sites)
+                if (sla := self._best_sla(site_id, groups)) is not None)
+        return sites
 
     def _best_sla(self, site_id: str, groups) -> SLARecord | None:
         """The best-ranked SLA of one of groups at the site (ties: group name)."""
@@ -286,10 +353,10 @@ class Orchestrator:
                 return sla
         return None
 
-    def _try_site(self, record: DeploymentRecord, site_id: str, t: int,
-                  job_duration_s: int | None) -> str | None:
-        """Submit the record's instances to a site: None if it takes them all,
-        else why not, with the attempt rolled back.
+    def _try_site(self, record: DeploymentRecord, order: tuple[str, ...], site_id: str,
+                  t: int, job_duration_s: int | None) -> str | None:
+        """Submit the record's instances to a site, nodes in order: None if it
+        takes them all, else why not, with the attempt rolled back.
 
         The accounting group is the owner's group holding the site's best SLA;
         a ranked site holds an SLA of the token's groups, so there is one.
@@ -300,7 +367,7 @@ class Orchestrator:
 
         group = self._best_sla(site_id, self.iam.groups_of(record.owner)).group
         template = record.template
-        for node_name in topological_order(template):
+        for node_name in order:
             node = template.nodes[node_name]
             count = node.min_workers if node.kind == KIND_ELASTIC_CLUSTER else 1
             duration = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .elasticity import ElasticityManager, ElasticPolicy, NodePool
-from .resources import ResourceVector
+from .resources import ResourceVector, unchecked
 from .scheduler import SiteScheduler
 
 
@@ -23,12 +23,9 @@ class Site:
         return self.failed_until is not None and t < self.failed_until
 
     def potential_free_capacity(self) -> ResourceVector:
-        """What the site could offer a new deployment.
-
-        Counts current free space, nodes that elasticity could power on, and
-        capacity held by preemptible instances (reclaimable by normal work).
-        """
-        return self.pool.potential_capacity() + self.pool.reclaimable()
+        """What the site could offer a new deployment: NodePool.potential_free
+        as a vector."""
+        return unchecked(*self.pool.potential_free())
 
 
 def make_site(site_id: str, nodes, *, availability: float = 1.0,

@@ -141,6 +141,8 @@ class Block:
 
 
 def _strip_comment(raw: str) -> str:
+    if "#" not in raw:
+        return raw.rstrip()
     out = []
     in_quote = False
     for i, ch in enumerate(raw):
@@ -173,18 +175,21 @@ def _parse_scalar(text: str, line: int):
 
 def _split_inline(body: str, line: int) -> list[str]:
     # Inline containers do not nest; split on commas outside quotes.
-    parts: list[str] = []
-    current: list[str] = []
-    in_quote = False
-    for ch in body:
-        if ch == '"':
-            in_quote = not in_quote
-        if ch == "," and not in_quote:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
+    if '"' not in body:
+        parts = [part.strip() for part in body.split(",")]
+    else:
+        parts = []
+        current: list[str] = []
+        in_quote = False
+        for ch in body:
+            if ch == '"':
+                in_quote = not in_quote
+            if ch == "," and not in_quote:
+                parts.append("".join(current).strip())
+                current = []
+            else:
+                current.append(ch)
+        parts.append("".join(current).strip())
     if parts == [""]:
         return []
     if any(p == "" for p in parts):

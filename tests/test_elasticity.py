@@ -278,7 +278,9 @@ def _check_elastic_counters(pool, t, t_idle=7):
     booting = ResourceVector.total(n.capacity for n in by_power["booting"])
     off = ResourceVector.total(n.capacity for n in by_power["off"])
     assert pool.booting_capacity() == booting, t
-    assert pool.potential_capacity() == _cloud_sums(pool)[1] + booting + off, t
+    held = ResourceVector.total(n.preemptible_used for n in by_power["on"])
+    potential = _cloud_sums(pool)[1] + booting + off + held
+    assert pool.potential_free() == (potential.cpus, potential.mem_mb, potential.disk_gb), t
     idle = {n.node_id: n.idle_since for n in by_power["on"]
             if not n.instances and n.idle_since is not None}
     assert {n.node_id: n.idle_since for n in pool.idle_nodes()} == idle, t

@@ -505,6 +505,37 @@ def test_each_template_text_is_parsed_once_and_a_bad_one_every_time(monkeypatch)
     assert completed == [(5, "dep-000001.j.0"), (11, "dep-000002.j.0")]
 
 
+def test_placement_facts_are_derived_once_per_template_text(monkeypatch):
+    """parse_template, aggregate_demand and topological_order run once per
+    distinct good text however often it is submitted; a bad text is parsed
+    and rejected on every submit."""
+    import orchsim.orchestrator as orchestrator
+    from orchsim.templates import parse_template
+    compute = ("tosca_version: indigo_subset_1\nnodes:\n  c:\n    kind: Compute\n"
+               "    resources: { cpus: 1, mem_mb: 512, disk_gb: 5 }\n")
+    cyclic = ("tosca_version: indigo_subset_1\nnodes:\n"
+              "  a: { kind: Service, image: 'x:1', depends_on: [b] }\n"
+              "  b: { kind: Service, image: 'x:1', depends_on: [a] }\n")
+    calls = {"parse_template": [], "aggregate_demand": [], "topological_order": []}
+    for name, seen in calls.items():
+        def counting(arg, real=getattr(orchestrator, name), seen=seen):
+            seen.append(arg)
+            return real(arg)
+        monkeypatch.setattr(orchestrator, name, counting)
+    texts = [JOB_2CPU, compute, cyclic, compute, JOB_2CPU, cyclic, compute, JOB_2CPU]
+    report = run_scenario(tiny_scenario(nodes=((8, 8192, 80),), events=[
+        submit_event("e%d" % i, 2 * i, text, user="ada" if i % 2 else "ben", duration=1)
+        for i, text in enumerate(texts)]))
+    assert calls["parse_template"] == [JOB_2CPU, compute, cyclic, cyclic]
+    assert [t.nodes for t in calls["aggregate_demand"]] == [
+        parse_template(JOB_2CPU).nodes, parse_template(compute).nodes]
+    assert calls["topological_order"] == calls["aggregate_demand"]
+    rejected = [(r["event"], r["reason"]) for r in report.records
+                if r["kind"] == "deployment_rejected"]
+    assert rejected == [("e2", "template"), ("e5", "template")]
+    assert sum(r["kind"] == "deployment_ranked" for r in report.records) == 6
+
+
 # -- audit checks that a run never trips --------------------------------------------
 
 

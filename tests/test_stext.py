@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -152,3 +153,60 @@ def test_every_kind_phrase_is_documented():
     section = " ".join(docs.split("## Value kinds", 1)[1].split("\n## ", 1)[0].split())
     for phrase, _ in stext.KINDS:
         assert "`%s`" % phrase in section
+
+
+def _strip_comment_by_chars(raw):
+    """_strip_comment's character loop, taken by every line with a '#'."""
+    out = []
+    in_quote = False
+    for i, ch in enumerate(raw):
+        if ch == '"':
+            in_quote = not in_quote
+        if ch == "#" and not in_quote and (i == 0 or raw[i - 1] in " \t"):
+            break
+        out.append(ch)
+    return "".join(out).rstrip()
+
+
+def _split_inline_by_chars(body, line):
+    """_split_inline's character loop, taken by every body with a '"'."""
+    parts, current, in_quote = [], [], False
+    for ch in body:
+        if ch == '"':
+            in_quote = not in_quote
+        if ch == "," and not in_quote:
+            parts.append("".join(current).strip())
+            current = []
+        else:
+            current.append(ch)
+    parts.append("".join(current).strip())
+    if parts == [""]:
+        return []
+    if any(p == "" for p in parts):
+        raise StextError(line, "empty item in inline container")
+    return parts
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StextError as exc:
+        return ("error", exc.line, exc.message)
+
+
+def test_fast_paths_agree_with_the_character_loops():
+    """Lines without '#' and bodies without '"' take a fast path; generated
+    lines mixing quoted and bare '#' and ',', '#' glued to a word and empty
+    items give the same result or the same error either way."""
+    rng = random.Random(16)
+    pieces = ["a", "bc", " ", "  ", "\t", "#", "# c", "x#y", ",", ", ", '"', '"q, #r"',
+              ":", "1", "-2.5"]
+    fast = slow = 0
+    for case in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(0, 8)))
+        assert stext._strip_comment(text) == _strip_comment_by_chars(text), repr(text)
+        assert _outcome(stext._split_inline, text, case) == _outcome(
+            _split_inline_by_chars, text, case), repr(text)
+        fast += '"' not in text and "#" not in text
+        slow += '"' in text and "#" in text
+    assert fast > 300 and slow > 300
