@@ -93,8 +93,9 @@ class NodePool:
 
     The pool is the only writer of a node's power, role, used,
     preemptible_used and idle_since and of its instance set.  Every write
-    goes through _update, which moves the node's share of these counters
-    along with it:
+    goes through _update, which calls mark (a World sets it to mark the site
+    for its next pass) and moves the node's share of these counters along
+    with it:
 
     - _cloud[power]: [cpus, mem_mb, disk_gb, count] of the cloud-role nodes
       in that power state; the on row is the cloud pool's capacity, the
@@ -126,6 +127,7 @@ class NodePool:
         self._cloud_reclaimable = [0, 0, 0]
         self._idle: dict[str, int] = {}
         self.writes = 0  # _update calls so far: what others cache pool reads by
+        self.mark = None  # called on every _update when set (World marks the site)
         for node in nodes:
             if node.node_id in self.nodes:
                 raise ElasticityError("duplicate node %r" % node.node_id)
@@ -166,6 +168,8 @@ class NodePool:
         move its counter share along; a change to its instance set is made
         just before."""
         self.writes += 1
+        if self.mark is not None:
+            self.mark()
         self._tally(node, -1)
         if power is not None:
             node.power = power
@@ -483,14 +487,21 @@ class ElasticityManager:
         self.policy = policy or ElasticPolicy()
         self._floors: dict[str, int] = {}
         self._top_floor = 0  # the largest registered floor
+        self.mark = None  # called when floor() changes, if set (World marks the site)
 
     def register_floor(self, key: str, min_nodes: int):
         self._floors[key] = min_nodes
-        self._top_floor = max(self._floors.values())
+        self._set_top_floor(max(self._floors.values()))
 
     def deregister_floor(self, key: str):
         self._floors.pop(key, None)
-        self._top_floor = max(self._floors.values(), default=0)
+        self._set_top_floor(max(self._floors.values(), default=0))
+
+    def _set_top_floor(self, top: int):
+        before = self.floor()
+        self._top_floor = top
+        if self.mark is not None and self.floor() != before:
+            self.mark()
 
     def floor(self) -> int:
         """The node count reconcile keeps powered: the policy's min_nodes or

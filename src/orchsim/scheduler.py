@@ -164,7 +164,7 @@ class SiteScheduler:
         self.running: dict[str, RunningInstance] = {}
         self.queue: list[InstanceRequest] = []  # in the order of the last sort
         self._queued = [0, 0, 0]  # summed resources of the queue
-        self.queue_writes = 0  # _enqueue and _dequeue calls so far
+        self.mark = None  # called on every queue write when set (World marks the site)
         # shapes that failed a probe, as of pool write _unstartable_writes
         self._unstartable: set[str] = set()
         self._unstartable_writes = -1
@@ -180,12 +180,14 @@ class SiteScheduler:
         return unchecked(*self._queued)
 
     def _enqueue(self, request: InstanceRequest):
-        self.queue_writes += 1
+        if self.mark is not None:
+            self.mark()
         self.queue.append(request)
         add_into(self._queued, request.resources)
 
     def _dequeue(self, position: int):
-        self.queue_writes += 1
+        if self.mark is not None:
+            self.mark()
         request = self.queue.pop(position)
         add_into(self._queued, request.resources, -1)
 

@@ -3,11 +3,15 @@
 A scenario file names providers (with physical nodes), SLAs, datasets, users
 and a time-ordered event script.  The run advances a virtual integer clock
 event to event; identical scenario and seed give a byte-identical event log.
-Module invariants are audited after every event and violations abort the run.
+Every site's invariants are audited after every scenario event and after
+every queued event that ran a handler or brought a site visit; a violation
+aborts the run.  The only events not audited are stale timers that changed
+nothing (World._advance), so every state the run reaches is audited.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 from dataclasses import dataclass, field
@@ -305,8 +309,21 @@ class World:
                              quotas=self.config.quotas,
                              log=self.log, t=0)
             self.sites[spec.provider_id] = site
-        # (site id, site) in id order, the order every event audits them in
+        # (site id, site) in id order, the order _audit walks them in
         self._audit_order = tuple(sorted(self.sites.items()))
+        # The sites the next _stabilize visits: every write of a site's pool,
+        # queue or floor marks it, and so does an idle node of it come due.
+        # Every site starts marked, so the first pass visits them all.
+        self._marked: set[str] = set(self.sites)
+        self._rank = {spec.provider_id: rank
+                      for rank, spec in enumerate(scenario.providers)}
+        for site_id, site in self.sites.items():
+            site.pool.mark = site.scheduler.mark = site.elastic.mark = \
+                functools.partial(self._marked.add, site_id)
+        # (due, site id) per visit that left an idle node to come due; an
+        # entry counts only while due is still its site's _wake
+        self._due: list[tuple[int, str]] = []
+        self._wake: dict[str, int | None] = {}
 
         self.tokens: dict[str, str] = {}
         for user in scenario.users:
@@ -332,8 +349,6 @@ class World:
             self._push(event.at, "scenario", {"event": event})
         self._deployments_by_ref: dict[str, str] = {}
         self._ticks: set[int] = set()  # times of the queued elastic_tick wakes
-        # site id -> (_inputs(site), next idle due) at the end of its last visit
-        self._settled: dict[str, tuple] = {}
         # Nodes idle from the start power off t_idle_s later, event or not.
         for site in self.sites.values():
             self._schedule_wake(site.pool.next_idle_due(0, site.elastic.policy.t_idle_s))
@@ -362,13 +377,26 @@ class World:
                          records=self.log.records, metrics=self.metrics.finalize())
 
     def _advance(self, until: int):
-        """Apply, stabilize and audit every queued event due by until, in order."""
+        """Apply and stabilize every queued event due by until, in order, and
+        audit after each one unless it was a stale pop that visited no site.
+
+        _apply calls a pop stale when it ran no handler that can write: an
+        elastic_tick, a job_expire whose instance has ended or no longer
+        runs, or a site_recover that a later failure superseded.  If
+        _stabilize then visits no site either, no code that can write site
+        state has run since the last audit, which passed on the same state.
+        A failed flag that turned at the pop's time changes nothing: an
+        unmarked site is at its last visit's fixpoint, which the preemption
+        soundness check passes whether the site is failed or not, and a
+        marked one is visited.  So every state a handler or a visit produces
+        is audited at the pop that produced it.
+        """
         heap = self._heap
         while heap and heap[0][0] <= until:
             at, _seq, kind, payload = heapq.heappop(heap)
-            self._apply(at, kind, payload)
-            self._stabilize(at)
-            self._audit(at)
+            wrote = self._apply(at, kind, payload)
+            if self._stabilize(at) or wrote:
+                self._audit(at)
 
     def command(self, t: int, action, *args):
         """Run action(t, *args) at t as the loop runs a scenario event at t.
@@ -394,24 +422,28 @@ class World:
 
     # -- event application ----------------------------------------------------
 
-    def _apply(self, t: int, kind: str, payload: dict):
+    def _apply(self, t: int, kind: str, payload: dict) -> bool:
+        """Run the handler of one popped event; False when the pop is stale:
+        no handler that can write ran (see _advance)."""
         if kind == "scenario":
             event: EventSpec = payload["event"]
             self.log.emit(t, "scenario_event", event=event.key, action=event.action)
             getattr(self, "_do_" + event.action)(t, event)
-        elif kind == "job_expire":
-            self._do_job_expire(t, payload["site"], payload["request_id"])
-        elif kind == "boot_complete":
+            return True
+        if kind == "job_expire":
+            return self._do_job_expire(t, payload["site"], payload["request_id"])
+        if kind == "boot_complete":
             self.sites[payload["site"]].pool.boot_complete(payload["node"], t)
-        elif kind == "site_recover":
-            self._do_site_recover(t, payload["site"])
-        elif kind == "elastic_tick":
+            return True
+        if kind == "site_recover":
+            return self._do_site_recover(t, payload["site"])
+        if kind == "elastic_tick":
             # Only wakes the stabilization pass, which visits every site with
             # an idle node come due.  One wake serves every site due at t, and
             # every later wake is > t, so t is never looked up again.
             self._ticks.discard(t)
-        else:
-            raise InvariantViolationError("unknown internal event %r" % kind)
+            return False
+        raise InvariantViolationError("unknown internal event %r" % kind)
 
     # -- commands ---------------------------------------------------------------
 
@@ -475,13 +507,16 @@ class World:
         self.orchestrator.note_killed(site_id, site.scheduler.kill_running(t))
         self._push(site.failed_until, "site_recover", {"site": site_id})
 
-    def _do_site_recover(self, t: int, site_id: str):
+    def _do_site_recover(self, t: int, site_id: str) -> bool:
+        """Recover the site; False when a later failure superseded this
+        recovery and nothing was done."""
         site = self.sites[site_id]
         if site.failed_until is None or t < site.failed_until:
-            return  # an overlapping later failure superseded this recovery
+            return False
         site.failed_until = None
         self.log.emit(t, "site_recovered", site=site_id)
         self.orchestrator.restart_killed(site_id, t)
+        return True
 
     def _do_revoke_token(self, t: int, event: EventSpec):
         user = event.params["user"]
@@ -498,68 +533,73 @@ class World:
             self.log.emit(t, "role_change_failed", site=site.site_id,
                           node=event.params["node"], detail=str(exc))
 
-    def _do_job_expire(self, t: int, site_id: str, request_id: str):
+    def _do_job_expire(self, t: int, site_id: str, request_id: str) -> bool:
+        """End the job; False when its instance has ended or no longer runs
+        and nothing was done."""
         ref = self.orchestrator.find_ref(site_id, request_id)
         if ref is None or ref.ended:
-            return
-        site = self.sites[site_id]
+            return False
         if ref.request is None:
             ref.ended = True
             self.log.emit(t, "job_completed", site=site_id, request_id=request_id,
                           virtual=True)
-            return
-        if request_id in site.scheduler.running:
-            site.scheduler.release(request_id, t, reason="job_completed")
+            return True
+        scheduler = self.sites[site_id].scheduler
+        if request_id not in scheduler.running:
+            return False
+        scheduler.release(request_id, t, reason="job_completed")
+        return True
 
     # -- stabilization and audits ----------------------------------------------
 
-    def _stabilize(self, t: int):
-        """Bring every site that is not failed to a fixpoint at t: dispatch
-        starts nothing more and reconcile plans no power action.
+    def _stabilize(self, t: int) -> int:
+        """Bring every marked site that is not failed to a fixpoint at t:
+        dispatch starts nothing more and reconcile plans no power action.
+        Returns how many sites it visited.
 
-        A site is visited only when it may not be at one already: its inputs
-        (_inputs: pool writes, queue writes, elasticity floor) moved since the
-        end of its last visit, an idle node came due since then, or backfill
-        is off and its queue is not empty.  Skipping any other site is exact,
-        because its last visit ended at a fixpoint and nothing it read moved:
+        Sites mark themselves (World._marked): NodePool._update, the
+        scheduler's queue writes and a change of the elasticity floor each
+        mark their site, and this pass first marks every site whose idle due
+        time, kept from its last visit, has come.  The marked sites are
+        visited in scenario order; a visit unmarks its site unless backfill
+        is off and its queue is not empty, and a failed site stays marked
+        until it recovers.  Skipping an unmarked site is exact, because its
+        last visit ended at a fixpoint and nothing it read moved since:
         - with backfill on, a finished dispatch leaves every queued shape
           unstartable at that pool state, and whether a shape can start
           depends on the pool state only (SiteScheduler._startable), not on
           the time or the queue order; with backfill off the head can change
-          as usage decays, so a non-empty queue is always visited;
+          as usage decays, so a non-empty queue keeps its site marked;
         - reconcile reads only the pool counters, the queued demand and the
-          floor, and reads t only through which idle nodes are due; the next
-          due time is kept from the visit;
+          floor, and reads t only through which idle nodes are due;
         - the visit repeats reconcile until it plans nothing, and its power
           actions only remove schedulable free space, so dispatch still
           starts nothing after them.  A second pass at the same t therefore
           changes nothing, which is also why one elastic_tick per time is
           enough however many sites come due then.
-        Neither dispatch nor reconcile reads whether the site is failed: a
-        failed site is not visited, and once it recovers the same test
-        decides, so the kills and restarts move its inputs like any other
-        writes.  Every site is still audited after every event (_audit).
+        A visit writes its own site only, so one sorted snapshot of the
+        marks visits the sites a walk over every site in scenario order would.
+        Neither dispatch nor reconcile reads whether the site is failed, so
+        once a failed site recovers its mark decides like any other.
         """
-        for spec in self.scenario.providers:
-            site = self.sites[spec.provider_id]
-            if site.failed(t):
-                continue
-            settled = self._settled.get(site.site_id)
-            if (settled is not None and settled[0] == self._inputs(site)
-                    and (settled[1] is None or settled[1] > t)
-                    and (site.scheduler.backfill or not site.scheduler.queue)):
-                continue
-            self._visit(site, t)
-
-    @staticmethod
-    def _inputs(site: Site) -> tuple:
-        """What a site's dispatch and reconcile read, as counters: unchanged
-        counters mean an unchanged pool, queue and floor."""
-        return site.pool.writes, site.scheduler.queue_writes, site.elastic.floor()
+        marked, due = self._marked, self._due
+        while due and due[0][0] <= t:
+            at, site_id = heapq.heappop(due)
+            if self._wake[site_id] == at:  # else a later visit re-timed it
+                marked.add(site_id)
+        visited = 0
+        for site_id in sorted(marked, key=self._rank.__getitem__):
+            site = self.sites[site_id]
+            if not site.failed(t):
+                self._visit(site, t)
+                visited += 1
+        return visited
 
     def _visit(self, site: Site, t: int):
         """Dispatch, then reconcile and apply power actions until reconcile
-        plans nothing; record the inputs and the next idle due time."""
+        plans nothing; unmark the site unless backfill is off and its queue
+        is not empty, and keep its next idle due time."""
+        site_id = site.site_id
         site.scheduler.dispatch(t)
         policy = site.elastic.policy
         while True:
@@ -570,12 +610,16 @@ class World:
                 if action.kind == ACTION_POWER_ON:
                     site.pool.power_on(action.node_id, t, policy.boot_delay_s)
                     self._push(site.pool.nodes[action.node_id].ready_at, "boot_complete",
-                               {"site": site.site_id, "node": action.node_id})
+                               {"site": site_id, "node": action.node_id})
                 else:
                     site.pool.power_off(action.node_id, t)
+        if site.scheduler.backfill or not site.scheduler.queue:
+            self._marked.discard(site_id)
         wake = site.pool.next_idle_due(t, policy.t_idle_s)
         self._schedule_wake(wake)
-        self._settled[site.site_id] = (self._inputs(site), wake)
+        if wake is not None and wake != self._wake.get(site_id):
+            heapq.heappush(self._due, (wake, site_id))  # an equal wake is queued
+        self._wake[site_id] = wake
 
     def _schedule_wake(self, wake: int | None):
         """Queue an elastic_tick at wake, once per time, up to the horizon."""
@@ -584,8 +628,8 @@ class World:
             self._push(wake, "elastic_tick", {})
 
     def _audit(self, t: int):
-        """Audit every site after every event, in site id order; any violation
-        aborts the run."""
+        """Audit every site, in site id order, after every event but a stale
+        one (see _advance); any violation aborts the run."""
         for site_id, site in self._audit_order:
             try:
                 site.scheduler.audit(t, failed=site.failed(t))

@@ -374,21 +374,31 @@ def test_release_triggers_dispatch():
     assert "b" in sched.running
 
 
-def test_every_queue_write_moves_the_queue_write_counter():
+def test_every_queue_write_marks_the_site():
     """submit enqueues, a dispatch start and cancel_queued dequeue: each is
-    one write.  A rollback cancels through cancel_queued (test_simulation)."""
+    one write and one mark call.  A rollback cancels through cancel_queued
+    (test_simulation)."""
     sched = make_scheduler(rv(2, 2048, 20))
+    marks = []
+    sched.mark = lambda: marks.append(1)
     full = rv(2, 2048, 20)
     sched.submit(req(res=full, rid="a"), t=0)  # enqueue, then start
-    assert sched.queue_writes == 2
+    assert len(marks) == 2
     sched.submit(req(res=full, rid="b"), t=1)  # enqueue only
-    assert sched.queue_writes == 3
+    assert len(marks) == 3
     sched.release("a", 2)  # its dispatch starts b
-    assert "b" in sched.running and sched.queue_writes == 4
+    assert "b" in sched.running and len(marks) == 4
     sched.submit(req(res=full, rid="c"), t=3)
-    assert sched.cancel_queued("c", 4) and sched.queue_writes == 6
-    assert not sched.cancel_queued("c", 5) and sched.queue_writes == 6
-    assert sched.dispatch(6) == [] and sched.queue_writes == 6
+    assert sched.cancel_queued("c", 4) and len(marks) == 6
+    assert not sched.cancel_queued("c", 5) and len(marks) == 6
+    assert sched.dispatch(6) == [] and len(marks) == 6
+
+
+def test_a_scheduler_built_outside_a_world_marks_nothing():
+    sched = make_scheduler(rv(2, 2048, 20))
+    assert sched.mark is None and sched.pool.mark is None
+    sched.submit(req(res=rv(2, 2048, 20), rid="a"), t=0)
+    assert "a" in sched.running
 
 
 def test_zero_resource_request_invalid():

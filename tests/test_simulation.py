@@ -2,6 +2,7 @@ import pytest
 
 from conftest import req, rv
 
+from orchsim.elasticity import ElasticPolicy
 from orchsim.report import derive_metrics, parse_report, verify_report
 from orchsim.simulation import (EventSpec, ProviderSpec, Scenario, ScenarioError,
                                 UserSpec, World, load_scenario, parse_scenario,
@@ -588,7 +589,7 @@ class _ExpiryProbe(World):
 
     def _do_job_expire(self, t, site_id, request_id):
         self.expired.append((t, request_id))
-        super()._do_job_expire(t, site_id, request_id)
+        return super()._do_job_expire(t, site_id, request_id)
 
 
 def _virtual_job_deleted_before_it_expires():
@@ -760,9 +761,10 @@ _SHIPPED = ("repository", "two-site-dataset", "failover", "partition", "preempti
 def _scenario_for(name):
     if name in _SHIPPED:
         return load_scenario("scenarios/%s.scn" % name)
-    if name == "federation(1, 0)":
+    if "(" in name:  # a bench workload: "federation(1, 0)", "partition_probe(3)"
         from test_golden import _bench_workloads
-        workload = _bench_workloads().federation(1, 0)
+        function, args = name.rstrip(")").split("(")
+        workload = getattr(_bench_workloads(), function)(*map(int, args.split(",")))
         return parse_scenario(workload.text, name=workload.name,
                               template_loader=workload.templates.__getitem__)
     text = {"fail_site overlap": FAIL_OVERLAP, "floor": FLOOR, "churn": CHURN}[name]
@@ -841,14 +843,34 @@ def test_a_floor_change_alone_brings_a_visit():
     site.elastic.register_floor("dep/workers", 2)
     world._stabilize(2)
     assert visits[-1] == ("p1", 2) and site.pool.nodes["n2"].power == "booting"
-    settled = World._inputs(site)
+    assert "p1" not in world._marked
     site.elastic.deregister_floor("dep/workers")
-    assert World._inputs(site) != settled
+    assert "p1" in world._marked
     world._stabilize(3)
     assert visits == [("p1", 0), ("p1", 2), ("p1", 3)]
 
 
-def test_a_rollback_cancelling_a_queued_request_moves_the_queue_write_counter():
+def test_a_floor_register_and_deregister_that_keep_the_floor_mark_nothing():
+    world = World(Scenario(name="floor", seed=1, horizon_s=100, providers=[ProviderSpec(
+        provider_id="p1", nodes=(("n1", rv(2, 2048, 20), "on", "cloud"),),
+        elasticity=ElasticPolicy(min_nodes=1))]))
+    elastic = world.sites["p1"].elastic
+    world._stabilize(0)
+    elastic.register_floor("a/workers", 1)  # the policy's min_nodes already is 1
+    assert world._marked == set()
+    elastic.register_floor("b/workers", 3)
+    assert world._marked == {"p1"}
+    world._stabilize(1)
+    assert world._marked == set()
+    elastic.register_floor("c/workers", 2)  # below the top floor
+    elastic.deregister_floor("c/workers")
+    elastic.deregister_floor("unknown")
+    assert world._marked == set() and elastic.floor() == 3
+    elastic.deregister_floor("b/workers")
+    assert world._marked == {"p1"} and elastic.floor() == 1
+
+
+def test_a_rollback_cancelling_a_queued_request_marks_the_site():
     """The small node queues (p1's on node is full) and the big one exceeds
     its group's quota, so the attempt rolls back and cancels the small one."""
     from orchsim.config import parse_config
@@ -861,8 +883,187 @@ def test_a_rollback_cancelling_a_queued_request_moves_the_queue_write_counter():
                   parse_config("quota.g = 4,8192,100\n"))
     scheduler = world.sites["p1"].scheduler
     world.command(1, lambda t: None)  # the filler starts on n1 at t=0
-    before = scheduler.queue_writes
+    marks = []
+    mark = scheduler.mark
+    scheduler.mark = lambda: (marks.append(1), mark())
     world.command(2, world.submit, "ada", ONE_THEN_SIX_CPUS)
     cancelled = [r["request_id"] for r in world.log.records if r["kind"] == "request_cancelled"]
     assert cancelled == ["dep-000002.small.0"]
-    assert scheduler.queue == [] and scheduler.queue_writes == before + 2
+    assert scheduler.queue == [] and len(marks) == 2  # enqueue, then cancel
+
+
+# -- stale timers ----------------------------------------------------------------------
+
+
+class _PollAndAuditEveryPop(_VisitEverySite):
+    """The reference loop: every site that is not failed is visited and every
+    site is audited after every pop, stale or not."""
+
+    def _apply(self, t, kind, payload):
+        super()._apply(t, kind, payload)
+        return True
+
+
+_BENCH_REPLICAS = ("backlog(1, 0)", "spot(1, 0)", "federation(1, 0)")
+_PARITY_NAMES = sorted({name for name, _ in _RUNS} | set(_BENCH_REPLICAS))
+
+
+@pytest.mark.parametrize("backfill", (True, False))
+@pytest.mark.parametrize("name", _PARITY_NAMES)
+def test_marked_visits_and_skipped_stale_audits_keep_the_report(name, backfill):
+    from orchsim.config import EngineConfig
+    config = EngineConfig(backfill=backfill)
+    reports = [world_class(_scenario_for(name), config).run().to_text()
+               for world_class in (World, _PollAndAuditEveryPop)]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("probe", (3, 5))
+def test_the_reference_loop_aborts_a_partition_probe_as_the_loop_does(probe):
+    from orchsim.simulation import InvariantViolationError
+    runs = []
+    for world_class in (World, _PollAndAuditEveryPop):
+        world = world_class(_scenario_for("partition_probe(%d)" % probe))
+        with pytest.raises(InvariantViolationError) as caught:
+            world.run()
+        runs.append((str(caught.value), world.log.records))
+    assert runs[0] == runs[1]
+    assert "conservation violated" in runs[0][0]
+
+
+def _fingerprint(world):
+    """Everything an audit or a visit reads of each site, as values."""
+    sites = []
+    for site_id, site in world._audit_order:
+        pool, scheduler, elastic = site.pool, site.scheduler, site.elastic
+        sites.append((
+            site_id,
+            tuple((n.power, n.role, n.used, n.preemptible_used, n.idle_since, n.ready_at,
+                   frozenset(n.instances)) for n in pool.nodes.values()),
+            frozenset((request_id, instance.node_id, instance.start_time)
+                      for request_id, instance in scheduler.running.items()),
+            tuple(scheduler.queue),
+            tuple(entry[:3] for entry in scheduler._victims),
+            tuple(tuple(row) for row in pool._cloud.values()),
+            tuple(pool._cloud_used), tuple(pool._cloud_reclaimable),
+            tuple(pool._idle.items()), tuple(scheduler._queued),
+            tuple(scheduler.group_running.items()),
+            tuple(elastic._floors.items()), elastic.floor()))
+    return sites
+
+
+class _PremiseProbe(World):
+    """Fingerprints every site before each pop's _apply and after its
+    _stabilize; a pop the loop leaves unaudited must leave them equal."""
+
+    def __init__(self, *args):
+        self.skipped = self.scenario_pops = self.scenario_audits = 0
+        self._pop = None  # [kind, fingerprint before, fingerprint after, audited]
+        super().__init__(*args)
+
+    def run(self):
+        report = super().run()
+        self._settle()
+        return report
+
+    def _apply(self, t, kind, payload):
+        self._settle()
+        self._pop = [kind, _fingerprint(self), None, False]
+        return super()._apply(t, kind, payload)
+
+    def _stabilize(self, t):
+        visited = super()._stabilize(t)
+        self._pop[2] = _fingerprint(self)
+        return visited
+
+    def _audit(self, t):
+        super()._audit(t)
+        self._pop[3] = True
+
+    def _settle(self):
+        if self._pop is None:
+            return
+        kind, before, after, audited = self._pop
+        if kind == "scenario":
+            self.scenario_pops += 1
+            self.scenario_audits += audited
+        if not audited:
+            assert after == before, kind
+            self.skipped += 1
+
+
+def test_a_pop_left_unaudited_changed_no_site():
+    skipped = {}
+    for name in _SHIPPED + _BENCH_REPLICAS:
+        world = _PremiseProbe(_scenario_for(name))
+        world.run()
+        assert world.scenario_audits == world.scenario_pops > 0, name
+        skipped[name] = world.skipped
+    assert sum(skipped.values()) > 0 and skipped["federation(1, 0)"] > 0, skipped
+
+
+class _PopProbe(World):
+    """Records [t, kind, sites visited, audited] for every heap pop."""
+
+    def __init__(self, *args):
+        self.pops = []
+        super().__init__(*args)
+
+    def _apply(self, t, kind, payload):
+        self.pops.append([t, kind, 0, False])
+        return super()._apply(t, kind, payload)
+
+    def _visit(self, site, t):
+        super()._visit(site, t)
+        self.pops[-1][2] += 1
+
+    def _audit(self, t):
+        super()._audit(t)
+        self.pops[-1][3] = True
+
+
+def _pops_at(t, text, backfill=True):
+    from orchsim.config import EngineConfig
+    world = _PopProbe(parse_scenario(text, template_loader=_TEMPLATES.__getitem__),
+                      EngineConfig(backfill=backfill))
+    world.run()
+    return [tuple(pop[1:]) for pop in world.pops if pop[0] == t]
+
+
+# p1 has n1 on, idle from t=0 and due at t=5, and n2 off.  Job a takes n1 at
+# t=0, so the wake queued at t=5 finds nothing due; job b queues at t=1 and
+# waits for n2, which boots until t=11.  n1 is idle again from t=100, due at
+# t=105.
+BOOTING = ("seed: 2\nhorizon_s: 300\nproviders:\n"
+           "  p1:\n    elasticity: { t_idle_s: 5, boot_delay_s: 10 }\n    nodes:\n"
+           "      n1: { cpus: 2, mem_mb: 4096, disk_gb: 50 }\n"
+           "      n2: { cpus: 2, mem_mb: 4096, disk_gb: 50, power: off }\n"
+           "slas:\n  s1: { provider: p1, group: research, sla_rank: 5.0 }\n"
+           "users:\n  ada: { group: research }\nevents:\n"
+           "  a: { at: 0, action: submit, template: job, user: ada, duration: 100 }\n"
+           "  b: { at: 1, action: submit, template: job, user: ada, duration: 100 }\n"
+           "%s")
+
+
+def test_the_expiry_of_a_deleted_job_visits_no_site_and_is_not_audited():
+    text = BOOTING % "  gone: { at: 50, action: delete, ref: a }\n"
+    assert _pops_at(100, text) == [("job_expire", 0, False)]
+
+
+def test_a_wake_whose_idle_node_got_work_first_visits_no_site_and_is_not_audited():
+    assert _pops_at(5, BOOTING % "") == [("elastic_tick", 0, False)]
+
+
+def test_a_superseded_recovery_visits_no_site_and_is_not_audited():
+    """p1 fails until 60, then again until 90: the recovery queued for 60
+    finds p1 still failed."""
+    assert _pops_at(60, FAIL_OVERLAP) == [("site_recover", 0, False)]
+    assert _pops_at(90, FAIL_OVERLAP) == [("site_recover", 1, True)]
+
+
+def test_a_wake_with_a_node_come_due_visits_its_site_and_is_audited():
+    assert _pops_at(105, BOOTING % "") == [("elastic_tick", 1, True)]
+
+
+def test_with_backfill_off_a_wake_visits_a_site_whose_queue_is_not_empty():
+    assert _pops_at(5, BOOTING % "", backfill=False) == [("elastic_tick", 1, True)]
