@@ -93,9 +93,9 @@ class NodePool:
 
     The pool is the only writer of a node's power, role, used,
     preemptible_used and idle_since and of its instance set.  Every write
-    goes through _update, which calls mark (a World sets it to mark the site
-    for its next pass) and moves the node's share of these counters along
-    with it:
+    goes through _update, which calls mark (the site's scheduler sets it: it
+    empties its memo of unstartable shapes and marks the site for its next
+    pass) and moves the node's share of these counters along with it:
 
     - _cloud[power]: [cpus, mem_mb, disk_gb, count] of the cloud-role nodes
       in that power state; the on row is the cloud pool's capacity, the
@@ -126,8 +126,7 @@ class NodePool:
         self._cloud_used = [0, 0, 0]
         self._cloud_reclaimable = [0, 0, 0]
         self._idle: dict[str, int] = {}
-        self.writes = 0  # _update calls so far: what others cache pool reads by
-        self.mark = None  # called on every _update when set (World marks the site)
+        self.mark = None  # called on every _update when set (see SiteScheduler)
         for node in nodes:
             if node.node_id in self.nodes:
                 raise ElasticityError("duplicate node %r" % node.node_id)
@@ -167,7 +166,6 @@ class NodePool:
         """Write a node's power, role, used, preemptible_used or idle_since and
         move its counter share along; a change to its instance set is made
         just before."""
-        self.writes += 1
         if self.mark is not None:
             self.mark()
         self._tally(node, -1)
@@ -255,18 +253,10 @@ class NodePool:
     def idle_nodes(self) -> list[NodeRecord]:
         return [self.nodes[node_id] for node_id in self._idle]
 
-    def earliest_idle(self) -> int | None:
-        """The smallest idle_since of an idle node, None when none is idle."""
-        return min(self._idle.values()) if self._idle else None
-
     def next_idle_due(self, t: int, t_idle_s: int) -> int | None:
-        """The first time after t at which an idle node has been idle t_idle_s."""
-        earliest = self.earliest_idle()
-        if earliest is None:
-            return None
-        if earliest + t_idle_s > t:
-            return earliest + t_idle_s
-        # A due node stayed on (floor or pooled guard): look past the due ones.
+        """The first time after t at which an idle node has been idle t_idle_s,
+        None when there is none; a node that came due by t and stayed on
+        (floor, ceiling or pooled guard) is looked past."""
         return min((since + t_idle_s for since in self._idle.values()
                     if since + t_idle_s > t), default=None)
 
@@ -422,18 +412,20 @@ class NodePool:
         if node.role in DRAINING_ROLES:
             self._switch(node, _DRAIN_TARGET[node.role], "completed", t)
 
-    def _switch(self, node: NodeRecord, role: str, state: str, t: int):
-        """Write a node's role and log the change."""
+    def _switch(self, node: NodeRecord, role: str, state: str, t: int, idle_since=_KEEP):
+        """Write a node's role (and idle_since, if given) and log the change."""
         from_role = node.role
-        self._update(node, role=role)
+        self._update(node, role=role, idle_since=idle_since)
         self._emit(t, "role_changed", node=node.node_id, from_role=from_role,
                    to_role=role, state=state)
 
     def switch_role(self, node_id: str, target: str, t: int):
         """Commute a node to the batch or cloud pool.
 
-        An empty node moves at once; a busy one drains (it leaves its pool and
-        takes no new work) until unassign empties it and completes the move.
+        An empty node moves at once, and if it is on its idle time starts
+        over, so a node just moved into the cloud pool is not a power-off
+        candidate yet; a busy one drains (it leaves its pool and takes no new
+        work) until unassign empties it and completes the move.
         """
         if target not in (ROLE_BATCH, ROLE_CLOUD):
             raise ElasticityError("target role must be batch or cloud, got %r" % target)
@@ -445,7 +437,8 @@ class NodePool:
         if node.busy:
             self._switch(node, _DRAIN_FOR_TARGET[target], "draining", t)
         else:
-            self._switch(node, target, "completed", t)
+            self._switch(node, target, "completed", t,
+                         idle_since=t if node.power == POWER_ON else _KEEP)
 
     def power_on(self, node_id: str, t: int, boot_delay_s: int):
         node = self.node(node_id)
@@ -520,19 +513,21 @@ class ElasticityManager:
 
         Powers on the largest off nodes (id as tie-break) until booting and
         new capacity cover the queued demand, the node-count floor is met, or
-        the ceiling is reached.  Powers off nodes idle for at least t_idle_s,
-        lexicographically last first, while staying at or above the floor.
-        Each step first asks the pool's counters whether it can act at all
-        and only then sorts its candidates, so a site with no power action
-        due costs O(1).
+        the ceiling is reached.  Then powers off nodes idle for at least
+        t_idle_s, lexicographically last first, down to the floor, or only
+        down to the ceiling while the queued demand is still uncovered: below
+        the ceiling the next call would power a node back on for it.  So the
+        plan is its own fixpoint: applied to the pool, a second call at t
+        plans nothing.  The power-on step sorts its candidates only when it
+        can act; the power-off step looks at every idle node, so a call costs
+        O(idle nodes) when nothing is due.
         """
         cloud_total, powered, off = pool.cloud_counts()
         min_n, max_n = self._bounds(cloud_total)
         actions: list[Action] = []
 
-        if off and powered < max_n and (
-                powered < min_n or not queued_demand.fits(pool.booting_capacity())):
-            remaining = queued_demand.monus(pool.booting_capacity())
+        remaining = queued_demand.monus(pool.booting_capacity())
+        if off and powered < max_n and (powered < min_n or not remaining.is_zero()):
             off_nodes = sorted(
                 (n for n in pool.nodes.values()
                  if n.role == ROLE_CLOUD and n.power == POWER_OFF),
@@ -547,15 +542,15 @@ class ElasticityManager:
                 powered += 1
                 remaining = remaining.monus(node.capacity)
 
-        t_idle = self.policy.t_idle_s
-        earliest = pool.earliest_idle() if powered > min_n else None
-        if earliest is not None and t - earliest >= t_idle:
+        stop = min_n if remaining.is_zero() else max_n
+        if powered > stop:
+            t_idle = self.policy.t_idle_s
             free_guard = pool.cloud_free()
             idle_victims = sorted(
                 (n for n in pool.idle_nodes() if t - n.idle_since >= t_idle),
                 key=lambda n: n.node_id, reverse=True)
             for node in idle_victims:
-                if powered <= min_n:
+                if powered <= stop:
                     break
                 if not node.capacity.fits(free_guard):
                     continue  # pooled accounting says this capacity is still spoken for

@@ -164,10 +164,10 @@ class SiteScheduler:
         self.running: dict[str, RunningInstance] = {}
         self.queue: list[InstanceRequest] = []  # in the order of the last sort
         self._queued = [0, 0, 0]  # summed resources of the queue
-        self.mark = None  # called on every queue write when set (World marks the site)
-        # shapes that failed a probe, as of pool write _unstartable_writes
+        self.mark = None  # called on every queue and pool write if set (World marks the site)
+        # shapes that failed a probe since the last pool write
         self._unstartable: set[str] = set()
-        self._unstartable_writes = -1
+        pool.mark = self._pool_written
         # _victim_key(instance) + (instance,) of every running preemptible, sorted
         self._victims: list[tuple] = []
         self.group_running: dict[str, ResourceVector] = {}
@@ -178,6 +178,14 @@ class SiteScheduler:
 
     def queued_demand(self) -> ResourceVector:
         return unchecked(*self._queued)
+
+    def _pool_written(self):
+        """NodePool.mark: a pool write can make any shape startable, so the
+        memo of unstartable shapes empties; the site is marked as for a
+        queue write."""
+        self._unstartable.clear()
+        if self.mark is not None:
+            self.mark()
 
     def _enqueue(self, request: InstanceRequest):
         if self.mark is not None:
@@ -363,13 +371,6 @@ class SiteScheduler:
         except InfeasiblePreemptionError:
             return None
 
-    def _unstartable_shapes(self) -> set[str]:
-        """The shapes that failed a probe since the last pool write."""
-        if self._unstartable_writes != self.pool.writes:
-            self._unstartable.clear()
-            self._unstartable_writes = self.pool.writes
-        return self._unstartable
-
     def dispatch(self, t: int) -> list[RunningInstance]:
         """Start queued work, highest fair-share priority first.
 
@@ -379,25 +380,24 @@ class SiteScheduler:
 
         Whether a request can start depends on its shape and the pool state
         only (see _startable), so a shape is probed once per pool write: a
-        failed probe puts the shape in the unstartable set, which the next
-        pool write empties, and a queued request of a shape in the set is
-        skipped as failed.  With backfill on, a call returns at once when the
-        shape of every queued request is in the set: nothing could start.
-        Otherwise the queue is sorted into fair-share order once per call
-        (with backfill off the head can change as usage decays, so it is
+        failed probe puts the shape in the unstartable set, which every pool
+        write empties (_pool_written), and a queued request of a shape in the
+        set is skipped as failed.  With backfill on, a call returns at once
+        when the shape of every queued request is in the set: nothing could
+        start.  Otherwise the queue is sorted into fair-share order once per
+        call (with backfill off the head can change as usage decays, so it is
         always sorted).  Within one event time only a preemption changes a
         priority (the victim's owner accrues usage), so a start without
         victims just leaves the order and a start that preempted re-sorts it.
         """
         started: list[RunningInstance] = []
         queue = self.queue
-        unstartable = self._unstartable_shapes()
+        unstartable = self._unstartable
         if not queue or (self.backfill and all(r.shape in unstartable for r in queue)):
             return started
         key = self._queue_key(t)
         queue.sort(key=key)
         while queue:
-            unstartable = self._unstartable_shapes()
             for position, request in enumerate(queue if self.backfill else queue[:1]):
                 shape = request.shape
                 if shape in unstartable:

@@ -318,12 +318,11 @@ class World:
         self._rank = {spec.provider_id: rank
                       for rank, spec in enumerate(scenario.providers)}
         for site_id, site in self.sites.items():
-            site.pool.mark = site.scheduler.mark = site.elastic.mark = \
+            site.scheduler.mark = site.elastic.mark = \
                 functools.partial(self._marked.add, site_id)
-        # (due, site id) per visit that left an idle node to come due; an
-        # entry counts only while due is still its site's _wake
-        self._due: list[tuple[int, str]] = []
-        self._wake: dict[str, int | None] = {}
+        # time -> the sites whose visit left an idle node due then; the keys
+        # are the times of the queued elastic_tick wakes (see _stabilize)
+        self._wakes: dict[int, set[str]] = {}
 
         self.tokens: dict[str, str] = {}
         for user in scenario.users:
@@ -348,10 +347,10 @@ class World:
         for event in scenario.events:
             self._push(event.at, "scenario", {"event": event})
         self._deployments_by_ref: dict[str, str] = {}
-        self._ticks: set[int] = set()  # times of the queued elastic_tick wakes
         # Nodes idle from the start power off t_idle_s later, event or not.
-        for site in self.sites.values():
-            self._schedule_wake(site.pool.next_idle_due(0, site.elastic.policy.t_idle_s))
+        for site_id, site in self.sites.items():
+            self._schedule_wake(site_id,
+                                site.pool.next_idle_due(0, site.elastic.policy.t_idle_s))
 
     # -- event plumbing -----------------------------------------------------
 
@@ -439,9 +438,7 @@ class World:
             return self._do_site_recover(t, payload["site"])
         if kind == "elastic_tick":
             # Only wakes the stabilization pass, which visits every site with
-            # an idle node come due.  One wake serves every site due at t, and
-            # every later wake is > t, so t is never looked up again.
-            self._ticks.discard(t)
+            # an idle node come due at t.
             return False
         raise InvariantViolationError("unknown internal event %r" % kind)
 
@@ -559,12 +556,14 @@ class World:
 
         Sites mark themselves (World._marked): NodePool._update, the
         scheduler's queue writes and a change of the elasticity floor each
-        mark their site, and this pass first marks every site whose idle due
-        time, kept from its last visit, has come.  The marked sites are
-        visited in scenario order; a visit unmarks its site unless backfill
-        is off and its queue is not empty, and a failed site stays marked
-        until it recovers.  Skipping an unmarked site is exact, because its
-        last visit ended at a fixpoint and nothing it read moved since:
+        mark their site.  This pass first marks each site World._wakes holds
+        for t that still has an idle node due exactly at t; one that a later
+        visit re-timed has none, as an unmarked site's pool is as its last
+        visit left it.  The marked sites are visited in scenario order; a
+        visit unmarks its site unless backfill is off and its queue is not
+        empty, and a failed site stays marked until it recovers.  Skipping an
+        unmarked site is exact, because its last visit ended at a fixpoint
+        and nothing it read moved since:
         - with backfill on, a finished dispatch leaves every queued shape
           unstartable at that pool state, and whether a shape can start
           depends on the pool state only (SiteScheduler._startable), not on
@@ -572,20 +571,20 @@ class World:
           as usage decays, so a non-empty queue keeps its site marked;
         - reconcile reads only the pool counters, the queued demand and the
           floor, and reads t only through which idle nodes are due;
-        - the visit repeats reconcile until it plans nothing, and its power
-          actions only remove schedulable free space, so dispatch still
-          starts nothing after them.  A second pass at the same t therefore
-          changes nothing, which is also why one elastic_tick per time is
-          enough however many sites come due then.
+        - one reconcile plans its own fixpoint (a second call at t plans
+          nothing), and its power actions only remove schedulable free
+          space, so dispatch still starts nothing after them.  A second pass
+          at the same t therefore changes nothing, which is also why one
+          elastic_tick per time is enough however many sites come due then.
         A visit writes its own site only, so one sorted snapshot of the
         marks visits the sites a walk over every site in scenario order would.
         Neither dispatch nor reconcile reads whether the site is failed, so
         once a failed site recovers its mark decides like any other.
         """
-        marked, due = self._marked, self._due
-        while due and due[0][0] <= t:
-            at, site_id = heapq.heappop(due)
-            if self._wake[site_id] == at:  # else a later visit re-timed it
+        marked = self._marked
+        for site_id in self._wakes.pop(t, ()):
+            site = self.sites[site_id]
+            if site.pool.next_idle_due(t - 1, site.elastic.policy.t_idle_s) == t:
                 marked.add(site_id)
         visited = 0
         for site_id in sorted(marked, key=self._rank.__getitem__):
@@ -596,36 +595,33 @@ class World:
         return visited
 
     def _visit(self, site: Site, t: int):
-        """Dispatch, then reconcile and apply power actions until reconcile
-        plans nothing; unmark the site unless backfill is off and its queue
-        is not empty, and keep its next idle due time."""
+        """Dispatch, then apply the power actions of one reconcile, which
+        plans its own fixpoint; unmark the site unless backfill is off and its
+        queue is not empty, and wake it when its next idle node comes due."""
         site_id = site.site_id
         site.scheduler.dispatch(t)
         policy = site.elastic.policy
-        while True:
-            actions = site.elastic.reconcile(site.pool, site.scheduler.queued_demand(), t)
-            if not actions:
-                break
-            for action in actions:
-                if action.kind == ACTION_POWER_ON:
-                    site.pool.power_on(action.node_id, t, policy.boot_delay_s)
-                    self._push(site.pool.nodes[action.node_id].ready_at, "boot_complete",
-                               {"site": site_id, "node": action.node_id})
-                else:
-                    site.pool.power_off(action.node_id, t)
+        for action in site.elastic.reconcile(site.pool, site.scheduler.queued_demand(), t):
+            if action.kind == ACTION_POWER_ON:
+                site.pool.power_on(action.node_id, t, policy.boot_delay_s)
+                self._push(site.pool.nodes[action.node_id].ready_at, "boot_complete",
+                           {"site": site_id, "node": action.node_id})
+            else:
+                site.pool.power_off(action.node_id, t)
         if site.scheduler.backfill or not site.scheduler.queue:
             self._marked.discard(site_id)
-        wake = site.pool.next_idle_due(t, policy.t_idle_s)
-        self._schedule_wake(wake)
-        if wake is not None and wake != self._wake.get(site_id):
-            heapq.heappush(self._due, (wake, site_id))  # an equal wake is queued
-        self._wake[site_id] = wake
+        self._schedule_wake(site_id, site.pool.next_idle_due(t, policy.t_idle_s))
 
-    def _schedule_wake(self, wake: int | None):
-        """Queue an elastic_tick at wake, once per time, up to the horizon."""
-        if wake is not None and wake <= self.scenario.horizon_s and wake not in self._ticks:
-            self._ticks.add(wake)
+    def _schedule_wake(self, site_id: str, wake: int | None):
+        """Wake site_id at wake, up to the horizon: one elastic_tick per time
+        serves every site due then."""
+        if wake is None or wake > self.scenario.horizon_s:
+            return
+        sites = self._wakes.get(wake)
+        if sites is None:
+            sites = self._wakes[wake] = set()
             self._push(wake, "elastic_tick", {})
+        sites.add(site_id)
 
     def _audit(self, t: int):
         """Audit every site, in site id order, after every event but a stale

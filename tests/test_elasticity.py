@@ -198,6 +198,10 @@ def test_switch_idle_node_is_immediate():
     assert pool.nodes["w1"].role == "batch"
     assert pool.cloud_capacity() == rv()
     pool.audit({})
+    # Back in the cloud pool, the node is idle from its switch, not from t=0.
+    pool.switch_role("w1", "cloud", t=15)
+    assert pool.nodes["w1"].idle_since == 15 and pool.next_idle_due(15, 100) == 115
+    pool.audit({})
 
 
 def test_switch_busy_node_drains_then_completes():
@@ -284,7 +288,6 @@ def _check_elastic_counters(pool, t, t_idle=7):
     idle = {n.node_id: n.idle_since for n in by_power["on"]
             if not n.instances and n.idle_since is not None}
     assert {n.node_id: n.idle_since for n in pool.idle_nodes()} == idle, t
-    assert pool.earliest_idle() == min(idle.values(), default=None), t
     assert pool.next_idle_due(t, t_idle) == min(
         (since + t_idle for since in idle.values() if since + t_idle > t), default=None), t
 
@@ -462,7 +465,9 @@ def test_pool_audit_checks_each_node_instance_set_against_what_runs(write):
 
 
 def _reference_reconcile(policy, floors, pool, queued_demand, t):
-    """The planning pass as it was before the counters: every node, every call."""
+    """The planning pass as it was before the counters: every node, every call.
+    Idle nodes power off down to the floor, or only down to the ceiling while
+    the queued demand is still uncovered."""
     cloud_total = sum(1 for n in pool.nodes.values() if n.role == "cloud")
     floor = max([policy.min_nodes] + list(floors))
     ceiling = policy.max_nodes if policy.max_nodes is not None else cloud_total
@@ -486,6 +491,7 @@ def _reference_reconcile(policy, floors, pool, queued_demand, t):
         powered += 1
         remaining = remaining.monus(node.capacity)
 
+    stop = min_n if remaining.is_zero() else max_n
     on = [n for n in cloud if n.power == "on"]
     free_guard = ResourceVector.total(n.capacity for n in on).monus(
         ResourceVector.total(n.used for n in on))
@@ -494,7 +500,7 @@ def _reference_reconcile(policy, floors, pool, queued_demand, t):
          and t - n.idle_since >= policy.t_idle_s),
         key=lambda n: n.node_id, reverse=True)
     for node in idle_victims:
-        if powered <= min_n:
+        if powered <= stop:
             break
         if not node.capacity.fits(free_guard):
             continue
@@ -561,6 +567,11 @@ def test_reconcile_matches_the_full_planning_pass():
         t = clock + rng.randrange(0, 200)
         actions = [(a.kind, a.node_id) for a in manager.reconcile(pool, demand, t)]
         assert actions == _reference_reconcile(policy, floors.values(), pool, demand, t), case
-        for kind, _node in actions:
+        for kind, node_id in actions:
             fired[kind] += 1
+            if kind == ACTION_POWER_ON:
+                pool.power_on(node_id, t, boot_delay_s=30)
+            else:
+                pool.power_off(node_id, t)
+        assert manager.reconcile(pool, demand, t) == [], case  # the plan is a fixpoint
     assert fired[ACTION_POWER_ON] > 50 and fired[ACTION_POWER_OFF] > 50

@@ -92,7 +92,7 @@ def test_replica_digest_is_pinned(workload, replica):
 
 # bench/workloads.py partition_probe(1): the federation mix plus switch_role
 # events, so node roles move through draining and back.
-PROBE_GOLDEN = "7435d9b9126036b71f0913b14924d9ec401bcd26190ba2774cb37d72e36fc5c6"
+PROBE_GOLDEN = "28e763fbb09d6f98f663408c2a7593561c070c7c27e2ea3890379fe7727711d8"
 
 
 def test_partition_probe_digest_is_pinned():

@@ -375,30 +375,40 @@ def test_release_triggers_dispatch():
 
 
 def test_every_queue_write_marks_the_site():
-    """submit enqueues, a dispatch start and cancel_queued dequeue: each is
-    one write and one mark call.  A rollback cancels through cancel_queued
-    (test_simulation)."""
-    sched = make_scheduler(rv(2, 2048, 20))
+    """submit enqueues, a dispatch start and cancel_queued dequeue, and a
+    start assigns and a release unassigns on the pool: each is one write and
+    one mark call, and a pool write also empties the memo of unstartable
+    shapes.  A rollback cancels through cancel_queued (test_simulation)."""
+    sched = make_scheduler(rv(2, 2048, 20), rv(2, 2048, 20))
+    sched.pool.power_off("n2", 0)
     marks = []
     sched.mark = lambda: marks.append(1)
     full = rv(2, 2048, 20)
-    sched.submit(req(res=full, rid="a"), t=0)  # enqueue, then start
-    assert len(marks) == 2
-    sched.submit(req(res=full, rid="b"), t=1)  # enqueue only
+    sched.submit(req(res=full, rid="a"), t=0)  # enqueue, then dequeue and assign
     assert len(marks) == 3
-    sched.release("a", 2)  # its dispatch starts b
-    assert "b" in sched.running and len(marks) == 4
+    sched.submit(req(res=full, rid="b"), t=1)  # enqueue only
+    assert len(marks) == 4 and sched._unstartable == {sched.queue[0].shape}
+    sched.pool.power_on("n2", 1, boot_delay_s=10)  # a pool write from outside
+    assert len(marks) == 5 and sched._unstartable == set()
+    assert sched.dispatch(1) == [] and sched._unstartable == {sched.queue[0].shape}
+    sched.release("a", 2)  # unassign; its dispatch dequeues and assigns b
+    assert "b" in sched.running and len(marks) == 8
     sched.submit(req(res=full, rid="c"), t=3)
-    assert sched.cancel_queued("c", 4) and len(marks) == 6
-    assert not sched.cancel_queued("c", 5) and len(marks) == 6
-    assert sched.dispatch(6) == [] and len(marks) == 6
+    assert sched.cancel_queued("c", 4) and len(marks) == 10
+    assert not sched.cancel_queued("c", 5) and len(marks) == 10
+    assert sched.dispatch(6) == [] and len(marks) == 10
 
 
 def test_a_scheduler_built_outside_a_world_marks_nothing():
+    """The pool's hook is its scheduler's: it keeps the shape memo without a
+    world to mark."""
     sched = make_scheduler(rv(2, 2048, 20))
-    assert sched.mark is None and sched.pool.mark is None
+    assert sched.mark is None and sched.pool.mark == sched._pool_written
     sched.submit(req(res=rv(2, 2048, 20), rid="a"), t=0)
-    assert "a" in sched.running
+    sched.submit(req(res=rv(2, 2048, 20), rid="b"), t=1)
+    assert "a" in sched.running and sched._unstartable == {sched.queue[0].shape}
+    sched.release("a", 2)
+    assert "b" in sched.running and sched._unstartable == set()
 
 
 def test_zero_resource_request_invalid():

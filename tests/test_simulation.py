@@ -383,6 +383,8 @@ def test_scenario_unknown_key_rejected_with_line(old, new, key, line):
 
 
 def test_elastic_ticks_are_forgotten_once_they_fire():
+    """Each wake leaves World._wakes at its own time, and none is kept past
+    the horizon, so a finished run holds none."""
     pushed = []
 
     class Probe(World):
@@ -393,15 +395,14 @@ def test_elastic_ticks_are_forgotten_once_they_fire():
     world = Probe(load_scenario("scenarios/elastic-cluster.scn"))
     world.run()
     assert "elastic_tick" in pushed
-    assert world._ticks == set()
+    assert world._wakes == {}
 
 
-def test_nodes_idle_from_the_start_power_off_before_the_first_event():
-    """n1 is on and idle from t=0 with t_idle_s 120, and the first scenario
-    event is at t=300: n1 powers off at t=120, not at that event."""
-    text = """\
+# n1 (cloud) and b1 (batch) are on and idle from t=0, with t_idle_s 120; the
+# only scenario event moves b1 into the cloud pool at t=300.
+IDLE_COMMUTE = """\
 seed: 1
-horizon_s: 400
+horizon_s: 500
 providers:
   p1:
     elasticity: { t_idle_s: 120, boot_delay_s: 30, min_nodes: 0 }
@@ -413,11 +414,25 @@ users:
 events:
   commute: { at: 300, action: switch_role, provider: p1, node: b1, target: cloud }
 """
-    report = run_scenario(parse_scenario(text))
-    offs = [(r["t"], r["node"]) for r in report.records
+
+
+def _power_offs(report):
+    return [(r["t"], r["node"]) for r in report.records
             if r["kind"] == "node_power" and r["power"] == "off"]
-    assert offs[0] == (120, "n1")
+
+
+def test_nodes_idle_from_the_start_power_off_before_the_first_event():
+    """n1 powers off at t=120, not at the first scenario event (t=300)."""
+    report = run_scenario(parse_scenario(IDLE_COMMUTE))
+    assert _power_offs(report)[0] == (120, "n1")
     verify_report(parse_report(report.to_text()))
+
+
+def test_a_node_switched_into_the_cloud_pool_is_idle_from_the_switch():
+    """b1 joins the cloud pool at t=300 and powers off t_idle_s later, not in
+    the event of its switch, though it was idle in the batch pool since t=0."""
+    report = run_scenario(parse_scenario(IDLE_COMMUTE))
+    assert _power_offs(report) == [(120, "n1"), (420, "b1")]
 
 
 @pytest.mark.parametrize("section", ["providers", "slas", "datasets", "users", "events"])
@@ -718,7 +733,7 @@ def _two_sites(p1_nodes, events, p2_nodes="      m1: { cpus: 2, mem_mb: 4096, di
 
 
 _TEMPLATES = {"svc": SERVICE_1CPU, "job": JOB_2CPU, "cluster": CLUSTER_3_WORKERS,
-              "vm-4": _vm(4), "vm-8": _vm(8)}
+              "vm-4": _vm(4)}
 
 # Two overlapping failures of p1 (until 60, then until 90) while a service
 # runs there and jobs fail over to p2; idle nodes come due during the outage.
@@ -742,17 +757,22 @@ FLOOR = _two_sites(
     "  job: { at: 100, action: submit, template: job, user: ada, duration: 50 }\n"
     "  gone: { at: 200, action: delete, ref: cluster }\n")
 
-# 8 cpus queue on p1 while a and b are on (a busy) and c is off: c powers on
-# up to the ceiling, then b comes due at t=10 and powers off, which leaves
-# the demand uncovered, so the same pass powers b back on.
+# On p1 a runs the first vm-4 and b is on and idle; the second vm-4 waits on
+# its group's quota (_QUOTAS), so 4 cpus of queued demand stay uncovered
+# whatever p1 powers on, and c boots for them.  Until t=40 something is
+# booting when a node comes due, so b and c each power off in one pass and
+# on again in the pass of a later event at the same time.  From t=40 both
+# are on with nothing booting, and no pass powers either off: below the
+# ceiling the next pass would power it back on.
 CHURN = _two_sites(
     "      a: { cpus: 4, mem_mb: 4096, disk_gb: 40 }\n"
     "      b: { cpus: 4, mem_mb: 4096, disk_gb: 40 }\n"
     "      c: { cpus: 4, mem_mb: 4096, disk_gb: 40, power: off }\n",
-    "  small: { at: 0, action: submit, template: vm-4, user: ada }\n"
-    "  big: { at: 0, action: submit, template: vm-8, user: ada }\n"
+    "  first: { at: 0, action: submit, template: vm-4, user: ada }\n"
+    "  second: { at: 0, action: submit, template: vm-4, user: ada }\n"
     "  other: { at: 20, action: submit, template: job, user: ben, duration: 5 }\n",
     t_idle_s=10, groups=("research", "other"))
+_QUOTAS = {"churn": {"research": rv(4, 4096, 40)}}
 
 _SHIPPED = ("repository", "two-site-dataset", "failover", "partition", "preemption",
             "elastic-cluster")
@@ -771,35 +791,55 @@ def _scenario_for(name):
     return parse_scenario(text, name=name, template_loader=_TEMPLATES.__getitem__)
 
 
+def _config_for(name, backfill=True):
+    from orchsim.config import EngineConfig
+    return EngineConfig(backfill=backfill, quotas=_QUOTAS.get(name, {}))
+
+
 _RUNS = ([(name, backfill) for name in _SHIPPED for backfill in (True, False)]
          + [(name, True) for name in ("fail_site overlap", "floor", "churn",
-                                      "federation(1, 0)")]
+                                      "backlog(1, 0)", "spot(1, 0)", "federation(1, 0)")]
          + [("churn", False)])
 
 
 @pytest.mark.parametrize("name, backfill", _RUNS)
 def test_every_site_is_at_a_fixpoint_after_every_event(name, backfill):
-    from orchsim.config import EngineConfig
-    world = _FixpointProbe(_scenario_for(name), EngineConfig(backfill=backfill))
+    world = _FixpointProbe(_scenario_for(name), _config_for(name, backfill))
     world.run()
     assert world.checked > 0
 
 
 @pytest.mark.parametrize("name, backfill", _RUNS)
 def test_skipping_settled_sites_keeps_the_report(name, backfill):
-    from orchsim.config import EngineConfig
-    config = EngineConfig(backfill=backfill)
+    config = _config_for(name, backfill)
     skipping = World(_scenario_for(name), config).run().to_text()
     assert skipping == _VisitEverySite(_scenario_for(name), config).run().to_text()
 
 
-def test_a_pass_powers_back_on_a_node_it_powered_off_while_demand_is_uncovered():
-    """The pass that powers b off at t=10 runs reconcile again and powers it
-    back on at once, whatever other site has an event at t=10."""
-    report = run_scenario(_scenario_for("churn"))
-    at_10 = [(r["node"], r["power"]) for r in report.records
-             if r["kind"] == "node_power" and r["site"] == "p1" and r["t"] == 10]
-    assert at_10[:2] == [("b", "off"), ("b", "booting")]
+@pytest.mark.parametrize("backfill", (True, False))
+def test_no_pass_powers_a_node_off_and_back_on(backfill):
+    """Reconcile keeps a due idle node on while the queued demand is
+    uncovered, rather than power it off and plan it on again in the same
+    pass: c comes due at t=40 with 4 cpus queued and nothing booting."""
+    cycled = []
+
+    class Probe(World):
+        def _visit(self, site, t):
+            start = len(self.log.records)
+            super()._visit(site, t)
+            off = set()
+            for record in self.log.records[start:]:
+                if record["kind"] == "node_power" and record["power"] == "off":
+                    off.add(record["node"])
+                elif record["kind"] == "node_power" and record["node"] in off:
+                    cycled.append((t, site.site_id, record["node"]))
+
+    report = Probe(_scenario_for("churn"), _config_for("churn", backfill)).run()
+    assert cycled == []
+    powers = {r["power"] for r in report.records if r["kind"] == "node_power"}
+    assert powers == {"off", "booting", "on"}
+    assert [r["request_id"] for r in report.records
+            if r["kind"] == "still_queued"] == ["dep-000002.vm.0"]
 
 
 def test_sites_due_at_the_same_time_share_one_idle_wake():
@@ -911,8 +951,7 @@ _PARITY_NAMES = sorted({name for name, _ in _RUNS} | set(_BENCH_REPLICAS))
 @pytest.mark.parametrize("backfill", (True, False))
 @pytest.mark.parametrize("name", _PARITY_NAMES)
 def test_marked_visits_and_skipped_stale_audits_keep_the_report(name, backfill):
-    from orchsim.config import EngineConfig
-    config = EngineConfig(backfill=backfill)
+    config = _config_for(name, backfill)
     reports = [world_class(_scenario_for(name), config).run().to_text()
                for world_class in (World, _PollAndAuditEveryPop)]
     assert reports[0] == reports[1]
