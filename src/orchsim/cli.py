@@ -56,6 +56,18 @@ def _render_table(rows: list[dict], columns: list[str]) -> list[str]:
 # -- deployment session state (journal replay) --------------------------------
 
 
+def _read_state(path: str) -> dict:
+    """The stored journal at path; a file that is not one is a CliError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            stored = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise CliError("cannot read state file %r: %s" % (path, exc)) from exc
+    if not isinstance(stored, dict) or not isinstance(stored.get("commands", []), list):
+        raise CliError("state file %r is not an object with a list of commands" % path)
+    return stored
+
+
 class Session:
     """A world plus a journal of commands, replayed on load.
 
@@ -76,10 +88,7 @@ class Session:
     @classmethod
     def open(cls, args, config: EngineConfig, *, must_exist: bool) -> "Session":
         state_path = args.state or os.environ.get(ENV_STATE) or DEFAULT_STATE
-        stored = None
-        if os.path.exists(state_path):
-            with open(state_path, encoding="utf-8") as handle:
-                stored = json.load(handle)
+        stored = _read_state(state_path) if os.path.exists(state_path) else None
         world_path = getattr(args, "world", None) or (stored or {}).get("world")
         if world_path is None:
             if must_exist:
@@ -122,8 +131,7 @@ class Session:
         """
         stored = {"world": self.world_path, "commands": self.commands}
         if os.path.exists(self.state_path):
-            with open(self.state_path, encoding="utf-8") as handle:
-                previous = json.load(handle)
+            previous = _read_state(self.state_path)
             stored["commands"] = previous.get("commands", []) + self.commands
         temp_path = self.state_path + ".tmp"
         try:

@@ -2,30 +2,43 @@
 
 Recognized keys:
 
-    w_sla / w_avail / w_lat / w_data = <decimal>     ranker weights
+    w_sla / w_avail / w_lat / w_data = <number>      ranker weights
     prefs.<user-or-group> = [siteA, siteB]           provider preferences
-    half_life_s = <decimal>                          fair-share decay
+    half_life_s = <positive number>                  fair-share decay
     backfill = true|false
-    weights.<user> = <decimal>                       initial fair-share weight
     quota.<group> = cpus,mem_mb,disk_gb              group cap
     t_idle_s / boot_delay_s / min_nodes / max_nodes  elasticity policy
 
-Unknown keys are rejected.  The ORCH_CONFIG environment variable names the
-default config file for the CLI.
+Lines are read by ``stext.parse_flat``: values take stext's scalar and
+inline-list syntax, ``#`` comments and line numbers follow its rules, and a
+repeated key is rejected.  Unknown keys are rejected.  The ORCH_CONFIG
+environment variable names the default config file for the CLI.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from . import stext
 from .elasticity import ElasticPolicy
 from .errors import DomainError
 from .ranker import PreferenceList, RankerConfig
 from .resources import ResourceVector
 
 ENV_CONFIG = "ORCH_CONFIG"
+
+# The keys of the ranker weights and of an elasticity policy (here and in a
+# scenario's elasticity block) are the fields they set.
+_RANKER_KEYS = tuple(f.name for f in fields(RankerConfig))
+ELASTIC_KEYS = tuple(f.name for f in fields(ElasticPolicy))
+
+# Every key the reader takes, with the kind of its value; "prefs." and
+# "quota." stand for the keys that name a user or group after the dot (a
+# quota keeps its own cpus,mem_mb,disk_gb form).
+_KINDS = {**dict.fromkeys(_RANKER_KEYS, stext.NUMBER), "half_life_s": stext.POSITIVE,
+          "backfill": stext.BOOL, **dict.fromkeys(ELASTIC_KEYS, stext.INT),
+          "prefs.": stext.NAMES, "quota.": None}
 
 
 class ConfigError(DomainError):
@@ -38,35 +51,8 @@ class EngineConfig:
     preferences: dict[str, PreferenceList] = field(default_factory=dict)
     half_life_s: float = 3600.0
     backfill: bool = True
-    weights: dict[str, float] = field(default_factory=dict)
     quotas: dict[str, ResourceVector] = field(default_factory=dict)
     elasticity: ElasticPolicy = field(default_factory=ElasticPolicy)
-
-
-def _parse_scalar(text: str, lineno: int):
-    text = text.strip()
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if not text:
-        raise ConfigError("line %d: missing value" % lineno)
-    return text
-
-
-def _parse_number(text: str, lineno: int, key: str, positive: bool = False) -> float:
-    value = _parse_scalar(text, lineno)
-    if isinstance(value, (bool, str)) or not math.isfinite(value):
-        raise ConfigError("line %d: %s must be a number" % (lineno, key))
-    if positive and value <= 0:
-        raise ConfigError("line %d: %s must be > 0" % (lineno, key))
-    return float(value)
 
 
 def _checked(lineno: int, make, *args, **kwargs):
@@ -81,18 +67,8 @@ def _checked(lineno: int, make, *args, **kwargs):
         raise ConfigError("line %d: %s" % (lineno, exc)) from exc
 
 
-def _parse_list(text: str, lineno: int) -> list[str]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ConfigError("line %d: expected [a, b, ...]" % lineno)
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    return [part.strip() for part in inner.split(",")]
-
-
-def _parse_quota(text: str, lineno: int) -> ResourceVector:
-    parts = [p.strip() for p in text.split(",")]
+def _parse_quota(value, lineno: int) -> ResourceVector:
+    parts = [p.strip() for p in value.split(",")] if isinstance(value, str) else []
     if len(parts) != 3:
         raise ConfigError("line %d: quota must be cpus,mem_mb,disk_gb" % lineno)
     try:
@@ -102,45 +78,37 @@ def _parse_quota(text: str, lineno: int) -> ResourceVector:
 
 
 def parse_config(text: str) -> EngineConfig:
+    try:
+        return _read_config(stext.parse_flat(text))
+    except stext.StextError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _read_config(block: stext.Block) -> EngineConfig:
     ranker_weights = {}
     elastic_fields = {}
     config = EngineConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key = value" % lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in ("w_sla", "w_avail", "w_lat", "w_data"):
-            ranker_weights[key] = _parse_number(value, lineno, key)
-            config.ranker = _checked(lineno, RankerConfig, **ranker_weights)
-        elif key.startswith("prefs."):
-            scope = key[len("prefs."):]
-            config.preferences[scope] = _checked(lineno, PreferenceList,
-                                                 tuple(_parse_list(value, lineno)))
-        elif key == "half_life_s":
-            config.half_life_s = _parse_number(value, lineno, key, positive=True)
-        elif key == "backfill":
-            parsed = _parse_scalar(value, lineno)
-            if not isinstance(parsed, bool):
-                raise ConfigError("line %d: backfill must be true or false" % lineno)
-            config.backfill = parsed
-        elif key.startswith("weights."):
-            config.weights[key[len("weights."):]] = _parse_number(value, lineno, key,
-                                                                  positive=True)
-        elif key.startswith("quota."):
-            config.quotas[key[len("quota."):]] = _parse_quota(value, lineno)
-        elif key in ("t_idle_s", "boot_delay_s", "min_nodes", "max_nodes"):
-            parsed = _parse_scalar(value, lineno)
-            if isinstance(parsed, bool) or not isinstance(parsed, int):
-                raise ConfigError("line %d: %s must be an integer" % (lineno, key))
-            elastic_fields[key] = parsed
-            config.elasticity = _checked(lineno, ElasticPolicy, **elastic_fields)
-        else:
+    for key, entry in block.entries.items():
+        lineno = entry.line
+        head, dot, scope = key.partition(".")
+        name = head + dot
+        if name not in _KINDS:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
+        value = block.field(key, kind=_KINDS[name])
+        if key in _RANKER_KEYS:
+            ranker_weights[key] = float(value)
+            config.ranker = _checked(lineno, RankerConfig, **ranker_weights)
+        elif key in ELASTIC_KEYS:
+            elastic_fields[key] = value
+            config.elasticity = _checked(lineno, ElasticPolicy, **elastic_fields)
+        elif name == "prefs.":
+            config.preferences[scope] = _checked(lineno, PreferenceList, tuple(value))
+        elif name == "quota.":
+            config.quotas[scope] = _parse_quota(value, lineno)
+        elif key == "half_life_s":
+            config.half_life_s = float(value)
+        else:  # backfill
+            config.backfill = value
     return config
 
 

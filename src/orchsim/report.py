@@ -83,16 +83,24 @@ def parse_report(text: str) -> RunReport:
     header = None
     metrics = None
     records = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        data = json.loads(line)
+        try:
+            data = json.loads(line)
+        except ValueError:
+            data = None
+        if not isinstance(data, dict):
+            raise ReportError("line %d: not a JSON object" % lineno)
         if data.get("record") == "header":
             header = data
         elif data.get("record") == "metrics":
-            metrics = data["metrics"]
-        else:
+            metrics = data.get("metrics")
+        elif (type(data.get("t")) is int and type(data.get("seq")) is int
+              and isinstance(data.get("kind"), str)):
             records.append(data)
+        else:
+            raise ReportError("line %d: event record needs integer t and seq, string kind" % lineno)
     if header is None or metrics is None:
         raise ReportError("report is missing header or metrics record")
     return RunReport(seed=header["seed"], horizon_s=header["horizon_s"],

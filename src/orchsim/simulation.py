@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import stext
-from .config import EngineConfig
+from .config import ELASTIC_KEYS, EngineConfig
 from .elasticity import (ACTION_POWER_ON, ElasticityError, ElasticPolicy,
                          NodeRecord, POWER_OFF, POWER_ON, ROLE_BATCH, ROLE_CLOUD)
 from .errors import DomainError
@@ -45,7 +45,6 @@ _PARAMS = {
 }
 ACTIONS = tuple(_PARAMS)
 _NODE_KEYS = RESOURCE_KEYS + ("power", "role")
-_ELASTIC_KEYS = ("t_idle_s", "boot_delay_s", "min_nodes", "max_nodes")
 
 
 class ScenarioError(DomainError):
@@ -110,7 +109,7 @@ def _node_from_block(node_id: str, block: stext.Block, context: str):
 
 
 def _elastic_from_block(block: stext.Block, context: str) -> ElasticPolicy:
-    fields = {key: block.field(key, context, stext.INT) for key in _ELASTIC_KEYS if key in block}
+    fields = {key: block.field(key, context, stext.INT) for key in ELASTIC_KEYS if key in block}
     try:
         return ElasticPolicy(**fields)
     except DomainError as exc:
@@ -157,7 +156,7 @@ def _read_scenario(root: stext.Block, name: str, template_loader) -> Scenario:
         if "elasticity" in block:
             elastic_context = "%s elasticity" % context
             elasticity = _elastic_from_block(
-                block.block("elasticity", _ELASTIC_KEYS, elastic_context), elastic_context)
+                block.block("elasticity", ELASTIC_KEYS, elastic_context), elastic_context)
         scenario.providers.append(ProviderSpec(
             provider_id=provider_id,
             availability=float(block.field("availability", context, stext.FRACTION, 1.0)),
@@ -290,9 +289,7 @@ class World:
         self.log.listen(self._on_record)
         self.iam = IamService(seed=scenario.seed)
 
-        weights = dict(self.config.weights)
-        for user in scenario.users:
-            weights[user.name] = user.weight
+        weights = {user.name: user.weight for user in scenario.users}
 
         self.sites: dict[str, Site] = {}
         for spec in scenario.providers:

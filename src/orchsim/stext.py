@@ -1,4 +1,4 @@
-"""Structured-text parser shared by template, scenario and snapshot files.
+"""Structured-text parser shared by template, scenario, snapshot and config files.
 
 The format is a deliberately small indented key/value language:
 
@@ -272,6 +272,24 @@ def parse_stext(text: str) -> Block:
             block.entries[key] = Entry(lineno, Block(lineno))
             pending = (level, block, key, content)
 
+    return root
+
+
+def parse_flat(text: str) -> Block:
+    """Read flat ``key = value`` lines into one block by the comment, value and
+    duplicate-key rules above; a key is taken as written, up to the first ``=``."""
+    root = Block(0)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = _strip_comment(raw).strip()
+        if not content:
+            continue
+        key, equals, rest = content.partition("=")
+        if not equals:
+            raise StextError(lineno, "expected key = value")
+        key = key.strip()
+        if key in root:
+            raise DuplicateKeyError(lineno, key, "<root>")
+        root.entries[key] = Entry(lineno, _parse_value(rest, lineno))
     return root
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -175,6 +176,27 @@ def test_sim_run_and_verify(workdir, capsys):
     assert "verified" in out
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda line: "oops", "line 2: not a JSON object"),
+    (lambda line: "[1, 2]", "line 2: not a JSON object"),
+    (lambda line: re.sub(r'"seq": \d+, ', "", line),
+     "line 2: event record needs integer t and seq, string kind"),
+], ids=["not-json", "not-an-object", "no-seq"])
+def test_sim_verify_names_the_malformed_report_line(workdir, capsys, damage, message):
+    (workdir / "runnable.scn").write_text(
+        WORLD.replace("horizon_s: 1000", "horizon_s: 40")
+        + "events:\n  e1: { at: 0, action: submit, template: batch-job.tpl, "
+          "user: ada, duration: 10 }\n")
+    assert main(["sim", "run", "runnable.scn", "--report", "out.jsonl"]) == 0
+    lines = (workdir / "out.jsonl").read_text().splitlines()
+    lines[1:3] = [damage(line) for line in lines[1:3]]
+    (workdir / "out.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["--machine", "sim", "verify", "out.jsonl"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record == {"error": "ReportError", "message": message}
+
+
 def test_sim_run_unknown_scenario_domain_error(workdir, capsys):
     assert main(["sim", "run", "missing.scn"]) == 1
     assert "cannot read scenario" in capsys.readouterr().err
@@ -300,6 +322,28 @@ def test_failed_save_leaves_the_previous_state_file(workdir, capsys, monkeypatch
         ".orchsim-state.json"]
     assert main(["--machine", "deplist"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("damage", ["oops", "[1]", '{"world": "world.scn", "commands": 5}'],
+                         ids=["not-json", "not-an-object", "commands-not-a-list"])
+def test_damaged_state_file_is_a_cli_error(workdir, capsys, damage):
+    from orchsim.cli import CliError, Session, build_parser
+    from orchsim.config import EngineConfig
+    (workdir / ".orchsim-state.json").write_text(damage)
+    assert main(["--machine", "deplist"]) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == "CliError"
+    assert ".orchsim-state.json" in record["message"]
+    # save re-reads the state file before it appends to it
+    (workdir / ".orchsim-state.json").unlink()
+    assert main(["--machine", "depcreate", "single-compute.tpl", "--user", "ada",
+                 "--world", "world.scn"]) == 0
+    args = build_parser().parse_args(["deplist"])
+    session = Session.open(args, EngineConfig(), must_exist=True)
+    (workdir / ".orchsim-state.json").write_text(damage)
+    with pytest.raises(CliError, match="orchsim-state.json"):
+        session.save()
+    assert (workdir / ".orchsim-state.json").read_text() == damage
 
 
 def test_session_fires_the_events_due_before_each_command(workdir, capsys):

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from orchsim import config as config_mod
 from orchsim.config import (ConfigError, config_from_env, load_config,
                             parse_config, resolve_preferences)
 from orchsim.ranker import PreferenceList
@@ -17,8 +20,6 @@ prefs.research = [site-c]
 
 half_life_s = 1800
 backfill = false
-weights.ada = 2.0
-weights.ben = 0.5
 quota.research = 8,16384,200
 
 t_idle_s = 60
@@ -34,9 +35,10 @@ def test_parse_full_config():
     assert config.ranker.w_data == 3.0
     assert config.preferences["ada"] == PreferenceList(("site-b", "site-a"))
     assert config.preferences["research"] == PreferenceList(("site-c",))
+    quoted = parse_config('prefs.ada = [a, "b c"]\n').preferences["ada"]
+    assert quoted == PreferenceList(("a", "b c"))
     assert config.half_life_s == 1800
     assert config.backfill is False
-    assert config.weights == {"ada": 2.0, "ben": 0.5}
     assert config.quotas == {"research": ResourceVector(8, 16384, 200)}
     assert config.elasticity.t_idle_s == 60
     assert config.elasticity.boot_delay_s == 10
@@ -72,10 +74,14 @@ def test_malformed_lines_rejected():
     # across keys names the line of the key that breaks it.
     for text, message in [
         ("w_avail = 2\nw_sla = abc\n", "line 2: w_sla must be a number"),
-        ("half_life_s = abc\n", "line 1: half_life_s must be a number"),
-        ("\nhalf_life_s = 0\n", "line 2: half_life_s must be > 0"),
-        ("weights.ada = abc\n", "line 1: weights.ada must be a number"),
-        ("weights.ada = -2\n", "line 1: weights.ada must be > 0"),
+        ("half_life_s = abc\n", "line 1: half_life_s must be a positive number"),
+        ("\nhalf_life_s = 0\n", "line 2: half_life_s must be a positive number"),
+        ("weights.ada = 2.0\n", "line 1: unknown key 'weights.ada'"),
+        # values follow stext's scalar and inline-list syntax
+        ("w_sla = 1_0\n", "line 1: w_sla must be a number"),
+        ("half_life_s = 1e3\n", "line 1: half_life_s must be a positive number"),
+        ("prefs.ada = [a,, b]\n", "line 1: empty item in inline container"),
+        ("w_sla = 2\nw_sla = 3\n", "line 2: duplicate key 'w_sla'"),
         ("w_sla = -1\n", "line 1: weights must be >= 0"),
         ("w_sla = 0\nw_avail = 0\nw_lat = 0\nw_data = 0\n",
          "line 4: at least one weight must be positive"),
@@ -117,3 +123,15 @@ def test_config_from_env(tmp_path, monkeypatch):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/engine.cfg")
+
+
+def test_documented_example_has_exactly_the_keys_the_reader_takes():
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "docs", "formats.md"), encoding="utf-8") as handle:
+        section = handle.read().split("## Engine config", 1)[1]
+    example = section.split("```\n", 2)[1]
+    parse_config(example)
+    keys = [line.partition("=")[0].strip() for line in example.splitlines()]
+    # "prefs.<user-or-group>" stands for every key with the prefix "prefs."
+    names = {key.partition(".")[0] + key.partition(".")[1] for key in keys}
+    assert names == set(config_mod._KINDS)
