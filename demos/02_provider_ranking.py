@@ -5,16 +5,14 @@ Run from the repository root:  python demos/02_provider_ranking.py
 
 from orchsim import PreferenceList, ProviderSnapshot, RankerConfig, rank_providers
 from orchsim.ranker import normalize, scored_candidates
-from orchsim.resources import ResourceVector
 
-free = ResourceVector(8, 16384, 200)
 candidates = [
     ProviderSnapshot("east", sla_rank=8.0, availability=0.99, latency_ms=25.0,
-                     free_capacity=free, data_locality=0.0),
+                     data_locality=0.0),
     ProviderSnapshot("north", sla_rank=2.0, availability=0.80, latency_ms=250.0,
-                     free_capacity=free, data_locality=1.0),
+                     data_locality=1.0),
     ProviderSnapshot("west", sla_rank=5.0, availability=0.90, latency_ms=5.0,
-                     free_capacity=free, data_locality=0.5),
+                     data_locality=0.5),
 ]
 
 print("=== min-max normalization over the candidate set ===")

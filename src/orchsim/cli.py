@@ -19,10 +19,10 @@ import sys
 
 from . import report as report_mod
 from . import stext
-from .config import ENV_CONFIG, EngineConfig, config_from_env, resolve_preferences
+from .config import (ENV_CONFIG, EngineConfig, config_from_env, config_path,
+                     load_config, resolve_preferences)
 from .errors import DomainError
 from .ranker import ProviderSnapshot, order_by_score, scored_candidates
-from .resources import RESOURCE_KEYS, ResourceVector
 from .simulation import World, load_scenario, run_scenario
 from .templates import TemplateError, parse_template
 
@@ -56,6 +56,16 @@ def _render_table(rows: list[dict], columns: list[str]) -> list[str]:
 # -- deployment session state (journal replay) --------------------------------
 
 
+# The string fields each journal op replays with.
+_JOURNAL_OPS = {"depcreate": ("user", "template_text"), "depdel": ("uuid",)}
+
+
+def _replayable(command) -> bool:
+    op = command.get("op") if isinstance(command, dict) else None
+    return (isinstance(op, str) and op in _JOURNAL_OPS and type(command.get("at")) is int
+            and all(isinstance(command.get(name), str) for name in _JOURNAL_OPS[op]))
+
+
 def _read_state(path: str) -> dict:
     """The stored journal at path; a file that is not one is a CliError."""
     try:
@@ -65,6 +75,12 @@ def _read_state(path: str) -> dict:
         raise CliError("cannot read state file %r: %s" % (path, exc)) from exc
     if not isinstance(stored, dict) or not isinstance(stored.get("commands", []), list):
         raise CliError("state file %r is not an object with a list of commands" % path)
+    if not isinstance(stored.get("config") or "", str):
+        raise CliError("state file %r: config must be a path or null" % path)
+    for index, command in enumerate(stored.get("commands", [])):
+        if not _replayable(command):
+            raise CliError("state file %r: command %d is not an object with an integer 'at', "
+                           "a known 'op' and its string fields" % (path, index))
     return stored
 
 
@@ -72,13 +88,15 @@ class Session:
     """A world plus a journal of commands, replayed on load.
 
     Replay is exact because the whole engine is deterministic; this keeps
-    state on disk limited to the journal itself.
+    state on disk limited to the journal itself.  Every later command replays
+    under the config file the session was created with (config_path).
     """
 
-    def __init__(self, state_path: str, world_path: str, config: EngineConfig):
+    def __init__(self, state_path: str, world_path: str, config: EngineConfig,
+                 config_path: str | None = None):
         self.state_path = state_path
         self.world_path = world_path
-        self.config = config
+        self.config_path = config_path
         self.commands: list[dict] = []
         self.now = 0
         scenario = load_scenario(world_path)
@@ -86,7 +104,7 @@ class Session:
         self.world = World(scenario, config)
 
     @classmethod
-    def open(cls, args, config: EngineConfig, *, must_exist: bool) -> "Session":
+    def open(cls, args, *, must_exist: bool) -> "Session":
         state_path = args.state or os.environ.get(ENV_STATE) or DEFAULT_STATE
         stored = _read_state(state_path) if os.path.exists(state_path) else None
         world_path = getattr(args, "world", None) or (stored or {}).get("world")
@@ -95,7 +113,14 @@ class Session:
                 raise CliError("no session at %s; create one with depcreate --world"
                                % state_path)
             raise CliError("depcreate needs --world <scenario file> on first use")
-        session = cls(state_path, world_path, config)
+        path = named = config_path(args.config)
+        if stored:
+            path = stored.get("config")
+            if named is not None and named != path:
+                raise CliError("session %s was created with config %s; this command names %s"
+                               % (state_path, path or "(none)", named))
+        session = cls(state_path, world_path,
+                      load_config(path) if path else EngineConfig(), path)
         if stored:
             for command in stored.get("commands", []):
                 session._apply(command)
@@ -113,9 +138,7 @@ class Session:
         if command["op"] == "depcreate":
             return world.command(at, world.submit, command["user"], command["template_text"],
                                  command.get("prefs"), command.get("duration"))
-        if command["op"] == "depdel":
-            return world.command(at, world.delete, command["uuid"], command.get("user"))
-        raise CliError("unknown journal op %r" % command["op"])
+        return world.command(at, world.delete, command["uuid"], command.get("user"))
 
     def run(self, command: dict):
         result = self._apply(command)
@@ -129,7 +152,8 @@ class Session:
         then replaces it, so a crash mid-write leaves the previous state file
         whole.
         """
-        stored = {"world": self.world_path, "commands": self.commands}
+        stored = {"world": self.world_path, "config": self.config_path,
+                  "commands": self.commands}
         if os.path.exists(self.state_path):
             previous = _read_state(self.state_path)
             stored["commands"] = previous.get("commands", []) + self.commands
@@ -222,17 +246,10 @@ def _read_snapshot(root: stext.Block) -> list[ProviderSnapshot]:
     snapshots = []
     for provider_id in block.entries:
         context = "candidate %s" % provider_id
-        fields = block.block(provider_id, ("free",) + tuple(_SNAPSHOT_NUMBERS), context)
-        free = fields.block("free", RESOURCE_KEYS, context + " free")
-        sizes = [free.field(key, context + " free", stext.INT, 0) for key in RESOURCE_KEYS]
-        try:
-            capacity = ResourceVector(*sizes)
-        except DomainError as exc:
-            raise CliError("line %d: %s" % (free.line, exc)) from exc
-        numbers = {key: float(fields.field(key, context, kind, default))
-                   for key, (kind, default) in _SNAPSHOT_NUMBERS.items()}
-        snapshots.append(ProviderSnapshot(provider_id=provider_id, free_capacity=capacity,
-                                          **numbers))
+        fields = block.block(provider_id, _SNAPSHOT_NUMBERS, context)
+        snapshots.append(ProviderSnapshot(provider_id=provider_id, **{
+            key: float(fields.field(key, context, kind, default))
+            for key, (kind, default) in _SNAPSHOT_NUMBERS.items()}))
     return snapshots
 
 
@@ -259,8 +276,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_depcreate(args) -> int:
-    config = config_from_env(args.config)
-    session = Session.open(args, config, must_exist=False)
+    session = Session.open(args, must_exist=False)
     template_text = _read_file(args.template)
     prefs = [p.strip() for p in args.prefs.split(",")] if args.prefs else None
     uuid = session.run({"op": "depcreate", "at": args.at if args.at is not None
@@ -274,16 +290,14 @@ def _cmd_depcreate(args) -> int:
 
 
 def _cmd_depshow(args) -> int:
-    config = config_from_env(args.config)
-    session = Session.open(args, config, must_exist=True)
+    session = Session.open(args, must_exist=True)
     record = session.world.orchestrator.get_deployment(args.uuid)
     _show_deployment(args, record)
     return 0
 
 
 def _cmd_deplist(args) -> int:
-    config = config_from_env(args.config)
-    session = Session.open(args, config, must_exist=True)
+    session = Session.open(args, must_exist=True)
     records = session.world.orchestrator.list_deployments(owner=args.user)
     rows = [_deployment_row(r) for r in records]
     if args.machine:
@@ -296,8 +310,7 @@ def _cmd_deplist(args) -> int:
 
 
 def _cmd_depdel(args) -> int:
-    config = config_from_env(args.config)
-    session = Session.open(args, config, must_exist=True)
+    session = Session.open(args, must_exist=True)
     record = session.run({"op": "depdel", "at": args.at if args.at is not None
                           else session.now,
                           "uuid": args.uuid, "user": args.user})

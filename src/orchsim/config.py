@@ -6,11 +6,11 @@ Recognized keys:
     prefs.<user-or-group> = [siteA, siteB]           provider preferences
     half_life_s = <positive number>                  fair-share decay
     backfill = true|false
-    quota.<group> = cpus,mem_mb,disk_gb              group cap
+    quota.<group> = { cpus: 8, mem_mb: 16384, disk_gb: 200 }   group cap
     t_idle_s / boot_delay_s / min_nodes / max_nodes  elasticity policy
 
-Lines are read by ``stext.parse_flat``: values take stext's scalar and
-inline-list syntax, ``#`` comments and line numbers follow its rules, and a
+Lines are read by ``stext.parse_flat``: values take stext's scalar, inline-list
+and inline-map syntax, ``#`` comments and line numbers follow its rules, and a
 repeated key is rejected.  Unknown keys are rejected.  The ORCH_CONFIG
 environment variable names the default config file for the CLI.
 """
@@ -24,7 +24,7 @@ from . import stext
 from .elasticity import ElasticPolicy
 from .errors import DomainError
 from .ranker import PreferenceList, RankerConfig
-from .resources import ResourceVector
+from .resources import RESOURCE_KEYS, ResourceVector, read_resources
 
 ENV_CONFIG = "ORCH_CONFIG"
 
@@ -34,11 +34,10 @@ _RANKER_KEYS = tuple(f.name for f in fields(RankerConfig))
 ELASTIC_KEYS = tuple(f.name for f in fields(ElasticPolicy))
 
 # Every key the reader takes, with the kind of its value; "prefs." and
-# "quota." stand for the keys that name a user or group after the dot (a
-# quota keeps its own cpus,mem_mb,disk_gb form).
+# "quota." stand for the keys that name a user or group after the dot.
 _KINDS = {**dict.fromkeys(_RANKER_KEYS, stext.NUMBER), "half_life_s": stext.POSITIVE,
           "backfill": stext.BOOL, **dict.fromkeys(ELASTIC_KEYS, stext.INT),
-          "prefs.": stext.NAMES, "quota.": None}
+          "prefs.": stext.NAMES, "quota.": stext.BLOCK}
 
 
 class ConfigError(DomainError):
@@ -55,28 +54,6 @@ class EngineConfig:
     elasticity: ElasticPolicy = field(default_factory=ElasticPolicy)
 
 
-def _checked(lineno: int, make, *args, **kwargs):
-    """make(*args, **kwargs), its error reported at lineno.
-
-    A value spread over several keys is rebuilt at each of its lines, so a
-    rule across keys fails at the line of the key that breaks it.
-    """
-    try:
-        return make(*args, **kwargs)
-    except DomainError as exc:
-        raise ConfigError("line %d: %s" % (lineno, exc)) from exc
-
-
-def _parse_quota(value, lineno: int) -> ResourceVector:
-    parts = [p.strip() for p in value.split(",")] if isinstance(value, str) else []
-    if len(parts) != 3:
-        raise ConfigError("line %d: quota must be cpus,mem_mb,disk_gb" % lineno)
-    try:
-        return ResourceVector(int(parts[0]), int(parts[1]), int(parts[2]))
-    except (ValueError, DomainError) as exc:
-        raise ConfigError("line %d: bad quota: %s" % (lineno, exc)) from exc
-
-
 def parse_config(text: str) -> EngineConfig:
     try:
         return _read_config(stext.parse_flat(text))
@@ -85,6 +62,8 @@ def parse_config(text: str) -> EngineConfig:
 
 
 def _read_config(block: stext.Block) -> EngineConfig:
+    # A value spread over several keys is rebuilt at each of its lines, so a
+    # rule across keys fails at the line of the key that breaks it.
     ranker_weights = {}
     elastic_fields = {}
     config = EngineConfig()
@@ -97,14 +76,15 @@ def _read_config(block: stext.Block) -> EngineConfig:
         value = block.field(key, kind=_KINDS[name])
         if key in _RANKER_KEYS:
             ranker_weights[key] = float(value)
-            config.ranker = _checked(lineno, RankerConfig, **ranker_weights)
+            config.ranker = stext.located(lineno, "", RankerConfig, **ranker_weights)
         elif key in ELASTIC_KEYS:
             elastic_fields[key] = value
-            config.elasticity = _checked(lineno, ElasticPolicy, **elastic_fields)
+            config.elasticity = stext.located(lineno, "", ElasticPolicy, **elastic_fields)
         elif name == "prefs.":
-            config.preferences[scope] = _checked(lineno, PreferenceList, tuple(value))
+            config.preferences[scope] = stext.located(lineno, "", PreferenceList, tuple(value))
         elif name == "quota.":
-            config.quotas[scope] = _parse_quota(value, lineno)
+            value.reject_unknown(RESOURCE_KEYS, key)
+            config.quotas[scope] = read_resources(value, key)
         elif key == "half_life_s":
             config.half_life_s = float(value)
         else:  # backfill
@@ -120,11 +100,14 @@ def load_config(path: str) -> EngineConfig:
         raise ConfigError("cannot read config %r: %s" % (path, exc)) from exc
 
 
+def config_path(explicit_path: str | None = None) -> str | None:
+    """The config file a command reads: explicit_path, else $ORCH_CONFIG, else none."""
+    return explicit_path or os.environ.get(ENV_CONFIG) or None
+
+
 def config_from_env(explicit_path: str | None = None) -> EngineConfig:
-    path = explicit_path or os.environ.get(ENV_CONFIG)
-    if path:
-        return load_config(path)
-    return EngineConfig()
+    path = config_path(explicit_path)
+    return load_config(path) if path else EngineConfig()
 
 
 def resolve_preferences(preferences: dict[str, PreferenceList], user: str,

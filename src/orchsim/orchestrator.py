@@ -18,7 +18,6 @@ from . import iam as iam_mod
 from .config import resolve_preferences
 from .errors import DomainError
 from .ranker import PreferenceList, ProviderSnapshot, RankerConfig, rank_providers
-from .resources import unchecked
 from .scheduler import DECISION_REJECTED_QUOTA, InstanceRequest, RunningInstance
 from .site import Site
 from .templates import (KIND_ELASTIC_CLUSTER, KIND_JOB, KIND_SERVICE,
@@ -307,13 +306,13 @@ class Orchestrator:
         checks run on every create.
         """
         cpus, mem_mb, disk_gb = parsed.demand
-        candidates = []  # (site id, site, best SLA, potential free)
+        candidates = []  # (site id, site, best SLA)
         for site_id, site, sla in self._sites_with_sla(token.groups):
             if not self.iam.authorize(token, site_id):
                 continue
             free = site.pool.potential_free()
             if cpus <= free[0] and mem_mb <= free[1] and disk_gb <= free[2]:
-                candidates.append((site_id, site, sla, free))
+                candidates.append((site_id, site, sla))
         if not candidates:
             return ()
 
@@ -327,9 +326,8 @@ class Orchestrator:
                 sla_rank=sla.sla_rank,
                 availability=site.availability,
                 latency_ms=site.latency_ms,
-                free_capacity=unchecked(*free),
                 data_locality=self.catalog.locality(site_id, parsed.datasets),
-            ) for site_id, site, sla, free in candidates]
+            ) for site_id, site, sla in candidates]
             ranked = self._rankings[key] = tuple(
                 rank_providers(snapshots, self.ranker_config, prefs))
         record.ranked_sites = ranked

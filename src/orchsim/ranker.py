@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .resources import ResourceVector
 
 
 class RankerError(DomainError):
@@ -37,7 +36,6 @@ class ProviderSnapshot:
     sla_rank: float
     availability: float
     latency_ms: float
-    free_capacity: ResourceVector
     data_locality: float
 
     def __post_init__(self):

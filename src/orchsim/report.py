@@ -93,6 +93,8 @@ def parse_report(text: str) -> RunReport:
         if not isinstance(data, dict):
             raise ReportError("line %d: not a JSON object" % lineno)
         if data.get("record") == "header":
+            if type(data.get("seed")) is not int or type(data.get("horizon_s")) is not int:
+                raise ReportError("line %d: header needs integer seed and horizon_s" % lineno)
             header = data
         elif data.get("record") == "metrics":
             metrics = data.get("metrics")
@@ -212,32 +214,36 @@ def derive_metrics(records: list[dict], horizon_s: int) -> dict:
     deployments: dict[str, dict] = {}
     preemptions = 0
 
-    for record in records:
+    for index, record in enumerate(records):
         kind = record.get("kind")
-        if kind == "site_node":
-            site_cpus[record["site"]] = site_cpus.get(record["site"], 0) + record["cpus"]
-            changes.setdefault(record["site"], [])
-        elif kind == "request_submitted":
-            submitted[(record["site"], record["request_id"])] = record["t"]
-        elif kind == "instance_started":
-            key = (record["site"], record["request_id"])
-            open_runs[key] = {"site": record["site"], "user": record["user"],
-                              "cpus": record["cpus"], "start": record["t"],
-                              "submitted": submitted.get(key, record["t"])}
-            changes.setdefault(record["site"], []).append((record["t"], record["cpus"]))
-        elif kind in _STOP_KINDS:
-            key = (record["site"], record["request_id"])
-            run = open_runs.pop(key, None)
-            if run is None:
-                raise VerificationError("stop without a start: %r" % (record,))
-            run["stop"] = record["t"]
-            intervals.append(run)
-            changes.setdefault(record["site"], []).append((record["t"], -run["cpus"]))
-            if kind == "instance_preempted":
-                preemptions += 1
-        elif kind == "deployment_state":
-            deployments[record["uuid"]] = {"state": record["state"],
-                                           "site": record.get("site")}
+        try:
+            if kind == "site_node":
+                site_cpus[record["site"]] = site_cpus.get(record["site"], 0) + record["cpus"]
+                changes.setdefault(record["site"], [])
+            elif kind == "request_submitted":
+                submitted[(record["site"], record["request_id"])] = record["t"]
+            elif kind == "instance_started":
+                key = (record["site"], record["request_id"])
+                open_runs[key] = {"site": record["site"], "user": record["user"],
+                                  "cpus": record["cpus"], "start": record["t"],
+                                  "submitted": submitted.get(key, record["t"])}
+                changes.setdefault(record["site"], []).append((record["t"], record["cpus"]))
+            elif kind in _STOP_KINDS:
+                key = (record["site"], record["request_id"])
+                run = open_runs.pop(key, None)
+                if run is None:
+                    raise VerificationError("stop without a start: %r" % (record,))
+                run["stop"] = record["t"]
+                intervals.append(run)
+                changes.setdefault(record["site"], []).append((record["t"], -run["cpus"]))
+                if kind == "instance_preempted":
+                    preemptions += 1
+            elif kind == "deployment_state":
+                deployments[record["uuid"]] = {"state": record["state"],
+                                               "site": record.get("site")}
+        except KeyError as exc:
+            raise VerificationError("record %d (%s) has no field %s"
+                                    % (index, kind, exc)) from exc
 
     for key in sorted(open_runs):
         run = open_runs[key]

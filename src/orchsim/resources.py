@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import stext
 from .errors import DomainError
 
 RESOURCE_KEYS = ("cpus", "mem_mb", "disk_gb")
@@ -89,6 +90,12 @@ class ResourceVector:
 
     def __str__(self):
         return "(%d cpus, %d MB, %d GB)" % (self.cpus, self.mem_mb, self.disk_gb)
+
+
+def read_resources(block: stext.Block, context: str, default=stext.REQUIRED) -> ResourceVector:
+    """The block's cpus, mem_mb and disk_gb; a missing one is an error unless default is given."""
+    return ResourceVector(*(block.field(key, context, stext.NON_NEGATIVE_INT, default)
+                            for key in RESOURCE_KEYS))
 
 
 def add_into(counter: list[int], vector: ResourceVector, sign: int = 1):

@@ -27,7 +27,7 @@ from .orchestrator import (AuthError, DataCatalog, DataCatalogEntry,
                            SLARecord)
 from .ranker import PreferenceList
 from .report import EventLog, MetricsAccumulator, RunReport
-from .resources import RESOURCE_KEYS, ResourceVector
+from .resources import RESOURCE_KEYS, read_resources
 from .site import Site, make_site
 from .templates import KIND_JOB, TemplateError
 
@@ -100,20 +100,14 @@ def _node_from_block(node_id: str, block: stext.Block, context: str):
         raise ScenarioError("%s: power must be on or off" % where)
     if role not in (ROLE_BATCH, ROLE_CLOUD):
         raise ScenarioError("%s: role must be batch or cloud" % where)
-    sizes = [block.field(key, context, stext.INT, 0) for key in RESOURCE_KEYS]
-    try:
-        capacity = ResourceVector(*sizes)
-    except DomainError as exc:
-        raise ScenarioError("%s: %s" % (where, exc)) from exc
-    return (node_id, capacity, power, role)
+    return (node_id, read_resources(block, context, default=0), power, role)
 
 
-def _elastic_from_block(block: stext.Block, context: str) -> ElasticPolicy:
-    fields = {key: block.field(key, context, stext.INT) for key in ELASTIC_KEYS if key in block}
-    try:
-        return ElasticPolicy(**fields)
-    except DomainError as exc:
-        raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
+def _resolve(where: str, kind: str, name, names) -> str:
+    """name, which must be one of names, the scenario's users or providers."""
+    if name not in names:
+        raise ScenarioError("%s references unknown %s %r" % (where, kind, name))
+    return name
 
 
 def parse_scenario(text: str, *, name: str = "scenario",
@@ -155,8 +149,10 @@ def _read_scenario(root: stext.Block, name: str, template_loader) -> Scenario:
         elasticity = None
         if "elasticity" in block:
             elastic_context = "%s elasticity" % context
-            elasticity = _elastic_from_block(
-                block.block("elasticity", ELASTIC_KEYS, elastic_context), elastic_context)
+            elastic = block.block("elasticity", ELASTIC_KEYS, elastic_context)
+            elasticity = stext.located(elastic.line, elastic_context, ElasticPolicy, **{
+                key: elastic.field(key, elastic_context, stext.INT)
+                for key in ELASTIC_KEYS if key in elastic})
         scenario.providers.append(ProviderSpec(
             provider_id=provider_id,
             availability=float(block.field("availability", context, stext.FRACTION, 1.0)),
@@ -170,33 +166,25 @@ def _read_scenario(root: stext.Block, name: str, template_loader) -> Scenario:
     for key in slas.entries:
         context = "sla %s" % key
         block = slas.block(key, ("provider", "group", "sla_rank"), context)
-        provider = block.field("provider", context)
-        if provider not in provider_ids:
-            raise ScenarioError("line %d: %s references unknown provider %r"
-                                % (block.line, context, provider))
-        fields = dict(provider_id=provider, group=str(block.field("group", context)),
-                      sla_rank=float(block.field("sla_rank", context, stext.NUMBER)))
-        try:
-            scenario.slas.append(SLARecord(**fields))
-        except DomainError as exc:
-            raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
+        provider = _resolve("line %d: %s" % (block.line, context), "provider",
+                            block.field("provider", context), provider_ids)
+        scenario.slas.append(stext.located(
+            block.line, context, SLARecord, provider_id=provider,
+            group=str(block.field("group", context)),
+            sla_rank=float(block.field("sla_rank", context, stext.NUMBER))))
 
     datasets = root.block("datasets", None, "datasets")
     for key in datasets.entries:
         context = "dataset %s" % key
         block = datasets.block(key, ("dataset", "provider", "bytes_present", "bytes_total"),
                                context)
-        provider = block.field("provider", context)
-        if provider not in provider_ids:
-            raise ScenarioError("line %d: %s references unknown provider %r"
-                                % (block.line, context, provider))
-        fields = dict(dataset_id=str(block.field("dataset", context)), provider_id=provider,
-                      bytes_present=block.field("bytes_present", context, stext.INT),
-                      bytes_total=block.field("bytes_total", context, stext.INT))
-        try:
-            scenario.datasets.append(DataCatalogEntry(**fields))
-        except DomainError as exc:
-            raise ScenarioError("line %d: %s: %s" % (block.line, context, exc)) from exc
+        provider = _resolve("line %d: %s" % (block.line, context), "provider",
+                            block.field("provider", context), provider_ids)
+        scenario.datasets.append(stext.located(
+            block.line, context, DataCatalogEntry,
+            dataset_id=str(block.field("dataset", context)), provider_id=provider,
+            bytes_present=block.field("bytes_present", context, stext.INT),
+            bytes_total=block.field("bytes_total", context, stext.INT)))
 
     users = root.block("users", None, "users")
     for user in users.entries:
@@ -233,11 +221,9 @@ def _read_scenario(root: stext.Block, name: str, template_loader) -> Scenario:
             block.field(param, context)
         params = {param: block.field(param, context, kinds[param])
                   for param in block.entries if param in kinds}
-        if action in ("submit", "revoke_token") and params["user"] not in user_names:
-            raise ScenarioError("%s references unknown user %r" % (where, params["user"]))
-        if action in ("fail_site", "switch_role") and params["provider"] not in provider_ids:
-            raise ScenarioError("%s references unknown provider %r"
-                                % (where, params["provider"]))
+        for param, names in (("user", user_names), ("provider", provider_ids)):
+            if param in params:
+                _resolve(where, param, params[param], names)
         if action == "delete" and params["ref"] not in submit_keys:
             raise ScenarioError("%s deletes unknown submit ref %r" % (where, params["ref"]))
         if action == "submit":

@@ -46,6 +46,14 @@ class DuplicateKeyError(StextError):
         self.parent = parent
 
 
+def located(line: int, context: str, make, *args, **kwargs):
+    """make(*args, **kwargs); its DomainError becomes a StextError at line, after context."""
+    try:
+        return make(*args, **kwargs)
+    except DomainError as exc:
+        raise StextError(line, "%s: %s" % (context, exc) if context else str(exc)) from exc
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 

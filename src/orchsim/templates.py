@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import stext
 from .errors import DomainError
-from .resources import RESOURCE_KEYS, ResourceVector
+from .resources import RESOURCE_KEYS, ResourceVector, read_resources
 
 VERSION_TAG = "indigo_subset_1"
 
@@ -262,8 +262,7 @@ def _parse_node(nodes: stext.Block, name: str) -> NodeSpec:
     if resources is not None:
         where = context + " resources"
         resources.reject_unknown(RESOURCE_KEYS, where)
-        fields["resources"] = ResourceVector(
-            *(resources.field(key, where, stext.NON_NEGATIVE_INT) for key in RESOURCE_KEYS))
+        fields["resources"] = read_resources(resources, where)
     if "bid" in fields:
         fields["bid"] = float(fields["bid"])
     for prop in ("depends_on", "input_datasets"):

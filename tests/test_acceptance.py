@@ -72,7 +72,6 @@ def _random_snapshot(rng, pid):
         sla_rank=rng.choice([0.0, 5.0, rng.uniform(0, 10)]),
         availability=rng.random(),
         latency_ms=rng.choice([0.0, rng.uniform(0, 400)]),
-        free_capacity=rv(8, 8192, 100),
         data_locality=rng.choice([0.0, 1.0, rng.random()]))
 
 

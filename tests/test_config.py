@@ -20,7 +20,7 @@ prefs.research = [site-c]
 
 half_life_s = 1800
 backfill = false
-quota.research = 8,16384,200
+quota.research = { cpus: 8, mem_mb: 16384, disk_gb: 200 }
 
 t_idle_s = 60
 boot_delay_s = 10
@@ -65,8 +65,6 @@ def test_malformed_lines_rejected():
     with pytest.raises(ConfigError):
         parse_config("w_sla\n")
     with pytest.raises(ConfigError):
-        parse_config("quota.g = 1,2\n")
-    with pytest.raises(ConfigError):
         parse_config("backfill = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("t_idle_s = soon\n")
@@ -82,6 +80,11 @@ def test_malformed_lines_rejected():
         ("half_life_s = 1e3\n", "line 1: half_life_s must be a positive number"),
         ("prefs.ada = [a,, b]\n", "line 1: empty item in inline container"),
         ("w_sla = 2\nw_sla = 3\n", "line 2: duplicate key 'w_sla'"),
+        # a quota is a resource triple, as a template's resources are
+        ("quota.g = 8,16384,200\n", "line 1: quota.g must be a block"),
+        ("quota.g = { cpus: 8, mem_mb: 16384 }\n", "line 1: quota.g is missing 'disk_gb'"),
+        ("quota.g = { cpus: 1_0, mem_mb: 2, disk_gb: 3 }\n",
+         "line 1: quota.g cpus must be a non-negative integer"),
         ("w_sla = -1\n", "line 1: weights must be >= 0"),
         ("w_sla = 0\nw_avail = 0\nw_lat = 0\nw_data = 0\n",
          "line 4: at least one weight must be positive"),

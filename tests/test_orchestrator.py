@@ -475,7 +475,6 @@ class ReferenceOrchestrator(Orchestrator):
             candidates.append(ProviderSnapshot(
                 provider_id=site_id, sla_rank=sla.sla_rank,
                 availability=site.availability, latency_ms=site.latency_ms,
-                free_capacity=free,
                 data_locality=_scan_locality(self.catalog.entries, site_id, datasets)))
         if not candidates:
             return []

@@ -5,15 +5,9 @@ import pytest
 from orchsim.ranker import (EmptyCandidatesError, EmptyInputError, PreferenceError,
                             PreferenceList, ProviderSnapshot, RankerConfig,
                             RankerError, normalize, rank_providers, score)
-from orchsim.resources import ResourceVector
-
-FREE = ResourceVector(8, 8192, 100)
-
-
 def snap(pid, sla=1.0, avail=1.0, lat=10.0, locality=1.0):
     return ProviderSnapshot(provider_id=pid, sla_rank=sla, availability=avail,
-                            latency_ms=lat, free_capacity=FREE,
-                            data_locality=locality)
+                            latency_ms=lat, data_locality=locality)
 
 
 def test_normalize_degenerate_singleton():

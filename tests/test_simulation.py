@@ -333,7 +333,7 @@ def test_quota_rejection_rolls_back_each_ranked_site():
                    for sid in ("site-a", "site-b")],
         slas=[SLARecord("site-a", "g", 5.0), SLARecord("site-b", "g", 3.0)],
         users=[UserSpec("ada", "g", 1.0)])
-    world = World(scenario, parse_config("quota.g = 4,8192,100\n"))
+    world = World(scenario, parse_config("quota.g = { cpus: 4, mem_mb: 8192, disk_gb: 100 }\n"))
     before = {sid: site.pool.cloud_free() for sid, site in world.sites.items()}
     uuid = world.command(0, world.submit, "ada", ONE_THEN_SIX_CPUS)
     record = world.orchestrator.get_deployment(uuid)
@@ -469,9 +469,9 @@ def test_event_parameter_of_wrong_kind_rejected_with_line(old, new, message):
      "{ at: 0, action: fail_site, provider: p1 }",
      "line 14: event e1 (fail_site) is missing 'duration'"),
     ("n1: { cpus: 1,", "n1: { cpus: one,",
-     "line 6: provider p1 node n1 cpus must be an integer"),
+     "line 6: provider p1 node n1 cpus must be a non-negative integer"),
     ("n1: { cpus: 1,", "n1: { cpus: -1,",
-     "line 6: provider p1 node n1: cpus must be >= 0, got -1"),
+     "line 6: provider p1 node n1 cpus must be a non-negative integer"),
     ("{ group: g }", "{ group: g, weight: -1.0 }",
      "line 12: user ada weight must be a positive number"),
     ("sla_rank: 1.0 }", "sla_rank: -1.0 }",
@@ -482,6 +482,10 @@ def test_event_parameter_of_wrong_kind_rejected_with_line(old, new, message):
      "line 5: provider p1 availability must be a number in [0, 1]"),
     ("  p1:\n    nodes:", "  p1:\n    latency_ms: -3\n    nodes:",
      "line 5: provider p1 latency_ms must be a non-negative number"),
+    ("  e1: { at: 0, action: fail_site, provider: p1, duration: 5 }",
+     "  e0: { at: 0, action: submit, template: job, template_text: t, user: ada }\n"
+     "  e1: { at: 0, action: delete, ref: e0, user: nobody }",
+     "line 15: event e1 references unknown user 'nobody'"),
 ])
 def test_scenario_errors_name_their_line_once(old, new, message):
     text = UNKNOWN_KEY_BASE.replace(old, new)
@@ -920,7 +924,7 @@ def test_a_rollback_cancelling_a_queued_request_marks_the_site():
         "  filler: { at: 0, action: submit, template: job, user: ben, duration: 100 }\n",
         p2_nodes="      m1: { cpus: 1, mem_mb: 1024, disk_gb: 10 }\n", groups=("g", "g"))
     world = World(parse_scenario(text, template_loader=_TEMPLATES.__getitem__),
-                  parse_config("quota.g = 4,8192,100\n"))
+                  parse_config("quota.g = { cpus: 4, mem_mb: 8192, disk_gb: 100 }\n"))
     scheduler = world.sites["p1"].scheduler
     world.command(1, lambda t: None)  # the filler starts on n1 at t=0
     marks = []
