@@ -11,7 +11,7 @@ bit-identically.
 from .config import EngineConfig, load_config, parse_config
 from .elasticity import Action, ElasticityManager, ElasticPolicy, NodePool, NodeRecord
 from .errors import DomainError
-from .iam import IamService, TokenRecord, TranslatedCredential
+from .iam import IamService, TokenRecord
 from .orchestrator import (DataCatalog, DataCatalogEntry, DeploymentRecord,
                            Orchestrator, SLARecord)
 from .ranker import (PreferenceList, ProviderSnapshot, RankerConfig, normalize,
@@ -35,7 +35,7 @@ __all__ = [
     "NodeSpec", "Orchestrator", "PreferenceList",
     "ProviderSnapshot", "RankerConfig", "ResourceVector", "RunReport",
     "RunningInstance", "SLARecord", "Scenario", "Site", "SiteScheduler",
-    "TokenRecord", "TranslatedCredential", "UsageLedger", "ValidationReport",
+    "TokenRecord", "UsageLedger", "ValidationReport",
     "World", "aggregate_demand", "derive_metrics", "load_config", "load_scenario",
     "make_site", "normalize", "parse_config", "parse_scenario", "parse_template",
     "rank_providers", "run_scenario", "score", "serialize_template",

@@ -75,8 +75,9 @@ def _read_state(path: str) -> dict:
         raise CliError("cannot read state file %r: %s" % (path, exc)) from exc
     if not isinstance(stored, dict) or not isinstance(stored.get("commands", []), list):
         raise CliError("state file %r is not an object with a list of commands" % path)
-    if not isinstance(stored.get("config") or "", str):
-        raise CliError("state file %r: config must be a path or null" % path)
+    for name in ("world", "config"):
+        if not isinstance(stored.get(name) or "", str):
+            raise CliError("state file %r: %s must be a path or null" % (path, name))
     for index, command in enumerate(stored.get("commands", [])):
         if not _replayable(command):
             raise CliError("state file %r: command %d is not an object with an integer 'at', "
@@ -89,7 +90,8 @@ class Session:
 
     Replay is exact because the whole engine is deterministic; this keeps
     state on disk limited to the journal itself.  Every later command replays
-    under the config file the session was created with (config_path).
+    in the world and under the config file the session was created with
+    (world_path, config_path); a command that names another is refused.
     """
 
     def __init__(self, state_path: str, world_path: str, config: EngineConfig,
@@ -115,6 +117,10 @@ class Session:
             raise CliError("depcreate needs --world <scenario file> on first use")
         path = named = config_path(args.config)
         if stored:
+            recorded = stored.get("world")
+            if recorded is not None and world_path != recorded:
+                raise CliError("session %s was created with world %s; this command names %s"
+                               % (state_path, recorded, world_path))
             path = stored.get("config")
             if named is not None and named != path:
                 raise CliError("session %s was created with config %s; this command names %s"

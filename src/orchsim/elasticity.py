@@ -88,6 +88,16 @@ class ElasticPolicy:
 _KEEP = object()  # _update: leave idle_since as it is
 
 
+def _sums_differ(node_id, used, sums, share, share_sums):
+    """Raise for a node whose used or else preemptible_used differs from
+    the sums of its running instances (NodePool.audit)."""
+    if (used.cpus, used.mem_mb, used.disk_gb) != sums:
+        raise ElasticityError("node %s used %s but running instances sum to "
+                              "(%d cpus, %d MB, %d GB)" % ((node_id, used) + sums))
+    raise ElasticityError("node %s preemptible_used %s but running preemptibles sum to "
+                          "(%d cpus, %d MB, %d GB)" % ((node_id, share) + share_sums))
+
+
 class NodePool:
     """Physical nodes of one site, with exact per-node occupancy accounting.
 
@@ -109,7 +119,9 @@ class NodePool:
     potential_free() and cloud_counts() are O(1).
     audit(running) walks the nodes once: it checks each node's instance set,
     used and preemptible_used against the site's running instances and
-    recomputes every counter from the nodes to cross-check it.
+    recomputes every counter from the nodes to cross-check it.  It costs
+    constant work per node plus one pass per running instance, and builds no
+    dict beyond the group sums it returns unless a check fails.
     SiteScheduler.audit calls it and checks the rest of the site from what
     it returns.
 
@@ -245,10 +257,13 @@ class NodePool:
     def conserves(self, cpus: int, mem_mb: int, disk_gb: int) -> bool:
         """True iff cloud free space plus the given running sums is the cloud
         capacity, component by component."""
-        capacity, used = self._cloud[POWER_ON], self._cloud_used
-        return (max(0, capacity[0] - used[0]) + cpus == capacity[0]
-                and max(0, capacity[1] - used[1]) + mem_mb == capacity[1]
-                and max(0, capacity[2] - used[2]) + disk_gb == capacity[2])
+        # The clamp is written out: max() would cost a call per component,
+        # and this runs in every site audit.
+        c0, c1, c2, _count = self._cloud[POWER_ON]
+        u0, u1, u2 = self._cloud_used
+        return ((c0 - u0 if c0 > u0 else 0) + cpus == c0
+                and (c1 - u1 if c1 > u1 else 0) + mem_mb == c1
+                and (c2 - u2 if c2 > u2 else 0) + disk_gb == c2)
 
     def idle_nodes(self) -> list[NodeRecord]:
         return [self.nodes[node_id] for node_id in self._idle]
@@ -273,99 +288,133 @@ class NodePool:
         counters are checked after the walk.
         Returns the recounted cloud use, the number of running preemptibles
         and each request group's [cpus, mem_mb, disk_gb] sums.
+
+        Each node costs only the reads its checks need: a node with no
+        instances has zero sums, so its used and preemptible_used are checked
+        against zero; the counters are recounted into int locals and compared
+        entry by entry; each idle node is looked up in _idle and the sizes
+        compared, which is dict equality since an idle node's idle_since is
+        never None.  The counted and recounted dicts are built only for the
+        message of a failed check.
         """
-        # The on row and the use stay in locals: most nodes are on.
         on_cpus = on_mem = on_disk = on_count = 0
+        boot_cpus = boot_mem = boot_disk = boot_count = 0
+        off_cpus = off_mem = off_disk = off_count = 0
         used_cpus = used_mem = used_disk = 0
         reclaim_cpus = reclaim_mem = reclaim_disk = 0
-        cloud = {POWER_BOOTING: [0, 0, 0, 0], POWER_OFF: [0, 0, 0, 0]}
-        idle = {}
+        idle_count = 0
+        idle_matches = True
+        idle_get = self._idle.get
+        running_get = running.get
         by_group: dict[str, list[int]] = {}
         held = preemptibles = 0
         for node_id, node in self.nodes.items():
-            power, role, capacity = node.power, node.role, node.capacity
+            instances, power, role = node.instances, node.power, node.role
             node_used, share = node.used, node.preemptible_used
-            node_cpus = node_mem = node_disk = 0
-            share_cpus = share_mem = share_disk = 0
-            for request_id in node.instances:
-                instance = running.get(request_id)
-                if instance is None or instance.node_id != node_id:
-                    raise ElasticityError("node %s holds instance %s, which %s" % (
-                        node_id, request_id, "is not running" if instance is None
-                        else "runs on node %s" % instance.node_id))
-                request = instance.request
-                resources = request.resources
-                cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
-                node_cpus += cpus
-                node_mem += mem_mb
-                node_disk += disk_gb
-                if request.bid is not None:
-                    share_cpus += cpus
-                    share_mem += mem_mb
-                    share_disk += disk_gb
-                    preemptibles += 1
-                sums = by_group.get(request.group)
-                if sums is None:
-                    sums = by_group[request.group] = [0, 0, 0]
-                sums[0] += cpus
-                sums[1] += mem_mb
-                sums[2] += disk_gb
-            held += len(node.instances)
-            if (node_used.cpus != node_cpus or node_used.mem_mb != node_mem
-                    or node_used.disk_gb != node_disk):
-                raise ElasticityError(
-                    "node %s used %s but running instances sum to (%d cpus, %d MB, %d GB)"
-                    % (node_id, node_used, node_cpus, node_mem, node_disk))
-            if (share.cpus != share_cpus or share.mem_mb != share_mem
-                    or share.disk_gb != share_disk):
-                raise ElasticityError(
-                    "node %s preemptible_used %s but running preemptibles sum to "
-                    "(%d cpus, %d MB, %d GB)"
-                    % (node_id, share, share_cpus, share_mem, share_disk))
+            if instances:
+                node_cpus = node_mem = node_disk = 0
+                share_cpus = share_mem = share_disk = 0
+                for request_id in instances:
+                    instance = running_get(request_id)
+                    if instance is None or instance.node_id != node_id:
+                        raise ElasticityError("node %s holds instance %s, which %s" % (
+                            node_id, request_id, "is not running" if instance is None
+                            else "runs on node %s" % instance.node_id))
+                    request = instance.request
+                    resources = request.resources
+                    cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
+                    node_cpus += cpus
+                    node_mem += mem_mb
+                    node_disk += disk_gb
+                    if request.bid is not None:
+                        share_cpus += cpus
+                        share_mem += mem_mb
+                        share_disk += disk_gb
+                        preemptibles += 1
+                    sums = by_group.get(request.group)
+                    if sums is None:
+                        sums = by_group[request.group] = [0, 0, 0]
+                    sums[0] += cpus
+                    sums[1] += mem_mb
+                    sums[2] += disk_gb
+                held += len(instances)
+                if (node_used.cpus != node_cpus or node_used.mem_mb != node_mem
+                        or node_used.disk_gb != node_disk or share.cpus != share_cpus
+                        or share.mem_mb != share_mem or share.disk_gb != share_disk):
+                    _sums_differ(node_id, node_used, (node_cpus, node_mem, node_disk),
+                                 share, (share_cpus, share_mem, share_disk))
+            elif (node_used.cpus or node_used.mem_mb or node_used.disk_gb
+                  or share.cpus or share.mem_mb or share.disk_gb):
+                _sums_differ(node_id, node_used, (0, 0, 0), share, (0, 0, 0))
             if power == POWER_ON:
                 if role == ROLE_CLOUD:
+                    capacity = node.capacity
                     on_cpus += capacity.cpus
                     on_mem += capacity.mem_mb
                     on_disk += capacity.disk_gb
                     on_count += 1
-                    used_cpus += node_used.cpus
-                    used_mem += node_used.mem_mb
-                    used_disk += node_used.disk_gb
-                    reclaim_cpus += share.cpus
-                    reclaim_mem += share.mem_mb
-                    reclaim_disk += share.disk_gb
-                    if self.is_idle(node):
-                        idle[node_id] = node.idle_since
+                    if instances:
+                        used_cpus += node_cpus
+                        used_mem += node_mem
+                        used_disk += node_disk
+                        reclaim_cpus += share_cpus
+                        reclaim_mem += share_mem
+                        reclaim_disk += share_disk
+                    elif node.idle_since is not None:  # is_idle
+                        idle_count += 1
+                        if idle_get(node_id) != node.idle_since:
+                            idle_matches = False
                 elif role not in _POOL_ROLES:
                     raise ElasticityError("pools do not partition powered capacity: node %s "
                                           "has role %r" % (node_id, role))
                 continue
-            if node.instances:
+            if instances:
                 raise ElasticityError("node %s busy while %s" % (node_id, power))
-            if power not in _POWER_STATES:
+            if power == POWER_OFF:
+                if role == ROLE_CLOUD:
+                    capacity = node.capacity
+                    off_cpus += capacity.cpus
+                    off_mem += capacity.mem_mb
+                    off_disk += capacity.disk_gb
+                    off_count += 1
+            elif power == POWER_BOOTING:
+                if role == ROLE_CLOUD:
+                    capacity = node.capacity
+                    boot_cpus += capacity.cpus
+                    boot_mem += capacity.mem_mb
+                    boot_disk += capacity.disk_gb
+                    boot_count += 1
+            else:
                 raise ElasticityError("node %s has unknown power state %r" % (node_id, power))
-            if role == ROLE_CLOUD:
-                row = cloud[power]
-                row[0] += capacity.cpus
-                row[1] += capacity.mem_mb
-                row[2] += capacity.disk_gb
-                row[3] += 1
         if held != len(running):
             on_nodes = set().union(*(node.instances for node in self.nodes.values()))
             raise ElasticityError("running instances %s are on no node's instance set"
                                   % sorted(running.keys() - on_nodes))
-        cloud[POWER_ON] = [on_cpus, on_mem, on_disk, on_count]
-        used = [used_cpus, used_mem, used_disk]
-        reclaimable = [reclaim_cpus, reclaim_mem, reclaim_disk]
-        if (cloud != self._cloud or used != self._cloud_used
-                or reclaimable != self._cloud_reclaimable or idle != self._idle):
-            counted = dict(self._cloud, used=self._cloud_used,
-                           reclaimable=self._cloud_reclaimable, idle=self._idle)
-            recounted = dict(cloud, used=used, reclaimable=reclaimable, idle=idle)
+        counted = self._cloud
+        on, booting, off = counted[POWER_ON], counted[POWER_BOOTING], counted[POWER_OFF]
+        used, reclaimable = self._cloud_used, self._cloud_reclaimable
+        if (on[0] != on_cpus or on[1] != on_mem or on[2] != on_disk or on[3] != on_count
+                or booting[0] != boot_cpus or booting[1] != boot_mem
+                or booting[2] != boot_disk or booting[3] != boot_count
+                or off[0] != off_cpus or off[1] != off_mem
+                or off[2] != off_disk or off[3] != off_count
+                or used[0] != used_cpus or used[1] != used_mem or used[2] != used_disk
+                or reclaimable[0] != reclaim_cpus or reclaimable[1] != reclaim_mem
+                or reclaimable[2] != reclaim_disk
+                or not idle_matches or idle_count != len(self._idle)):
+            counted = dict(counted, used=used, reclaimable=reclaimable, idle=self._idle)
+            recounted = {
+                POWER_ON: [on_cpus, on_mem, on_disk, on_count],
+                POWER_BOOTING: [boot_cpus, boot_mem, boot_disk, boot_count],
+                POWER_OFF: [off_cpus, off_mem, off_disk, off_count],
+                "used": [used_cpus, used_mem, used_disk],
+                "reclaimable": [reclaim_cpus, reclaim_mem, reclaim_disk],
+                "idle": {node_id: node.idle_since for node_id, node in self.nodes.items()
+                         if self.is_idle(node)}}
             raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
                 "%s %s, nodes give %s" % (name, counted[name], recounted[name])
                 for name in counted if counted[name] != recounted[name]))
-        return used, preemptibles, by_group
+        return [used_cpus, used_mem, used_disk], preemptibles, by_group
 
     def assign(self, request_id: str, resources: ResourceVector, t: int,
                preemptible: bool = False) -> str:

@@ -1,8 +1,7 @@
 """Minimal identity and access layer.
 
 Opaque server-side bearer tokens carry subject, groups and expiry; provider
-access is default-deny with explicit permit rules per (group, provider); a
-token can be translated into deterministic non-federated credential records.
+access is default-deny with explicit permit rules per (group, provider).
 """
 
 from __future__ import annotations
@@ -11,11 +10,6 @@ import hashlib
 from dataclasses import dataclass
 
 from .errors import DomainError
-
-CRED_SSH_KEY = "ssh_key"
-CRED_USERPASS = "userpass"
-CRED_KINDS = (CRED_SSH_KEY, CRED_USERPASS)
-
 
 class IamError(DomainError):
     pass
@@ -41,14 +35,6 @@ class TokenRecord:
     issued_at: int
     expires_at: int
     revoked: bool = False
-
-
-@dataclass(frozen=True)
-class TranslatedCredential:
-    kind: str
-    subject: str
-    payload: str
-    valid_until: int
 
 
 class IamService:
@@ -109,12 +95,3 @@ class IamService:
     def authorize(self, token: TokenRecord, provider_id: str) -> bool:
         """Default-deny: true only when some group of the token is permitted."""
         return any((group, provider_id) in self._permits for group in token.groups)
-
-    def translate(self, token: TokenRecord, kind: str, t: int) -> TranslatedCredential:
-        """Derive a credential record; never outlives the source token."""
-        if kind not in CRED_KINDS:
-            raise IamError("unknown credential kind %r" % kind)
-        self.validate(token.token_id, t)
-        payload = hashlib.sha256(("%s:%s" % (token.token_id, kind)).encode()).hexdigest()
-        return TranslatedCredential(kind=kind, subject=token.subject,
-                                    payload=payload, valid_until=token.expires_at)

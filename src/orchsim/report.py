@@ -199,6 +199,16 @@ class MetricsAccumulator:
         }
 
 
+def _int_field(record: dict, name: str, index: int) -> int:
+    """A record's field that derive_metrics does arithmetic on; a value that
+    is not an int (a bool is not one) is a VerificationError."""
+    value = record[name]
+    if type(value) is not int:
+        raise VerificationError("record %d (%s) field %r is not an integer: %r"
+                                % (index, record.get("kind"), name, value))
+    return value
+
+
 def derive_metrics(records: list[dict], horizon_s: int) -> dict:
     """Re-derive the metrics from an event log alone.
 
@@ -218,24 +228,25 @@ def derive_metrics(records: list[dict], horizon_s: int) -> dict:
         kind = record.get("kind")
         try:
             if kind == "site_node":
-                site_cpus[record["site"]] = site_cpus.get(record["site"], 0) + record["cpus"]
+                site_cpus[record["site"]] = (site_cpus.get(record["site"], 0)
+                                             + _int_field(record, "cpus", index))
                 changes.setdefault(record["site"], [])
             elif kind == "request_submitted":
-                submitted[(record["site"], record["request_id"])] = record["t"]
+                submitted[(record["site"], record["request_id"])] = _int_field(record, "t", index)
             elif kind == "instance_started":
                 key = (record["site"], record["request_id"])
+                t, cpus = _int_field(record, "t", index), _int_field(record, "cpus", index)
                 open_runs[key] = {"site": record["site"], "user": record["user"],
-                                  "cpus": record["cpus"], "start": record["t"],
-                                  "submitted": submitted.get(key, record["t"])}
-                changes.setdefault(record["site"], []).append((record["t"], record["cpus"]))
+                                  "cpus": cpus, "start": t, "submitted": submitted.get(key, t)}
+                changes.setdefault(record["site"], []).append((t, cpus))
             elif kind in _STOP_KINDS:
                 key = (record["site"], record["request_id"])
                 run = open_runs.pop(key, None)
                 if run is None:
                     raise VerificationError("stop without a start: %r" % (record,))
-                run["stop"] = record["t"]
+                run["stop"] = t = _int_field(record, "t", index)
                 intervals.append(run)
-                changes.setdefault(record["site"], []).append((record["t"], -run["cpus"]))
+                changes.setdefault(record["site"], []).append((t, -run["cpus"]))
                 if kind == "instance_preempted":
                     preemptions += 1
             elif kind == "deployment_state":

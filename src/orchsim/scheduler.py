@@ -124,11 +124,6 @@ class UsageLedger:
         self._weights: dict[str, float] = dict(weights or {})
         self._usage: dict[str, tuple[float, int]] = {}  # user -> (value, stamp)
 
-    def set_weight(self, user: str, weight: float):
-        if weight <= 0:
-            raise SchedulerError("weight must be > 0")
-        self._weights[user] = weight
-
     def weight(self, user: str) -> float:
         return self._weights.get(user, 1.0)
 
@@ -467,6 +462,11 @@ class SiteScheduler:
         run may sit queued while free plus reclaimable space fits it.  The
         unstartable shapes are a cache of _startable, not a counter, so they
         are not re-probed here.
+
+        Cost: the pool's walk is constant work per node plus one pass per
+        running instance; this audit adds one pass over the victim order, the
+        queue and the group counters, and builds no dict unless a check
+        fails.
         """
         running = self.running
         try:

@@ -182,7 +182,12 @@ def test_sim_run_and_verify(workdir, capsys):
      "ReportError", "line 1: header needs integer seed and horizon_s"),
     (slice(1, 2), lambda line: '{"t": 0, "seq": 0, "kind": "instance_started"}',
      "VerificationError", "record 0 (instance_started) has no field 'site'"),
-], ids=["not-json", "not-an-object", "no-seq", "header-without-seed", "record-without-site"])
+    (slice(8, 9), lambda line: re.sub(r'"cpus": \d+', '"cpus": "x"', line),
+     "VerificationError", "record 7 (instance_started) field 'cpus' is not an integer: 'x'"),
+    (slice(1, 2), lambda line: re.sub(r'"cpus": \d+', '"cpus": true', line),
+     "VerificationError", "record 0 (site_node) field 'cpus' is not an integer: True"),
+], ids=["not-json", "not-an-object", "no-seq", "header-without-seed", "record-without-site",
+        "started-cpus-not-an-int", "node-cpus-a-bool"])
 def test_sim_verify_names_the_malformed_report_line(workdir, capsys, damaged, damage, error,
                                                     message):
     (workdir / "runnable.scn").write_text(
@@ -342,6 +347,25 @@ def test_session_replays_under_the_config_it_was_created_with(workdir, capsys, m
         "session plain.json was created with config (none); this command names b.cfg")
 
 
+def test_session_refuses_a_second_world(workdir, capsys):
+    (workdir / "other.scn").write_text(WORLD.replace("site-a", "site-c"))
+    assert main(["--machine", "depcreate", "single-compute.tpl", "--user", "ada",
+                 "--world", "world.scn"]) == 0
+    first = json.loads(capsys.readouterr().out)["uuid"]
+    assert main(["--machine", "depcreate", "single-compute.tpl", "--user", "ada",
+                 "--world", "other.scn", "--at", "10"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "CliError", "message": "session .orchsim-state.json was created with "
+                                        "world world.scn; this command names other.scn"}
+    stored = json.loads((workdir / ".orchsim-state.json").read_text())
+    assert stored["world"] == "world.scn" and len(stored["commands"]) == 1
+    assert main(["--machine", "deplist"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["uuid"], row["site"]) for row in rows] == [(first, "site-a")]
+    assert main(["--machine", "depcreate", "single-compute.tpl", "--user", "ada",
+                 "--world", "world.scn", "--at", "10"]) == 0  # the same world is fine
+
+
 _NOT_A_COMMAND = ("command 0 is not an object with an integer 'at', a known 'op' "
                   "and its string fields")
 
@@ -355,8 +379,10 @@ _NOT_A_COMMAND = ("command 0 is not an object with an integer 'at', a known 'op'
     ('{"world": "world.scn", "commands": [{"op": "boot", "at": 0}]}', _NOT_A_COMMAND),
     ('{"world": "world.scn", "commands": [{"op": "depcreate", "at": 0, "user": "ada"}]}',
      _NOT_A_COMMAND),
+    ('{"world": 5, "commands": []}', "world must be a path or null"),
 ], ids=["not-json", "not-an-object", "commands-not-a-list", "command-not-an-object",
-        "command-without-at", "command-with-unknown-op", "command-without-template"])
+        "command-without-at", "command-with-unknown-op", "command-without-template",
+        "world-not-a-path"])
 def test_damaged_state_file_is_a_cli_error(workdir, capsys, damage, message):
     from orchsim.cli import CliError, Session, build_parser
     (workdir / ".orchsim-state.json").write_text(damage)

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -458,6 +460,96 @@ def test_pool_audit_checks_each_node_instance_set_against_what_runs(write):
     else:
         w2.preemptible_used = rv(0, 1, 0)
     with pytest.raises(ElasticityError, match="^%s$" % _INSTANCE_SET_WRITES[write]):
+        pool.audit(running)
+
+
+def test_pool_audit_catches_a_busy_node_with_zero_used():
+    pool, running = _two_instances_on_w1()
+    pool.nodes["w1"].used = rv()
+    with pytest.raises(ElasticityError, match=r"^node w1 used \(0 cpus, 0 MB, 0 GB\) but running "
+                                              r"instances sum to \(2 cpus, 1024 MB, 10 GB\)$"):
+        pool.audit(running)
+
+
+@pytest.mark.parametrize("node_id", ["w1", "w2"])
+@pytest.mark.parametrize("field, label", [("used", "instances"),
+                                          ("preemptible_used", "preemptibles")])
+@pytest.mark.parametrize("component", ["cpus", "mem_mb", "disk_gb"])
+def test_pool_audit_checks_every_component_of_used_and_share(node_id, field, label, component):
+    """Busy w1 and empty w2 each fail on one component of used or
+    preemptible_used that is one more than its instances' sum."""
+    pool, running = _two_instances_on_w1()
+    node = pool.nodes[node_id]
+    sums = getattr(node, field)
+    setattr(node, field, replace(sums, **{component: getattr(sums, component) + 1}))
+    with pytest.raises(ElasticityError, match="^%s$" % re.escape(
+            "node %s %s %s but running %s sum to %s"
+            % (node_id, field, getattr(node, field), label, sums))):
+        pool.audit(running)
+
+
+@pytest.mark.parametrize("write", ["busy_node", "missing", "wrong_since", "swapped"])
+def test_pool_audit_checks_the_idle_map_both_ways(write):
+    """The walk looks each idle node up in _idle and compares the sizes, which
+    catches an entry for a busy node, a missing one, a wrong idle_since and a
+    missing entry hidden behind an extra one."""
+    pool, running = _two_instances_on_w1()
+    assert pool._idle == {"w2": 0}
+    if write == "busy_node":
+        pool._idle["w1"] = 0
+    elif write == "missing":
+        del pool._idle["w2"]
+    elif write == "wrong_since":
+        pool._idle["w2"] = 5
+    else:
+        pool._idle = {"w1": 0}
+    counted = dict(pool._idle)
+    with pytest.raises(ElasticityError, match="^%s$" % re.escape(
+            "cloud counters differ from the node sums: idle %s, nodes give {'w2': 0}"
+            % counted)):
+        pool.audit(running)
+
+
+def _one_node_per_power():
+    """w1 on, running a preemptible r; w2 booting; w3 off."""
+    pool = worker_pool(3, power="off", capacity=rv(4, 4096, 40))
+    pool.power_on("w1", 0, boot_delay_s=5)
+    pool.boot_complete("w1", 5)
+    pool.power_on("w2", 5, boot_delay_s=5)
+    placed = {"r": (rv(1, 512, 5), pool.assign("r", rv(1, 512, 5), 5, preemptible=True), True)}
+    return pool, running_of(placed)
+
+
+_COUNTERS = {"on": lambda pool: pool._cloud["on"], "booting": lambda pool: pool._cloud["booting"],
+             "off": lambda pool: pool._cloud["off"], "used": lambda pool: pool._cloud_used,
+             "reclaimable": lambda pool: pool._cloud_reclaimable}
+
+
+@pytest.mark.parametrize("name, component", [
+    (name, component) for name, size in (("booting", 4), ("off", 4), ("on", 4),
+                                         ("reclaimable", 3), ("used", 3))
+    for component in range(size)])
+def test_pool_audit_names_only_the_drifted_counter(name, component):
+    pool, running = _one_node_per_power()
+    assert pool.audit(running) == ([1, 512, 5], 1, {"g": [1, 512, 5]})
+    counter = _COUNTERS[name](pool)
+    recount = list(counter)
+    counter[component] += 1
+    with pytest.raises(ElasticityError, match="^%s$" % re.escape(
+            "cloud counters differ from the node sums: %s %s, nodes give %s"
+            % (name, counter, recount))):
+        pool.audit(running)
+
+
+@pytest.mark.parametrize("node_id, row", [("w1", "on"), ("w2", "booting"), ("w3", "off")])
+def test_pool_audit_recounts_each_power_row_from_its_nodes(node_id, row):
+    pool, running = _one_node_per_power()
+    assert pool.nodes[node_id].power == row
+    counted = list(pool._cloud[row])
+    pool.nodes[node_id].capacity = rv(5, 4096, 40)  # grows behind the pool's back
+    with pytest.raises(ElasticityError, match="^%s$" % re.escape(
+            "cloud counters differ from the node sums: %s %s, nodes give %s"
+            % (row, counted, [counted[0] + 1] + counted[1:]))):
         pool.audit(running)
 
 

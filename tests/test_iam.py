@@ -1,7 +1,6 @@
 import pytest
 
-from orchsim.iam import (CRED_SSH_KEY, CRED_USERPASS, ExpiredTokenError, IamError,
-                         IamService, RevokedTokenError, UnknownTokenError)
+from orchsim.iam import ExpiredTokenError, IamService, RevokedTokenError, UnknownTokenError
 
 
 def test_issue_sets_expiry_from_ttl():
@@ -63,38 +62,3 @@ def test_authorize_default_deny():
     iam.add_permit("research", "site-a")
     assert iam.authorize(token, "site-a") is True
     assert iam.authorize(token, "site-b") is False
-
-
-def test_translate_deterministic_and_kind_sensitive():
-    iam = IamService()
-    token = iam.issue_token("ada", ["g"], 100, 0)
-    one = iam.translate(token, CRED_SSH_KEY, 10)
-    two = iam.translate(token, CRED_SSH_KEY, 20)
-    assert one.payload == two.payload
-    other = iam.translate(token, CRED_USERPASS, 10)
-    assert other.payload != one.payload
-    assert one.valid_until == token.expires_at
-
-
-def test_translate_expired_rejected():
-    iam = IamService()
-    token = iam.issue_token("ada", ["g"], 100, 0)
-    with pytest.raises(ExpiredTokenError):
-        iam.translate(token, CRED_SSH_KEY, 100)
-    with pytest.raises(IamError):
-        iam.translate(token, "x509", 10)
-
-
-def test_translate_never_outlives_token():
-    iam = IamService()
-    token = iam.issue_token("ada", ["g"], 77, 3)
-    cred = iam.translate(token, CRED_USERPASS, 5)
-    assert cred.valid_until <= token.expires_at
-
-
-def test_translate_revoked_rejected():
-    iam = IamService()
-    token = iam.issue_token("ada", ["g"], 100, 0)
-    iam.revoke(token.token_id)
-    with pytest.raises(RevokedTokenError):
-        iam.translate(token, CRED_SSH_KEY, 10)

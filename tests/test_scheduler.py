@@ -18,9 +18,8 @@ from orchsim.scheduler import (DECISION_QUEUED, DECISION_REJECTED_QUOTA,
 
 
 def test_priority_new_user_equals_weight():
-    ledger = UsageLedger(half_life_s=3600)
+    ledger = UsageLedger(half_life_s=3600, weights={"vip": 2.5})
     assert ledger.priority("nobody", t=100) == 1.0
-    ledger.set_weight("vip", 2.5)
     assert ledger.priority("vip", t=100) == 2.5
 
 

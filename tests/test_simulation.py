@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import req, rv
@@ -103,6 +105,20 @@ def test_verifier_names_the_first_differing_metric():
     del report.metrics["wait"]["mean_s"]
     with pytest.raises(VerificationError, match=r"wait\.mean_s is '<absent>' in the report"):
         verify_report(report)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("request_submitted", "t", "0"), ("instance_started", "t", 0.0),
+    ("instance_started", "cpus", False), ("instance_released", "t", True),
+    ("site_node", "cpus", 8.0)])
+def test_derive_metrics_names_a_wrong_typed_field(kind, field, value):
+    from orchsim.report import VerificationError
+    report = run_scenario(tiny_scenario(events=[submit_event("e1", 0, JOB_2CPU, duration=10)]))
+    index = next(i for i, record in enumerate(report.records) if record["kind"] == kind)
+    report.records[index][field] = value
+    message = "record %d (%s) field %r is not an integer: %r" % (index, kind, field, value)
+    with pytest.raises(VerificationError, match="^%s$" % re.escape(message)):
+        derive_metrics(report.records, report.horizon_s)
 
 
 def test_verifier_names_the_first_record_out_of_order():
