@@ -98,6 +98,14 @@ def _sums_differ(node_id, used, sums, share, share_sums):
                           "(%d cpus, %d MB, %d GB)" % ((node_id, share) + share_sums))
 
 
+def _headroom(node: NodeRecord) -> tuple:
+    """Overflow order of NodePool.assign: capacity minus used per component,
+    compared as a tuple, then the node id, so the larger id wins a tie."""
+    capacity, used = node.capacity, node.used
+    return ((capacity.cpus - used.cpus, capacity.mem_mb - used.mem_mb,
+             capacity.disk_gb - used.disk_gb), node.node_id)
+
+
 class NodePool:
     """Physical nodes of one site, with exact per-node occupancy accounting.
 
@@ -115,8 +123,15 @@ class NodePool:
       the capacity a normal request may reclaim;
     - _idle: idle node id -> idle_since (see is_idle).
 
-    So cloud_capacity(), cloud_free(), reclaimable(), booting_capacity(),
-    potential_free() and cloud_counts() are O(1).
+    So cloud_capacity() and cloud_free() are O(1), and so are the int
+    readers free_space(), reclaimable_space(), booting_space(),
+    potential_free() and cloud_counts(), which return plain int tuples for
+    the dispatch, elasticity and audit arithmetic.  free_space() is the one
+    clamp of pooled free space; cloud_free(), potential_free() and
+    conserves() read it.
+    The node set is fixed at construction, so the pool keeps its nodes in id
+    order once (_order, never written) and assign walks that tuple instead
+    of sorting the nodes on every start.
     audit(running) walks the nodes once: it checks each node's instance set,
     used and preemptible_used against the site's running instances and
     recomputes every counter from the nodes to cross-check it.  It costs
@@ -153,6 +168,7 @@ class NodePool:
             self._emit(t, "site_node", node=node.node_id, cpus=capacity.cpus,
                        mem_mb=capacity.mem_mb, disk_gb=capacity.disk_gb,
                        power=node.power, role=node.role)
+        self._order = tuple(node for _node_id, node in sorted(self.nodes.items()))
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -212,27 +228,34 @@ class NodePool:
         return (node.power == POWER_ON and node.role == ROLE_CLOUD
                 and not node.instances and node.idle_since is not None)
 
-    def schedulable_nodes(self) -> list[NodeRecord]:
-        return [n for nid, n in sorted(self.nodes.items()) if self.is_schedulable(n)]
-
     def cloud_capacity(self) -> ResourceVector:
         row = self._cloud[POWER_ON]
         return unchecked(row[0], row[1], row[2])
 
+    def free_space(self) -> tuple[int, int, int]:
+        """Cloud capacity minus cloud use as (cpus, mem_mb, disk_gb), each
+        component clamped at zero."""
+        # The clamp is written out: max() would cost a call per component,
+        # and this runs on every dispatch probe and in every site audit.
+        c0, c1, c2, _count = self._cloud[POWER_ON]
+        u0, u1, u2 = self._cloud_used
+        return (c0 - u0 if c0 > u0 else 0, c1 - u1 if c1 > u1 else 0,
+                c2 - u2 if c2 > u2 else 0)
+
     def cloud_free(self) -> ResourceVector:
-        """Cloud capacity minus cloud use, each component clamped at zero."""
-        capacity, used = self._cloud[POWER_ON], self._cloud_used
-        return unchecked(max(0, capacity[0] - used[0]),
-                         max(0, capacity[1] - used[1]),
-                         max(0, capacity[2] - used[2]))
+        """free_space() as a vector."""
+        return unchecked(*self.free_space())
 
-    def reclaimable(self) -> ResourceVector:
-        """What the preemptible instances on powered-on cloud nodes hold."""
-        return unchecked(*self._cloud_reclaimable)
+    def reclaimable_space(self) -> tuple[int, int, int]:
+        """What the preemptible instances on powered-on cloud nodes hold, as
+        (cpus, mem_mb, disk_gb)."""
+        held = self._cloud_reclaimable
+        return held[0], held[1], held[2]
 
-    def booting_capacity(self) -> ResourceVector:
+    def booting_space(self) -> tuple[int, int, int]:
+        """The capacity of the booting cloud nodes as (cpus, mem_mb, disk_gb)."""
         row = self._cloud[POWER_BOOTING]
-        return unchecked(row[0], row[1], row[2])
+        return row[0], row[1], row[2]
 
     def potential_free(self) -> tuple[int, int, int]:
         """What the site could offer a new deployment, as (cpus, mem_mb, disk_gb).
@@ -241,11 +264,12 @@ class NodePool:
         (booting or off), and what preemptible instances hold (reclaimable by
         normal work).
         """
-        capacity, used, held = self._cloud[POWER_ON], self._cloud_used, self._cloud_reclaimable
+        free0, free1, free2 = self.free_space()
         booting, off = self._cloud[POWER_BOOTING], self._cloud[POWER_OFF]
-        return (max(0, capacity[0] - used[0]) + booting[0] + off[0] + held[0],
-                max(0, capacity[1] - used[1]) + booting[1] + off[1] + held[1],
-                max(0, capacity[2] - used[2]) + booting[2] + off[2] + held[2])
+        held = self._cloud_reclaimable
+        return (free0 + booting[0] + off[0] + held[0],
+                free1 + booting[1] + off[1] + held[1],
+                free2 + booting[2] + off[2] + held[2])
 
     def cloud_counts(self) -> tuple[int, int, int]:
         """(cloud-role nodes, powered ones: on or booting, off ones)."""
@@ -257,13 +281,9 @@ class NodePool:
     def conserves(self, cpus: int, mem_mb: int, disk_gb: int) -> bool:
         """True iff cloud free space plus the given running sums is the cloud
         capacity, component by component."""
-        # The clamp is written out: max() would cost a call per component,
-        # and this runs in every site audit.
+        free0, free1, free2 = self.free_space()
         c0, c1, c2, _count = self._cloud[POWER_ON]
-        u0, u1, u2 = self._cloud_used
-        return ((c0 - u0 if c0 > u0 else 0) + cpus == c0
-                and (c1 - u1 if c1 > u1 else 0) + mem_mb == c1
-                and (c2 - u2 if c2 > u2 else 0) + disk_gb == c2)
+        return free0 + cpus == c0 and free1 + mem_mb == c1 and free2 + disk_gb == c2
 
     def idle_nodes(self) -> list[NodeRecord]:
         return [self.nodes[node_id] for node_id in self._idle]
@@ -420,25 +440,26 @@ class NodePool:
                preemptible: bool = False) -> str:
         """Place an instance on a schedulable node.
 
-        First fit by node id; admission is decided against pooled capacity by
-        the scheduler, so when fragmentation leaves no single node with room
-        the least-loaded node absorbs the overflow.  A preemptible instance
-        also counts in the node's preemptible_used.
+        First fit by node id: the walk goes over the fixed id order and tests
+        each schedulable node's capacity minus used as ints.  Admission is
+        decided against pooled capacity by the scheduler, so when
+        fragmentation leaves no single node with room the node with the
+        most headroom absorbs the overflow (_headroom).  A preemptible
+        instance also counts in the node's preemptible_used.
         """
-        nodes = self.schedulable_nodes()
-        if not nodes:
-            raise ElasticityError("no schedulable node available")
-        chosen = None
-        for node in nodes:
-            if (node.used + resources).fits(node.capacity):
-                chosen = node
-                break
-        if chosen is None:
-            def headroom(node):
-                return (node.capacity.cpus - node.used.cpus,
-                        node.capacity.mem_mb - node.used.mem_mb,
-                        node.capacity.disk_gb - node.used.disk_gb)
-            chosen = max(nodes, key=lambda n: (headroom(n), n.node_id))
+        cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
+        for node in self._order:
+            if node.power == POWER_ON and node.role == ROLE_CLOUD:  # is_schedulable
+                capacity, used = node.capacity, node.used
+                if (cpus <= capacity.cpus - used.cpus and mem_mb <= capacity.mem_mb - used.mem_mb
+                        and disk_gb <= capacity.disk_gb - used.disk_gb):
+                    chosen = node
+                    break
+        else:
+            schedulable = [node for node in self._order if self.is_schedulable(node)]
+            if not schedulable:
+                raise ElasticityError("no schedulable node available")
+            chosen = max(schedulable, key=_headroom)
         chosen.instances.add(request_id)
         share = chosen.preemptible_used + resources if preemptible else None
         self._update(chosen, used=chosen.used + resources, preemptible_used=share,
@@ -569,14 +590,22 @@ class ElasticityManager:
         plan is its own fixpoint: applied to the pool, a second call at t
         plans nothing.  The power-on step sorts its candidates only when it
         can act; the power-off step looks at every idle node, so a call costs
-        O(idle nodes) when nothing is due.
+        O(idle nodes) when nothing is due.  The demand left uncovered and the
+        free guard are int triples read from the pool's counters.
         """
         cloud_total, powered, off = pool.cloud_counts()
         min_n, max_n = self._bounds(cloud_total)
         actions: list[Action] = []
 
-        remaining = queued_demand.monus(pool.booting_capacity())
-        if off and powered < max_n and (powered < min_n or not remaining.is_zero()):
+        # The demand that booting and planned capacity leave uncovered.  It
+        # is not clamped at zero: capacities are never negative, so a
+        # component at or below zero stays covered, as with a clamp.
+        boot_cpus, boot_mem, boot_disk = pool.booting_space()
+        need_cpus = queued_demand.cpus - boot_cpus
+        need_mem = queued_demand.mem_mb - boot_mem
+        need_disk = queued_demand.disk_gb - boot_disk
+        uncovered = need_cpus > 0 or need_mem > 0 or need_disk > 0
+        if off and powered < max_n and (powered < min_n or uncovered):
             off_nodes = sorted(
                 (n for n in pool.nodes.values()
                  if n.role == ROLE_CLOUD and n.power == POWER_OFF),
@@ -585,25 +614,33 @@ class ElasticityManager:
             for node in off_nodes:
                 if powered >= max_n:
                     break
-                if remaining.is_zero() and powered >= min_n:
+                if not uncovered and powered >= min_n:
                     break
                 actions.append(Action(ACTION_POWER_ON, node.node_id))
                 powered += 1
-                remaining = remaining.monus(node.capacity)
+                capacity = node.capacity
+                need_cpus -= capacity.cpus
+                need_mem -= capacity.mem_mb
+                need_disk -= capacity.disk_gb
+                uncovered = need_cpus > 0 or need_mem > 0 or need_disk > 0
 
-        stop = min_n if remaining.is_zero() else max_n
+        stop = max_n if uncovered else min_n
         if powered > stop:
             t_idle = self.policy.t_idle_s
-            free_guard = pool.cloud_free()
+            free_cpus, free_mem, free_disk = pool.free_space()
             idle_victims = sorted(
                 (n for n in pool.idle_nodes() if t - n.idle_since >= t_idle),
                 key=lambda n: n.node_id, reverse=True)
             for node in idle_victims:
                 if powered <= stop:
                     break
-                if not node.capacity.fits(free_guard):
+                capacity = node.capacity
+                if (capacity.cpus > free_cpus or capacity.mem_mb > free_mem
+                        or capacity.disk_gb > free_disk):
                     continue  # pooled accounting says this capacity is still spoken for
                 actions.append(Action(ACTION_POWER_OFF, node.node_id))
                 powered -= 1
-                free_guard = free_guard - node.capacity
+                free_cpus -= capacity.cpus
+                free_mem -= capacity.mem_mb
+                free_disk -= capacity.disk_gb
         return actions

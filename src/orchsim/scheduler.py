@@ -16,7 +16,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 
-from .elasticity import ElasticityError, NodePool
+from .elasticity import POWER_ON, ROLE_CLOUD, ElasticityError, NodePool
 from .errors import DomainError
 from .resources import ResourceVector, add_into, unchecked
 
@@ -101,12 +101,14 @@ def _victim_key(instance: RunningInstance) -> tuple:
 
 def _reclaimable(instances, pool: NodePool) -> list:
     """The instances a normal request may displace: preemptibles on
-    schedulable nodes.  Instances on draining nodes are left out because
+    schedulable nodes (on and in the cloud role, NodePool.is_schedulable,
+    tested inline).  Instances on draining nodes are left out because
     terminating them frees capacity outside the cloud pool."""
     nodes = pool.nodes
     return [instance for instance in instances
-            if instance.request.is_preemptible
-            and pool.is_schedulable(nodes[instance.node_id])]
+            if instance.request.bid is not None
+            and (node := nodes[instance.node_id]).power == POWER_ON
+            and node.role == ROLE_CLOUD]
 
 
 class UsageLedger:
@@ -227,9 +229,15 @@ class SiteScheduler:
         return Decision(DECISION_QUEUED)
 
     def _queue_key(self, t: int):
-        """Sort key of the fair-share order at t; request ids make keys unique."""
+        """Sort key of the fair-share order at t; request ids make keys unique.
+
+        Each queued user's priority is computed once, when the key is built,
+        so a key holds only while no usage accrues: build a fresh one after
+        a preemption charges the victim's owner.
+        """
         priority = self.ledger.priority
-        return lambda r: (-priority(r.user, t), r.arrival_time, r.request_id)
+        negated = {user: -priority(user, t) for user in {r.user for r in self.queue}}
+        return lambda r: (negated[r.user], r.arrival_time, r.request_id)
 
     def ordered_queue(self, t: int) -> list[InstanceRequest]:
         return sorted(self.queue, key=self._queue_key(t))
@@ -238,8 +246,13 @@ class SiteScheduler:
         cap = self.quotas.get(request.group)
         if cap is None:
             return True
-        used = self.group_running.get(request.group, ResourceVector.zero())
-        return (used + request.resources).fits(cap)
+        resources = request.resources
+        used = self.group_running.get(request.group)
+        if used is None:
+            return resources.fits(cap)
+        return (used.cpus + resources.cpus <= cap.cpus
+                and used.mem_mb + resources.mem_mb <= cap.mem_mb
+                and used.disk_gb + resources.disk_gb <= cap.disk_gb)
 
     # -- preemption -------------------------------------------------------
 
@@ -259,50 +272,73 @@ class SiteScheduler:
         Empty when free capacity already fits.  Among minimum-cardinality
         feasible sets, prefers lower bids, then younger instances, then ids.
         Raises InfeasiblePreemptionError when no eligible set is enough.
+
+        The search is int arithmetic throughout and builds no ResourceVector:
+        the deficit is the request less the pool's free_space(), per
+        component, and a set is feasible when its summed cpus, mem_mb and
+        disk_gb each reach the deficit.  Up to _EXACT_VICTIM_LIMIT eligible
+        victims the sets are tried by size, each size in preference order,
+        and a size whose largest possible sums fall short is skipped; above
+        it, _greedy_victims.
         """
-        free = self.pool.cloud_free()
-        if request.resources.fits(free):
+        resources = request.resources
+        free_cpus, free_mem, free_disk = self.pool.free_space()
+        # Not clamped at zero: victims free no negative room, so a component
+        # at or below zero is met by every set, as with a clamp.
+        need_cpus = resources.cpus - free_cpus
+        need_mem = resources.mem_mb - free_mem
+        need_disk = resources.disk_gb - free_disk
+        if need_cpus <= 0 and need_mem <= 0 and need_disk <= 0:
             return []
         eligible = self._eligible_victims(request)
-        if not request.resources.fits(
-                free + ResourceVector.total(i.request.resources for i in eligible)):
+        sizes = [instance.request.resources for instance in eligible]
+        cpus = [size.cpus for size in sizes]
+        mem_mb = [size.mem_mb for size in sizes]
+        disk_gb = [size.disk_gb for size in sizes]
+        freed = sum(cpus), sum(mem_mb), sum(disk_gb)
+        if freed[0] < need_cpus or freed[1] < need_mem or freed[2] < need_disk:
             raise InfeasiblePreemptionError(
                 "no victim set can free enough capacity for %s" % request.request_id)
 
         if len(eligible) > _EXACT_VICTIM_LIMIT:
-            return self._greedy_victims(request, free, eligible)
+            return self._greedy_victims(eligible, freed, (need_cpus, need_mem, need_disk))
 
-        deficit = request.resources.monus(free)
-        top_cpus, top_mem_mb, top_disk_gb = self._top_sums(eligible)
+        combinations = itertools.combinations
+        top_cpus, top_mem_mb, top_disk_gb = self._top_sums(cpus, mem_mb, disk_gb)
         for k in range(1, len(eligible) + 1):
-            if (top_cpus[k - 1] < deficit.cpus or top_mem_mb[k - 1] < deficit.mem_mb
-                    or top_disk_gb[k - 1] < deficit.disk_gb):
+            if (top_cpus[k - 1] < need_cpus or top_mem_mb[k - 1] < need_mem
+                    or top_disk_gb[k - 1] < need_disk):
                 continue  # no k-subset frees enough
-            for combo in itertools.combinations(eligible, k):
-                freed = ResourceVector.total(i.request.resources for i in combo)
-                if request.resources.fits(free + freed):
+            for combo, combo_cpus, combo_mem, combo_disk in zip(
+                    combinations(eligible, k), combinations(cpus, k),
+                    combinations(mem_mb, k), combinations(disk_gb, k)):
+                if (sum(combo_cpus) >= need_cpus and sum(combo_mem) >= need_mem
+                        and sum(combo_disk) >= need_disk):
                     return list(combo)
         raise InfeasiblePreemptionError("unreachable: feasibility pre-check passed")
 
     @staticmethod
-    def _top_sums(eligible) -> list[list[int]]:
-        """Per component, entry k - 1 sums the k largest contributions: what no
-        k-subset of eligible can free more than."""
-        resources = [i.request.resources for i in eligible]
+    def _top_sums(*components) -> list[list[int]]:
+        """Per component list, entry k - 1 sums the k largest contributions:
+        what no k-subset of the victims can free more than."""
         return [list(itertools.accumulate(sorted(component, reverse=True)))
-                for component in ([r.cpus for r in resources],
-                                  [r.mem_mb for r in resources],
-                                  [r.disk_gb for r in resources])]
+                for component in components]
 
     @staticmethod
-    def _greedy_victims(request, free, eligible) -> list[RunningInstance]:
-        freed = ResourceVector.total(i.request.resources for i in eligible)
+    def _greedy_victims(eligible, freed, need) -> list[RunningInstance]:
+        """All of eligible but the victims never needed, dropped worst
+        preference first; freed is what eligible frees in all and need the
+        deficit, each as (cpus, mem_mb, disk_gb)."""
+        freed_cpus, freed_mem, freed_disk = freed
+        need_cpus, need_mem, need_disk = need
         kept = []
-        # Drop victims we never needed, worst preference first.
         for instance in reversed(eligible):
-            without = freed.monus(instance.request.resources)
-            if request.resources.fits(free + without):
-                freed = without
+            resources = instance.request.resources
+            cpus = freed_cpus - resources.cpus
+            mem_mb = freed_mem - resources.mem_mb
+            disk_gb = freed_disk - resources.disk_gb
+            if cpus >= need_cpus and mem_mb >= need_mem and disk_gb >= need_disk:
+                freed_cpus, freed_mem, freed_disk = cpus, mem_mb, disk_gb
             else:
                 kept.append(instance)
         kept.reverse()
@@ -340,8 +376,9 @@ class SiteScheduler:
         if request.is_preemptible:
             bisect.insort(self._victims, _victim_key(instance) + (instance,))
         group = request.group
-        self.group_running[group] = (
-            self.group_running.get(group, ResourceVector.zero()) + request.resources)
+        used = self.group_running.get(group)
+        self.group_running[group] = (request.resources if used is None
+                                     else used + request.resources)
         self._emit(t, "instance_started", request_id=request.request_id,
                    user=request.user, group=request.group,
                    cpus=request.resources.cpus, mem_mb=request.resources.mem_mb,
@@ -359,7 +396,10 @@ class SiteScheduler:
         """
         if not self.quota_allows(request):
             return None
-        if request.resources.fits(self.pool.cloud_free()):
+        resources = request.resources
+        free_cpus, free_mem, free_disk = self.pool.free_space()
+        if (resources.cpus <= free_cpus and resources.mem_mb <= free_mem
+                and resources.disk_gb <= free_disk):
             return []
         try:
             return self.select_victims(request)
@@ -383,15 +423,15 @@ class SiteScheduler:
         call (with backfill off the head can change as usage decays, so it is
         always sorted).  Within one event time only a preemption changes a
         priority (the victim's owner accrues usage), so a start without
-        victims just leaves the order and a start that preempted re-sorts it.
+        victims just leaves the order and a start that preempted re-sorts it
+        under a fresh key (_queue_key computes each user's priority once).
         """
         started: list[RunningInstance] = []
         queue = self.queue
         unstartable = self._unstartable
         if not queue or (self.backfill and all(r.shape in unstartable for r in queue)):
             return started
-        key = self._queue_key(t)
-        queue.sort(key=key)
+        queue.sort(key=self._queue_key(t))
         while queue:
             for position, request in enumerate(queue if self.backfill else queue[:1]):
                 shape = request.shape
@@ -408,7 +448,7 @@ class SiteScheduler:
             self._dequeue(position)
             started.append(self._start(request, t))
             if victims:
-                queue.sort(key=key)
+                queue.sort(key=self._queue_key(t))
         return started
 
     # -- lifecycle --------------------------------------------------------
@@ -508,8 +548,10 @@ class SiteScheduler:
             if (check_soundness and unsound is None and request.bid is None
                     and self.quota_allows(request)):
                 if room is None:
-                    room = self.pool.cloud_free() + self.pool.reclaimable()
-                if resources.fits(room):
+                    free, held = self.pool.free_space(), self.pool.reclaimable_space()
+                    room = free[0] + held[0], free[1] + held[1], free[2] + held[2]
+                if (resources.cpus <= room[0] and resources.mem_mb <= room[1]
+                        and resources.disk_gb <= room[2]):
                     unsound = request
         if queued != self._queued:
             raise SchedulerError("queued demand counter %s differs from the queue sum %s"

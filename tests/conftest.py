@@ -13,6 +13,11 @@ def rv(cpus=0, mem=0, disk=0) -> ResourceVector:
     return ResourceVector(cpus, mem, disk)
 
 
+def triple(vector: ResourceVector) -> tuple[int, int, int]:
+    """A vector as the (cpus, mem_mb, disk_gb) tuple the pool's int readers return."""
+    return vector.cpus, vector.mem_mb, vector.disk_gb
+
+
 def make_pool(*capacities, t=0, prefix="n", power="on", log=None) -> NodePool:
     nodes = [NodeRecord(node_id="%s%d" % (prefix, i + 1), capacity=c, power=power)
              for i, c in enumerate(capacities)]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_pool, make_scheduler, req, rv
+from conftest import make_pool, make_scheduler, req, rv, triple
 
 from orchsim.elasticity import (ACTION_POWER_OFF, ACTION_POWER_ON,
                                 AlreadyTransitioningError, ElasticityError,
@@ -264,6 +264,95 @@ def test_draining_node_receives_no_new_work():
     assert decision.instance.node_id == "n2"
 
 
+def _signed_headroom(node):
+    return (node.capacity.cpus - node.used.cpus, node.capacity.mem_mb - node.used.mem_mb,
+            node.capacity.disk_gb - node.used.disk_gb)
+
+
+def _reference_assign(pool, resources):
+    """The node NodePool.assign picks, by the rule it had before the fixed
+    node order: sort the schedulable nodes by id on every call, first fit
+    with vector arithmetic, else the most headroom with max, id last."""
+    nodes = [n for nid, n in sorted(pool.nodes.items())
+             if n.power == "on" and n.role == "cloud"]
+    if not nodes:
+        raise ElasticityError("no schedulable node available")
+    for node in nodes:
+        if (node.used + resources).fits(node.capacity):
+            return node.node_id
+    return max(nodes, key=lambda n: (_signed_headroom(n), n.node_id)).node_id
+
+
+def test_assign_picks_the_reference_node_on_a_random_walk():
+    """Mixed node sizes given out of id order (n10 sorts before n2), nodes
+    off, booting, draining and in the batch pool, and placements past a
+    node's capacity: at every step assign picks the node the sort-and-vector
+    rule picks, by first fit on the first schedulable node or a later one,
+    or by overflow, where a tie in headroom goes to the larger id."""
+    rng = random.Random(4242)
+    ids = ["n%d" % i for i in (7, 2, 10, 0, 11, 5, 1, 3)]
+    sizes = [rv(1, 1024, 10), rv(2, 2048, 40), rv(4, 8192, 100)]
+    pool = NodePool("s", [NodeRecord(node_id=node_id, capacity=rng.choice(sizes),
+                                     power=rng.choice(["on", "on", "off"]),
+                                     role=rng.choice(["cloud", "cloud", "batch"]))
+                          for node_id in ids])
+    placed = {}  # request id -> (resources, node id, preemptible)
+    seen = {"first_fit": 0, "first_fit_later": 0, "overflow": 0, "overflow_tie": 0,
+            "none_schedulable": 0,
+            "overfilled": 0, "booting": 0, "draining": 0, "off": 0, "batch": 0}
+    for t in range(2500):
+        node_id = rng.choice(ids)
+        op = rng.choice(["assign"] * 4 + ["unassign"] * (3 if len(placed) < 6 else 6)
+                        + ["power_on", "boot_complete", "power_off", "switch_role"])
+        try:
+            if op == "assign":
+                rid = "r%d" % t
+                resources = rv(rng.randrange(0, 4), rng.randrange(1, 4096), rng.randrange(0, 60))
+                preemptible = rng.random() < 0.5
+                try:
+                    expected = _reference_assign(pool, resources)
+                except ElasticityError:
+                    seen["none_schedulable"] += 1
+                    with pytest.raises(ElasticityError, match="no schedulable node"):
+                        pool.assign(rid, resources, t, preemptible)
+                    continue
+                chosen = pool.nodes[expected]
+                if not (chosen.used + resources).fits(chosen.capacity):
+                    seen["overflow"] += 1
+                    room = [_signed_headroom(n) for n in pool.nodes.values()
+                            if n.power == "on" and n.role == "cloud"]
+                    seen["overflow_tie"] += room.count(_signed_headroom(chosen)) > 1
+                elif any(n.power == "on" and n.role == "cloud"
+                         for nid, n in pool.nodes.items() if nid < expected):
+                    seen["first_fit_later"] += 1
+                else:
+                    seen["first_fit"] += 1
+                assert pool.assign(rid, resources, t, preemptible) == expected, t
+                placed[rid] = (resources, expected, preemptible)
+            elif op == "unassign" and placed:
+                rid = rng.choice(sorted(placed))
+                resources, on, preemptible = placed.pop(rid)
+                pool.unassign(rid, resources, on, t, preemptible)
+            elif op == "power_on":
+                pool.power_on(node_id, t, boot_delay_s=5)
+            elif op == "boot_complete":
+                pool.boot_complete(node_id, t)
+            elif op == "power_off":
+                pool.power_off(node_id, t)
+            elif op == "switch_role":
+                pool.switch_role(node_id, rng.choice(["batch", "cloud"]), t)
+        except ElasticityError:
+            pass
+        nodes = pool.nodes.values()
+        seen["overfilled"] += any(not n.used.fits(n.capacity) for n in nodes)
+        seen["booting"] += any(n.power == "booting" for n in nodes)
+        seen["draining"] += any(n.role.startswith("draining") for n in nodes)
+        seen["off"] += any(n.power == "off" for n in nodes)
+        seen["batch"] += any(n.role == "batch" for n in nodes)
+        pool.audit(running_of(placed))
+    assert all(seen.values()), seen
+
+
 # -- incremental cloud counters -----------------------------------------------------
 
 
@@ -283,7 +372,7 @@ def _check_elastic_counters(pool, t, t_idle=7):
         len(cloud), len(by_power["on"]) + len(by_power["booting"]), len(by_power["off"])), t
     booting = ResourceVector.total(n.capacity for n in by_power["booting"])
     off = ResourceVector.total(n.capacity for n in by_power["off"])
-    assert pool.booting_capacity() == booting, t
+    assert pool.booting_space() == triple(booting), t
     held = ResourceVector.total(n.preemptible_used for n in by_power["on"])
     potential = _cloud_sums(pool)[1] + booting + off + held
     assert pool.potential_free() == (potential.cpus, potential.mem_mb, potential.disk_gb), t
@@ -333,9 +422,9 @@ def test_cloud_counters_follow_a_random_walk():
         assert pool.cloud_capacity() == capacity, t
         assert pool.cloud_free() == free, t
         _check_elastic_counters(pool, t)
-        assert pool.reclaimable() == ResourceVector.total(
+        assert pool.reclaimable_space() == triple(ResourceVector.total(
             resources for resources, on, preemptible in placed.values()
-            if preemptible and pool.is_schedulable(pool.nodes[on])), t
+            if preemptible and pool.is_schedulable(pool.nodes[on]))), t
         for node_id, node in pool.nodes.items():
             here = [(resources, preemptible) for resources, on, preemptible
                     in placed.values() if on == node_id]

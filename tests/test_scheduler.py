@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from conftest import make_scheduler, req, rv
+from conftest import make_scheduler, req, rv, triple
 
+from orchsim import resources
 from orchsim.elasticity import ElasticityError
 from orchsim.report import EventLog
 from orchsim.resources import ResourceVector
@@ -232,9 +233,12 @@ def reference_victims(sched, request):
 
 
 def test_select_victims_matches_reference_on_random_sites():
+    """Random probes plus, per site, probes whose deficit is in memory only
+    or in disk only (the other components fit free space), through the
+    exact and the greedy search and the infeasible case."""
     rng = random.Random(31)
-    covered = {"greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0,
-               "equal_bid": 0}
+    covered = {"exact": 0, "greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0,
+               "equal_bid": 0, "mem_only": 0, "disk_only": 0}
     for trial in range(60):
         many = trial % 3 == 0  # enough small victims for the greedy path
         sched = make_scheduler(*[rv(4, 4096, 40)] * (8 if many else 3))
@@ -250,14 +254,23 @@ def test_select_victims_matches_reference_on_random_sites():
             if busy:
                 sched.pool.switch_role(busy[0], "batch", t=20)
         every = sched._eligible_victims(req(user="p", rid="normal-%d" % trial))
-        assert sched.pool.reclaimable() == ResourceVector.total(i.request.resources
-                                                           for i in every)
-        for k in range(10):
+        assert sched.pool.reclaimable_space() == triple(ResourceVector.total(
+            i.request.resources for i in every))
+        free = sched.pool.cloud_free()
+        for k in range(16):
             # The running bids too: a victim at the probe's own bid is not eligible.
-            probe = req(user="p", res=rv(rng.randrange(1, 9), rng.randrange(256, 8192),
-                                         rng.randrange(1, 60)),
-                        bid=rng.choice([None, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.9]),
-                        t=30, rid="probe-%d-%d" % (trial, k))
+            bid = rng.choice([None, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.9])
+            cpus, mem_mb, disk_gb = (rng.randrange(1, 9), rng.randrange(256, 8192),
+                                     rng.randrange(1, 60))
+            short = None if k < 10 else ("mem_only", "disk_only")[k % 2]
+            if short is not None:  # the other two components fit free space
+                cpus = rng.randrange(free.cpus + 1)
+                mem_mb = (free.mem_mb + rng.randrange(1, 4096) if short == "mem_only"
+                          else rng.randrange(free.mem_mb + 1))
+                disk_gb = (free.disk_gb + rng.randrange(1, 40) if short == "disk_only"
+                           else rng.randrange(free.disk_gb + 1))
+            probe = req(user="p", res=rv(cpus, mem_mb, disk_gb), bid=bid, t=30,
+                        rid="probe-%d-%d" % (trial, k))
             covered["equal_bid"] += any(i.request.bid == probe.bid for i in every)
             expected = reference_victims(sched, probe)
             if expected is None:
@@ -269,7 +282,9 @@ def test_select_victims_matches_reference_on_random_sites():
             assert [v.request_id for v in got] == [v.request_id for v in expected]
             if got:
                 covered["preemptible" if probe.is_preemptible else "normal"] += 1
-                covered["greedy"] += len(sched._eligible_victims(probe)) > 16
+                covered["greedy" if len(sched._eligible_victims(probe)) > 16 else "exact"] += 1
+                if short is not None:
+                    covered[short] += 1
     assert all(covered.values()), covered
 
 
@@ -280,6 +295,53 @@ def test_higher_bid_preemptible_displaces_lower_on_submit():
                                 rid="high"), t=3)
     assert decision.kind == DECISION_STARTED
     assert set(sched.running) == {"high"}
+
+
+def test_victim_searches_and_a_pass_that_starts_nothing_build_no_vector(monkeypatch):
+    """The search and the probes of dispatch compare ints: an exact and a
+    greedy victim search, an infeasible one and a dispatch pass that probes
+    a quota-held, an infeasible preemptible and an infeasible normal request
+    build no ResourceVector, validated or not."""
+    sched = make_scheduler(*[rv(4, 4096, 40)] * 6, quotas={"h": rv(1, 1024, 10)})
+    sched.pool.power_off("n6", 0)
+    assert sched.submit(req(user="h", group="h", res=rv(1, 512, 5), rid="h0"), t=0).instance
+    for n in range(19):  # fills the five powered nodes
+        bid = 0.5 if n < 10 else 0.1
+        assert sched.submit(req(user="s%d" % n, res=rv(1, 512, 5), bid=bid, rid="s%d" % n),
+                            t=0).instance
+    for blocked in (req(user="h", group="h", res=rv(1, 512, 5), rid="quota-held"),
+                    req(user="q", res=rv(1, 512, 5), bid=0.1, rid="no-lower-bid"),
+                    req(user="q", res=rv(21, 512, 5), rid="too-big")):
+        assert sched.submit(blocked, t=1).kind == DECISION_QUEUED
+    sched.pool.power_on("n6", 2, boot_delay_s=10)  # a pool write: every shape is probed again
+    greedy = req(user="p", res=rv(2, 1024, 10), rid="greedy")
+    exact = req(user="p", res=rv(2, 1024, 10), bid=0.3, rid="exact")
+    infeasible = req(user="p", res=rv(20, 512, 5), rid="infeasible")
+    assert len(sched._eligible_victims(greedy)) == 19
+    assert len(sched._eligible_victims(exact)) == 9
+
+    built = {"validated": 0, "unchecked": 0}
+    validate, new = ResourceVector.__post_init__, resources._new
+
+    def counted_validate(vector):
+        built["validated"] += 1
+        validate(vector)
+
+    def counted_new(cls):
+        built["unchecked"] += 1
+        return new(cls)
+
+    monkeypatch.setattr(ResourceVector, "__post_init__", counted_validate)
+    monkeypatch.setattr(resources, "_new", counted_new)
+    assert len(sched.select_victims(greedy)) == 2
+    assert len(sched.select_victims(exact)) == 2
+    with pytest.raises(InfeasiblePreemptionError):
+        sched.select_victims(infeasible)
+    assert sched.dispatch(3) == []
+    assert len(sched._unstartable) == 3  # the pass probed all three
+    assert built == {"validated": 0, "unchecked": 0}
+    rv(1, 1, 1) + rv(1, 1, 1)  # the counters see what is built
+    assert built == {"validated": 2, "unchecked": 1}
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -320,6 +382,31 @@ def test_dispatch_reorders_the_queue_after_a_preemption():
                if r["kind"] == "instance_started" and r["t"] == 1000]
     assert started == ["n", "c", "b"]
     assert [r["request_id"] for r in log.records if r["kind"] == "instance_preempted"] == ["pb"]
+
+
+def test_a_preemption_re_sorts_the_rest_of_the_pass_under_fresh_priorities():
+    """n starts at t=1000 by preempting b's pb, which charges b 3 cpus x
+    1000 s.  b1 and c1 stay queued; before the preemption b1 came first (equal
+    priorities, earlier arrival), after it c1 does.  The queue the pass
+    leaves is in the order of the per-request key at t, which reads each
+    user's priority afresh, so a key built before the preemption would
+    leave b1 first."""
+    sched = make_scheduler(rv(6, 6144, 60))
+    sched.submit(req(user="x", res=rv(3, 3072, 30), rid="px"), t=0)
+    sched.submit(req(user="b", res=rv(3, 3072, 30), bid=0.1, rid="pb"), t=0)
+    sched.submit(req(user="a", res=rv(4, 4096, 40), t=1, rid="n"), t=1)
+    sched.submit(req(user="b", res=rv(3, 3072, 30), bid=0.1, t=2, rid="b1"), t=2)
+    sched.submit(req(user="c", res=rv(3, 3072, 30), bid=0.1, t=3, rid="c1"), t=3)
+
+    def per_request_order(t):
+        ledger = sched.ledger
+        return [r.request_id for r in sorted(sched.queue, key=lambda r: (
+            -ledger.priority(r.user, t), r.arrival_time, r.request_id))]
+
+    assert per_request_order(1000) == ["n", "b1", "c1"]
+    sched.release("px", 1000)
+    assert set(sched.running) == {"n"}
+    assert [r.request_id for r in sched.queue] == per_request_order(1000) == ["c1", "b1"]
 
 
 def test_backfill_starts_smaller_request_behind_big_head():
@@ -421,14 +508,14 @@ def test_zero_resource_request_invalid():
 
 def check_victim_order(sched):
     """The kept victim order, a normal request's eligible victims and
-    reclaimable() against a filter and sort of running."""
+    reclaimable_space() against a filter and sort of running."""
     running = sched.running.values()
     assert [entry[-1] for entry in sched._victims] == sorted(
         (i for i in running if i.request.is_preemptible), key=_victim_key)
     reclaimable = sorted(_reclaimable(running, sched.pool), key=_victim_key)
     assert sched._eligible_victims(req(user="normal-probe")) == reclaimable
-    assert sched.pool.reclaimable() == ResourceVector.total(i.request.resources
-                                                       for i in reclaimable)
+    assert sched.pool.reclaimable_space() == triple(ResourceVector.total(
+        i.request.resources for i in reclaimable))
 
 
 def test_conservation_under_random_churn():
@@ -566,10 +653,15 @@ def test_audit_catches_a_shape_counter_written_around_the_scheduler(write, messa
 def memo_free_dispatch(sched, t, probes):
     """The dispatch loop without the unstartable shapes or the early return:
     every pass probes every queued request (the head only with backfill off),
-    with victims from reference_victims.  probes[0] counts the probes."""
+    with victims from reference_victims, and sorts by a key that reads each
+    request's priority when it is called.  probes[0] counts the probes."""
     started = []
     queue = sched.queue
-    key = sched._queue_key(t)
+    ledger = sched.ledger
+
+    def key(r):
+        return -ledger.priority(r.user, t), r.arrival_time, r.request_id
+
     queue.sort(key=key)
     while queue:
         for position, request in enumerate(queue if sched.backfill else queue[:1]):
@@ -737,7 +829,7 @@ def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypat
 
 def test_victim_order_follows_a_random_walk():
     """Starts, preemptions, releases, kills, drains and their completion, and
-    power changes each leave the victim order and reclaimable() exact."""
+    power changes each leave the victim order and reclaimable_space() exact."""
     rng = random.Random(4242)
     log = EventLog()
     sched = make_scheduler(*[rv(2 + i % 3, 2048, 40) for i in range(5)], log=log)
