@@ -98,14 +98,6 @@ def _sums_differ(node_id, used, sums, share, share_sums):
                           "(%d cpus, %d MB, %d GB)" % ((node_id, share) + share_sums))
 
 
-def _headroom(node: NodeRecord) -> tuple:
-    """Overflow order of NodePool.assign: capacity minus used per component,
-    compared as a tuple, then the node id, so the larger id wins a tie."""
-    capacity, used = node.capacity, node.used
-    return ((capacity.cpus - used.cpus, capacity.mem_mb - used.mem_mb,
-             capacity.disk_gb - used.disk_gb), node.node_id)
-
-
 class NodePool:
     """Physical nodes of one site, with exact per-node occupancy accounting.
 
@@ -124,19 +116,19 @@ class NodePool:
     - _idle: idle node id -> idle_since (see is_idle).
 
     So cloud_capacity() and cloud_free() are O(1), and so are the int
-    readers free_space(), reclaimable_space(), booting_space(),
-    potential_free() and cloud_counts(), which return plain int tuples for
-    the dispatch, elasticity and audit arithmetic.  free_space() is the one
-    clamp of pooled free space; cloud_free(), potential_free() and
-    conserves() read it.
-    The node set is fixed at construction, so the pool keeps its nodes in id
-    order once (_order, never written) and assign walks that tuple instead
-    of sorting the nodes on every start.
+    readers free_space(), booting_space(), potential_free() and
+    cloud_counts(), which return plain int tuples for the placement,
+    elasticity and audit arithmetic.
+    assign places an instance on the node the scheduler names only if it
+    fits, so no node is ever over its capacity.  The node set is fixed at
+    construction, so the pool keeps its nodes in id order once (order, never
+    written), which the scheduler walks instead of sorting them per probe.
     audit(running) walks the nodes once: it checks each node's instance set,
-    used and preemptible_used against the site's running instances and
-    recomputes every counter from the nodes to cross-check it.  It costs
-    constant work per node plus one pass per running instance, and builds no
-    dict beyond the group sums it returns unless a check fails.
+    used and preemptible_used against the site's running instances and its
+    instance sums against its capacity, and recomputes every counter from
+    the nodes to cross-check it.  It costs constant work per node plus one
+    pass per running instance, and builds no dict beyond the group sums it
+    returns unless a check fails.
     SiteScheduler.audit calls it and checks the rest of the site from what
     it returns.
 
@@ -168,7 +160,7 @@ class NodePool:
             self._emit(t, "site_node", node=node.node_id, cpus=capacity.cpus,
                        mem_mb=capacity.mem_mb, disk_gb=capacity.disk_gb,
                        power=node.power, role=node.role)
-        self._order = tuple(node for _node_id, node in sorted(self.nodes.items()))
+        self.order = tuple(node for _node_id, node in sorted(self.nodes.items()))
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -233,24 +225,14 @@ class NodePool:
         return unchecked(row[0], row[1], row[2])
 
     def free_space(self) -> tuple[int, int, int]:
-        """Cloud capacity minus cloud use as (cpus, mem_mb, disk_gb), each
-        component clamped at zero."""
-        # The clamp is written out: max() would cost a call per component,
-        # and this runs on every dispatch probe and in every site audit.
+        """Cloud capacity minus cloud use as (cpus, mem_mb, disk_gb)."""
         c0, c1, c2, _count = self._cloud[POWER_ON]
         u0, u1, u2 = self._cloud_used
-        return (c0 - u0 if c0 > u0 else 0, c1 - u1 if c1 > u1 else 0,
-                c2 - u2 if c2 > u2 else 0)
+        return c0 - u0, c1 - u1, c2 - u2
 
     def cloud_free(self) -> ResourceVector:
         """free_space() as a vector."""
         return unchecked(*self.free_space())
-
-    def reclaimable_space(self) -> tuple[int, int, int]:
-        """What the preemptible instances on powered-on cloud nodes hold, as
-        (cpus, mem_mb, disk_gb)."""
-        held = self._cloud_reclaimable
-        return held[0], held[1], held[2]
 
     def booting_space(self) -> tuple[int, int, int]:
         """The capacity of the booting cloud nodes as (cpus, mem_mb, disk_gb)."""
@@ -291,31 +273,33 @@ class NodePool:
     def next_idle_due(self, t: int, t_idle_s: int) -> int | None:
         """The first time after t at which an idle node has been idle t_idle_s,
         None when there is none; a node that came due by t and stayed on
-        (floor, ceiling or pooled guard) is looked past."""
+        (floor or ceiling) is looked past."""
         return min((since + t_idle_s for since in self._idle.values()
                     if since + t_idle_s > t), default=None)
 
     def audit(self, running) -> tuple[list[int], int, dict[str, list[int]]]:
         """Recompute every counter and the pool partition from the nodes and
         check each node's instance set against running, the site's running
-        instances by request id, both ways, and its used and preemptible_used
-        against their sums, all in one walk.
+        instances by request id, both ways, its used and preemptible_used
+        against their sums and those sums against its capacity, all in one
+        walk.
 
-        Raises ElasticityError when a check fails, a busy node is not powered
-        on, a power state is unknown, a powered node is in none of the batch,
-        cloud and draining pools or a counter differs from its recount.  Each
-        node's checks run in turn; running instances on no node and the
-        counters are checked after the walk.
+        Raises ElasticityError when a check fails, a node is over its
+        capacity, a busy node is not powered on, a power state is unknown, a
+        powered node is in none of the batch, cloud and draining pools or a
+        counter differs from its recount.  Each node's checks run in turn;
+        running instances on no node and the counters are checked after the
+        walk.
         Returns the recounted cloud use, the number of running preemptibles
         and each request group's [cpus, mem_mb, disk_gb] sums.
 
         Each node costs only the reads its checks need: a node with no
         instances has zero sums, so its used and preemptible_used are checked
-        against zero; the counters are recounted into int locals and compared
-        entry by entry; each idle node is looked up in _idle and the sizes
-        compared, which is dict equality since an idle node's idle_since is
-        never None.  The counted and recounted dicts are built only for the
-        message of a failed check.
+        against zero and its capacity needs no check; the counters are
+        recounted into int locals and compared entry by entry; each idle node
+        is looked up in _idle and the sizes compared, which is dict equality
+        since an idle node's idle_since is never None.  The counted and
+        recounted dicts are built only for the message of a failed check.
         """
         on_cpus = on_mem = on_disk = on_count = 0
         boot_cpus = boot_mem = boot_disk = boot_count = 0
@@ -330,7 +314,7 @@ class NodePool:
         held = preemptibles = 0
         for node_id, node in self.nodes.items():
             instances, power, role = node.instances, node.power, node.role
-            node_used, share = node.used, node.preemptible_used
+            node_used, share, capacity = node.used, node.preemptible_used, node.capacity
             if instances:
                 node_cpus = node_mem = node_disk = 0
                 share_cpus = share_mem = share_disk = 0
@@ -363,12 +347,16 @@ class NodePool:
                         or share.mem_mb != share_mem or share.disk_gb != share_disk):
                     _sums_differ(node_id, node_used, (node_cpus, node_mem, node_disk),
                                  share, (share_cpus, share_mem, share_disk))
+                if (node_cpus > capacity.cpus or node_mem > capacity.mem_mb
+                        or node_disk > capacity.disk_gb):
+                    raise ElasticityError("node %s over capacity: instances hold (%d cpus, "
+                                          "%d MB, %d GB) of %s" % (
+                                              node_id, node_cpus, node_mem, node_disk, capacity))
             elif (node_used.cpus or node_used.mem_mb or node_used.disk_gb
                   or share.cpus or share.mem_mb or share.disk_gb):
                 _sums_differ(node_id, node_used, (0, 0, 0), share, (0, 0, 0))
             if power == POWER_ON:
                 if role == ROLE_CLOUD:
-                    capacity = node.capacity
                     on_cpus += capacity.cpus
                     on_mem += capacity.mem_mb
                     on_disk += capacity.disk_gb
@@ -392,14 +380,12 @@ class NodePool:
                 raise ElasticityError("node %s busy while %s" % (node_id, power))
             if power == POWER_OFF:
                 if role == ROLE_CLOUD:
-                    capacity = node.capacity
                     off_cpus += capacity.cpus
                     off_mem += capacity.mem_mb
                     off_disk += capacity.disk_gb
                     off_count += 1
             elif power == POWER_BOOTING:
                 if role == ROLE_CLOUD:
-                    capacity = node.capacity
                     boot_cpus += capacity.cpus
                     boot_mem += capacity.mem_mb
                     boot_disk += capacity.disk_gb
@@ -437,34 +423,18 @@ class NodePool:
         return [used_cpus, used_mem, used_disk], preemptibles, by_group
 
     def assign(self, request_id: str, resources: ResourceVector, t: int,
-               preemptible: bool = False) -> str:
-        """Place an instance on a schedulable node.
-
-        First fit by node id: the walk goes over the fixed id order and tests
-        each schedulable node's capacity minus used as ints.  Admission is
-        decided against pooled capacity by the scheduler, so when
-        fragmentation leaves no single node with room the node with the
-        most headroom absorbs the overflow (_headroom).  A preemptible
-        instance also counts in the node's preemptible_used.
-        """
-        cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
-        for node in self._order:
-            if node.power == POWER_ON and node.role == ROLE_CLOUD:  # is_schedulable
-                capacity, used = node.capacity, node.used
-                if (cpus <= capacity.cpus - used.cpus and mem_mb <= capacity.mem_mb - used.mem_mb
-                        and disk_gb <= capacity.disk_gb - used.disk_gb):
-                    chosen = node
-                    break
-        else:
-            schedulable = [node for node in self._order if self.is_schedulable(node)]
-            if not schedulable:
-                raise ElasticityError("no schedulable node available")
-            chosen = max(schedulable, key=_headroom)
-        chosen.instances.add(request_id)
-        share = chosen.preemptible_used + resources if preemptible else None
-        self._update(chosen, used=chosen.used + resources, preemptible_used=share,
-                     idle_since=None)
-        return chosen.node_id
+               preemptible: bool, node_id: str):
+        """Place an instance on node_id, the node the scheduler chose
+        (SiteScheduler._startable); raises when that node is not schedulable
+        or its capacity minus used does not fit the instance.  A preemptible
+        instance also counts in the node's preemptible_used."""
+        node = self.node(node_id)
+        used = node.used + resources
+        if not (self.is_schedulable(node) and used.fits(node.capacity)):
+            raise ElasticityError("instance %s does not fit node %s" % (request_id, node_id))
+        node.instances.add(request_id)
+        share = node.preemptible_used + resources if preemptible else None
+        self._update(node, used=used, preemptible_used=share, idle_since=None)
 
     def unassign(self, request_id: str, resources: ResourceVector, node_id: str,
                  t: int, preemptible: bool = False):
@@ -577,7 +547,7 @@ class ElasticityManager:
         ceiling = min(ceiling, cloud_total)
         return min(floor, ceiling), ceiling
 
-    def reconcile(self, pool: NodePool, queued_demand: ResourceVector,
+    def reconcile(self, pool: NodePool, queued_demand: tuple[int, int, int],
                   t: int) -> list[Action]:
         """Plan power actions; pure with respect to the pool snapshot.
 
@@ -590,8 +560,8 @@ class ElasticityManager:
         plan is its own fixpoint: applied to the pool, a second call at t
         plans nothing.  The power-on step sorts its candidates only when it
         can act; the power-off step looks at every idle node, so a call costs
-        O(idle nodes) when nothing is due.  The demand left uncovered and the
-        free guard are int triples read from the pool's counters.
+        O(idle nodes) when nothing is due.  The queued demand and the demand
+        left uncovered are (cpus, mem_mb, disk_gb) int triples.
         """
         cloud_total, powered, off = pool.cloud_counts()
         min_n, max_n = self._bounds(cloud_total)
@@ -600,10 +570,11 @@ class ElasticityManager:
         # The demand that booting and planned capacity leave uncovered.  It
         # is not clamped at zero: capacities are never negative, so a
         # component at or below zero stays covered, as with a clamp.
+        queued_cpus, queued_mem, queued_disk = queued_demand
         boot_cpus, boot_mem, boot_disk = pool.booting_space()
-        need_cpus = queued_demand.cpus - boot_cpus
-        need_mem = queued_demand.mem_mb - boot_mem
-        need_disk = queued_demand.disk_gb - boot_disk
+        need_cpus = queued_cpus - boot_cpus
+        need_mem = queued_mem - boot_mem
+        need_disk = queued_disk - boot_disk
         uncovered = need_cpus > 0 or need_mem > 0 or need_disk > 0
         if off and powered < max_n and (powered < min_n or uncovered):
             off_nodes = sorted(
@@ -626,21 +597,9 @@ class ElasticityManager:
 
         stop = max_n if uncovered else min_n
         if powered > stop:
-            t_idle = self.policy.t_idle_s
-            free_cpus, free_mem, free_disk = pool.free_space()
             idle_victims = sorted(
-                (n for n in pool.idle_nodes() if t - n.idle_since >= t_idle),
+                (n for n in pool.idle_nodes() if t - n.idle_since >= self.policy.t_idle_s),
                 key=lambda n: n.node_id, reverse=True)
-            for node in idle_victims:
-                if powered <= stop:
-                    break
-                capacity = node.capacity
-                if (capacity.cpus > free_cpus or capacity.mem_mb > free_mem
-                        or capacity.disk_gb > free_disk):
-                    continue  # pooled accounting says this capacity is still spoken for
-                actions.append(Action(ACTION_POWER_OFF, node.node_id))
-                powered -= 1
-                free_cpus -= capacity.cpus
-                free_mem -= capacity.mem_mb
-                free_disk -= capacity.disk_gb
+            actions += [Action(ACTION_POWER_OFF, node.node_id)
+                        for node in idle_victims[:powered - stop]]
         return actions

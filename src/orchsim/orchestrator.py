@@ -165,6 +165,12 @@ class ParsedTemplate:
     demand: tuple[int, int, int]  # aggregate_demand as (cpus, mem_mb, disk_gb)
     datasets: tuple[str, ...]     # the nodes' input datasets, sorted, no repeats
     order: tuple[str, ...]        # topological_order: the submit order
+    hosts: frozenset[str]  # the sites where each instance it submits fits one node
+
+
+def _instance_count(node) -> int:
+    """How many instances a template node submits to its site."""
+    return node.min_workers if node.kind == KIND_ELASTIC_CLUSTER else 1
 
 
 class Orchestrator:
@@ -176,7 +182,8 @@ class Orchestrator:
     depends on:
 
     - per template text: the parse, its aggregate demand, its sorted input
-      datasets and its topological order (ParsedTemplate);
+      datasets, its topological order and the sites where each of its
+      instances fits one node, as a site's node set is fixed (ParsedTemplate);
     - per token group set: the sites where one of the groups holds an SLA,
       with the best such SLA;
     - per candidate set: the ranked site list, keyed by group set, datasets,
@@ -286,12 +293,18 @@ class Orchestrator:
         if parsed is None:
             template = parse_template(template_text)
             demand = aggregate_demand(template)
+            sizes = {node.resources for node in template.nodes.values()
+                     if node.resources is not None and not node.resources.is_zero()
+                     and _instance_count(node)}
             parsed = self._templates[template_text] = ParsedTemplate(
                 template=template,
                 demand=(demand.cpus, demand.mem_mb, demand.disk_gb),
                 datasets=tuple(sorted({d for node in template.nodes.values()
                                        for d in node.input_datasets})),
-                order=tuple(topological_order(template)))
+                order=tuple(topological_order(template)),
+                hosts=frozenset(site_id for site_id, site in self.sites.items() if all(
+                    any(size.fits(node.capacity) for node in site.pool.order)
+                    for size in sizes)))
         return parsed
 
     def place(self, record: DeploymentRecord, parsed: ParsedTemplate,
@@ -300,10 +313,12 @@ class Orchestrator:
         """Rank eligible sites for the record; freezes the list on the record.
 
         A site is eligible when one of the token's groups holds an SLA there,
-        the token may use it and the template's demand fits its potential
-        free capacity.  The SLA-holding sites come from the group set's cache
-        and the ranking from the candidate set's; the permit and capacity
-        checks run on every create.
+        the token may use it, each of the template's instances fits one of
+        its nodes (an instance larger than every node would wait forever) and
+        the template's demand fits its potential free capacity.  The
+        SLA-holding sites come from the group set's cache, the node fit from
+        the template's and the ranking from the candidate set's; the permit
+        and capacity checks run on every create.
         """
         cpus, mem_mb, disk_gb = parsed.demand
         candidates = []  # (site id, site, best SLA)
@@ -311,7 +326,8 @@ class Orchestrator:
             if not self.iam.authorize(token, site_id):
                 continue
             free = site.pool.potential_free()
-            if cpus <= free[0] and mem_mb <= free[1] and disk_gb <= free[2]:
+            if (site_id in parsed.hosts and cpus <= free[0] and mem_mb <= free[1]
+                    and disk_gb <= free[2]):
                 candidates.append((site_id, site, sla))
         if not candidates:
             return ()
@@ -367,7 +383,7 @@ class Orchestrator:
         template = record.template
         for node_name in order:
             node = template.nodes[node_name]
-            count = node.min_workers if node.kind == KIND_ELASTIC_CLUSTER else 1
+            count = _instance_count(node)
             duration = None
             if node.kind == KIND_JOB:
                 duration = (job_duration_s if job_duration_s is not None

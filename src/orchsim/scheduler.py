@@ -1,6 +1,8 @@
 """Per-site admission, fair-share queueing and preemption.
 
-Capacity is pooled over the site's schedulable nodes.  Queued requests are
+Capacity is per node: a request starts on one schedulable node whose
+capacity minus used fits it, first by node id, or else on the one node where
+terminating preemptible instances makes room for it.  Queued requests are
 ordered by a fair-share priority w / (1 + U) where U is the user's
 exponentially decayed historical cpu-seconds; among equal priorities FIFO by
 arrival, then request id.  Normal requests may terminate preemptible
@@ -20,8 +22,10 @@ from .elasticity import POWER_ON, ROLE_CLOUD, ElasticityError, NodePool
 from .errors import DomainError
 from .resources import ResourceVector, add_into, unchecked
 
-# Above this many eligible victims the exact minimal-set search switches to a
-# greedy cover with redundancy elimination; desk-scale sites stay well below.
+# Above this many eligible victims on one node the exact minimal-set search
+# on that node switches to a greedy cover with redundancy elimination, so a
+# victim set is irredundant, not minimal, above 16 victims on one node;
+# desk-scale nodes stay well below.
 _EXACT_VICTIM_LIMIT = 16
 
 DECISION_STARTED = "started"
@@ -99,18 +103,6 @@ def _victim_key(instance: RunningInstance) -> tuple:
     return (instance.request.bid, -instance.start_time, instance.request_id)
 
 
-def _reclaimable(instances, pool: NodePool) -> list:
-    """The instances a normal request may displace: preemptibles on
-    schedulable nodes (on and in the cloud role, NodePool.is_schedulable,
-    tested inline).  Instances on draining nodes are left out because
-    terminating them frees capacity outside the cloud pool."""
-    nodes = pool.nodes
-    return [instance for instance in instances
-            if instance.request.bid is not None
-            and (node := nodes[instance.node_id]).power == POWER_ON
-            and node.role == ROLE_CLOUD]
-
-
 class UsageLedger:
     """Per-user decayed usage (cpu-seconds) and static weights.
 
@@ -145,7 +137,7 @@ class UsageLedger:
 
 
 class SiteScheduler:
-    """Single-writer scheduler for one site's pooled cloud capacity."""
+    """Single-writer scheduler for one site's cloud nodes."""
 
     def __init__(self, site_id: str, pool: NodePool, *,
                  half_life_s: float = 3600.0,
@@ -173,8 +165,8 @@ class SiteScheduler:
 
     # -- queue ------------------------------------------------------------
 
-    def queued_demand(self) -> ResourceVector:
-        return unchecked(*self._queued)
+    def queued_demand(self) -> tuple[int, int, int]:
+        return tuple(self._queued)
 
     def _pool_written(self):
         """NodePool.mark: a pool write can make any shape startable, so the
@@ -257,54 +249,82 @@ class SiteScheduler:
     # -- preemption -------------------------------------------------------
 
     def _eligible_victims(self, request: InstanceRequest) -> list[RunningInstance]:
-        """Running preemptibles on schedulable nodes this request may displace,
-        in victim preference order: the prefix of the victim order with bids
-        strictly below its own for a preemptible request, all of it for a
-        normal one."""
+        """Running preemptibles this request may displace, in victim
+        preference order: the prefix of the victim order with bids strictly
+        below its own for a preemptible request, all of it for a normal one."""
         victims = self._victims
         if request.is_preemptible:
             victims = victims[:bisect.bisect_left(victims, (request.bid,))]
-        return _reclaimable(map(operator.itemgetter(-1), victims), self.pool)
+        return list(map(operator.itemgetter(-1), victims))
 
     def select_victims(self, request: InstanceRequest) -> list[RunningInstance]:
-        """Pick a minimal set of preemptible instances freeing room for request.
+        """Pick a minimal set of preemptible instances on one node whose
+        termination makes room for request there.
 
-        Empty when free capacity already fits.  Among minimum-cardinality
-        feasible sets, prefers lower bids, then younger instances, then ids.
-        Raises InfeasiblePreemptionError when no eligible set is enough.
-
-        The search is int arithmetic throughout and builds no ResourceVector:
-        the deficit is the request less the pool's free_space(), per
-        component, and a set is feasible when its summed cpus, mem_mb and
-        disk_gb each reach the deficit.  Up to _EXACT_VICTIM_LIMIT eligible
-        victims the sets are tried by size, each size in preference order,
-        and a size whose largest possible sums fall short is skipped; above
-        it, _greedy_victims.
+        Empty when a schedulable node's capacity minus used already fits it.
+        Each schedulable node, in id order, is searched against its own free
+        space with the eligible victims on it (_node_victims); the best set
+        wins by cardinality, then by its victims' keys in preference order
+        (lower bids, then younger instances, then ids), and as two nodes'
+        sets hold different victims the node id never has to decide.
+        Instances on draining nodes are never taken: terminating them frees
+        capacity outside the cloud pool.  Raises InfeasiblePreemptionError
+        when no node has a set that is enough.
         """
         resources = request.resources
-        free_cpus, free_mem, free_disk = self.pool.free_space()
-        # Not clamped at zero: victims free no negative room, so a component
-        # at or below zero is met by every set, as with a clamp.
-        need_cpus = resources.cpus - free_cpus
-        need_mem = resources.mem_mb - free_mem
-        need_disk = resources.disk_gb - free_disk
-        if need_cpus <= 0 and need_mem <= 0 and need_disk <= 0:
-            return []
-        eligible = self._eligible_victims(request)
+        cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
+        by_node: dict[str, list[RunningInstance]] = {}
+        for instance in self._eligible_victims(request):
+            by_node.setdefault(instance.node_id, []).append(instance)
+        best = None  # (cardinality, victim keys), victims
+        for node in self.pool.order:
+            if node.power != POWER_ON or node.role != ROLE_CLOUD:  # is_schedulable
+                continue
+            capacity, used, share = node.capacity, node.used, node.preemptible_used
+            # Not clamped at zero: victims free no negative room, so a
+            # component at or below zero is met by every set, as with a clamp.
+            need = (cpus - capacity.cpus + used.cpus, mem_mb - capacity.mem_mb + used.mem_mb,
+                    disk_gb - capacity.disk_gb + used.disk_gb)
+            if need[0] <= 0 and need[1] <= 0 and need[2] <= 0:
+                return []
+            if need[0] > share.cpus or need[1] > share.mem_mb or need[2] > share.disk_gb:
+                continue  # all the node's preemptibles together free too little
+            on_node = by_node.get(node.node_id)
+            victims = self._node_victims(on_node, need) if on_node else None
+            if victims is not None:
+                rank = len(victims), [_victim_key(victim) for victim in victims]
+                if best is None or rank < best[0]:
+                    best = rank, victims
+        if best is None:
+            raise InfeasiblePreemptionError(
+                "no victim set can free enough capacity for %s" % request.request_id)
+        return best[1]
+
+    def _node_victims(self, eligible, need) -> list[RunningInstance] | None:
+        """The victims to take among eligible, one node's in preference
+        order, to meet its deficit need as (cpus, mem_mb, disk_gb), or None
+        when all of them do not.  Int arithmetic, with no ResourceVector
+        built: a set is feasible when its summed cpus, mem_mb and disk_gb each
+        reach need.  Up to _EXACT_VICTIM_LIMIT victims the sets are tried by
+        size, each size in preference order, skipping a size whose largest
+        possible sums fall short; above it, _greedy_victims.
+        """
+        need_cpus, need_mem, need_disk = need
         sizes = [instance.request.resources for instance in eligible]
         cpus = [size.cpus for size in sizes]
         mem_mb = [size.mem_mb for size in sizes]
         disk_gb = [size.disk_gb for size in sizes]
         freed = sum(cpus), sum(mem_mb), sum(disk_gb)
         if freed[0] < need_cpus or freed[1] < need_mem or freed[2] < need_disk:
-            raise InfeasiblePreemptionError(
-                "no victim set can free enough capacity for %s" % request.request_id)
-
+            return None
         if len(eligible) > _EXACT_VICTIM_LIMIT:
-            return self._greedy_victims(eligible, freed, (need_cpus, need_mem, need_disk))
+            return self._greedy_victims(eligible, freed, need)
 
         combinations = itertools.combinations
-        top_cpus, top_mem_mb, top_disk_gb = self._top_sums(cpus, mem_mb, disk_gb)
+        # Entry k - 1 sums the k largest contributions of a component: what no
+        # k-subset of the victims can free more than.
+        top_cpus, top_mem_mb, top_disk_gb = (list(itertools.accumulate(sorted(
+            component, reverse=True))) for component in (cpus, mem_mb, disk_gb))
         for k in range(1, len(eligible) + 1):
             if (top_cpus[k - 1] < need_cpus or top_mem_mb[k - 1] < need_mem
                     or top_disk_gb[k - 1] < need_disk):
@@ -316,13 +336,6 @@ class SiteScheduler:
                         and sum(combo_disk) >= need_disk):
                     return list(combo)
         raise InfeasiblePreemptionError("unreachable: feasibility pre-check passed")
-
-    @staticmethod
-    def _top_sums(*components) -> list[list[int]]:
-        """Per component list, entry k - 1 sums the k largest contributions:
-        what no k-subset of the victims can free more than."""
-        return [list(itertools.accumulate(sorted(component, reverse=True)))
-                for component in components]
 
     @staticmethod
     def _greedy_victims(eligible, freed, need) -> list[RunningInstance]:
@@ -368,9 +381,9 @@ class SiteScheduler:
 
     # -- dispatch ---------------------------------------------------------
 
-    def _start(self, request: InstanceRequest, t: int) -> RunningInstance:
-        node_id = self.pool.assign(request.request_id, request.resources, t,
-                                   request.is_preemptible)
+    def _start(self, request: InstanceRequest, t: int, node_id: str) -> RunningInstance:
+        self.pool.assign(request.request_id, request.resources, t, request.is_preemptible,
+                         node_id)
         instance = RunningInstance(request=request, start_time=t, node_id=node_id)
         self.running[request.request_id] = instance
         if request.is_preemptible:
@@ -386,25 +399,30 @@ class SiteScheduler:
                    bid=request.bid, waited_s=t - request.arrival_time)
         return instance
 
-    def _startable(self, request: InstanceRequest) -> list[RunningInstance] | None:
-        """The victims to preempt so the request can start now ([] when free
-        space fits it), or None when it cannot start.
+    def _startable(self, request: InstanceRequest) -> tuple[str, list] | None:
+        """(node id, victims to preempt there) for the request to start now,
+        or None when it cannot: after the quota, first fit by node id on each
+        schedulable node's capacity minus used, else select_victims's node.
 
         Only the request's shape and the pool state decide this: the quota
-        and group_running, the pool's free space and the victim order move
-        with pool writes only, and neither the time nor the queue is read.
+        and group_running, the nodes' used and the victim order move with
+        pool writes only, and neither the time nor the queue is read.
         """
         if not self.quota_allows(request):
             return None
         resources = request.resources
-        free_cpus, free_mem, free_disk = self.pool.free_space()
-        if (resources.cpus <= free_cpus and resources.mem_mb <= free_mem
-                and resources.disk_gb <= free_disk):
-            return []
+        cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
+        for node in self.pool.order:
+            if node.power == POWER_ON and node.role == ROLE_CLOUD:  # is_schedulable
+                capacity, used = node.capacity, node.used
+                if (cpus <= capacity.cpus - used.cpus and mem_mb <= capacity.mem_mb - used.mem_mb
+                        and disk_gb <= capacity.disk_gb - used.disk_gb):
+                    return node.node_id, []
         try:
-            return self.select_victims(request)
+            victims = self.select_victims(request)
         except InfeasiblePreemptionError:
             return None
+        return victims[0].node_id, victims
 
     def dispatch(self, t: int) -> list[RunningInstance]:
         """Start queued work, highest fair-share priority first.
@@ -437,16 +455,17 @@ class SiteScheduler:
                 shape = request.shape
                 if shape in unstartable:
                     continue
-                victims = self._startable(request)
-                if victims is not None:
+                startable = self._startable(request)
+                if startable is not None:
                     break
                 unstartable.add(shape)
             else:
                 break
+            node_id, victims = startable
             for victim in victims:
                 self._preempt(victim, t, by=request.request_id)
             self._dequeue(position)
-            started.append(self._start(request, t))
+            started.append(self._start(request, t, node_id))
             if victims:
                 queue.sort(key=self._queue_key(t))
         return started
@@ -492,21 +511,24 @@ class SiteScheduler:
         Integer sums throughout, with no vector built unless a check fails.
         The pool's audit walks the nodes once: each node's instance set
         against running, both ways, its used and preemptible_used against
-        its instances, the pool's counters, the partition and no busy node
-        powered down.  It returns the running use on cloud nodes, the
-        running preemptibles and each group's sums, and this audit checks the
-        rest from them without walking the nodes again: the victim order,
-        pooled conservation, the queued-demand counter and each group's
-        running counter and quota.  Last comes preemption soundness: with
-        backfill on and the site not failed, no normal request the quota lets
-        run may sit queued while free plus reclaimable space fits it.  The
-        unstartable shapes are a cache of _startable, not a counter, so they
+        its instances, its instance sums against its capacity, the pool's
+        counters, the partition and no busy node powered down.  It returns
+        the running use on cloud nodes, the running preemptibles and each
+        group's sums, and this audit checks the rest from them: the victim
+        order, pooled conservation, the queued-demand counter and each
+        group's running counter and quota.  Last comes preemption soundness,
+        per node: with backfill on and the site not failed, no normal request
+        the quota lets run may sit queued while it fits the capacity minus
+        used plus preemptible_used of a schedulable node.  The unstartable
+        shapes are a cache of _startable, not a counter, so they
         are not re-probed here.
 
         Cost: the pool's walk is constant work per node plus one pass per
         running instance; this audit adds one pass over the victim order, the
-        queue and the group counters, and builds no dict unless a check
-        fails.
+        queue and the group counters, and, only when a normal request the
+        quota lets run is queued, one list of the schedulable nodes' rooms
+        that each such request is held against.  It builds no dict unless a
+        check fails.
         """
         running = self.running
         try:
@@ -539,7 +561,7 @@ class SiteScheduler:
                 % (t, free, cpus, mem_mb, disk_gb, capacity))
         queued = [0, 0, 0]
         check_soundness = self.backfill and not failed
-        room = unsound = None
+        rooms = unsound = None
         for request in self.queue:
             resources = request.resources
             queued[0] += resources.cpus
@@ -547,11 +569,13 @@ class SiteScheduler:
             queued[2] += resources.disk_gb
             if (check_soundness and unsound is None and request.bid is None
                     and self.quota_allows(request)):
-                if room is None:
-                    free, held = self.pool.free_space(), self.pool.reclaimable_space()
-                    room = free[0] + held[0], free[1] + held[1], free[2] + held[2]
-                if (resources.cpus <= room[0] and resources.mem_mb <= room[1]
-                        and resources.disk_gb <= room[2]):
+                if rooms is None:  # capacity - used + preemptible_used per schedulable node
+                    rooms = [(n.capacity.cpus - n.used.cpus + n.preemptible_used.cpus,
+                              n.capacity.mem_mb - n.used.mem_mb + n.preemptible_used.mem_mb,
+                              n.capacity.disk_gb - n.used.disk_gb + n.preemptible_used.disk_gb)
+                             for n in self.pool.order if self.pool.is_schedulable(n)]
+                if any(resources.cpus <= room[0] and resources.mem_mb <= room[1]
+                       and resources.disk_gb <= room[2] for room in rooms):
                     unsound = request
         if queued != self._queued:
             raise SchedulerError("queued demand counter %s differs from the queue sum %s"

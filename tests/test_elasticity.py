@@ -43,14 +43,14 @@ def test_reconcile_no_demand_no_eligible_idlers():
     manager = ElasticityManager(ElasticPolicy(t_idle_s=300))
     for node in pool.nodes.values():
         node.idle_since = 100
-    assert manager.reconcile(pool, rv(), t=150) == []
+    assert manager.reconcile(pool, (0, 0, 0), t=150) == []
 
 
 def test_reconcile_powers_on_ceiling_of_demand():
     pool = worker_pool(8)
     manager = ElasticityManager(ElasticPolicy(max_nodes=8))
     demand = rv(3, 3072, 30)
-    actions = manager.reconcile(pool, demand, t=0)
+    actions = manager.reconcile(pool, triple(demand), t=0)
     # oracle: uniform nodes, so the count is the max componentwise ceiling
     per = rv(1, 1024, 10)
     expected = max(math.ceil(demand.cpus / per.cpus),
@@ -65,14 +65,14 @@ def test_reconcile_counts_booting_nodes_as_coverage():
     pool = worker_pool(4)
     pool.power_on("w1", t=0, boot_delay_s=30)
     manager = ElasticityManager(ElasticPolicy(max_nodes=4))
-    actions = manager.reconcile(pool, rv(2, 2048, 20), t=5)
+    actions = manager.reconcile(pool, (2, 2048, 20), t=5)
     assert [a.node_id for a in actions] == ["w2"]
 
 
 def test_reconcile_respects_max_nodes():
     pool = worker_pool(8)
     manager = ElasticityManager(ElasticPolicy(max_nodes=2))
-    actions = manager.reconcile(pool, rv(5, 5120, 50), t=0)
+    actions = manager.reconcile(pool, (5, 5120, 50), t=0)
     assert len(actions) == 2
 
 
@@ -81,7 +81,7 @@ def test_reconcile_powers_off_lexicographically_last_idler():
     manager = ElasticityManager(ElasticPolicy(t_idle_s=100, min_nodes=1))
     for node in pool.nodes.values():
         node.idle_since = 0
-    actions = manager.reconcile(pool, rv(), t=200)
+    actions = manager.reconcile(pool, (0, 0, 0), t=200)
     assert actions == [type(actions[0])(ACTION_POWER_OFF, "w2")]
 
 
@@ -90,7 +90,7 @@ def test_reconcile_keeps_min_nodes_on():
     manager = ElasticityManager(ElasticPolicy(t_idle_s=10, min_nodes=2))
     for node in pool.nodes.values():
         node.idle_since = 0
-    actions = manager.reconcile(pool, rv(), t=1000)
+    actions = manager.reconcile(pool, (0, 0, 0), t=1000)
     assert [a.node_id for a in actions] == ["w3"]
 
 
@@ -99,7 +99,7 @@ def test_reconcile_never_issues_both_actions_for_one_node():
     pool.nodes["w1"].power = "on"
     pool.nodes["w1"].idle_since = 0
     manager = ElasticityManager(ElasticPolicy(t_idle_s=50, min_nodes=0, max_nodes=4))
-    actions = manager.reconcile(pool, rv(2, 2048, 20), t=500)
+    actions = manager.reconcile(pool, (2, 2048, 20), t=500)
     seen = [a.node_id for a in actions]
     assert len(seen) == len(set(seen))
 
@@ -110,17 +110,17 @@ def test_reconcile_registered_floor_raises_min():
     manager.register_floor("dep-1/cluster", 2)
     for node in pool.nodes.values():
         node.idle_since = 0
-    actions = manager.reconcile(pool, rv(), t=1000)
+    actions = manager.reconcile(pool, (0, 0, 0), t=1000)
     assert [a.node_id for a in actions] == ["w3"]
     manager.deregister_floor("dep-1/cluster")
-    actions = manager.reconcile(pool, rv(), t=1000)
+    actions = manager.reconcile(pool, (0, 0, 0), t=1000)
     assert len(actions) == 3
 
 
 def test_reconcile_powers_on_to_reach_floor_without_demand():
     pool = worker_pool(4)
     manager = ElasticityManager(ElasticPolicy(min_nodes=2, max_nodes=4))
-    actions = manager.reconcile(pool, rv(), t=0)
+    actions = manager.reconcile(pool, (0, 0, 0), t=0)
     assert [(a.kind, a.node_id) for a in actions] == [
         (ACTION_POWER_ON, "w1"), (ACTION_POWER_ON, "w2")]
 
@@ -131,15 +131,15 @@ def test_reconcile_heterogeneous_largest_first():
         NodeRecord(node_id="big", capacity=rv(4, 4096, 40), power="off"),
     ])
     manager = ElasticityManager(ElasticPolicy(max_nodes=2))
-    actions = manager.reconcile(pool, rv(3, 1024, 10), t=0)
+    actions = manager.reconcile(pool, (3, 1024, 10), t=0)
     assert [a.node_id for a in actions] == ["big"]
 
 
 def test_reconcile_is_deterministic():
     pool = worker_pool(5)
     manager = ElasticityManager(ElasticPolicy(max_nodes=5))
-    first = manager.reconcile(pool, rv(2, 2048, 20), t=0)
-    second = manager.reconcile(pool, rv(2, 2048, 20), t=0)
+    first = manager.reconcile(pool, (2, 2048, 20), t=0)
+    second = manager.reconcile(pool, (2, 2048, 20), t=0)
     assert first == second
 
 
@@ -181,7 +181,7 @@ def test_pool_logs_each_node_at_construction():
 
 def test_never_power_off_busy_node():
     pool = worker_pool(1, power="on")
-    pool.assign("r1", rv(1, 512, 5), t=0)
+    pool.assign("r1", rv(1, 512, 5), 0, False, "w1")
     with pytest.raises(ElasticityError):
         pool.power_off("w1", t=0)
 
@@ -264,31 +264,20 @@ def test_draining_node_receives_no_new_work():
     assert decision.instance.node_id == "n2"
 
 
-def _signed_headroom(node):
-    return (node.capacity.cpus - node.used.cpus, node.capacity.mem_mb - node.used.mem_mb,
-            node.capacity.disk_gb - node.used.disk_gb)
+def _fits_on(pool, resources, node_id):
+    """Whether assign may place resources on node_id: the node is on and in
+    the cloud pool, and its capacity holds its used plus resources."""
+    node = pool.nodes[node_id]
+    return (node.power == "on" and node.role == "cloud"
+            and (node.used + resources).fits(node.capacity))
 
 
-def _reference_assign(pool, resources):
-    """The node NodePool.assign picks, by the rule it had before the fixed
-    node order: sort the schedulable nodes by id on every call, first fit
-    with vector arithmetic, else the most headroom with max, id last."""
-    nodes = [n for nid, n in sorted(pool.nodes.items())
-             if n.power == "on" and n.role == "cloud"]
-    if not nodes:
-        raise ElasticityError("no schedulable node available")
-    for node in nodes:
-        if (node.used + resources).fits(node.capacity):
-            return node.node_id
-    return max(nodes, key=lambda n: (_signed_headroom(n), n.node_id)).node_id
-
-
-def test_assign_picks_the_reference_node_on_a_random_walk():
-    """Mixed node sizes given out of id order (n10 sorts before n2), nodes
-    off, booting, draining and in the batch pool, and placements past a
-    node's capacity: at every step assign picks the node the sort-and-vector
-    rule picks, by first fit on the first schedulable node or a later one,
-    or by overflow, where a tie in headroom goes to the larger id."""
+def test_assign_places_on_the_named_node_only_when_it_fits_on_a_random_walk():
+    """Mixed node sizes given out of id order, nodes off, booting, draining
+    and in the batch pool, and placements past a node's capacity: at every
+    step assign places the instance on the node it names when that node is
+    schedulable and has room, and raises otherwise, leaving the pool as it
+    was.  No node is ever over its capacity."""
     rng = random.Random(4242)
     ids = ["n%d" % i for i in (7, 2, 10, 0, 11, 5, 1, 3)]
     sizes = [rv(1, 1024, 10), rv(2, 2048, 40), rv(4, 8192, 100)]
@@ -297,9 +286,8 @@ def test_assign_picks_the_reference_node_on_a_random_walk():
                                      role=rng.choice(["cloud", "cloud", "batch"]))
                           for node_id in ids])
     placed = {}  # request id -> (resources, node id, preemptible)
-    seen = {"first_fit": 0, "first_fit_later": 0, "overflow": 0, "overflow_tie": 0,
-            "none_schedulable": 0,
-            "overfilled": 0, "booting": 0, "draining": 0, "off": 0, "batch": 0}
+    seen = {"placed": 0, "no_room": 0, "not_schedulable": 0,
+            "booting": 0, "draining": 0, "off": 0, "batch": 0}
     for t in range(2500):
         node_id = rng.choice(ids)
         op = rng.choice(["assign"] * 4 + ["unassign"] * (3 if len(placed) < 6 else 6)
@@ -309,26 +297,19 @@ def test_assign_picks_the_reference_node_on_a_random_walk():
                 rid = "r%d" % t
                 resources = rv(rng.randrange(0, 4), rng.randrange(1, 4096), rng.randrange(0, 60))
                 preemptible = rng.random() < 0.5
-                try:
-                    expected = _reference_assign(pool, resources)
-                except ElasticityError:
-                    seen["none_schedulable"] += 1
-                    with pytest.raises(ElasticityError, match="no schedulable node"):
-                        pool.assign(rid, resources, t, preemptible)
-                    continue
-                chosen = pool.nodes[expected]
-                if not (chosen.used + resources).fits(chosen.capacity):
-                    seen["overflow"] += 1
-                    room = [_signed_headroom(n) for n in pool.nodes.values()
-                            if n.power == "on" and n.role == "cloud"]
-                    seen["overflow_tie"] += room.count(_signed_headroom(chosen)) > 1
-                elif any(n.power == "on" and n.role == "cloud"
-                         for nid, n in pool.nodes.items() if nid < expected):
-                    seen["first_fit_later"] += 1
+                node = pool.nodes[node_id]
+                if _fits_on(pool, resources, node_id):
+                    seen["placed"] += 1
+                    pool.assign(rid, resources, t, preemptible, node_id)
+                    assert rid in node.instances
+                    placed[rid] = (resources, node_id, preemptible)
                 else:
-                    seen["first_fit"] += 1
-                assert pool.assign(rid, resources, t, preemptible) == expected, t
-                placed[rid] = (resources, expected, preemptible)
+                    seen["not_schedulable" if node.power != "on" or node.role != "cloud"
+                         else "no_room"] += 1
+                    before = (node.used, node.preemptible_used, set(node.instances))
+                    with pytest.raises(ElasticityError, match="does not fit node %s" % node_id):
+                        pool.assign(rid, resources, t, preemptible, node_id)
+                    assert (node.used, node.preemptible_used, node.instances) == before
             elif op == "unassign" and placed:
                 rid = rng.choice(sorted(placed))
                 resources, on, preemptible = placed.pop(rid)
@@ -344,7 +325,7 @@ def test_assign_picks_the_reference_node_on_a_random_walk():
         except ElasticityError:
             pass
         nodes = pool.nodes.values()
-        seen["overfilled"] += any(not n.used.fits(n.capacity) for n in nodes)
+        assert all(n.used.fits(n.capacity) for n in nodes), t
         seen["booting"] += any(n.power == "booting" for n in nodes)
         seen["draining"] += any(n.role.startswith("draining") for n in nodes)
         seen["off"] += any(n.power == "off" for n in nodes)
@@ -402,8 +383,11 @@ def test_cloud_counters_follow_a_random_walk():
                 resources = rv(rng.randrange(1, 3), rng.randrange(1, 1024),
                                rng.randrange(1, 10))
                 preemptible = t % 2 == 0
-                placed[rid] = (resources, pool.assign(rid, resources, t, preemptible),
-                               preemptible)
+                room = [nid for nid in sorted(pool.nodes) if _fits_on(pool, resources, nid)]
+                if room:
+                    on = rng.choice(room)
+                    pool.assign(rid, resources, t, preemptible, on)
+                    placed[rid] = (resources, on, preemptible)
             elif op == "unassign" and placed:
                 rid = rng.choice(sorted(placed))
                 resources, on, preemptible = placed.pop(rid)
@@ -422,9 +406,9 @@ def test_cloud_counters_follow_a_random_walk():
         assert pool.cloud_capacity() == capacity, t
         assert pool.cloud_free() == free, t
         _check_elastic_counters(pool, t)
-        assert pool.reclaimable_space() == triple(ResourceVector.total(
+        assert pool._cloud_reclaimable == list(triple(ResourceVector.total(
             resources for resources, on, preemptible in placed.values()
-            if preemptible and pool.is_schedulable(pool.nodes[on]))), t
+            if preemptible and pool.is_schedulable(pool.nodes[on])))), t
         for node_id, node in pool.nodes.items():
             here = [(resources, preemptible) for resources, on, preemptible
                     in placed.values() if on == node_id]
@@ -468,7 +452,8 @@ def test_pool_audit_catches_a_write_that_bypasses_the_pool(field, value):
 def test_pool_audit_catches_a_busy_node_powered_down_or_out_of_every_pool(
         field, value, message):
     pool = worker_pool(1, power="on")
-    running = running_of({"r1": (rv(1, 512, 5), pool.assign("r1", rv(1, 512, 5), t=0), False)})
+    pool.assign("r1", rv(1, 512, 5), 0, False, "w1")
+    running = running_of({"r1": (rv(1, 512, 5), "w1", False)})
     pool.audit(running)
     setattr(pool.nodes["w1"], field, value)
     with pytest.raises(ElasticityError, match="^%s$" % message):
@@ -494,15 +479,18 @@ def test_pool_audit_catches_a_drifted_off_capacity():
 def _two_instances_on_w1():
     """Two on nodes; w1 runs a normal instance a and a preemptible b."""
     pool = worker_pool(2, power="on", capacity=rv(4, 4096, 40))
-    placed = {rid: (rv(1, 512, 5), pool.assign(rid, rv(1, 512, 5), 0, preemptible), preemptible)
+    placed = {rid: (rv(1, 512, 5), "w1", preemptible)
               for rid, preemptible in (("a", False), ("b", True))}
+    for rid, (resources, node_id, preemptible) in placed.items():
+        pool.assign(rid, resources, 0, preemptible, node_id)
     return pool, running_of(placed)
 
 
 def test_pool_audit_returns_the_sums_of_what_runs_on_its_nodes():
     pool, running = _two_instances_on_w1()
+    pool.assign("c", rv(3, 256, 1), 0, False, "w2")
     running["c"] = RunningInstance(req(group="h", res=rv(3, 256, 1), rid="c"),
-                                   start_time=0, node_id=pool.assign("c", rv(3, 256, 1), 0))
+                                   start_time=0, node_id="w2")
     pool.switch_role("w2", "batch", t=1)  # c drains with w2 and leaves the cloud use
     assert pool.nodes["w2"].role == "draining_to_batch"
     assert pool.audit(running) == ([2, 1024, 10], 1, {"g": [2, 1024, 10], "h": [3, 256, 1]})
@@ -549,6 +537,22 @@ def test_pool_audit_checks_each_node_instance_set_against_what_runs(write):
     else:
         w2.preemptible_used = rv(0, 1, 0)
     with pytest.raises(ElasticityError, match="^%s$" % _INSTANCE_SET_WRITES[write]):
+        pool.audit(running)
+
+
+@pytest.mark.parametrize("component", ["cpus", "mem_mb", "disk_gb"])
+def test_pool_audit_catches_a_node_over_its_capacity(component):
+    """An instance added to w1 behind the pool's back, with w1's used
+    hand-set to match its instances, takes one component past w1's
+    capacity: the walk names the node before it compares the counters."""
+    pool, running = _two_instances_on_w1()
+    w1 = pool.nodes["w1"]
+    past = replace(rv(1, 1, 1), **{component: getattr(w1.capacity - w1.used, component) + 1})
+    running["big"] = RunningInstance(req(res=past, rid="big"), start_time=0, node_id="w1")
+    w1.instances.add("big")
+    w1.used = w1.used + past
+    with pytest.raises(ElasticityError, match="^%s$" % re.escape(
+            "node w1 over capacity: instances hold %s of %s" % (w1.used, w1.capacity))):
         pool.audit(running)
 
 
@@ -605,8 +609,8 @@ def _one_node_per_power():
     pool.power_on("w1", 0, boot_delay_s=5)
     pool.boot_complete("w1", 5)
     pool.power_on("w2", 5, boot_delay_s=5)
-    placed = {"r": (rv(1, 512, 5), pool.assign("r", rv(1, 512, 5), 5, preemptible=True), True)}
-    return pool, running_of(placed)
+    pool.assign("r", rv(1, 512, 5), 5, True, "w1")
+    return pool, running_of({"r": (rv(1, 512, 5), "w1", True)})
 
 
 _COUNTERS = {"on": lambda pool: pool._cloud["on"], "booting": lambda pool: pool._cloud["booting"],
@@ -673,21 +677,15 @@ def _reference_reconcile(policy, floors, pool, queued_demand, t):
         remaining = remaining.monus(node.capacity)
 
     stop = min_n if remaining.is_zero() else max_n
-    on = [n for n in cloud if n.power == "on"]
-    free_guard = ResourceVector.total(n.capacity for n in on).monus(
-        ResourceVector.total(n.used for n in on))
     idle_victims = sorted(
-        (n for n in on if not n.busy and n.idle_since is not None
+        (n for n in cloud if n.power == "on" and not n.busy and n.idle_since is not None
          and t - n.idle_since >= policy.t_idle_s),
         key=lambda n: n.node_id, reverse=True)
     for node in idle_victims:
         if powered <= stop:
             break
-        if not node.capacity.fits(free_guard):
-            continue
         actions.append((ACTION_POWER_OFF, node.node_id))
         powered -= 1
-        free_guard = free_guard - node.capacity
     return actions
 
 
@@ -718,7 +716,8 @@ def test_reconcile_matches_the_full_planning_pass():
                 elif op == "assign":
                     rid = "r%d" % step
                     resources = rv(1, 512, 5)
-                    placed[rid] = (resources, pool.assign(rid, resources, clock), False)
+                    pool.assign(rid, resources, clock, False, node_id)
+                    placed[rid] = (resources, node_id, False)
                 elif op == "unassign" and placed:
                     rid = rng.choice(sorted(placed))
                     resources, on, _ = placed.pop(rid)
@@ -746,7 +745,7 @@ def test_reconcile_matches_the_full_planning_pass():
         demand = rng.choice([rv(), rv(rng.randrange(0, 9), rng.randrange(0, 9000),
                                       rng.randrange(0, 90))])
         t = clock + rng.randrange(0, 200)
-        actions = [(a.kind, a.node_id) for a in manager.reconcile(pool, demand, t)]
+        actions = [(a.kind, a.node_id) for a in manager.reconcile(pool, triple(demand), t)]
         assert actions == _reference_reconcile(policy, floors.values(), pool, demand, t), case
         for kind, node_id in actions:
             fired[kind] += 1
@@ -754,5 +753,5 @@ def test_reconcile_matches_the_full_planning_pass():
                 pool.power_on(node_id, t, boot_delay_s=30)
             else:
                 pool.power_off(node_id, t)
-        assert manager.reconcile(pool, demand, t) == [], case  # the plan is a fixpoint
+        assert manager.reconcile(pool, triple(demand), t) == [], case  # the plan is a fixpoint
     assert fired[ACTION_POWER_ON] > 50 and fired[ACTION_POWER_OFF] > 50

@@ -2,7 +2,9 @@
 each benchmark workload render byte for byte as pinned.
 
 A refactor that keeps behaviour must keep these digests.  A change that moves
-one on purpose re-pins it and says why.
+one on purpose re-pins it and says why.  Spot, federation and the partition
+probe moved when admission became per node: a start that used to overfill a
+node now goes to a node with room, preempts on one node, or waits.
 """
 
 import hashlib
@@ -34,8 +36,8 @@ def test_report_digest_is_pinned(name):
 # RunReport.to_text() of bench/workloads.py's <workload>(seed=1, replica=0).
 BENCH_GOLDEN = {
     "backlog": "5b9c4f11a213a382e2480d3228e716649a89b9a674f13d9fcbb5fa7992c42d95",
-    "spot": "a3afb694c5b8153b7ce73e36993b24046836b8b145c76c6db38fde8386397fbc",
-    "federation": "db45125c293d98479fd3a3c9395904a4faaa7b788435bd4075b10626f002c6cd",
+    "spot": "6c08204fb1372cdd7fd154ce9d1d6a73af56855c42e5e22b5f9fc5dd89a1cb13",
+    "federation": "3cb19c7a04bfab8241312302dc8ba8596f7f43179b6f53838c645a61fb7d4402",
 }
 
 
@@ -71,16 +73,16 @@ REPLICA_GOLDEN = {
     ("backlog", 3): "b2eb6ad627076ce63bb5d0299e6cf7cf1e2bd0057d80c57bc3b3aeae70b6333f",
     ("backlog", 4): "dfd76292522318f25e5f4b95ae7d583229fe8eeed1e4bdd574dde8cced3bba96",
     ("backlog", 5): "9fc5c7efd6b75efe9b1ec092df6e20277a8848b4d6eff91e43ee203cc01588b9",
-    ("spot", 1): "50b702dbef8808ea348e1a573651b666635685065b2d4b4741488c80ab9742e3",
-    ("spot", 2): "cb421a6d016a3881052054368876ea8b9d105da9146f051a02fba2fe9475863f",
-    ("spot", 3): "66456a58bdc008cd23e83269656cfe95f852c0ff4f6afc9f7f61c107b6614e32",
-    ("spot", 4): "a00c612f990023f008b4249917026a157d295870961b5e803c4a4f04a08a6dd9",
-    ("spot", 5): "0bb0b46b78735e22893d599ea7131197e60031ceaf16c74f6484797cfd3eacb7",
-    ("federation", 1): "df14046e924dc2bf6a7e671ee2b6764d8c43b49e9d38f10640a07976429158ac",
-    ("federation", 2): "894744037a80dfa06ebce07147aaf37277953f1417f57876f16bbd75eb371f61",
-    ("federation", 3): "d2e5868c17b66c7a7df75ab4191ae63dff99b68bfd599fe30348f1d44fe1ed3c",
-    ("federation", 4): "c6c2694476e9366c97c1ff9cf28286f113e9ab91cb85e3bf690dddc61ad97e44",
-    ("federation", 5): "a7193a105001a211cd2a7067e41fd24f88d19c55126299e2de1e8f0d93a760ab",
+    ("spot", 1): "7542ba8a8505a4ddc38149bddbeab0c92bef47393ccb10d43c8bae229dda1207",
+    ("spot", 2): "8b7fef6923dfdae8525c6ed8be0177deed44fe7807067ea9ec7ece1cefb1ebff",
+    ("spot", 3): "ab25d496c7db56c31406feaed2e00a239916b56a95edb27f2ed5dd0dbac5ff24",
+    ("spot", 4): "f91a6d517c7c87121fa0fd1e47738d5ae0d9bf2750f166a3ce64bf4dbac3bbe0",
+    ("spot", 5): "c086abd1722d7b2224fb25d4fbcce9656d12ea442a069f5bae148a401d12ed6c",
+    ("federation", 1): "c78e23de2c7719dc4b94ce3c9e1777fdbbae59078c2a5c9f7ee289f09ef64eaf",
+    ("federation", 2): "64c016351b2ec91fc9ae2b789e67c564088597cc3075b3e2dab33bae8b3cb2db",
+    ("federation", 3): "4232fa7ce3724922b1821fb2ed0365ad824f48f3ab50604ca9a7375747d29597",
+    ("federation", 4): "28da1586cda6056dd08e0b306aa3c100e7dbca8873bbe820ada8f8c9375f1c97",
+    ("federation", 5): "2a4779dfe7c0fa10c03c8a78fd235060c5c33da4289d27c6b3d6d9c15bb0e732",
 }
 
 
@@ -92,7 +94,7 @@ def test_replica_digest_is_pinned(workload, replica):
 
 # bench/workloads.py partition_probe(1): the federation mix plus switch_role
 # events, so node roles move through draining and back.
-PROBE_GOLDEN = "28e763fbb09d6f98f663408c2a7593561c070c7c27e2ea3890379fe7727711d8"
+PROBE_GOLDEN = "98a01c19da9171575176322ad0a28b49ced05fa0b761ea680aa83b490ec130c5"
 
 
 def test_partition_probe_digest_is_pinned():

@@ -15,7 +15,8 @@ from orchsim.ranker import PreferenceList, ProviderSnapshot, RankerConfig, rank_
 from orchsim.report import EventLog
 from orchsim.resources import ResourceVector
 from orchsim.site import make_site
-from orchsim.templates import TemplateError, aggregate_demand, topological_order
+from orchsim.templates import (KIND_ELASTIC_CLUSTER, TemplateError, aggregate_demand,
+                               topological_order)
 
 SIMPLE = """\
 tosca_version: indigo_subset_1
@@ -109,6 +110,32 @@ def test_place_no_provider_fits():
     token = issue(iam)
     uuid = orch.create_deployment(big, token.token_id, 0)
     assert orch.get_deployment(uuid).state == CREATE_FAILED
+
+
+def test_place_leaves_out_a_site_where_no_node_holds_an_instance():
+    """One 8-cpu instance against a site of two 4-cpu nodes: their pooled 8
+    cpus hold it, but no node does, so it could never start there and the
+    site is not eligible; a site whose one 8-cpu node is off is.  Whether a
+    site's nodes hold a template's instances is derived once per template
+    text."""
+    log = EventLog()
+    iam = IamService(seed=1)
+    sites = {"split": make_site("split", [NodeRecord("n1", rv(4, 4096, 40)),
+                                          NodeRecord("n2", rv(4, 4096, 40))], log=log),
+             "whole": make_site("whole", [NodeRecord("n1", rv(8, 8192, 80), power="off")],
+                                log=log)}
+    slas = [SLARecord(site_id, "research", 5.0) for site_id in sites]
+    for sla in slas:
+        iam.add_permit(sla.group, sla.provider_id)
+    orch = Orchestrator(sites=sites, iam=iam, slas=slas, log=log)
+    token = issue(iam)
+    big = SIMPLE.replace("cpus: 2", "cpus: 8")
+    assert orch.get_deployment(orch.create_deployment(big, token.token_id, 0)
+                               ).ranked_sites == ("whole",)
+    assert orch._templates[big].hosts == {"whole"}
+    small = SIMPLE.replace("cpus: 2", "cpus: 4")
+    assert set(orch.get_deployment(orch.create_deployment(small, token.token_id, 0)
+                                   ).ranked_sites) == {"split", "whole"}
 
 
 def test_place_requires_group_sla_and_permit():
@@ -450,8 +477,8 @@ def _scan_potential_free(pool):
 class ReferenceOrchestrator(Orchestrator):
     """Placement with every fact derived afresh on each create: the parse's
     demand, datasets and order, each site's best SLA by a scan of every SLA,
-    free capacity by a scan of the nodes, locality by a scan of the catalog
-    and one ranking per create."""
+    free capacity and whether each instance fits one node by a scan of the
+    nodes, locality by a scan of the catalog and one ranking per create."""
 
     def __init__(self, *, slas, **kwargs):
         super().__init__(slas=slas, **kwargs)
@@ -461,6 +488,9 @@ class ReferenceOrchestrator(Orchestrator):
         demand = aggregate_demand(record.template)
         datasets = sorted({d for node in record.template.nodes.values()
                            for d in node.input_datasets})
+        instances = [node.resources for node in record.template.nodes.values()
+                     if node.resources is not None and not node.resources.is_zero()
+                     and (node.kind != KIND_ELASTIC_CLUSTER or node.min_workers > 0)]
         candidates = []
         for site_id in sorted(self.sites):
             site = self.sites[site_id]
@@ -470,7 +500,9 @@ class ReferenceOrchestrator(Orchestrator):
                 continue
             sla = min(matching, key=lambda s: (-s.sla_rank, s.group))
             free = _scan_potential_free(site.pool)
-            if not demand.fits(free):
+            if not demand.fits(free) or not all(
+                    any(size.fits(node.capacity) for node in site.pool.nodes.values())
+                    for size in instances):
                 continue
             candidates.append(ProviderSnapshot(
                 provider_id=site_id, sla_rank=sla.sla_rank,

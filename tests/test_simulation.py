@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -978,16 +979,41 @@ def test_marked_visits_and_skipped_stale_audits_keep_the_report(name, backfill):
 
 
 @pytest.mark.parametrize("probe", (3, 5))
-def test_the_reference_loop_aborts_a_partition_probe_as_the_loop_does(probe):
+def test_the_reference_loop_completes_a_partition_probe_as_the_loop_does(probe):
+    """Probes 3 and 5 once overfilled a node and aborted both loops on pooled
+    conservation; with per-node admission both loops complete them with the
+    same report."""
+    reports = [world_class(_scenario_for("partition_probe(%d)" % probe)).run().to_text()
+               for world_class in (World, _PollAndAuditEveryPop)]
+    assert reports[0] == reports[1]
+
+
+def test_the_reference_loop_aborts_a_corrupted_run_as_the_loop_does():
+    """At the first scenario event from t=200 the busy node first by site and
+    node id shrinks behind its pool's back to one cpu less than its
+    instances hold: both loops abort at that event with the same message and
+    the same records."""
     from orchsim.simulation import InvariantViolationError
     runs = []
     for world_class in (World, _PollAndAuditEveryPop):
-        world = world_class(_scenario_for("partition_probe(%d)" % probe))
+        class Corrupting(world_class):
+            corrupted = False
+
+            def _apply(self, t, kind, payload):
+                applied = super()._apply(t, kind, payload)
+                if t >= 200 and kind == "scenario" and not self.corrupted:
+                    self.corrupted = True
+                    node = next(node for _, site in sorted(self.sites.items())
+                                for _, node in sorted(site.pool.nodes.items()) if node.busy)
+                    node.capacity = replace(node.capacity, cpus=node.used.cpus - 1)
+                return applied
+
+        world = Corrupting(_scenario_for("partition_probe(3)"))
         with pytest.raises(InvariantViolationError) as caught:
             world.run()
         runs.append((str(caught.value), world.log.records))
     assert runs[0] == runs[1]
-    assert "conservation violated" in runs[0][0]
+    assert "over capacity" in runs[0][0]
 
 
 def _fingerprint(world):
