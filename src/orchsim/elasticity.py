@@ -127,8 +127,9 @@ class NodePool:
     used and preemptible_used against the site's running instances and its
     instance sums against its capacity, and recomputes every counter from
     the nodes to cross-check it.  It costs constant work per node plus one
-    pass per running instance, and builds no dict beyond the group sums it
-    returns unless a check fails.
+    pass per running instance, and builds no dict unless a check fails.  It
+    returns the cloud use and the number of running preemptibles, nothing by
+    request group.
     SiteScheduler.audit calls it and checks the rest of the site from what
     it returns.
 
@@ -277,7 +278,7 @@ class NodePool:
         return min((since + t_idle_s for since in self._idle.values()
                     if since + t_idle_s > t), default=None)
 
-    def audit(self, running) -> tuple[list[int], int, dict[str, list[int]]]:
+    def audit(self, running) -> tuple[list[int], int]:
         """Recompute every counter and the pool partition from the nodes and
         check each node's instance set against running, the site's running
         instances by request id, both ways, its used and preemptible_used
@@ -290,8 +291,8 @@ class NodePool:
         counter differs from its recount.  Each node's checks run in turn;
         running instances on no node and the counters are checked after the
         walk.
-        Returns the recounted cloud use, the number of running preemptibles
-        and each request group's [cpus, mem_mb, disk_gb] sums.
+        Returns the recounted cloud use and the number of running
+        preemptibles; the pool knows nothing of request groups.
 
         Each node costs only the reads its checks need: a node with no
         instances has zero sums, so its used and preemptible_used are checked
@@ -310,7 +311,6 @@ class NodePool:
         idle_matches = True
         idle_get = self._idle.get
         running_get = running.get
-        by_group: dict[str, list[int]] = {}
         held = preemptibles = 0
         for node_id, node in self.nodes.items():
             instances, power, role = node.instances, node.power, node.role
@@ -335,12 +335,6 @@ class NodePool:
                         share_mem += mem_mb
                         share_disk += disk_gb
                         preemptibles += 1
-                    sums = by_group.get(request.group)
-                    if sums is None:
-                        sums = by_group[request.group] = [0, 0, 0]
-                    sums[0] += cpus
-                    sums[1] += mem_mb
-                    sums[2] += disk_gb
                 held += len(instances)
                 if (node_used.cpus != node_cpus or node_used.mem_mb != node_mem
                         or node_used.disk_gb != node_disk or share.cpus != share_cpus
@@ -420,7 +414,7 @@ class NodePool:
             raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
                 "%s %s, nodes give %s" % (name, counted[name], recounted[name])
                 for name in counted if counted[name] != recounted[name]))
-        return [used_cpus, used_mem, used_disk], preemptibles, by_group
+        return [used_cpus, used_mem, used_disk], preemptibles
 
     def assign(self, request_id: str, resources: ResourceVector, t: int,
                preemptible: bool, node_id: str):

@@ -159,6 +159,7 @@ class SiteScheduler:
         pool.mark = self._pool_written
         # _victim_key(instance) + (instance,) of every running preemptible, sorted
         self._victims: list[tuple] = []
+        # what each group with a quota runs; quota_allows is its only reader
         self.group_running: dict[str, ResourceVector] = {}
         self._seen_ids: set[str] = set()
         self._log = log
@@ -270,6 +271,13 @@ class SiteScheduler:
         Instances on draining nodes are never taken: terminating them frees
         capacity outside the cloud pool.  Raises InfeasiblePreemptionError
         when no node has a set that is enough.
+
+        A node is searched only for the sets that could beat the best so
+        far: fewer victims, or as many when its first eligible victim's key
+        is below the best set's first key (a set of as many led by a higher
+        key loses).  So once the best set has one victim, a node whose first
+        eligible victim comes after it is skipped, and with no eligible
+        victims no node is searched at all.
         """
         resources = request.resources
         cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
@@ -280,17 +288,27 @@ class SiteScheduler:
         for node in self.pool.order:
             if node.power != POWER_ON or node.role != ROLE_CLOUD:  # is_schedulable
                 continue
-            capacity, used, share = node.capacity, node.used, node.preemptible_used
+            capacity, used = node.capacity, node.used
             # Not clamped at zero: victims free no negative room, so a
             # component at or below zero is met by every set, as with a clamp.
             need = (cpus - capacity.cpus + used.cpus, mem_mb - capacity.mem_mb + used.mem_mb,
                     disk_gb - capacity.disk_gb + used.disk_gb)
             if need[0] <= 0 and need[1] <= 0 and need[2] <= 0:
                 return []
+            on_node = by_node.get(node.node_id)
+            if on_node is None:
+                continue
+            share = node.preemptible_used
             if need[0] > share.cpus or need[1] > share.mem_mb or need[2] > share.disk_gb:
                 continue  # all the node's preemptibles together free too little
-            on_node = by_node.get(node.node_id)
-            victims = self._node_victims(on_node, need) if on_node else None
+            if best is None:
+                most = len(on_node)
+            else:
+                cardinality, keys = best[0]
+                most = cardinality - (_victim_key(on_node[0]) > keys[0])
+                if most == 0:
+                    continue
+            victims = self._node_victims(on_node, need, most)
             if victims is not None:
                 rank = len(victims), [_victim_key(victim) for victim in victims]
                 if best is None or rank < best[0]:
@@ -300,14 +318,15 @@ class SiteScheduler:
                 "no victim set can free enough capacity for %s" % request.request_id)
         return best[1]
 
-    def _node_victims(self, eligible, need) -> list[RunningInstance] | None:
+    def _node_victims(self, eligible, need, most) -> list[RunningInstance] | None:
         """The victims to take among eligible, one node's in preference
         order, to meet its deficit need as (cpus, mem_mb, disk_gb), or None
-        when all of them do not.  Int arithmetic, with no ResourceVector
-        built: a set is feasible when its summed cpus, mem_mb and disk_gb each
-        reach need.  Up to _EXACT_VICTIM_LIMIT victims the sets are tried by
-        size, each size in preference order, skipping a size whose largest
-        possible sums fall short; above it, _greedy_victims.
+        when no set of at most `most` of them does.  Int arithmetic, with no
+        ResourceVector built: a set is feasible when its summed cpus, mem_mb
+        and disk_gb each reach need.  Up to _EXACT_VICTIM_LIMIT victims the
+        sets are tried by size, each size in preference order, skipping a
+        size whose largest possible sums fall short; above it,
+        _greedy_victims.
         """
         need_cpus, need_mem, need_disk = need
         sizes = [instance.request.resources for instance in eligible]
@@ -318,14 +337,15 @@ class SiteScheduler:
         if freed[0] < need_cpus or freed[1] < need_mem or freed[2] < need_disk:
             return None
         if len(eligible) > _EXACT_VICTIM_LIMIT:
-            return self._greedy_victims(eligible, freed, need)
+            victims = self._greedy_victims(eligible, freed, need)
+            return victims if len(victims) <= most else None
 
         combinations = itertools.combinations
         # Entry k - 1 sums the k largest contributions of a component: what no
         # k-subset of the victims can free more than.
         top_cpus, top_mem_mb, top_disk_gb = (list(itertools.accumulate(sorted(
             component, reverse=True))) for component in (cpus, mem_mb, disk_gb))
-        for k in range(1, len(eligible) + 1):
+        for k in range(1, most + 1):
             if (top_cpus[k - 1] < need_cpus or top_mem_mb[k - 1] < need_mem
                     or top_disk_gb[k - 1] < need_disk):
                 continue  # no k-subset frees enough
@@ -335,6 +355,8 @@ class SiteScheduler:
                 if (sum(combo_cpus) >= need_cpus and sum(combo_mem) >= need_mem
                         and sum(combo_disk) >= need_disk):
                     return list(combo)
+        if most < len(eligible):
+            return None  # every set within the bound falls short
         raise InfeasiblePreemptionError("unreachable: feasibility pre-check passed")
 
     @staticmethod
@@ -375,7 +397,8 @@ class SiteScheduler:
             victims = self._victims
             del victims[bisect.bisect_left(victims, _victim_key(instance))]
         group = request.group
-        self.group_running[group] = self.group_running[group] - request.resources
+        if group in self.quotas:
+            self.group_running[group] = self.group_running[group] - request.resources
         self.pool.unassign(request.request_id, request.resources, instance.node_id, t,
                            request.is_preemptible)
 
@@ -389,9 +412,10 @@ class SiteScheduler:
         if request.is_preemptible:
             bisect.insort(self._victims, _victim_key(instance) + (instance,))
         group = request.group
-        used = self.group_running.get(group)
-        self.group_running[group] = (request.resources if used is None
-                                     else used + request.resources)
+        if group in self.quotas:
+            used = self.group_running.get(group)
+            self.group_running[group] = (request.resources if used is None
+                                         else used + request.resources)
         self._emit(t, "instance_started", request_id=request.request_id,
                    user=request.user, group=request.group,
                    cpus=request.resources.cpus, mem_mb=request.resources.mem_mb,
@@ -513,26 +537,30 @@ class SiteScheduler:
         against running, both ways, its used and preemptible_used against
         its instances, its instance sums against its capacity, the pool's
         counters, the partition and no busy node powered down.  It returns
-        the running use on cloud nodes, the running preemptibles and each
-        group's sums, and this audit checks the rest from them: the victim
-        order, pooled conservation, the queued-demand counter and each
-        group's running counter and quota.  Last comes preemption soundness,
-        per node: with backfill on and the site not failed, no normal request
-        the quota lets run may sit queued while it fits the capacity minus
-        used plus preemptible_used of a schedulable node.  The unstartable
-        shapes are a cache of _startable, not a counter, so they
-        are not re-probed here.
+        the running use on cloud nodes and the number of running
+        preemptibles, and this audit checks the rest: the victim order
+        against them, pooled conservation, the queued-demand counter and,
+        only when a group has a quota, group_running.  That counter is kept
+        for the groups with a quota only (quota_allows reads no other), so
+        an entry for any other group is an error; each quota group's running
+        instances are recounted from running and checked against its
+        counter and its quota.  Last comes preemption soundness, per node:
+        with backfill on and the site not failed, no normal request the
+        quota lets run may sit queued while it fits the capacity minus used
+        plus preemptible_used of a schedulable node.  The unstartable shapes
+        are a cache of _startable, not a counter, so they are not re-probed
+        here.
 
         Cost: the pool's walk is constant work per node plus one pass per
-        running instance; this audit adds one pass over the victim order, the
-        queue and the group counters, and, only when a normal request the
+        running instance; this audit adds one pass over the victim order and
+        the queue, one pass over running and a dict of the quota groups'
+        sums only when a quota exists, and, only when a normal request the
         quota lets run is queued, one list of the schedulable nodes' rooms
-        that each such request is held against.  It builds no dict unless a
-        check fails.
+        that each such request is held against.
         """
         running = self.running
         try:
-            (cpus, mem_mb, disk_gb), preemptibles, by_group = self.pool.audit(running)
+            (cpus, mem_mb, disk_gb), preemptibles = self.pool.audit(running)
         except ElasticityError as exc:
             raise SchedulerError(str(exc)) from exc
         # The victim order holds exactly the running preemptibles, each under
@@ -580,17 +608,37 @@ class SiteScheduler:
         if queued != self._queued:
             raise SchedulerError("queued demand counter %s differs from the queue sum %s"
                                  % (self._queued, queued))
-        for group, used in self.group_running.items():
-            sums = by_group.pop(group, (0, 0, 0))
-            if used.cpus != sums[0] or used.mem_mb != sums[1] or used.disk_gb != sums[2]:
-                raise SchedulerError("group %s running counter %s differs from its "
-                                     "instances' sum %s" % (group, used, unchecked(*sums)))
-            cap = self.quotas.get(group)
-            if cap is not None and not used.fits(cap):
-                raise SchedulerError("group %s exceeds quota: %s > %s" % (group, used, cap))
-        if by_group:
-            raise SchedulerError("groups %s run instances but have no running counter"
-                                 % sorted(by_group))
+        if self.quotas or self.group_running:
+            self._audit_groups()
         if unsound is not None:
             raise SchedulerError("normal request %s queued despite feasible victim set"
                                  % unsound.request_id)
+
+    def _audit_groups(self):
+        """Check group_running against a recount of running by quota group
+        and each group's use against its quota (see audit)."""
+        quotas = self.quotas
+        by_group = {group: [0, 0, 0] for group in quotas}
+        for instance in self.running.values():
+            request = instance.request
+            sums = by_group.get(request.group)
+            if sums is not None:
+                resources = request.resources
+                sums[0] += resources.cpus
+                sums[1] += resources.mem_mb
+                sums[2] += resources.disk_gb
+        for group, used in self.group_running.items():
+            sums = by_group.pop(group, None)
+            if sums is None:
+                raise SchedulerError("group %s has a running counter %s but no quota"
+                                     % (group, used))
+            if used.cpus != sums[0] or used.mem_mb != sums[1] or used.disk_gb != sums[2]:
+                raise SchedulerError("group %s running counter %s differs from its "
+                                     "instances' sum %s" % (group, used, unchecked(*sums)))
+            cap = quotas[group]
+            if not used.fits(cap):
+                raise SchedulerError("group %s exceeds quota: %s > %s" % (group, used, cap))
+        unlisted = sorted(group for group, sums in by_group.items() if any(sums))
+        if unlisted:
+            raise SchedulerError("groups %s run instances but have no running counter"
+                                 % unlisted)

@@ -254,11 +254,15 @@ def reference_victims(sched, request):
 def test_select_victims_matches_reference_on_random_sites():
     """Random probes plus, per site, probes whose deficit is in memory only
     or in disk only (the other components fit free space), through the
-    exact and the greedy search and the infeasible case."""
+    exact and the greedy search and the infeasible case.  pruned counts the
+    probes where the search skipped a node that the reference searches (one
+    with eligible victims that together free enough) or searched one for
+    fewer set sizes than it has eligible victims."""
     rng = random.Random(31)
     covered = {"exact": 0, "greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0,
                "equal_bid": 0, "mem_only": 0, "disk_only": 0, "not_first_node": 0,
-               "fragmented": 0}
+               "fragmented": 0, "pruned": 0}
+    searches = []  # (eligible victims, most) of each _node_victims call
     sizes = [rv(2, 2048, 20), rv(4, 4096, 40), rv(8, 8192, 80)]
     for trial in range(60):
         many = trial % 3 == 0  # enough small victims on one node for the greedy path
@@ -277,6 +281,13 @@ def test_select_victims_matches_reference_on_random_sites():
             busy = sorted({i.node_id for i in sched.running.values()})
             if busy:
                 sched.pool.switch_role(busy[0], "batch", t=20)
+        node_victims = sched._node_victims
+
+        def counted(eligible, need, most, node_victims=node_victims):
+            searches.append((len(eligible), most))
+            return node_victims(eligible, need, most)
+
+        sched._node_victims = counted
         every = sched._eligible_victims(req(user="p", rid="normal-%d" % trial))
         assert every == sorted((i for i in sched.running.values() if i.request.is_preemptible),
                                key=_victim_key)
@@ -303,7 +314,20 @@ def test_select_victims_matches_reference_on_random_sites():
                     sched.select_victims(probe)
                 continue
             node_id, victims = expected
+            searches.clear()
             got = sched.select_victims(probe)
+            eligible_on = {v.node_id for v in sched._eligible_victims(probe)}
+            searchable = sum(
+                1 for n in sched.pool.order if sched.pool.is_schedulable(n)
+                and n.node_id in eligible_on
+                and probe.resources.cpus <= n.capacity.cpus - n.used.cpus
+                + n.preemptible_used.cpus
+                and probe.resources.mem_mb <= n.capacity.mem_mb - n.used.mem_mb
+                + n.preemptible_used.mem_mb
+                and probe.resources.disk_gb <= n.capacity.disk_gb - n.used.disk_gb
+                + n.preemptible_used.disk_gb)
+            covered["pruned"] += bool(got) and (len(searches) < searchable or any(
+                most < size for size, most in searches))
             assert [v.request_id for v in got] == [v.request_id for v in victims]
             assert sched._startable(probe) == (node_id, got)
             assert {v.node_id for v in got} <= {node_id}
@@ -656,7 +680,8 @@ def test_audit_catches_a_drifted_queue_counter():
 
 @pytest.mark.parametrize("write", ["zero", "drop", "ghost"])
 def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
-    sched = make_scheduler(rv(4, 4096, 40))
+    quotas = {group: rv(4, 4096, 40) for group in ("g", "h", "ghost")}
+    sched = make_scheduler(rv(4, 4096, 40), quotas=quotas)
     sched.submit(req(group="g", res=rv(1, 1024, 10), rid="a"), t=0)
     sched.submit(req(group="h", res=rv(2, 512, 5), rid="b"), t=0)
     sched.release("a", 5)  # g's counter is back at zero and stays listed
@@ -669,6 +694,65 @@ def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
         sched.group_running["ghost"] = rv(1, 0, 0)
     with pytest.raises(SchedulerError, match="running counter"):
         sched.audit(5)
+
+
+def test_a_group_without_a_quota_has_no_running_counter():
+    """Only quota_allows reads group_running, and only for a group with a
+    quota, so no other group gets an entry; one written by hand fails the
+    audit, as does any entry on a site with no quota at all."""
+    for quotas in ({"g": rv(4, 4096, 40)}, {}):
+        sched = make_scheduler(rv(4, 4096, 40), quotas=quotas)
+        sched.submit(req(group="g", res=rv(1, 1024, 10), rid="a"), t=0)
+        sched.submit(req(group="h", res=rv(2, 512, 5), rid="b"), t=0)
+        assert sched.group_running == ({"g": rv(1, 1024, 10)} if quotas else {})
+        sched.release("b", 5)
+        sched.audit(5)
+        sched.group_running["h"] = rv(2, 512, 5)
+        with pytest.raises(SchedulerError, match=r"^group h has a running counter "
+                           r"\(2 cpus, 512 MB, 5 GB\) but no quota$"):
+            sched.audit(5)
+
+
+def test_group_counters_follow_a_random_walk_with_quotas_on_some_groups():
+    """Starts, preemptions, releases, cancels and kills over groups g0 and
+    g1, which have quotas, and g2 and g3, which do not: after every step
+    group_running holds exactly the quota groups that ever ran, each at the
+    sum of its running instances, and the audit passes."""
+    rng = random.Random(2024)
+    quotas = {"g0": rv(4, 4096, 40), "g1": rv(6, 8192, 60)}
+    sched = make_scheduler(*[rv(4, 4096, 40)] * 3, quotas=quotas)
+    ran = set()
+    seen = {"quota_held": 0, "back_to_zero": 0, "preempted": 0, "unquoted_ran": 0}
+    for t in range(600):
+        op = rng.choice(["submit"] * 4 + ["release"] * 3 + ["cancel", "kill"])
+        if op == "submit":
+            group = rng.choice(["g0", "g1", "g2", "g3"])
+            request = req(user=rng.choice("ab"), group=group, t=t, rid="w%d" % t,
+                          res=rv(rng.randrange(1, 4), rng.randrange(256, 4096),
+                                 rng.randrange(1, 30)),
+                          bid=rng.choice([None, None, 0.1, 0.3]))
+            before = len(sched.running)
+            started = sched.submit(request, t).instance is not None
+            seen["preempted"] += started and len(sched.running) <= before
+        elif op == "release" and sched.running:
+            sched.release(rng.choice(sorted(sched.running)), t)
+        elif op == "cancel" and sched.queue:
+            sched.cancel_queued(rng.choice(sched.queue).request_id, t)
+        elif op == "kill" and rng.random() < 0.1:
+            sched.kill_running(t)
+            sched.dispatch(t)  # the site recovers at once, as in the victim order walk
+        recount = {}
+        for instance in sched.running.values():
+            group = instance.request.group
+            recount[group] = recount.get(group, rv()) + instance.request.resources
+        ran |= recount.keys() & quotas.keys()
+        assert sched.group_running == {group: recount.get(group, rv()) for group in ran}
+        seen["quota_held"] += any(r.group in quotas and not sched.quota_allows(r)
+                                  for r in sched.queue)
+        seen["back_to_zero"] += any(used.is_zero() for used in sched.group_running.values())
+        seen["unquoted_ran"] += bool(recount.keys() - quotas.keys())
+        sched.audit(t)
+    assert all(seen.values()), seen
 
 
 def test_audit_catches_a_group_over_its_quota():
