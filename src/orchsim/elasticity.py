@@ -1,7 +1,8 @@
 """Site node pool, power management and batch/cloud role partitioning.
 
 NodePool tracks physical nodes (capacity, power state, role, occupancy) and
-keeps integer counters over its cloud-role nodes, read in O(1).
+keeps integer counters over its cloud-role nodes, each for one reader that
+reads it in O(1).
 ElasticityManager powers nodes on from queued demand and off after sustained
 idleness, asking the counters whether an action can fire before it sorts any
 candidates.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .resources import ResourceVector, add_into, unchecked
+from .resources import ResourceVector, add_into
 
 POWER_OFF = "off"
 POWER_BOOTING = "booting"
@@ -105,20 +106,21 @@ class NodePool:
     preemptible_used and idle_since and of its instance set.  Every write
     goes through _update, which calls mark (the site's scheduler sets it: it
     empties its memo of unstartable shapes and marks the site for its next
-    pass) and moves the node's share of these counters along with it:
+    pass) and moves the node's share of these counters along with it.  Each
+    counter has one reader:
 
-    - _cloud[power]: [cpus, mem_mb, disk_gb, count] of the cloud-role nodes
-      in that power state; the on row is the cloud pool's capacity, the
-      booting and off rows what elasticity has coming or could power on;
-    - _cloud_used: what the instances on powered-on cloud nodes hold;
-    - _cloud_reclaimable: what the preemptible instances among them hold,
-      the capacity a normal request may reclaim;
-    - _idle: idle node id -> idle_since (see is_idle).
+    - _counts[power]: the number of cloud-role nodes in that power state,
+      for cloud_counts() (reconcile's bounds);
+    - _booting: [cpus, mem_mb, disk_gb] of the booting cloud nodes, for
+      booting_space() (reconcile's coverage);
+    - _offer: the sum over the cloud nodes of capacity - used +
+      preemptible_used, for potential_free() (placement); a node that is
+      not on holds nothing, so it offers its whole capacity;
+    - _idle: idle node id -> idle_since (see is_idle), for power-off:
+      idle_nodes() in reconcile and next_idle_due() for the next wake.
 
-    So cloud_capacity() and cloud_free() are O(1), and so are the int
-    readers free_space(), booting_space(), potential_free() and
-    cloud_counts(), which return plain int tuples for the placement,
-    elasticity and audit arithmetic.
+    cloud_capacity() and cloud_free() keep no counter: no run reads them,
+    so they sum the on cloud nodes when called.
     assign places an instance on the node the scheduler names only if it
     fits, so no node is ever over its capacity.  The node set is fixed at
     construction, so the pool keeps its nodes in id order once (order, never
@@ -128,8 +130,7 @@ class NodePool:
     instance sums against its capacity, and recomputes every counter from
     the nodes to cross-check it.  It costs constant work per node plus one
     pass per running instance, and builds no dict unless a check fails.  It
-    returns the cloud use and the number of running preemptibles, nothing by
-    request group.
+    returns the number of running preemptibles.
     SiteScheduler.audit calls it and checks the rest of the site from what
     it returns.
 
@@ -142,9 +143,9 @@ class NodePool:
         self.site_id = site_id
         self._log = log
         self.nodes: dict[str, NodeRecord] = {}
-        self._cloud = {power: [0, 0, 0, 0] for power in _POWER_STATES}
-        self._cloud_used = [0, 0, 0]
-        self._cloud_reclaimable = [0, 0, 0]
+        self._counts = {power: 0 for power in _POWER_STATES}
+        self._booting = [0, 0, 0]
+        self._offer = [0, 0, 0]
         self._idle: dict[str, int] = {}
         self.mark = None  # called on every _update when set (see SiteScheduler)
         for node in nodes:
@@ -170,12 +171,14 @@ class NodePool:
     def _tally(self, node: NodeRecord, sign: int):
         """Add (sign 1) or take back (sign -1) a node's share of the counters."""
         if node.role == ROLE_CLOUD:
-            row = self._cloud[node.power]
-            add_into(row, node.capacity, sign)
-            row[3] += sign
-            if node.power == POWER_ON:
-                add_into(self._cloud_used, node.used, sign)
-                add_into(self._cloud_reclaimable, node.preemptible_used, sign)
+            power, capacity = node.power, node.capacity
+            self._counts[power] += sign
+            if power == POWER_BOOTING:
+                add_into(self._booting, capacity, sign)
+            used, share, offer = node.used, node.preemptible_used, self._offer
+            offer[0] += sign * (capacity.cpus - used.cpus + share.cpus)
+            offer[1] += sign * (capacity.mem_mb - used.mem_mb + share.mem_mb)
+            offer[2] += sign * (capacity.disk_gb - used.disk_gb + share.disk_gb)
         if sign < 0:
             self._idle.pop(node.node_id, None)
         elif self.is_idle(node):
@@ -222,51 +225,35 @@ class NodePool:
                 and not node.instances and node.idle_since is not None)
 
     def cloud_capacity(self) -> ResourceVector:
-        row = self._cloud[POWER_ON]
-        return unchecked(row[0], row[1], row[2])
-
-    def free_space(self) -> tuple[int, int, int]:
-        """Cloud capacity minus cloud use as (cpus, mem_mb, disk_gb)."""
-        c0, c1, c2, _count = self._cloud[POWER_ON]
-        u0, u1, u2 = self._cloud_used
-        return c0 - u0, c1 - u1, c2 - u2
+        """The capacity of the on cloud nodes, summed when called."""
+        return ResourceVector.total(n.capacity for n in self.order if self.is_schedulable(n))
 
     def cloud_free(self) -> ResourceVector:
-        """free_space() as a vector."""
-        return unchecked(*self.free_space())
+        """Cloud capacity minus what runs on it, summed when called."""
+        return self.cloud_capacity() - ResourceVector.total(
+            n.used for n in self.order if self.is_schedulable(n))
 
     def booting_space(self) -> tuple[int, int, int]:
         """The capacity of the booting cloud nodes as (cpus, mem_mb, disk_gb)."""
-        row = self._cloud[POWER_BOOTING]
-        return row[0], row[1], row[2]
+        booting = self._booting
+        return booting[0], booting[1], booting[2]
 
     def potential_free(self) -> tuple[int, int, int]:
         """What the site could offer a new deployment, as (cpus, mem_mb, disk_gb).
 
-        Counts current free space, the cloud nodes elasticity could power on
-        (booting or off), and what preemptible instances hold (reclaimable by
-        normal work).
+        The sum over the cloud nodes of capacity - used + preemptible_used:
+        the free space of the on nodes plus what their preemptible instances
+        hold (reclaimable by normal work), and the whole capacity of the
+        nodes elasticity could power on (booting or off).
         """
-        free0, free1, free2 = self.free_space()
-        booting, off = self._cloud[POWER_BOOTING], self._cloud[POWER_OFF]
-        held = self._cloud_reclaimable
-        return (free0 + booting[0] + off[0] + held[0],
-                free1 + booting[1] + off[1] + held[1],
-                free2 + booting[2] + off[2] + held[2])
+        offer = self._offer
+        return offer[0], offer[1], offer[2]
 
     def cloud_counts(self) -> tuple[int, int, int]:
         """(cloud-role nodes, powered ones: on or booting, off ones)."""
-        on = self._cloud[POWER_ON][3]
-        booting = self._cloud[POWER_BOOTING][3]
-        off = self._cloud[POWER_OFF][3]
-        return on + booting + off, on + booting, off
-
-    def conserves(self, cpus: int, mem_mb: int, disk_gb: int) -> bool:
-        """True iff cloud free space plus the given running sums is the cloud
-        capacity, component by component."""
-        free0, free1, free2 = self.free_space()
-        c0, c1, c2, _count = self._cloud[POWER_ON]
-        return free0 + cpus == c0 and free1 + mem_mb == c1 and free2 + disk_gb == c2
+        counts = self._counts
+        powered = counts[POWER_ON] + counts[POWER_BOOTING]
+        return powered + counts[POWER_OFF], powered, counts[POWER_OFF]
 
     def idle_nodes(self) -> list[NodeRecord]:
         return [self.nodes[node_id] for node_id in self._idle]
@@ -278,7 +265,7 @@ class NodePool:
         return min((since + t_idle_s for since in self._idle.values()
                     if since + t_idle_s > t), default=None)
 
-    def audit(self, running) -> tuple[list[int], int]:
+    def audit(self, running) -> int:
         """Recompute every counter and the pool partition from the nodes and
         check each node's instance set against running, the site's running
         instances by request id, both ways, its used and preemptible_used
@@ -291,8 +278,8 @@ class NodePool:
         counter differs from its recount.  Each node's checks run in turn;
         running instances on no node and the counters are checked after the
         walk.
-        Returns the recounted cloud use and the number of running
-        preemptibles; the pool knows nothing of request groups.
+        Returns the number of running preemptibles; the pool knows nothing
+        of request groups.
 
         Each node costs only the reads its checks need: a node with no
         instances has zero sums, so its used and preemptible_used are checked
@@ -302,11 +289,9 @@ class NodePool:
         since an idle node's idle_since is never None.  The counted and
         recounted dicts are built only for the message of a failed check.
         """
-        on_cpus = on_mem = on_disk = on_count = 0
-        boot_cpus = boot_mem = boot_disk = boot_count = 0
-        off_cpus = off_mem = off_disk = off_count = 0
-        used_cpus = used_mem = used_disk = 0
-        reclaim_cpus = reclaim_mem = reclaim_disk = 0
+        on_count = boot_count = off_count = 0
+        boot_cpus = boot_mem = boot_disk = 0
+        offer_cpus = offer_mem = offer_disk = 0
         idle_count = 0
         idle_matches = True
         idle_get = self._idle.get
@@ -349,19 +334,17 @@ class NodePool:
             elif (node_used.cpus or node_used.mem_mb or node_used.disk_gb
                   or share.cpus or share.mem_mb or share.disk_gb):
                 _sums_differ(node_id, node_used, (0, 0, 0), share, (0, 0, 0))
+            if role == ROLE_CLOUD:
+                offer_cpus += capacity.cpus
+                offer_mem += capacity.mem_mb
+                offer_disk += capacity.disk_gb
             if power == POWER_ON:
                 if role == ROLE_CLOUD:
-                    on_cpus += capacity.cpus
-                    on_mem += capacity.mem_mb
-                    on_disk += capacity.disk_gb
                     on_count += 1
                     if instances:
-                        used_cpus += node_cpus
-                        used_mem += node_mem
-                        used_disk += node_disk
-                        reclaim_cpus += share_cpus
-                        reclaim_mem += share_mem
-                        reclaim_disk += share_disk
+                        offer_cpus += share_cpus - node_cpus
+                        offer_mem += share_mem - node_mem
+                        offer_disk += share_disk - node_disk
                     elif node.idle_since is not None:  # is_idle
                         idle_count += 1
                         if idle_get(node_id) != node.idle_since:
@@ -374,9 +357,6 @@ class NodePool:
                 raise ElasticityError("node %s busy while %s" % (node_id, power))
             if power == POWER_OFF:
                 if role == ROLE_CLOUD:
-                    off_cpus += capacity.cpus
-                    off_mem += capacity.mem_mb
-                    off_disk += capacity.disk_gb
                     off_count += 1
             elif power == POWER_BOOTING:
                 if role == ROLE_CLOUD:
@@ -390,31 +370,23 @@ class NodePool:
             on_nodes = set().union(*(node.instances for node in self.nodes.values()))
             raise ElasticityError("running instances %s are on no node's instance set"
                                   % sorted(running.keys() - on_nodes))
-        counted = self._cloud
-        on, booting, off = counted[POWER_ON], counted[POWER_BOOTING], counted[POWER_OFF]
-        used, reclaimable = self._cloud_used, self._cloud_reclaimable
-        if (on[0] != on_cpus or on[1] != on_mem or on[2] != on_disk or on[3] != on_count
-                or booting[0] != boot_cpus or booting[1] != boot_mem
-                or booting[2] != boot_disk or booting[3] != boot_count
-                or off[0] != off_cpus or off[1] != off_mem
-                or off[2] != off_disk or off[3] != off_count
-                or used[0] != used_cpus or used[1] != used_mem or used[2] != used_disk
-                or reclaimable[0] != reclaim_cpus or reclaimable[1] != reclaim_mem
-                or reclaimable[2] != reclaim_disk
+        counts, booting, offer = self._counts, self._booting, self._offer
+        if (counts[POWER_ON] != on_count or counts[POWER_BOOTING] != boot_count
+                or counts[POWER_OFF] != off_count
+                or booting[0] != boot_cpus or booting[1] != boot_mem or booting[2] != boot_disk
+                or offer[0] != offer_cpus or offer[1] != offer_mem or offer[2] != offer_disk
                 or not idle_matches or idle_count != len(self._idle)):
-            counted = dict(counted, used=used, reclaimable=reclaimable, idle=self._idle)
+            counted = {"counts": counts, "booting": booting, "offer": offer, "idle": self._idle}
             recounted = {
-                POWER_ON: [on_cpus, on_mem, on_disk, on_count],
-                POWER_BOOTING: [boot_cpus, boot_mem, boot_disk, boot_count],
-                POWER_OFF: [off_cpus, off_mem, off_disk, off_count],
-                "used": [used_cpus, used_mem, used_disk],
-                "reclaimable": [reclaim_cpus, reclaim_mem, reclaim_disk],
+                "counts": {POWER_ON: on_count, POWER_BOOTING: boot_count, POWER_OFF: off_count},
+                "booting": [boot_cpus, boot_mem, boot_disk],
+                "offer": [offer_cpus, offer_mem, offer_disk],
                 "idle": {node_id: node.idle_since for node_id, node in self.nodes.items()
                          if self.is_idle(node)}}
             raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
                 "%s %s, nodes give %s" % (name, counted[name], recounted[name])
                 for name in counted if counted[name] != recounted[name]))
-        return [used_cpus, used_mem, used_disk], preemptibles
+        return preemptibles
 
     def assign(self, request_id: str, resources: ResourceVector, t: int,
                preemptible: bool, node_id: str):
@@ -432,13 +404,18 @@ class NodePool:
 
     def unassign(self, request_id: str, resources: ResourceVector, node_id: str,
                  t: int, preemptible: bool = False):
-        """Remove an instance; completes a pending drain when the node empties."""
+        """Remove an instance; completes a pending drain when the node empties.
+
+        Raises ResourceError when the node's used or preemptible_used is less
+        than the instance: assign keeps both at their instances' sums, so a
+        shortfall is a write around the pool, not something to clamp.
+        """
         node = self.node(node_id)
         if request_id not in node.instances:
             raise ElasticityError("instance %r is not on node %r" % (request_id, node_id))
+        used = node.used - resources
+        share = node.preemptible_used - resources if preemptible else None
         node.instances.discard(request_id)
-        used = node.used.monus(resources)
-        share = node.preemptible_used.monus(resources) if preemptible else None
         if node.instances:
             self._update(node, used=used, preemptible_used=share)
             return

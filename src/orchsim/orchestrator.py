@@ -315,10 +315,13 @@ class Orchestrator:
         A site is eligible when one of the token's groups holds an SLA there,
         the token may use it, each of the template's instances fits one of
         its nodes (an instance larger than every node would wait forever) and
-        the template's demand fits its potential free capacity.  The
-        SLA-holding sites come from the group set's cache, the node fit from
-        the template's and the ranking from the candidate set's; the permit
-        and capacity checks run on every create.
+        the template's demand fits its potential free capacity: the sum over
+        its cloud nodes of capacity - used + preemptible_used, in which a
+        node that is booting or off holds nothing and counts whole
+        (NodePool.potential_free).  The SLA-holding sites come from the group
+        set's cache, the node fit from the template's and the ranking from
+        the candidate set's; the permit and capacity checks run on every
+        create.
         """
         cpus, mem_mb, disk_gb = parsed.demand
         candidates = []  # (site id, site, best SLA)

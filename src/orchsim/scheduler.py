@@ -529,18 +529,21 @@ class SiteScheduler:
 
     # -- audits -----------------------------------------------------------
 
-    def audit(self, t: int, failed: bool = False):
+    def audit(self, failed: bool = False):
         """Cross-check incremental accounting against first principles.
 
         Integer sums throughout, with no vector built unless a check fails.
         The pool's audit walks the nodes once: each node's instance set
         against running, both ways, its used and preemptible_used against
         its instances, its instance sums against its capacity, the pool's
-        counters, the partition and no busy node powered down.  It returns
-        the running use on cloud nodes and the number of running
-        preemptibles, and this audit checks the rest: the victim order
-        against them, pooled conservation, the queued-demand counter and,
-        only when a group has a quota, group_running.  That counter is kept
+        counters, the partition and no busy node powered down.  Pooled
+        conservation (cloud free plus running equals cloud capacity) follows
+        from those checks exactly, so it has no check of its own: each node's
+        used is its instances' sums, each instance is on its own node only,
+        and the instance sets hold all of running.  The walk returns the
+        number of running preemptibles, and this audit checks the rest:
+        the victim order against them, the queued-demand counter and, only
+        when a group has a quota, group_running.  That counter is kept
         for the groups with a quota only (quota_allows reads no other), so
         an entry for any other group is an error; each quota group's running
         instances are recounted from running and checked against its
@@ -560,7 +563,7 @@ class SiteScheduler:
         """
         running = self.running
         try:
-            (cpus, mem_mb, disk_gb), preemptibles = self.pool.audit(running)
+            preemptibles = self.pool.audit(running)
         except ElasticityError as exc:
             raise SchedulerError(str(exc)) from exc
         # The victim order holds exactly the running preemptibles, each under
@@ -581,12 +584,6 @@ class SiteScheduler:
             if entry <= previous:  # valid entries differ by request id
                 raise SchedulerError("victim order is not sorted")
             previous = entry
-        if not self.pool.conserves(cpus, mem_mb, disk_gb):
-            free, capacity = self.pool.cloud_free(), self.pool.cloud_capacity()
-            raise SchedulerError(
-                "conservation violated at t=%d: free %s + running (%d cpus, %d MB, %d GB) "
-                "!= capacity %s"
-                % (t, free, cpus, mem_mb, disk_gb, capacity))
         queued = [0, 0, 0]
         check_soundness = self.backfill and not failed
         rooms = unsound = None

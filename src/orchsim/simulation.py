@@ -611,7 +611,7 @@ class World:
         one (see _advance); any violation aborts the run."""
         for site_id, site in self._audit_order:
             try:
-                site.scheduler.audit(t, failed=site.failed(t))
+                site.scheduler.audit(failed=site.failed(t))
             except DomainError as exc:
                 raise InvariantViolationError("site %s at t=%d: %s"
                                               % (site_id, t, exc)) from exc

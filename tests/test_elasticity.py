@@ -12,7 +12,7 @@ from orchsim.elasticity import (ACTION_POWER_OFF, ACTION_POWER_ON,
                                 ElasticityManager, ElasticPolicy, NodePool,
                                 NodeRecord, UnknownNodeError)
 from orchsim.report import EventLog
-from orchsim.resources import ResourceVector
+from orchsim.resources import ResourceError, ResourceVector
 from orchsim.scheduler import RunningInstance
 
 
@@ -406,9 +406,13 @@ def test_cloud_counters_follow_a_random_walk():
         assert pool.cloud_capacity() == capacity, t
         assert pool.cloud_free() == free, t
         _check_elastic_counters(pool, t)
-        assert pool._cloud_reclaimable == list(triple(ResourceVector.total(
-            resources for resources, on, preemptible in placed.values()
-            if preemptible and pool.is_schedulable(pool.nodes[on])))), t
+        # What the cloud nodes offer from what was placed: their capacity
+        # less the normal instances on them, whatever their power state.
+        cloud = [n for n in pool.nodes.values() if n.role == "cloud"]
+        assert pool.potential_free() == triple(
+            ResourceVector.total(n.capacity for n in cloud) - ResourceVector.total(
+                resources for resources, on, preemptible in placed.values()
+                if not preemptible and pool.nodes[on].role == "cloud")), t
         for node_id, node in pool.nodes.items():
             here = [(resources, preemptible) for resources, on, preemptible
                     in placed.values() if on == node_id]
@@ -486,14 +490,15 @@ def _two_instances_on_w1():
     return pool, running_of(placed)
 
 
-def test_pool_audit_returns_the_sums_of_what_runs_on_its_nodes():
+def test_pool_audit_returns_the_running_preemptibles_on_every_node():
     pool, running = _two_instances_on_w1()
-    pool.assign("c", rv(3, 256, 1), 0, False, "w2")
-    running["c"] = RunningInstance(req(group="h", res=rv(3, 256, 1), rid="c"),
+    pool.assign("c", rv(3, 256, 1), 0, True, "w2")
+    running["c"] = RunningInstance(req(group="h", res=rv(3, 256, 1), bid=0.5, rid="c"),
                                    start_time=0, node_id="w2")
-    pool.switch_role("w2", "batch", t=1)  # c drains with w2 and leaves the cloud use
+    pool.switch_role("w2", "batch", t=1)  # c drains with w2, which leaves the offer
     assert pool.nodes["w2"].role == "draining_to_batch"
-    assert pool.audit(running) == ([2, 1024, 10], 1)  # the cloud use and the preemptibles
+    assert pool.audit(running) == 2  # b on w1 and c on the draining w2
+    assert pool.potential_free() == (3, 3584, 35)  # w1 less its normal instance a
 
 
 _INSTANCE_SET_WRITES = {
@@ -613,37 +618,49 @@ def _one_node_per_power():
     return pool, running_of({"r": (rv(1, 512, 5), "w1", True)})
 
 
-_COUNTERS = {"on": lambda pool: pool._cloud["on"], "booting": lambda pool: pool._cloud["booting"],
-             "off": lambda pool: pool._cloud["off"], "used": lambda pool: pool._cloud_used,
-             "reclaimable": lambda pool: pool._cloud_reclaimable}
-
-
-@pytest.mark.parametrize("name, component", [
-    (name, component) for name, size in (("booting", 4), ("off", 4), ("on", 4),
-                                         ("reclaimable", 3), ("used", 3))
-    for component in range(size)])
-def test_pool_audit_names_only_the_drifted_counter(name, component):
+@pytest.mark.parametrize("name, key", [("counts", "on"), ("counts", "booting"),
+                                       ("counts", "off")]
+                         + [(name, key) for name in ("booting", "offer") for key in range(3)])
+def test_pool_audit_names_only_the_drifted_counter(name, key):
     pool, running = _one_node_per_power()
-    assert pool.audit(running) == ([1, 512, 5], 1)
-    counter = _COUNTERS[name](pool)
-    recount = list(counter)
-    counter[component] += 1
+    assert pool.audit(running) == 1
+    counter = getattr(pool, "_" + name)
+    recount = counter.copy()
+    counter[key] += 1
     with pytest.raises(ElasticityError, match="^%s$" % re.escape(
             "cloud counters differ from the node sums: %s %s, nodes give %s"
             % (name, counter, recount))):
         pool.audit(running)
 
 
-@pytest.mark.parametrize("node_id, row", [("w1", "on"), ("w2", "booting"), ("w3", "off")])
-def test_pool_audit_recounts_each_power_row_from_its_nodes(node_id, row):
+@pytest.mark.parametrize("node_id, power, drifted", [("w1", "on", ["offer"]),
+                                                     ("w2", "booting", ["booting", "offer"]),
+                                                     ("w3", "off", ["offer"])])
+def test_pool_audit_recounts_a_grown_capacity_in_every_power_state(node_id, power, drifted):
     pool, running = _one_node_per_power()
-    assert pool.nodes[node_id].power == row
-    counted = list(pool._cloud[row])
+    assert pool.nodes[node_id].power == power
+    counted = {name: list(getattr(pool, "_" + name)) for name in drifted}
     pool.nodes[node_id].capacity = rv(5, 4096, 40)  # grows behind the pool's back
     with pytest.raises(ElasticityError, match="^%s$" % re.escape(
-            "cloud counters differ from the node sums: %s %s, nodes give %s"
-            % (row, counted, [counted[0] + 1] + counted[1:]))):
+            "cloud counters differ from the node sums: " + "; ".join(
+                "%s %s, nodes give %s" % (name, row, [row[0] + 1] + row[1:])
+                for name, row in counted.items()))):
         pool.audit(running)
+
+
+@pytest.mark.parametrize("field", ["used", "preemptible_used"])
+@pytest.mark.parametrize("component", ["cpus", "mem_mb", "disk_gb"])
+def test_unassign_raises_for_a_node_use_lowered_around_the_pool(field, component):
+    """assign keeps used and preemptible_used at their instances' sums, so
+    unassign subtracts without a clamp: one component of either, lowered
+    below the preemptible instance b, makes it raise and write nothing."""
+    pool, _running = _two_instances_on_w1()
+    w1 = pool.nodes["w1"]
+    lowered = replace(getattr(w1, field), **{component: 0})
+    setattr(w1, field, lowered)
+    with pytest.raises(ResourceError, match="^subtraction would go negative"):
+        pool.unassign("b", rv(1, 512, 5), "w1", 1, preemptible=True)
+    assert w1.instances == {"a", "b"} and getattr(w1, field) == lowered
 
 
 # -- reconcile against the full planning pass ---------------------------------------

@@ -361,12 +361,12 @@ def test_a_request_that_fits_only_pooled_free_space_preempts_on_one_node():
     _place(sched, "n2", "normal-n2", rv(1, 512, 5))
     _place(sched, "n2", "spot-n2", rv(1, 512, 5), bid=0.1)
     sched.release("filler", 5)
-    assert sched.pool.free_space() == (4, 6144, 60)
+    assert sched.pool.cloud_free() == rv(4, 6144, 60)
     decision = sched.submit(req(user="p", res=rv(3, 512, 5), rid="probe"), t=10)
     assert decision.kind == DECISION_STARTED and decision.instance.node_id == "n2"
     assert set(sched.running) == {"normal-n1", "spot-n1", "normal-n2", "probe"}
     assert [node.used for node in sched.pool.order] == [rv(2, 1024, 10), rv(4, 1024, 10)]
-    sched.audit(10)
+    sched.audit()
 
 
 # Full 4-cpu nodes n1, n2 and n3, each filled in turn: (node, request id,
@@ -397,7 +397,7 @@ def test_select_victims_picks_the_node_by_cardinality_then_victim_keys(case):
     assert [v.request_id for v in sched.select_victims(probe)] == victims
     assert sched._startable(probe) == (node_id, [sched.running[rid] for rid in victims])
     assert sched.submit(probe, 1).instance.node_id == node_id
-    sched.audit(1)
+    sched.audit()
 
 
 def test_higher_bid_preemptible_displaces_lower_on_submit():
@@ -619,15 +619,19 @@ def test_zero_resource_request_invalid():
 
 
 def check_victim_order(sched):
-    """The kept victim order, a normal request's eligible victims and the
-    pool's reclaimable counter against a filter and sort of running."""
+    """The kept victim order and a normal request's eligible victims against
+    a filter and sort of running, and what the pool offers placement against
+    the cloud capacity less the normal instances running on it."""
     running = sched.running.values()
     preemptibles = sorted((i for i in running if i.request.is_preemptible), key=_victim_key)
     assert [entry[-1] for entry in sched._victims] == preemptibles
     assert sched._eligible_victims(req(user="normal-probe")) == preemptibles
-    assert sched.pool._cloud_reclaimable == list(triple(ResourceVector.total(
-        i.request.resources for i in preemptibles
-        if sched.pool.is_schedulable(sched.pool.nodes[i.node_id]))))
+    pool = sched.pool
+    assert pool.potential_free() == triple(
+        ResourceVector.total(n.capacity for n in pool.order if n.role == "cloud")
+        - ResourceVector.total(i.request.resources for i in running
+                               if not i.request.is_preemptible
+                               and pool.nodes[i.node_id].role == "cloud"))
 
 
 def test_conservation_under_random_churn():
@@ -660,7 +664,7 @@ def test_conservation_under_random_churn():
         assert sched.queued_demand() == triple(ResourceVector.total(
             r.resources for r in sched.queue))
         deepest = max(deepest, len(sched.queue))
-        sched.audit(t)
+        sched.audit()
     assert deepest > 1  # work waited, so the queue counter moved both ways
 
 
@@ -672,10 +676,10 @@ def test_audit_catches_a_drifted_queue_counter():
     assert sched.queued_demand() == (2, 768, 7)
     assert sched.cancel_queued("leaves", t=1)
     assert sched.queued_demand() == (1, 512, 5)
-    sched.audit(1)
+    sched.audit()
     sched.queue.append(req(res=rv(1, 256, 1), rid="sneaked-in"))  # around the counter
     with pytest.raises(SchedulerError, match="queued demand counter"):
-        sched.audit(0)
+        sched.audit()
 
 
 @pytest.mark.parametrize("write", ["zero", "drop", "ghost"])
@@ -685,7 +689,7 @@ def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
     sched.submit(req(group="g", res=rv(1, 1024, 10), rid="a"), t=0)
     sched.submit(req(group="h", res=rv(2, 512, 5), rid="b"), t=0)
     sched.release("a", 5)  # g's counter is back at zero and stays listed
-    sched.audit(5)
+    sched.audit()
     if write == "zero":
         sched.group_running["h"] = rv()
     elif write == "drop":
@@ -693,7 +697,7 @@ def test_audit_catches_a_group_counter_written_around_the_scheduler(write):
     else:
         sched.group_running["ghost"] = rv(1, 0, 0)
     with pytest.raises(SchedulerError, match="running counter"):
-        sched.audit(5)
+        sched.audit()
 
 
 def test_a_group_without_a_quota_has_no_running_counter():
@@ -706,11 +710,11 @@ def test_a_group_without_a_quota_has_no_running_counter():
         sched.submit(req(group="h", res=rv(2, 512, 5), rid="b"), t=0)
         assert sched.group_running == ({"g": rv(1, 1024, 10)} if quotas else {})
         sched.release("b", 5)
-        sched.audit(5)
+        sched.audit()
         sched.group_running["h"] = rv(2, 512, 5)
         with pytest.raises(SchedulerError, match=r"^group h has a running counter "
                            r"\(2 cpus, 512 MB, 5 GB\) but no quota$"):
-            sched.audit(5)
+            sched.audit()
 
 
 def test_group_counters_follow_a_random_walk_with_quotas_on_some_groups():
@@ -751,18 +755,18 @@ def test_group_counters_follow_a_random_walk_with_quotas_on_some_groups():
                                   for r in sched.queue)
         seen["back_to_zero"] += any(used.is_zero() for used in sched.group_running.values())
         seen["unquoted_ran"] += bool(recount.keys() - quotas.keys())
-        sched.audit(t)
+        sched.audit()
     assert all(seen.values()), seen
 
 
 def test_audit_catches_a_group_over_its_quota():
     sched = make_scheduler(rv(4, 4096, 40), quotas={"g": rv(2, 2048, 20)})
     sched.submit(req(group="g", res=rv(2, 1024, 10), rid="a"), t=0)
-    sched.audit(0)
+    sched.audit()
     sched.quotas["g"] = rv(1, 2048, 20)  # the cap shrinks under running work
     with pytest.raises(SchedulerError, match=r"^group g exceeds quota: \(2 cpus, 1024 MB, "
                        r"10 GB\) > \(1 cpus, 2048 MB, 20 GB\)$"):
-        sched.audit(0)
+        sched.audit()
 
 
 _NODE_SET_WRITES = {
@@ -783,7 +787,7 @@ def test_audit_catches_a_node_instance_set_written_around_the_scheduler(write):
     sched.submit(req(res=rv(1, 512, 5), rid="a"), t=0)
     sched.submit(req(res=rv(1, 512, 5), bid=0.1, rid="b"), t=0)
     assert sched.pool.nodes["n1"].instances == {"a", "b"}
-    sched.audit(0)
+    sched.audit()
     if write == "ghost":
         sched.pool.nodes["n1"].instances.add("ghost")
     elif write == "lost":
@@ -793,17 +797,17 @@ def test_audit_catches_a_node_instance_set_written_around_the_scheduler(write):
     else:
         sched.pool.unassign("b", rv(1, 512, 5), "n1", t=0, preemptible=True)
     with pytest.raises(SchedulerError, match=_NODE_SET_WRITES[write]):
-        sched.audit(0)
+        sched.audit()
 
 
 def test_audit_checks_each_node_used_against_its_running_instances():
     sched = make_scheduler(rv(4, 4096, 40), rv(4, 4096, 40))
     sched.submit(req(res=rv(1, 512, 5), rid="a"), t=0)
-    sched.audit(0)
+    sched.audit()
     sched.pool.nodes["n1"].used = rv(1, 256, 5)  # drifts behind the pool's back
     with pytest.raises(SchedulerError, match=r"node n1 used \(1 cpus, 256 MB, 5 GB\) but "
                        r"running instances sum to \(1 cpus, 512 MB, 5 GB\)"):
-        sched.audit(0)
+        sched.audit()
 
 
 @pytest.mark.parametrize("write, message", [("sneak", "queued demand counter")])
@@ -815,12 +819,12 @@ def test_audit_catches_a_shape_counter_written_around_the_scheduler(write, messa
     sched.submit(req(group="g", res=rv(1, 512, 5), bid=0.1, rid="b"), t=0)
     sched.submit(req(group="h", res=rv(1, 512, 5), bid=0.1, rid="c"), t=0)
     assert sched.cancel_queued("b", t=1)
-    sched.audit(1)
+    sched.audit()
     assert [r.request_id for r in sched.queue] == ["a", "c"]
     # a queued request the queued-demand counter never saw
     sched.queue.append(req(res=rv(1, 512, 5), rid="sneaked-in"))
     with pytest.raises(SchedulerError, match=message):
-        sched.audit(1)
+        sched.audit()
 
 
 def memo_free_dispatch(sched, t, probes):
@@ -937,7 +941,7 @@ def test_dispatch_matches_a_memo_free_dispatch_on_a_random_walk(backfill):
         assert logs[0].records == logs[1].records, (t, op)
         assert set(real.running) == set(ref.running)
         assert real.ordered_queue(t) == ref.ordered_queue(t)
-        real.audit(t)
+        real.audit()
         queued = {}
         for request in real.queue:
             queued.setdefault((request.resources, request.bid), set()).add(request.group)
@@ -1013,7 +1017,7 @@ def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypat
     sched.pool.boot_complete("n2", 18)
     assert [i.request_id for i in sched.dispatch(18)] == ["g0", "g1"]
     assert [r.request_id for r in sched.ordered_queue(18)] == ["g2", "h6"]
-    sched.audit(18)
+    sched.audit()
 
 
 def test_victim_order_follows_a_random_walk():
@@ -1054,7 +1058,7 @@ def test_victim_order_follows_a_random_walk():
                 continue
             sched.dispatch(t)
         check_victim_order(sched)
-        sched.audit(t)
+        sched.audit()
     kinds = {(r["kind"], r.get("state")) for r in log.records}
     assert {("instance_preempted", None), ("instance_killed", None),
             ("role_changed", "completed")} <= kinds
@@ -1062,19 +1066,19 @@ def test_victim_order_follows_a_random_walk():
 
 
 @pytest.mark.parametrize("write, message", [
-    ("counter", "reclaimable"), ("node_share", "preemptible_used"),
+    ("counter", "offer"), ("node_share", "preemptible_used"),
     ("drop", "holds 1 entries for 2"), ("twice", "holds 3 entries for 2"),
     ("swap", "not sorted"), ("stale", "under its key"), ("normal", "under its key")])
-def test_audit_catches_a_victim_order_or_reclaimable_counter_written_around_the_scheduler(
+def test_audit_catches_a_victim_order_or_pool_counter_written_around_the_scheduler(
         write, message):
     sched = make_scheduler(rv(4, 4096, 40))
     sched.submit(req(res=rv(1, 512, 5), bid=0.1, rid="low"), t=0)
     sched.submit(req(res=rv(1, 512, 5), bid=0.3, rid="high"), t=1)
     sched.submit(req(res=rv(1, 512, 5), rid="normal"), t=2)
-    sched.audit(2)
+    sched.audit()
     victims = sched._victims
     if write == "counter":
-        sched.pool._cloud_reclaimable[0] += 1
+        sched.pool._offer[0] += 1
     elif write == "node_share":
         sched.pool.nodes["n1"].preemptible_used = rv(1, 512, 5)
     elif write == "drop":
@@ -1089,7 +1093,7 @@ def test_audit_catches_a_victim_order_or_reclaimable_counter_written_around_the_
     else:
         victims[0] = (None, -2, "normal", sched.running["normal"])
     with pytest.raises((SchedulerError, ElasticityError), match=message):
-        sched.audit(2)
+        sched.audit()
 
 
 def test_normal_instances_never_preempted():

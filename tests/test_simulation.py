@@ -1,3 +1,5 @@
+import glob
+import os
 import re
 from dataclasses import replace
 
@@ -5,7 +7,7 @@ import pytest
 
 from conftest import req, rv
 
-from orchsim.elasticity import ElasticPolicy
+from orchsim.elasticity import ElasticPolicy, NodePool
 from orchsim.report import derive_metrics, parse_report, verify_report
 from orchsim.simulation import (EventSpec, ProviderSpec, Scenario, ScenarioError,
                                 UserSpec, World, load_scenario, parse_scenario,
@@ -209,6 +211,24 @@ def test_shipped_scenarios_load_and_run_clean():
         scenario = load_scenario("scenarios/%s.scn" % name)
         report = run_scenario(scenario)
         verify_report(report)
+
+
+SHIPPED_SCENARIOS = sorted(os.path.basename(path) for path in glob.glob(
+    os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "*.scn")))
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCENARIOS)
+def test_a_run_reads_no_on_demand_cloud_sum(name, monkeypatch):
+    """NodePool.cloud_free and cloud_capacity walk the nodes when called, so
+    no event of a run may call them."""
+    calls = []
+    for reader in ("cloud_free", "cloud_capacity"):
+        def counted(pool, reader=reader, original=getattr(NodePool, reader)):
+            calls.append(reader)
+            return original(pool)
+        monkeypatch.setattr(NodePool, reader, counted)
+    World(load_scenario("scenarios/%s" % name)).run()
+    assert calls == []
 
 
 def test_derive_metrics_matches_incremental_on_shipped_scenarios():
@@ -1029,8 +1049,7 @@ def _fingerprint(world):
                       for request_id, instance in scheduler.running.items()),
             tuple(scheduler.queue),
             tuple(entry[:3] for entry in scheduler._victims),
-            tuple(tuple(row) for row in pool._cloud.values()),
-            tuple(pool._cloud_used), tuple(pool._cloud_reclaimable),
+            tuple(pool._counts.items()), tuple(pool._booting), tuple(pool._offer),
             tuple(pool._idle.items()), tuple(scheduler._queued),
             tuple(scheduler.group_running.items()),
             tuple(elastic._floors.items()), elastic.floor()))
