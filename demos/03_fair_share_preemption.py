@@ -50,7 +50,7 @@ for rid, size, bid in (("x", rv(1, 1024, 5), 0.1),
                        ("z", rv(2, 2048, 10), 0.3)):
     sched2.submit(InstanceRequest(rid, "u", "g", size, bid=bid, arrival_time=0), 0)
 probe = InstanceRequest("probe", "p", "g", rv(2, 2048, 10), arrival_time=1)
-victims = sched2.select_victims(probe)
+node_id, victims = sched2.select_victims(probe)
 print("free is zero; a (2,2048,10) normal request arrives")
-print("victims:", [v.request_id for v in victims],
+print("node:", node_id, "| victims:", [v.request_id for v in victims],
       "(one eviction beats evicting both cheap instances)")

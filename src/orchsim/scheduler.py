@@ -258,33 +258,31 @@ class SiteScheduler:
             victims = victims[:bisect.bisect_left(victims, (request.bid,))]
         return list(map(operator.itemgetter(-1), victims))
 
-    def select_victims(self, request: InstanceRequest) -> list[RunningInstance]:
-        """Pick a minimal set of preemptible instances on one node whose
-        termination makes room for request there.
+    def select_victims(self, request: InstanceRequest) -> tuple[str, list[RunningInstance]]:
+        """(node id, victims to preempt there) for request to start on one
+        schedulable node, from one walk of the nodes in id order.
 
-        Empty when a schedulable node's capacity minus used already fits it.
-        Each schedulable node, in id order, is searched against its own free
-        space with the eligible victims on it (_node_victims); the best set
-        wins by cardinality, then by its victims' keys in preference order
-        (lower bids, then younger instances, then ids), and as two nodes'
-        sets hold different victims the node id never has to decide.
-        Instances on draining nodes are never taken: terminating them frees
-        capacity outside the cloud pool.  Raises InfeasiblePreemptionError
-        when no node has a set that is enough.
+        The first node whose capacity minus used fits request wins, with no
+        victims.  When none does, each node whose preemptibles together
+        cover its deficit is searched, in id order, against that deficit
+        with the eligible victims on it (_node_victims); the best set wins
+        by cardinality, then by its victims' keys in preference order (lower
+        bids, then younger instances, then ids), and as two nodes' sets hold
+        different victims the node id never has to decide.  The eligible
+        victims are listed only when such a node exists.  Instances on
+        draining nodes are never taken: terminating them frees capacity
+        outside the cloud pool.  Raises InfeasiblePreemptionError when no
+        node fits and no node has a set that is enough.
 
         A node is searched only for the sets that could beat the best so
         far: fewer victims, or as many when its first eligible victim's key
         is below the best set's first key (a set of as many led by a higher
         key loses).  So once the best set has one victim, a node whose first
-        eligible victim comes after it is skipped, and with no eligible
-        victims no node is searched at all.
+        eligible victim comes after it is skipped.
         """
         resources = request.resources
         cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
-        by_node: dict[str, list[RunningInstance]] = {}
-        for instance in self._eligible_victims(request):
-            by_node.setdefault(instance.node_id, []).append(instance)
-        best = None  # (cardinality, victim keys), victims
+        candidates = []  # (node id, deficit) of each node its preemptibles could cover
         for node in self.pool.order:
             if node.power != POWER_ON or node.role != ROLE_CLOUD:  # is_schedulable
                 continue
@@ -294,29 +292,35 @@ class SiteScheduler:
             need = (cpus - capacity.cpus + used.cpus, mem_mb - capacity.mem_mb + used.mem_mb,
                     disk_gb - capacity.disk_gb + used.disk_gb)
             if need[0] <= 0 and need[1] <= 0 and need[2] <= 0:
-                return []
-            on_node = by_node.get(node.node_id)
-            if on_node is None:
-                continue
+                return node.node_id, []
             share = node.preemptible_used
-            if need[0] > share.cpus or need[1] > share.mem_mb or need[2] > share.disk_gb:
-                continue  # all the node's preemptibles together free too little
-            if best is None:
-                most = len(on_node)
-            else:
-                cardinality, keys = best[0]
-                most = cardinality - (_victim_key(on_node[0]) > keys[0])
-                if most == 0:
+            if need[0] <= share.cpus and need[1] <= share.mem_mb and need[2] <= share.disk_gb:
+                candidates.append((node.node_id, need))
+        if candidates:
+            by_node: dict[str, list[RunningInstance]] = {}
+            for instance in self._eligible_victims(request):
+                by_node.setdefault(instance.node_id, []).append(instance)
+            best = None  # (cardinality, victim keys), node id, victims
+            for node_id, need in candidates:
+                on_node = by_node.get(node_id)
+                if on_node is None:
                     continue
-            victims = self._node_victims(on_node, need, most)
-            if victims is not None:
-                rank = len(victims), [_victim_key(victim) for victim in victims]
-                if best is None or rank < best[0]:
-                    best = rank, victims
-        if best is None:
-            raise InfeasiblePreemptionError(
-                "no victim set can free enough capacity for %s" % request.request_id)
-        return best[1]
+                if best is None:
+                    most = len(on_node)
+                else:
+                    cardinality, keys = best[0]
+                    most = cardinality - (_victim_key(on_node[0]) > keys[0])
+                    if most == 0:
+                        continue
+                victims = self._node_victims(on_node, need, most)
+                if victims is not None:
+                    rank = len(victims), [_victim_key(victim) for victim in victims]
+                    if best is None or rank < best[0]:
+                        best = rank, node_id, victims
+            if best is not None:
+                return best[1], best[2]
+        raise InfeasiblePreemptionError(
+            "no victim set can free enough capacity for %s" % request.request_id)
 
     def _node_victims(self, eligible, need, most) -> list[RunningInstance] | None:
         """The victims to take among eligible, one node's in preference
@@ -424,9 +428,9 @@ class SiteScheduler:
         return instance
 
     def _startable(self, request: InstanceRequest) -> tuple[str, list] | None:
-        """(node id, victims to preempt there) for the request to start now,
-        or None when it cannot: after the quota, first fit by node id on each
-        schedulable node's capacity minus used, else select_victims's node.
+        """select_victims's (node id, victims to preempt there) for the
+        request to start now, or None when its group quota holds it back or
+        no node can take it.
 
         Only the request's shape and the pool state decide this: the quota
         and group_running, the nodes' used and the victim order move with
@@ -434,19 +438,10 @@ class SiteScheduler:
         """
         if not self.quota_allows(request):
             return None
-        resources = request.resources
-        cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
-        for node in self.pool.order:
-            if node.power == POWER_ON and node.role == ROLE_CLOUD:  # is_schedulable
-                capacity, used = node.capacity, node.used
-                if (cpus <= capacity.cpus - used.cpus and mem_mb <= capacity.mem_mb - used.mem_mb
-                        and disk_gb <= capacity.disk_gb - used.disk_gb):
-                    return node.node_id, []
         try:
-            victims = self.select_victims(request)
+            return self.select_victims(request)
         except InfeasiblePreemptionError:
             return None
-        return victims[0].node_id, victims
 
     def dispatch(self, t: int) -> list[RunningInstance]:
         """Start queued work, highest fair-share priority first.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from orchsim.elasticity import NodePool, NodeRecord
@@ -16,6 +18,17 @@ def rv(cpus=0, mem=0, disk=0) -> ResourceVector:
 def triple(vector: ResourceVector) -> tuple[int, int, int]:
     """A vector as the (cpus, mem_mb, disk_gb) tuple the pool's int readers return."""
     return vector.cpus, vector.mem_mb, vector.disk_gb
+
+
+def brute_force_min_cardinality(free, eligible, request):
+    """Smallest victim-set size over exhaustive subsets of eligible that
+    makes room for request on top of free, or None."""
+    for size in range(len(eligible) + 1):
+        for combo in itertools.combinations(eligible, size):
+            freed = ResourceVector.total(i.request.resources for i in combo)
+            if request.resources.fits(free + freed):
+                return size
+    return None
 
 
 def make_pool(*capacities, t=0, prefix="n", power="on", log=None) -> NodePool:

@@ -6,13 +6,12 @@ test (brute force, exhaustive subsets, hand-derived ratios), never from the
 code under test.
 """
 
-import itertools
 import random
 import time
 
 import pytest
 
-from conftest import rv
+from conftest import brute_force_min_cardinality, rv
 
 from orchsim.elasticity import NodePool, NodeRecord
 from orchsim.ranker import (PreferenceList, ProviderSnapshot, RankerConfig,
@@ -129,15 +128,6 @@ def test_criterion_2_preference_dominance():
 # -- 3. preemption correctness ------------------------------------------------------
 
 
-def _brute_force_min_victims(free, eligible, request):
-    for size in range(len(eligible) + 1):
-        for combo in itertools.combinations(eligible, size):
-            freed = ResourceVector.total(i.request.resources for i in combo)
-            if request.resources.fits(free + freed):
-                return size
-    return None
-
-
 def test_criterion_3_preemption_correctness():
     rng = random.Random(1003)
     checked = 0
@@ -161,13 +151,13 @@ def test_criterion_3_preemption_correctness():
         eligible = [inst for inst in sched.running.values()
                     if inst.request.is_preemptible
                     and (probe_bid is None or inst.request.bid < probe_bid)]
-        expected = _brute_force_min_victims(free, eligible, probe)
+        expected = brute_force_min_cardinality(free, eligible, probe)
         if expected is None:
             with pytest.raises(InfeasiblePreemptionError):
                 sched.select_victims(probe)
         else:
-            victims = sched.select_victims(probe)
-            assert len(victims) == expected
+            node_id, victims = sched.select_victims(probe)
+            assert node_id == "n1" and len(victims) == expected
             assert all(v.request.is_preemptible for v in victims)
             freed = ResourceVector.total(v.request.resources for v in victims)
             assert probe.resources.fits(free + freed)

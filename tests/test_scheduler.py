@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import make_scheduler, req, rv, triple
+from conftest import brute_force_min_cardinality, make_scheduler, req, rv, triple
 
 from orchsim import resources
 from orchsim.elasticity import ElasticityError
@@ -127,19 +127,9 @@ def test_quota_respected_at_dispatch():
 # -- select_victims -------------------------------------------------------------
 
 
-def brute_force_min_cardinality(free, eligible, request):
-    """Smallest victim-set size over exhaustive subsets, or None."""
-    for size in range(len(eligible) + 1):
-        for combo in itertools.combinations(eligible, size):
-            freed = ResourceVector.total(i.request.resources for i in combo)
-            if request.resources.fits(free + freed):
-                return size
-    return None
-
-
 def test_select_victims_empty_when_fits():
     sched = make_scheduler(rv(4, 4096, 40))
-    assert sched.select_victims(req(res=rv(1, 512, 5))) == []
+    assert sched.select_victims(req(res=rv(1, 512, 5))) == ("n1", [])
 
 
 def test_select_victims_unique_minimal_set():
@@ -151,8 +141,7 @@ def test_select_victims_unique_minimal_set():
         assert sched.submit(r, t=0).kind == DECISION_STARTED
     assert sched.pool.cloud_free() == rv(0, 0, 0)
     probe = req(user="p", res=rv(2, 2048, 10), rid="probe")
-    victims = sched.select_victims(probe)
-    assert [v.request_id for v in victims] == ["z"]
+    assert sched.select_victims(probe) == ("n1", [sched.running["z"]])
     # brute-force over all subsets confirms {z} is the unique minimal set
     eligible = list(sched.running.values())
     assert brute_force_min_cardinality(sched.pool.cloud_free(), eligible, probe) == 1
@@ -169,8 +158,7 @@ def test_select_victims_needs_both():
     for r in (x, y):
         assert sched.submit(r, t=0).kind == DECISION_STARTED
     probe = req(user="p", res=rv(2, 2048, 10), rid="probe")
-    victims = sched.select_victims(probe)
-    assert sorted(v.request_id for v in victims) == ["x", "y"]
+    assert sched.select_victims(probe) == ("n1", [sched.running["x"], sched.running["y"]])
     assert brute_force_min_cardinality(rv(0, 0, 0), list(sched.running.values()),
                                        probe) == 2
 
@@ -184,8 +172,7 @@ def test_select_victims_prefers_lowest_bids_then_youngest():
     rich = req(user="c", res=rv(2, 2048, 20), bid=0.9, rid="rich")
     sched.submit(rich, t=6)
     probe = req(user="p", res=rv(1, 512, 5), rid="probe")
-    victims = sched.select_victims(probe)
-    assert [v.request_id for v in victims] == ["young-cheap"]
+    assert sched.select_victims(probe) == ("n1", [sched.running["young-cheap"]])
 
 
 def test_preemptible_may_only_displace_strictly_lower_bids():
@@ -196,7 +183,7 @@ def test_preemptible_may_only_displace_strictly_lower_bids():
     with pytest.raises(InfeasiblePreemptionError):
         sched.select_victims(equal_bid)
     higher = req(user="z", res=rv(1, 512, 5), bid=0.6, rid="higher")
-    assert [v.request_id for v in sched.select_victims(higher)] == ["incumbent"]
+    assert sched.select_victims(higher) == ("n1", [sched.running["incumbent"]])
 
 
 def _reference_search(free, eligible, request):
@@ -257,11 +244,13 @@ def test_select_victims_matches_reference_on_random_sites():
     exact and the greedy search and the infeasible case.  pruned counts the
     probes where the search skipped a node that the reference searches (one
     with eligible victims that together free enough) or searched one for
-    fewer set sizes than it has eligible victims."""
+    fewer set sizes than it has eligible victims; fits_after_victims those
+    that start without victims on a node after one where victims would make
+    room, so no node may be searched before every node's fit is known."""
     rng = random.Random(31)
     covered = {"exact": 0, "greedy": 0, "preemptible": 0, "normal": 0, "infeasible": 0,
                "equal_bid": 0, "mem_only": 0, "disk_only": 0, "not_first_node": 0,
-               "fragmented": 0, "pruned": 0}
+               "fragmented": 0, "pruned": 0, "fits_after_victims": 0}
     searches = []  # (eligible victims, most) of each _node_victims call
     sizes = [rv(2, 2048, 20), rv(4, 4096, 40), rv(8, 8192, 80)]
     for trial in range(60):
@@ -315,8 +304,9 @@ def test_select_victims_matches_reference_on_random_sites():
                 continue
             node_id, victims = expected
             searches.clear()
-            got = sched.select_victims(probe)
-            eligible_on = {v.node_id for v in sched._eligible_victims(probe)}
+            assert sched.select_victims(probe) == expected
+            eligible = sched._eligible_victims(probe)
+            eligible_on = {v.node_id for v in eligible}
             searchable = sum(
                 1 for n in sched.pool.order if sched.pool.is_schedulable(n)
                 and n.node_id in eligible_on
@@ -326,21 +316,23 @@ def test_select_victims_matches_reference_on_random_sites():
                 + n.preemptible_used.mem_mb
                 and probe.resources.disk_gb <= n.capacity.disk_gb - n.used.disk_gb
                 + n.preemptible_used.disk_gb)
-            covered["pruned"] += bool(got) and (len(searches) < searchable or any(
+            covered["pruned"] += bool(victims) and (len(searches) < searchable or any(
                 most < size for size, most in searches))
-            assert [v.request_id for v in got] == [v.request_id for v in victims]
-            assert sched._startable(probe) == (node_id, got)
-            assert {v.node_id for v in got} <= {node_id}
-            if got:
+            if victims:
                 covered["preemptible" if probe.is_preemptible else "normal"] += 1
-                on_node = [i for i in sched._eligible_victims(probe) if i.node_id == node_id]
+                on_node = [i for i in eligible if i.node_id == node_id]
                 covered["greedy" if len(on_node) > 16 else "exact"] += 1
-                covered["not_first_node"] += node_id != min(
-                    v.node_id for v in sched._eligible_victims(probe))
+                covered["not_first_node"] += node_id != min(v.node_id for v in eligible)
                 if short is not None:
                     covered[short] += 1
+            else:
+                covered["fits_after_victims"] += any(
+                    n.node_id < node_id and sched.pool.is_schedulable(n)
+                    and probe.resources.fits(n.capacity.monus(n.used) + ResourceVector.total(
+                        i.request.resources for i in eligible if i.node_id == n.node_id))
+                    for n in sched.pool.order)
             # Pooled free space fits the probe, but no node's does.
-            covered["fragmented"] += bool(got) and probe.resources.fits(free)
+            covered["fragmented"] += bool(victims) and probe.resources.fits(free)
     assert all(covered.values()), covered
 
 
@@ -384,6 +376,10 @@ _PER_NODE_CHOICES = {
     "lower_keys": ([("n1", "normal-n1", 2, None), ("n1", "a", 2, 0.5),
                     ("n2", "normal-n2", 4, None),
                     ("n3", "normal-n3", 2, None), ("n3", "d", 2, 0.3)], ("n3", ["d"])),
+    # n1's victim would make room, but n2 fits outright: no preemption.
+    "fit_after_victims": ([("n1", "normal-n1", 2, None), ("n1", "a", 2, 0.1),
+                           ("n2", "normal-n2", 2, None),
+                           ("n3", "normal-n3", 4, None)], ("n2", [])),
 }
 
 
@@ -394,8 +390,7 @@ def test_select_victims_picks_the_node_by_cardinality_then_victim_keys(case):
     for on, rid, cpus, bid in starts:
         _place(sched, on, rid, rv(cpus, 512, 5), bid=bid)
     probe = req(user="p", res=rv(2, 512, 5), rid="probe")
-    assert [v.request_id for v in sched.select_victims(probe)] == victims
-    assert sched._startable(probe) == (node_id, [sched.running[rid] for rid in victims])
+    assert sched.select_victims(probe) == (node_id, [sched.running[rid] for rid in victims])
     assert sched.submit(probe, 1).instance.node_id == node_id
     sched.audit()
 
@@ -445,8 +440,8 @@ def test_victim_searches_and_a_pass_that_starts_nothing_build_no_vector(monkeypa
 
     monkeypatch.setattr(ResourceVector, "__post_init__", counted_validate)
     monkeypatch.setattr(resources, "_new", counted_new)
-    assert len(sched.select_victims(greedy)) == 2
-    assert len(sched.select_victims(exact)) == 2
+    assert len(sched.select_victims(greedy)[1]) == 2
+    assert len(sched.select_victims(exact)[1]) == 2
     with pytest.raises(InfeasiblePreemptionError):
         sched.select_victims(infeasible)
     assert sched.dispatch(3) == []
@@ -971,18 +966,19 @@ class _CountingQueue(list):
 @pytest.mark.parametrize("backfill", [True, False])
 def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypatch, backfill):
     """n1 is full of a normal instance and n2 is off, so no preemptible can
-    start.  Each step checks how many victim searches and queue sorts it
-    made: a pass with no pool write and only known-unstartable shapes makes
-    neither with backfill on; with backfill off it sorts (the head can change
-    as usage decays) but does not probe the head again."""
+    start.  Each step checks how many probes (select_victims calls) and
+    queue sorts it made: a pass with no pool write and only
+    known-unstartable shapes makes neither with backfill on; with backfill
+    off it sorts (the head can change as usage decays) but does not probe
+    the head again."""
     sched = make_scheduler(rv(2, 2048, 20), rv(2, 2048, 20), backfill=backfill)
     sched.pool.power_off("n2", 0)
     sched.submit(req(user="n", res=rv(2, 2048, 20), rid="full"), t=0)
-    counts = {"victims": 0}
+    counts = {"probes": 0}
     select_victims = sched.select_victims
 
     def counted(request):
-        counts["victims"] += 1
+        counts["probes"] += 1
         return select_victims(request)
 
     monkeypatch.setattr(sched, "select_victims", counted)
@@ -990,10 +986,10 @@ def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypat
     monkeypatch.setattr(_CountingQueue, "sorts", 0)
 
     def made(step):
-        """(victim searches, sorts) that step made."""
-        before = counts["victims"], _CountingQueue.sorts
+        """(probes, sorts) that step made."""
+        before = counts["probes"], _CountingQueue.sorts
         assert not step()
-        return counts["victims"] - before[0], _CountingQueue.sorts - before[1]
+        return counts["probes"] - before[0], _CountingQueue.sorts - before[1]
 
     def submit(group, n):
         return made(lambda: sched.submit(req(group=group, res=rv(1, 1024, 10), bid=0.1,
