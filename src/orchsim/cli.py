@@ -208,7 +208,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError("cannot read %r: %s" % (path, exc)) from exc
 
 

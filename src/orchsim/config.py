@@ -95,9 +95,10 @@ def _read_config(block: stext.Block) -> EngineConfig:
 def load_config(path: str) -> EngineConfig:
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_config(handle.read())
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %r: %s" % (path, exc)) from exc
+    return parse_config(text)
 
 
 def config_path(explicit_path: str | None = None) -> str | None:

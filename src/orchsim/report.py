@@ -8,13 +8,24 @@ the simulator accumulated incrementally.
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 
 # Record kinds that end a running instance's occupancy.
 _STOP_KINDS = ("instance_released", "instance_preempted", "instance_killed")
+
+# parse_report decodes a report in slices of whole lines of about this many
+# characters, one json.loads each: the decoder shares each key string among
+# the records of one call, and no list of lines is held.
+_SLICE_CHARS = 1 << 16
+
+# The only way one line can hold two JSON objects.  Such a line adds an
+# element to its slice that a record split over two lines could cancel.
+_TWO_OBJECTS = re.compile(r"\}[ \t]*,[ \t]*\{")
 
 
 class ReportError(DomainError):
@@ -44,8 +55,8 @@ class EventLog:
         return record
 
 
-def render_record(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=True)
+# One record per line: the default encoder writes ASCII with ", " and ": ".
+render_record = json.JSONEncoder().encode
 
 
 @dataclass
@@ -56,12 +67,12 @@ class RunReport:
     metrics: dict = field(default_factory=dict)
 
     def event_log_text(self) -> str:
-        return "\n".join(render_record(r) for r in self.records) + "\n"
+        return "\n".join(map(render_record, self.records)) + "\n"
 
     def to_text(self) -> str:
         lines = [render_record({"record": "header", "seed": self.seed,
                                 "horizon_s": self.horizon_s})]
-        lines.extend(render_record(r) for r in self.records)
+        lines.extend(map(render_record, self.records))
         lines.append(render_record({"record": "metrics", "metrics": self.metrics}))
         return "\n".join(lines) + "\n"
 
@@ -74,22 +85,76 @@ def write_report(report: RunReport, path: str):
 def load_report(path: str) -> RunReport:
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_report(handle.read())
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReportError("cannot read report %r: %s" % (path, exc)) from exc
+    return parse_report(text)
 
 
 def parse_report(text: str) -> RunReport:
+    """The report in text: one JSON object per line, blank lines skipped.
+
+    A malformed line is a ReportError that names it.  A well-formed report
+    is decoded a slice of lines at a time; any text the slices cannot vouch
+    for is read line by line, which alone words the errors.
+    """
+    values = _decode_slices(text)
+    if values is not None:
+        try:
+            return _collect(enumerate(values, start=1))
+        except ReportError:
+            pass
+    return _collect((lineno, _decode_line(line))
+                    for lineno, line in enumerate(text.splitlines(), start=1)
+                    if line.strip())
+
+
+def _decode_line(line: str):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
+def _decode_slices(text: str) -> list | None:
+    """The value of each line of text, decoded one slice of lines at a time;
+    None unless each value is provably what its line decodes to alone.
+
+    A slice's lines are joined by commas into one JSON array.  Its element
+    count equals its line count only when no record is split over lines (a
+    split one would lose an element) and no line holds two values: two
+    objects are ruled out by _TWO_OBJECTS, and a value that is not an
+    object fails _collect.  Blank lines leave ",," and do not decode, and
+    control characters other than "\n" and "\r" are rejected by the decoder
+    anywhere; "\r", and the non-ASCII line breaks of str.splitlines, are
+    refused here.
+    """
+    if not text.endswith("\n") or not text.isascii() or "\r" in text \
+            or _TWO_OBJECTS.search(text):
+        return None
+    values = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        lines = text[start:end - 1]
+        try:
+            decoded = json.loads("[" + lines.replace("\n", ",") + "]")
+        except (ValueError, RecursionError):
+            return None
+        if len(decoded) != lines.count("\n") + 1:
+            return None
+        values.extend(decoded)
+        start = end
+    return values
+
+
+def _collect(values) -> RunReport:
+    """The report of (line number, decoded value) pairs; the first value
+    that is not a header, metrics or event record is a ReportError."""
     header = None
     metrics = None
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except ValueError:
-            data = None
+    for lineno, data in values:
         if not isinstance(data, dict):
             raise ReportError("line %d: not a JSON object" % lineno)
         if data.get("record") == "header":
@@ -341,7 +406,7 @@ def verify_report(report: RunReport):
         raise VerificationError(
             "metrics do not match the event log: %s is %r in the report, %r from the log"
             % (path or "metrics", reported, expected))
-    for index, (earlier, later) in enumerate(zip(report.records, report.records[1:])):
+    for index, (earlier, later) in enumerate(itertools.pairwise(report.records)):
         if (earlier["t"], earlier["seq"]) >= (later["t"], later["seq"]):
             raise VerificationError(
                 "event log is not totally ordered: record %d has (t, seq) (%r, %r) "

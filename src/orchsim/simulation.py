@@ -251,13 +251,13 @@ def load_scenario(path: str) -> Scenario:
         try:
             with open(candidate, encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ScenarioError("cannot read template %r: %s" % (template_name, exc)) from exc
 
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError("cannot read scenario %r: %s" % (path, exc)) from exc
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(text, name=name, template_loader=loader)

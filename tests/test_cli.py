@@ -173,21 +173,49 @@ def test_sim_run_and_verify(workdir, capsys):
     assert "verified" in out
 
 
+def _each(damage):
+    """A damage applied to every line of the damaged slice."""
+    return lambda lines: [damage(line) for line in lines]
+
+
+def _split_after(marker):
+    """A damage that breaks the slice's one line after marker."""
+    return lambda lines: lines[0].replace(marker, marker + "\n", 1).split("\n")
+
+
+def _split_ranked(line):
+    """Line 7 split where the comma of its ranked list was.
+
+    Rejoined by a comma the record is whole again, so it makes up the
+    element that a second value on an earlier line adds: a count of
+    elements per slice alone would accept the text.
+    """
+    return line.replace('"site-a", ', '"site-a"\n').split("\n")
+
+
 @pytest.mark.parametrize("damaged, damage, error, message", [
-    (slice(1, 3), lambda line: "oops", "ReportError", "line 2: not a JSON object"),
-    (slice(1, 3), lambda line: "[1, 2]", "ReportError", "line 2: not a JSON object"),
-    (slice(1, 3), lambda line: re.sub(r'"seq": \d+, ', "", line),
+    (slice(1, 3), _each(lambda line: "oops"), "ReportError", "line 2: not a JSON object"),
+    (slice(1, 3), _each(lambda line: "[1, 2]"), "ReportError", "line 2: not a JSON object"),
+    (slice(1, 3), _each(lambda line: re.sub(r'"seq": \d+, ', "", line)),
      "ReportError", "line 2: event record needs integer t and seq, string kind"),
-    (slice(0, 1), lambda line: '{"record": "header"}',
+    (slice(0, 1), _each(lambda line: '{"record": "header"}'),
      "ReportError", "line 1: header needs integer seed and horizon_s"),
-    (slice(1, 2), lambda line: '{"t": 0, "seq": 0, "kind": "instance_started"}',
+    (slice(1, 2), _each(lambda line: '{"t": 0, "seq": 0, "kind": "instance_started"}'),
      "VerificationError", "record 0 (instance_started) has no field 'site'"),
-    (slice(8, 9), lambda line: re.sub(r'"cpus": \d+', '"cpus": "x"', line),
+    (slice(8, 9), _each(lambda line: re.sub(r'"cpus": \d+', '"cpus": "x"', line)),
      "VerificationError", "record 7 (instance_started) field 'cpus' is not an integer: 'x'"),
-    (slice(1, 2), lambda line: re.sub(r'"cpus": \d+', '"cpus": true', line),
+    (slice(1, 2), _each(lambda line: re.sub(r'"cpus": \d+', '"cpus": true', line)),
      "VerificationError", "record 0 (site_node) field 'cpus' is not an integer: True"),
+    (slice(2, 4), lambda lines: [", ".join(lines)], "ReportError", "line 3: not a JSON object"),
+    (slice(3, 4), _split_after('"user": "ada",'), "ReportError", "line 4: not a JSON object"),
+    (slice(2, 7), lambda lines: [", ".join(lines[:2]), *lines[2:4], *_split_ranked(lines[4])],
+     "ReportError", "line 3: not a JSON object"),
+    (slice(2, 7), lambda lines: [lines[0] + ", 7", *lines[1:4], *_split_ranked(lines[4])],
+     "ReportError", "line 3: not a JSON object"),
 ], ids=["not-json", "not-an-object", "no-seq", "header-without-seed", "record-without-site",
-        "started-cpus-not-an-int", "node-cpus-a-bool"])
+        "started-cpus-not-an-int", "node-cpus-a-bool", "two-records-on-a-line",
+        "record-split-over-two-lines", "two-records-and-a-balancing-split",
+        "a-value-after-a-record-and-a-balancing-split"])
 def test_sim_verify_names_the_malformed_report_line(workdir, capsys, damaged, damage, error,
                                                     message):
     (workdir / "runnable.scn").write_text(
@@ -196,12 +224,30 @@ def test_sim_verify_names_the_malformed_report_line(workdir, capsys, damaged, da
           "user: ada, duration: 10 }\n")
     assert main(["sim", "run", "runnable.scn", "--report", "out.jsonl"]) == 0
     lines = (workdir / "out.jsonl").read_text().splitlines()
-    lines[damaged] = [damage(line) for line in lines[damaged]]
+    lines[damaged] = damage(lines[damaged])
     (workdir / "out.jsonl").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["--machine", "sim", "verify", "out.jsonl"]) == 1
     record = json.loads(capsys.readouterr().out.strip())
     assert record == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["sim", "verify", "bad"], "ReportError", "cannot read report 'bad': "),
+    (["sim", "run", "bad"], "ScenarioError", "cannot read scenario 'bad': "),
+    (["sim", "run", "uses-bad.scn"], "ScenarioError", "cannot read template 'bad': "),
+    (["sim", "run", "uses-bad.scn", "--config", "bad"], "ConfigError",
+     "cannot read config 'bad': "),
+    (["validate", "bad"], "CliError", "cannot read 'bad': "),
+], ids=["report", "scenario", "template", "config", "cli-file"])
+def test_an_undecodable_file_is_a_domain_error(workdir, capsys, argv, error, message):
+    (workdir / "bad").write_bytes(b"\xff")
+    (workdir / "uses-bad.scn").write_text(
+        WORLD + "events:\n  e1: { at: 0, action: submit, template: bad, user: ada }\n")
+    assert main(["--machine"] + argv) == 1
+    record = json.loads(capsys.readouterr().out.strip())
+    assert record["error"] == error
+    assert record["message"].startswith(message + "'utf-8' codec can't decode byte 0xff")
 
 
 def test_sim_run_unknown_scenario_domain_error(workdir, capsys):
