@@ -20,7 +20,9 @@ _STOP_KINDS = ("instance_released", "instance_preempted", "instance_killed")
 
 # parse_report decodes a report in slices of whole lines of about this many
 # characters, one json.loads each: the decoder shares each key string among
-# the records of one call, and no list of lines is held.
+# the records of one call, and no list of lines is held.  Each slice's field
+# values are shared (_share) before the next slice is decoded, so a slice's
+# duplicates are freed before the next one adds its own to the peak.
 _SLICE_CHARS = 1 << 16
 
 # The only way one line can hold two JSON objects.  Such a line adds an
@@ -55,8 +57,20 @@ class EventLog:
         return record
 
 
-# One record per line: the default encoder writes ASCII with ", " and ": ".
-render_record = json.JSONEncoder().encode
+# One record per line, as the default encoder writes it: ASCII, ", " and ": ".
+# The C encoder is built once here, not once per record; markers is None
+# because a record is never circular.
+_STOCK = json.JSONEncoder()
+if json.encoder.c_make_encoder is None:
+    render_record = _STOCK.encode
+else:
+    _encode = json.encoder.c_make_encoder(
+        None, _STOCK.default, json.encoder.encode_basestring_ascii, None,
+        _STOCK.key_separator, _STOCK.item_separator, _STOCK.sort_keys,
+        _STOCK.skipkeys, _STOCK.allow_nan)
+
+    def render_record(record: dict) -> str:
+        return "".join(_encode(record, 0))
 
 
 @dataclass
@@ -96,7 +110,8 @@ def parse_report(text: str) -> RunReport:
 
     A malformed line is a ReportError that names it.  A well-formed report
     is decoded a slice of lines at a time; any text the slices cannot vouch
-    for is read line by line, which alone words the errors.
+    for is read line by line, which alone words the errors.  Either reading
+    keeps one object per distinct str or int field value (_share).
     """
     values = _decode_slices(text)
     if values is not None:
@@ -104,7 +119,8 @@ def parse_report(text: str) -> RunReport:
             return _collect(enumerate(values, start=1))
         except ReportError:
             pass
-    return _collect((lineno, _decode_line(line))
+    memo = {}
+    return _collect((lineno, _share([_decode_line(line)], memo)[0])
                     for lineno, line in enumerate(text.splitlines(), start=1)
                     if line.strip())
 
@@ -114,6 +130,19 @@ def _decode_line(line: str):
         return json.loads(line)
     except ValueError:
         return None
+
+
+def _share(values: list, memo: dict) -> list:
+    """values, with each str or int field of each object among them replaced
+    by the first equal one memo holds.  The exact type test keeps bools and
+    floats out of memo, so True, 1 and 1.0 never stand for one another."""
+    for value in values:
+        if type(value) is dict:
+            for key, field_value in value.items():
+                cls = type(field_value)
+                if cls is str or cls is int:
+                    value[key] = memo.setdefault(field_value, field_value)
+    return values
 
 
 def _decode_slices(text: str) -> list | None:
@@ -133,6 +162,7 @@ def _decode_slices(text: str) -> list | None:
             or _TWO_OBJECTS.search(text):
         return None
     values = []
+    memo = {}
     start = 0
     while start < len(text):
         end = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
@@ -143,14 +173,15 @@ def _decode_slices(text: str) -> list | None:
             return None
         if len(decoded) != lines.count("\n") + 1:
             return None
-        values.extend(decoded)
+        values.extend(_share(decoded, memo))
         start = end
     return values
 
 
 def _collect(values) -> RunReport:
     """The report of (line number, decoded value) pairs; the first value
-    that is not a header, metrics or event record is a ReportError."""
+    that is not a header, metrics or event record is a ReportError, and so
+    is a second header or metrics record, or metrics that is not an object."""
     header = None
     metrics = None
     records = []
@@ -158,11 +189,17 @@ def _collect(values) -> RunReport:
         if not isinstance(data, dict):
             raise ReportError("line %d: not a JSON object" % lineno)
         if data.get("record") == "header":
+            if header is not None:
+                raise ReportError("line %d: second header record" % lineno)
             if type(data.get("seed")) is not int or type(data.get("horizon_s")) is not int:
                 raise ReportError("line %d: header needs integer seed and horizon_s" % lineno)
             header = data
         elif data.get("record") == "metrics":
+            if metrics is not None:
+                raise ReportError("line %d: second metrics record" % lineno)
             metrics = data.get("metrics")
+            if not isinstance(metrics, dict):
+                raise ReportError("line %d: metrics record needs a JSON object" % lineno)
         elif (type(data.get("t")) is int and type(data.get("seq")) is int
               and isinstance(data.get("kind"), str)):
             records.append(data)

@@ -16,11 +16,15 @@ string).  There are no block sequences; lists and maps are inline only.
 Readers take values through ``Block.field``, ``Block.block`` and
 ``Block.reject_unknown``, which check each value against a kind from the
 table below and name the offending line in every error.
+
+Keys and bare-word scalars are interned, so a name or key that repeats
+across a file is held once; quoted text is not.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -178,7 +182,7 @@ def _parse_scalar(text: str, line: int):
         return False
     if not text:
         raise StextError(line, "missing value")
-    return text
+    return sys.intern(text)
 
 
 def _split_inline(body: str, line: int) -> list[str]:
@@ -219,7 +223,7 @@ def _parse_value(text: str, line: int):
             if ":" not in part:
                 raise StextError(line, "expected key: value in inline map, got %r" % part)
             key, _, rest = part.partition(":")
-            key = key.strip()
+            key = sys.intern(key.strip())
             if not _KEY_RE.match(key):
                 raise StextError(line, "bad key %r" % key)
             if key in block:
@@ -268,7 +272,7 @@ def parse_stext(text: str) -> Block:
         if ":" not in content:
             raise StextError(lineno, "expected key: value, got %r" % content)
         key, _, rest = content.partition(":")
-        key = key.strip()
+        key = sys.intern(key.strip())
         if not _KEY_RE.match(key):
             raise StextError(lineno, "bad key %r" % key)
         if key in block:
@@ -294,7 +298,7 @@ def parse_flat(text: str) -> Block:
         key, equals, rest = content.partition("=")
         if not equals:
             raise StextError(lineno, "expected key = value")
-        key = key.strip()
+        key = sys.intern(key.strip())
         if key in root:
             raise DuplicateKeyError(lineno, key, "<root>")
         root.entries[key] = Entry(lineno, _parse_value(rest, lineno))

@@ -212,10 +212,17 @@ def _split_ranked(line):
      "ReportError", "line 3: not a JSON object"),
     (slice(2, 7), lambda lines: [lines[0] + ", 7", *lines[1:4], *_split_ranked(lines[4])],
      "ReportError", "line 3: not a JSON object"),
+    (slice(0, 1), lambda lines: lines * 2, "ReportError", "line 2: second header record"),
+    (slice(-1, None), lambda lines: lines * 2, "ReportError", "line 13: second metrics record"),
+    (slice(-1, None), _each(lambda line: '{"record": "metrics"}'),
+     "ReportError", "line 12: metrics record needs a JSON object"),
+    (slice(-1, None), _each(lambda line: '{"record": "metrics", "metrics": 5}'),
+     "ReportError", "line 12: metrics record needs a JSON object"),
 ], ids=["not-json", "not-an-object", "no-seq", "header-without-seed", "record-without-site",
         "started-cpus-not-an-int", "node-cpus-a-bool", "two-records-on-a-line",
         "record-split-over-two-lines", "two-records-and-a-balancing-split",
-        "a-value-after-a-record-and-a-balancing-split"])
+        "a-value-after-a-record-and-a-balancing-split", "second-header", "second-metrics",
+        "metrics-record-without-metrics", "metrics-not-an-object"])
 def test_sim_verify_names_the_malformed_report_line(workdir, capsys, damaged, damage, error,
                                                     message):
     (workdir / "runnable.scn").write_text(

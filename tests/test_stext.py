@@ -92,6 +92,29 @@ def test_dump_round_trip_including_quoting():
     assert root.get("block").get("nested").get("leaf") == 1
 
 
+def test_a_repeated_key_or_bare_word_is_one_object():
+    root = parse_stext("""\
+e1: { action: submit, user: ada, prefs: [site-a] }
+e2: { action: submit, user: ada, prefs: [site-a] }
+nodes:
+  web:
+    kind: Compute
+  db:
+    kind: Compute
+quoted: { user: "ada", cpus: "2" }
+""")
+    e1, e2, nodes = root.get("e1"), root.get("e2"), root.get("nodes")
+    key1, key2 = list(e1.entries)[1], list(e2.entries)[1]
+    assert key1 == "user" and key1 is key2
+    assert e1.get("user") is e2.get("user")
+    assert e1.get("prefs")[0] is e2.get("prefs")[0]
+    web_key, db_key = list(nodes.get("web").entries), list(nodes.get("db").entries)
+    assert web_key == ["kind"] and web_key[0] is db_key[0]
+    assert nodes.get("web").get("kind") is nodes.get("db").get("kind")
+    quoted = root.get("quoted")
+    assert (quoted.get("user"), quoted.get("cpus")) == ("ada", "2")
+
+
 # -- typed reader -----------------------------------------------------------
 
 READER = """\
