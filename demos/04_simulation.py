@@ -24,10 +24,10 @@ for record in report.records:
         print("  t=%4d %-26s %s" % (record["t"], record["kind"], summary))
 
 print()
-print("=== determinism: identical seeds give byte-identical logs ===")
+print("=== determinism: identical seeds give byte-identical reports ===")
 one = run_scenario(load_scenario("scenarios/preemption.scn"))
 two = run_scenario(load_scenario("scenarios/preemption.scn"))
-print("logs equal:", one.event_log_text() == two.event_log_text())
+print("reports equal:", one.to_text() == two.to_text())
 print("preemptions recorded:", one.metrics["preemptions"])
 
 print()

@@ -1,10 +1,9 @@
 """Site node pool, power management and batch/cloud role partitioning.
 
-NodePool tracks physical nodes (capacity, power state, role, occupancy) and
-keeps integer counters over its cloud-role nodes, each for one reader that
-reads it in O(1).
+NodePool tracks physical nodes (capacity, power state, role, occupancy);
+each of its readers walks the nodes when it is called.
 ElasticityManager powers nodes on from queued demand and off after sustained
-idleness, asking the counters whether an action can fire before it sorts any
+idleness, asking the pool whether an action can fire before it sorts any
 candidates.
 NodePool.switch_role commutes nodes between the batch and cloud pools
 through draining states so a node is never counted in two pools at once.
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .resources import ResourceVector, add_into
+from .resources import ResourceVector
 
 POWER_OFF = "off"
 POWER_BOOTING = "booting"
@@ -106,31 +105,21 @@ class NodePool:
     preemptible_used and idle_since and of its instance set.  Every write
     goes through _update, which calls mark (the site's scheduler sets it: it
     empties its memo of unstartable shapes and marks the site for its next
-    pass) and moves the node's share of these counters along with it.  Each
-    counter has one reader:
-
-    - _counts[power]: the number of cloud-role nodes in that power state,
-      for cloud_counts() (reconcile's bounds);
-    - _booting: [cpus, mem_mb, disk_gb] of the booting cloud nodes, for
-      booting_space() (reconcile's coverage);
-    - _offer: the sum over the cloud nodes of capacity - used +
-      preemptible_used, for potential_free() (placement); a node that is
-      not on holds nothing, so it offers its whole capacity;
-    - _idle: idle node id -> idle_since (see is_idle), for power-off:
-      idle_nodes() in reconcile and next_idle_due() for the next wake.
-
-    cloud_capacity() and cloud_free() keep no counter: no run reads them,
-    so they sum the on cloud nodes when called.
+    pass).  The pool keeps no counter over its nodes: each reader walks
+    them when it is called.  Reconcile calls cloud_counts(), booting_space()
+    and idle_nodes() at most once per site visit, the simulation
+    next_idle_due() once per visit and per wake, and placement
+    potential_free() once per candidate site of a create.
     assign places an instance on the node the scheduler names only if it
     fits, so no node is ever over its capacity.  The node set is fixed at
     construction, so the pool keeps its nodes in id order once (order, never
     written), which the scheduler walks instead of sorting them per probe.
     audit(running) walks the nodes once: it checks each node's instance set,
     used and preemptible_used against the site's running instances and its
-    instance sums against its capacity, and recomputes every counter from
-    the nodes to cross-check it.  It costs constant work per node plus one
-    pass per running instance, and builds no dict unless a check fails.  It
-    returns the number of running preemptibles.
+    instance sums against its capacity, its power state and its place in
+    the pool partition.  It costs constant work per node plus one pass per
+    running instance, and builds no set unless a check fails.  It returns
+    the number of running preemptibles.
     SiteScheduler.audit calls it and checks the rest of the site from what
     it returns.
 
@@ -143,10 +132,6 @@ class NodePool:
         self.site_id = site_id
         self._log = log
         self.nodes: dict[str, NodeRecord] = {}
-        self._counts = {power: 0 for power in _POWER_STATES}
-        self._booting = [0, 0, 0]
-        self._offer = [0, 0, 0]
-        self._idle: dict[str, int] = {}
         self.mark = None  # called on every _update when set (see SiteScheduler)
         for node in nodes:
             if node.node_id in self.nodes:
@@ -157,7 +142,6 @@ class NodePool:
             if node.power == POWER_ON and node.idle_since is None:
                 node.idle_since = t
             self.nodes[node.node_id] = node
-            self._tally(node, 1)
             capacity = node.capacity
             self._emit(t, "site_node", node=node.node_id, cpus=capacity.cpus,
                        mem_mb=capacity.mem_mb, disk_gb=capacity.disk_gb,
@@ -168,31 +152,13 @@ class NodePool:
         if self._log is not None:
             self._log.emit(t, kind, site=self.site_id, **payload)
 
-    def _tally(self, node: NodeRecord, sign: int):
-        """Add (sign 1) or take back (sign -1) a node's share of the counters."""
-        if node.role == ROLE_CLOUD:
-            power, capacity = node.power, node.capacity
-            self._counts[power] += sign
-            if power == POWER_BOOTING:
-                add_into(self._booting, capacity, sign)
-            used, share, offer = node.used, node.preemptible_used, self._offer
-            offer[0] += sign * (capacity.cpus - used.cpus + share.cpus)
-            offer[1] += sign * (capacity.mem_mb - used.mem_mb + share.mem_mb)
-            offer[2] += sign * (capacity.disk_gb - used.disk_gb + share.disk_gb)
-        if sign < 0:
-            self._idle.pop(node.node_id, None)
-        elif self.is_idle(node):
-            self._idle[node.node_id] = node.idle_since
-
     def _update(self, node: NodeRecord, *, power: str | None = None,
                 role: str | None = None, used: ResourceVector | None = None,
                 preemptible_used: ResourceVector | None = None, idle_since=_KEEP):
         """Write a node's power, role, used, preemptible_used or idle_since and
-        move its counter share along; a change to its instance set is made
-        just before."""
+        mark the site; a change to its instance set is made just before."""
         if self.mark is not None:
             self.mark()
-        self._tally(node, -1)
         if power is not None:
             node.power = power
         if role is not None:
@@ -203,7 +169,6 @@ class NodePool:
             node.preemptible_used = preemptible_used
         if idle_since is not _KEEP:
             node.idle_since = idle_since
-        self._tally(node, 1)
 
     def node(self, node_id: str) -> NodeRecord:
         record = self.nodes.get(node_id)
@@ -235,8 +200,14 @@ class NodePool:
 
     def booting_space(self) -> tuple[int, int, int]:
         """The capacity of the booting cloud nodes as (cpus, mem_mb, disk_gb)."""
-        booting = self._booting
-        return booting[0], booting[1], booting[2]
+        cpus = mem_mb = disk_gb = 0
+        for node in self.order:
+            if node.power == POWER_BOOTING and node.role == ROLE_CLOUD:
+                capacity = node.capacity
+                cpus += capacity.cpus
+                mem_mb += capacity.mem_mb
+                disk_gb += capacity.disk_gb
+        return cpus, mem_mb, disk_gb
 
     def potential_free(self) -> tuple[int, int, int]:
         """What the site could offer a new deployment, as (cpus, mem_mb, disk_gb).
@@ -244,57 +215,57 @@ class NodePool:
         The sum over the cloud nodes of capacity - used + preemptible_used:
         the free space of the on nodes plus what their preemptible instances
         hold (reclaimable by normal work), and the whole capacity of the
-        nodes elasticity could power on (booting or off).
+        nodes elasticity could power on (booting or off): a node that is not
+        on holds nothing, so it offers its whole capacity.
         """
-        offer = self._offer
-        return offer[0], offer[1], offer[2]
+        cpus = mem_mb = disk_gb = 0
+        for node in self.order:
+            if node.role == ROLE_CLOUD:
+                capacity, used, share = node.capacity, node.used, node.preemptible_used
+                cpus += capacity.cpus - used.cpus + share.cpus
+                mem_mb += capacity.mem_mb - used.mem_mb + share.mem_mb
+                disk_gb += capacity.disk_gb - used.disk_gb + share.disk_gb
+        return cpus, mem_mb, disk_gb
 
     def cloud_counts(self) -> tuple[int, int, int]:
         """(cloud-role nodes, powered ones: on or booting, off ones)."""
-        counts = self._counts
-        powered = counts[POWER_ON] + counts[POWER_BOOTING]
-        return powered + counts[POWER_OFF], powered, counts[POWER_OFF]
+        total = off = 0
+        for node in self.order:
+            if node.role == ROLE_CLOUD:
+                total += 1
+                if node.power == POWER_OFF:
+                    off += 1
+        return total, total - off, off
 
     def idle_nodes(self) -> list[NodeRecord]:
-        return [self.nodes[node_id] for node_id in self._idle]
+        """The idle nodes (see is_idle), in id order."""
+        return [node for node in self.order if self.is_idle(node)]
 
     def next_idle_due(self, t: int, t_idle_s: int) -> int | None:
         """The first time after t at which an idle node has been idle t_idle_s,
         None when there is none; a node that came due by t and stayed on
         (floor or ceiling) is looked past."""
-        return min((since + t_idle_s for since in self._idle.values()
-                    if since + t_idle_s > t), default=None)
+        return min((node.idle_since + t_idle_s for node in self.idle_nodes()
+                    if node.idle_since + t_idle_s > t), default=None)
 
     def audit(self, running) -> int:
-        """Recompute every counter and the pool partition from the nodes and
-        check each node's instance set against running, the site's running
+        """Check each node's instance set against running, the site's running
         instances by request id, both ways, its used and preemptible_used
-        against their sums and those sums against its capacity, all in one
-        walk.
+        against their sums, those sums against its capacity, its power state
+        and the pool partition, all in one walk.
 
         Raises ElasticityError when a check fails, a node is over its
-        capacity, a busy node is not powered on, a power state is unknown, a
-        powered node is in none of the batch, cloud and draining pools or a
-        counter differs from its recount.  Each node's checks run in turn;
-        running instances on no node and the counters are checked after the
-        walk.
+        capacity, a busy node is not powered on, a power state is unknown or
+        a powered node is in none of the batch, cloud and draining pools.
+        Each node's checks run in turn; running instances on no node are
+        checked after the walk.
         Returns the number of running preemptibles; the pool knows nothing
         of request groups.
 
         Each node costs only the reads its checks need: a node with no
         instances has zero sums, so its used and preemptible_used are checked
-        against zero and its capacity needs no check; the counters are
-        recounted into int locals and compared entry by entry; each idle node
-        is looked up in _idle and the sizes compared, which is dict equality
-        since an idle node's idle_since is never None.  The counted and
-        recounted dicts are built only for the message of a failed check.
+        against zero and its capacity needs no check.
         """
-        on_count = boot_count = off_count = 0
-        boot_cpus = boot_mem = boot_disk = 0
-        offer_cpus = offer_mem = offer_disk = 0
-        idle_count = 0
-        idle_matches = True
-        idle_get = self._idle.get
         running_get = running.get
         held = preemptibles = 0
         for node_id, node in self.nodes.items():
@@ -334,58 +305,19 @@ class NodePool:
             elif (node_used.cpus or node_used.mem_mb or node_used.disk_gb
                   or share.cpus or share.mem_mb or share.disk_gb):
                 _sums_differ(node_id, node_used, (0, 0, 0), share, (0, 0, 0))
-            if role == ROLE_CLOUD:
-                offer_cpus += capacity.cpus
-                offer_mem += capacity.mem_mb
-                offer_disk += capacity.disk_gb
             if power == POWER_ON:
-                if role == ROLE_CLOUD:
-                    on_count += 1
-                    if instances:
-                        offer_cpus += share_cpus - node_cpus
-                        offer_mem += share_mem - node_mem
-                        offer_disk += share_disk - node_disk
-                    elif node.idle_since is not None:  # is_idle
-                        idle_count += 1
-                        if idle_get(node_id) != node.idle_since:
-                            idle_matches = False
-                elif role not in _POOL_ROLES:
+                if role not in _POOL_ROLES:
                     raise ElasticityError("pools do not partition powered capacity: node %s "
                                           "has role %r" % (node_id, role))
                 continue
             if instances:
                 raise ElasticityError("node %s busy while %s" % (node_id, power))
-            if power == POWER_OFF:
-                if role == ROLE_CLOUD:
-                    off_count += 1
-            elif power == POWER_BOOTING:
-                if role == ROLE_CLOUD:
-                    boot_cpus += capacity.cpus
-                    boot_mem += capacity.mem_mb
-                    boot_disk += capacity.disk_gb
-                    boot_count += 1
-            else:
+            if power != POWER_OFF and power != POWER_BOOTING:
                 raise ElasticityError("node %s has unknown power state %r" % (node_id, power))
         if held != len(running):
             on_nodes = set().union(*(node.instances for node in self.nodes.values()))
             raise ElasticityError("running instances %s are on no node's instance set"
                                   % sorted(running.keys() - on_nodes))
-        counts, booting, offer = self._counts, self._booting, self._offer
-        if (counts[POWER_ON] != on_count or counts[POWER_BOOTING] != boot_count
-                or counts[POWER_OFF] != off_count
-                or booting[0] != boot_cpus or booting[1] != boot_mem or booting[2] != boot_disk
-                or offer[0] != offer_cpus or offer[1] != offer_mem or offer[2] != offer_disk
-                or not idle_matches or idle_count != len(self._idle)):
-            counted = {"counts": counts, "booting": booting, "offer": offer, "idle": self._idle}
-            recounted = {
-                "counts": {POWER_ON: on_count, POWER_BOOTING: boot_count, POWER_OFF: off_count},
-                "booting": [boot_cpus, boot_mem, boot_disk],
-                "offer": [offer_cpus, offer_mem, offer_disk],
-                "idle": {node_id: node.idle_since for node_id, node in self.nodes.items()
-                         if self.is_idle(node)}}
-            raise ElasticityError("cloud counters differ from the node sums: " + "; ".join(
-                "%s %s, nodes give %s" % (name, counted[name], recounted[name])
-                for name in counted if counted[name] != recounted[name]))
         return preemptibles
 
     def assign(self, request_id: str, resources: ResourceVector, t: int,

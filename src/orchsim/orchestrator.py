@@ -318,10 +318,11 @@ class Orchestrator:
         the template's demand fits its potential free capacity: the sum over
         its cloud nodes of capacity - used + preemptible_used, in which a
         node that is booting or off holds nothing and counts whole
-        (NodePool.potential_free).  The SLA-holding sites come from the group
-        set's cache, the node fit from the template's and the ranking from
-        the candidate set's; the permit and capacity checks run on every
-        create.
+        (NodePool.potential_free, a walk of the site's nodes).  The
+        SLA-holding sites come from the group set's cache, the node fit from
+        the template's and the ranking from the candidate set's; the permit
+        and capacity checks run on every create, the capacity check once per
+        site that passes the permit.
         """
         cpus, mem_mb, disk_gb = parsed.demand
         candidates = []  # (site id, site, best SLA)

@@ -80,9 +80,6 @@ class RunReport:
     records: list[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
-    def event_log_text(self) -> str:
-        return "\n".join(map(render_record, self.records)) + "\n"
-
     def to_text(self) -> str:
         lines = [render_record({"record": "header", "seed": self.seed,
                                 "horizon_s": self.horizon_s})]

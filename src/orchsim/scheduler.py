@@ -530,8 +530,8 @@ class SiteScheduler:
         Integer sums throughout, with no vector built unless a check fails.
         The pool's audit walks the nodes once: each node's instance set
         against running, both ways, its used and preemptible_used against
-        its instances, its instance sums against its capacity, the pool's
-        counters, the partition and no busy node powered down.  Pooled
+        its instances, its instance sums against its capacity, the partition,
+        no busy node powered down and no unknown power state.  Pooled
         conservation (cloud free plus running equals cloud capacity) follows
         from those checks exactly, so it has no check of its own: each node's
         used is its instances' sums, each instance is on its own node only,

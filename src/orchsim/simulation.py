@@ -552,7 +552,7 @@ class World:
           depends on the pool state only (SiteScheduler._startable), not on
           the time or the queue order; with backfill off the head can change
           as usage decays, so a non-empty queue keeps its site marked;
-        - reconcile reads only the pool counters, the queued demand and the
+        - reconcile reads only the site's nodes, the queued demand and the
           floor, and reads t only through which idle nodes are due;
         - one reconcile plans its own fixpoint (a second call at t plans
           nothing), and its power actions only remove schedulable free

@@ -345,9 +345,10 @@ def test_session_audits_every_applied_command(workdir):
     command = {"op": "depcreate", "at": 0, "user": "ada", "template_text": template_text,
                "prefs": None, "duration": None}
     session._apply(command)
-    # site-b is not chosen (worse SLA), but its counters drift and every site is audited.
-    session.world.sites["site-b"].pool.nodes["n1"].power = "off"  # around the pool
-    with pytest.raises(InvariantViolationError, match="site site-b at t=5"):
+    # site-b is not chosen (worse SLA), but its empty node is broken and every site is audited.
+    session.world.sites["site-b"].pool.nodes["n1"].power = "asleep"  # around the pool
+    with pytest.raises(InvariantViolationError,
+                       match="^site site-b at t=5: node n1 has unknown power state 'asleep'$"):
         session._apply(dict(command, at=5))
 
 

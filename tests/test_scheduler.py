@@ -776,7 +776,7 @@ _NODE_SET_WRITES = {
 def test_audit_catches_a_node_instance_set_written_around_the_scheduler(write):
     """Each node's instance set must hold exactly the running instances that
     name it, not only sum to its used.  unassigned takes b off n1 through the
-    pool, which keeps n1's used and every pool counter consistent, so only
+    pool, which keeps n1's used and preemptible_used consistent, so only
     the count of running instances on the nodes' sets can see it."""
     sched = make_scheduler(rv(4, 4096, 40), rv(4, 4096, 40))
     sched.submit(req(res=rv(1, 512, 5), rid="a"), t=0)
@@ -1062,7 +1062,7 @@ def test_victim_order_follows_a_random_walk():
 
 
 @pytest.mark.parametrize("write, message", [
-    ("counter", "offer"), ("node_share", "preemptible_used"),
+    ("node_share", "preemptible_used"),
     ("drop", "holds 1 entries for 2"), ("twice", "holds 3 entries for 2"),
     ("swap", "not sorted"), ("stale", "under its key"), ("normal", "under its key")])
 def test_audit_catches_a_victim_order_or_pool_counter_written_around_the_scheduler(
@@ -1073,9 +1073,7 @@ def test_audit_catches_a_victim_order_or_pool_counter_written_around_the_schedul
     sched.submit(req(res=rv(1, 512, 5), rid="normal"), t=2)
     sched.audit()
     victims = sched._victims
-    if write == "counter":
-        sched.pool._offer[0] += 1
-    elif write == "node_share":
+    if write == "node_share":
         sched.pool.nodes["n1"].preemptible_used = rv(1, 512, 5)
     elif write == "drop":
         del victims[0]
