@@ -364,8 +364,9 @@ def _check_pool_readers(pool, t, t_idle=7):
         (since + t_idle for since in idle.values() if since + t_idle > t), default=None), t
 
 
-def test_pool_readers_follow_a_random_walk():
-    rng = random.Random(2024)
+@pytest.mark.parametrize("seed", [2024, 5, 9])
+def test_pool_readers_follow_a_random_walk(seed):
+    rng = random.Random(seed)
     log = EventLog()
     pool = NodePool("s", [NodeRecord(node_id="n%d" % i,
                                      capacity=rv(2 + i % 3, 2048 * (1 + i % 2), 40),
@@ -431,13 +432,14 @@ def _node_state(pool):
                       frozenset(n.instances)) for node_id, n in pool.nodes.items()}
 
 
-def test_every_pool_writer_marks_and_a_refused_write_changes_nothing():
+@pytest.mark.parametrize("seed", [31, 7, 12, 20])
+def test_every_pool_writer_marks_and_a_refused_write_changes_nothing(seed):
     """_update is the one writer of a node's power, role, used,
     preemptible_used and idle_since and the one caller of mark.  On a seeded
     walk over every pool writer, drain completions included, a step that
     changes any of these or an instance set calls mark, and a step that
     raises changes nothing and marks nothing."""
-    rng = random.Random(31)
+    rng = random.Random(seed)
     log = EventLog()
     pool = NodePool("s", [NodeRecord(node_id="n%d" % i, capacity=rv(2 + i % 2, 2048, 20),
                                      power=rng.choice(["on", "off"]),
@@ -507,6 +509,69 @@ def test_pool_audit_catches_a_write_that_bypasses_the_pool(field):
     setattr(pool.nodes["w2"], field, value)
     with pytest.raises(ElasticityError, match=message):
         pool.audit({})
+
+
+def _one_node_per_power():
+    """w1 on, running a preemptible r; w2 booting; w3 off; w4 on and idle since 6."""
+    pool = worker_pool(4, power="off", capacity=rv(4, 4096, 40))
+    pool.power_on("w1", 0, boot_delay_s=5)
+    pool.power_on("w4", 0, boot_delay_s=6)
+    pool.boot_complete("w1", 5)
+    pool.boot_complete("w4", 6)
+    pool.power_on("w2", 5, boot_delay_s=5)
+    pool.assign("r", rv(1, 512, 5), 5, True, "w1")
+    return pool, running_of({"r": (rv(1, 512, 5), "w1", True)})
+
+
+def _readers(pool, t=10, t_idle=7):
+    return {"cloud_counts": pool.cloud_counts(), "booting_space": pool.booting_space(),
+            "potential_free": pool.potential_free(),
+            "idle_nodes": [(n.node_id, n.idle_since) for n in pool.idle_nodes()],
+            "next_idle_due": pool.next_idle_due(t, t_idle)}
+
+
+@pytest.mark.parametrize("node_id, field, value, changed", [
+    ("w4", "power", "off", {"cloud_counts", "idle_nodes", "next_idle_due"}),
+    ("w4", "power", "booting", {"booting_space", "idle_nodes", "next_idle_due"}),
+    ("w3", "power", "on", {"cloud_counts"}),  # on with no idle_since: not idle
+    ("w2", "power", "on", {"booting_space"}),
+    ("w4", "role", "batch", {"cloud_counts", "potential_free", "idle_nodes", "next_idle_due"}),
+    ("w3", "role", "batch", {"cloud_counts", "potential_free"}),
+    ("w2", "role", "batch", {"cloud_counts", "booting_space", "potential_free"}),
+    ("w4", "idle_since", 7, {"idle_nodes", "next_idle_due"}),
+    ("w1", "capacity", rv(5, 4096, 40), {"potential_free"}),
+    ("w2", "capacity", rv(5, 4096, 40), {"booting_space", "potential_free"}),
+    ("w3", "capacity", rv(5, 4096, 40), {"potential_free"}),
+    ("w4", "capacity", rv(5, 4096, 40), {"potential_free"})])
+def test_each_reader_follows_a_write_made_around_the_pool(node_id, field, value, changed):
+    """The pool keeps no copy of its nodes: a write around the pool that
+    passes every per-node check of the audit changes exactly the readers
+    that read what it wrote, and each reader still agrees with a scan."""
+    pool, running = _one_node_per_power()
+    assert pool.audit(running) == 1
+    before = _readers(pool)
+    assert before == {"cloud_counts": (4, 3, 1), "booting_space": (4, 4096, 40),
+                      "potential_free": (16, 16384, 160), "idle_nodes": [("w4", 6)],
+                      "next_idle_due": 13}
+    setattr(pool.nodes[node_id], field, value)
+    assert pool.audit(running) == 1
+    after = _readers(pool)
+    assert {name for name in after if after[name] != before[name]} == changed
+    _check_pool_readers(pool, 10)
+
+
+@pytest.mark.parametrize("t, due", [(0, 7), (6, 7), (7, 11), (10, 11), (11, None)])
+def test_next_idle_due_looks_past_a_node_that_came_due_by_t(t, due):
+    """w1 is idle from 0 and w2 from 4, so they come due at 7 and 11; a
+    node due by t (kept on by a floor or ceiling) is looked past, and w3,
+    busy, and w4, off, never come due."""
+    pool = worker_pool(4, power="on")
+    pool.switch_role("w2", "batch", t=0)
+    pool.switch_role("w2", "cloud", t=4)
+    pool.assign("r", rv(1, 512, 5), 0, False, "w3")
+    pool.power_off("w4", 0)
+    assert [(n.node_id, n.idle_since) for n in pool.idle_nodes()] == [("w1", 0), ("w2", 4)]
+    assert pool.next_idle_due(t, 7) == due
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -1062,7 +1062,7 @@ def test_victim_order_follows_a_random_walk():
 
 
 @pytest.mark.parametrize("write, message", [
-    ("node_share", "preemptible_used"),
+    ("node_share", "preemptible_used"), ("node_used", "node n1 used"),
     ("drop", "holds 1 entries for 2"), ("twice", "holds 3 entries for 2"),
     ("swap", "not sorted"), ("stale", "under its key"), ("normal", "under its key")])
 def test_audit_catches_a_victim_order_or_pool_counter_written_around_the_scheduler(
@@ -1075,6 +1075,8 @@ def test_audit_catches_a_victim_order_or_pool_counter_written_around_the_schedul
     victims = sched._victims
     if write == "node_share":
         sched.pool.nodes["n1"].preemptible_used = rv(1, 512, 5)
+    elif write == "node_used":
+        sched.pool.nodes["n1"].used = rv(2, 1024, 10)
     elif write == "drop":
         del victims[0]
     elif write == "twice":

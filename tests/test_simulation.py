@@ -265,6 +265,20 @@ def test_audit_catches_corrupted_accounting():
         world._audit(20)
 
 
+def test_audit_catches_a_busy_node_powered_off_around_the_pool():
+    """A power write around the pool leaves used and the instance set right;
+    the audit's per-node walk still names the busy node that is not on."""
+    from orchsim.simulation import InvariantViolationError
+    world = World(tiny_scenario(events=[submit_event("e1", 0, JOB_2CPU, duration=30)],
+                                horizon=20))
+    world.run()
+    world._audit(20)
+    world.sites["site-x"].pool.nodes["n1"].power = "off"  # around the pool
+    with pytest.raises(InvariantViolationError,
+                       match="^site site-x at t=20: node n1 busy while off$"):
+        world._audit(20)
+
+
 def test_audit_reports_the_first_site_by_id_when_two_are_corrupted():
     """The audit order is fixed once, by site id, whatever the scenario's
     provider order: with two sites broken, the first id is the one named."""
