@@ -118,10 +118,10 @@ class NodePool:
     used and preemptible_used against the site's running instances and its
     instance sums against its capacity, its power state and its place in
     the pool partition.  It costs constant work per node plus one pass per
-    running instance, and builds no set unless a check fails.  It returns
-    the number of running preemptibles.
-    SiteScheduler.audit calls it and checks the rest of the site from what
-    it returns.
+    running instance, builds no set unless a check fails and returns
+    nothing.  SiteScheduler.audit calls it and checks the rest of the site.
+    A probe lists a node's eligible victims from the instance set this walk
+    checks (SiteScheduler._eligible_victims).
 
     The pool also logs its node changes: a site_node record per node at
     construction, node_power on every power write and role_changed when a
@@ -179,16 +179,6 @@ class NodePool:
     def is_schedulable(self, node: NodeRecord) -> bool:
         return node.power == POWER_ON and node.role == ROLE_CLOUD
 
-    def is_idle(self, node: NodeRecord) -> bool:
-        """A powered-on cloud node with nothing assigned since idle_since.
-
-        The one definition of a power-off candidate: reconcile powers such a
-        node off once it has been idle for t_idle_s, and the simulation wakes
-        up when the next one gets there.
-        """
-        return (node.power == POWER_ON and node.role == ROLE_CLOUD
-                and not node.instances and node.idle_since is not None)
-
     def cloud_capacity(self) -> ResourceVector:
         """The capacity of the on cloud nodes, summed when called."""
         return ResourceVector.total(n.capacity for n in self.order if self.is_schedulable(n))
@@ -238,8 +228,16 @@ class NodePool:
         return total, total - off, off
 
     def idle_nodes(self) -> list[NodeRecord]:
-        """The idle nodes (see is_idle), in id order."""
-        return [node for node in self.order if self.is_idle(node)]
+        """The idle nodes, in id order: the powered-on cloud nodes with
+        nothing assigned since idle_since.
+
+        The one definition of a power-off candidate: reconcile powers such a
+        node off once it has been idle for t_idle_s, and the simulation wakes
+        up when the next one gets there (next_idle_due).
+        """
+        return [node for node in self.order
+                if node.power == POWER_ON and node.role == ROLE_CLOUD
+                and not node.instances and node.idle_since is not None]
 
     def next_idle_due(self, t: int, t_idle_s: int) -> int | None:
         """The first time after t at which an idle node has been idle t_idle_s,
@@ -248,7 +246,7 @@ class NodePool:
         return min((node.idle_since + t_idle_s for node in self.idle_nodes()
                     if node.idle_since + t_idle_s > t), default=None)
 
-    def audit(self, running) -> int:
+    def audit(self, running) -> None:
         """Check each node's instance set against running, the site's running
         instances by request id, both ways, its used and preemptible_used
         against their sums, those sums against its capacity, its power state
@@ -258,16 +256,15 @@ class NodePool:
         capacity, a busy node is not powered on, a power state is unknown or
         a powered node is in none of the batch, cloud and draining pools.
         Each node's checks run in turn; running instances on no node are
-        checked after the walk.
-        Returns the number of running preemptibles; the pool knows nothing
-        of request groups.
+        checked after the walk.  Returns nothing; the pool knows nothing of
+        request groups.
 
         Each node costs only the reads its checks need: a node with no
         instances has zero sums, so its used and preemptible_used are checked
         against zero and its capacity needs no check.
         """
         running_get = running.get
-        held = preemptibles = 0
+        held = 0
         for node_id, node in self.nodes.items():
             instances, power, role = node.instances, node.power, node.role
             node_used, share, capacity = node.used, node.preemptible_used, node.capacity
@@ -290,7 +287,6 @@ class NodePool:
                         share_cpus += cpus
                         share_mem += mem_mb
                         share_disk += disk_gb
-                        preemptibles += 1
                 held += len(instances)
                 if (node_used.cpus != node_cpus or node_used.mem_mb != node_mem
                         or node_used.disk_gb != node_disk or share.cpus != share_cpus
@@ -318,7 +314,6 @@ class NodePool:
             on_nodes = set().union(*(node.instances for node in self.nodes.values()))
             raise ElasticityError("running instances %s are on no node's instance set"
                                   % sorted(running.keys() - on_nodes))
-        return preemptibles
 
     def assign(self, request_id: str, resources: ResourceVector, t: int,
                preemptible: bool, node_id: str):

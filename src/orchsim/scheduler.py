@@ -12,13 +12,11 @@ lower bids.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-import operator
 import sys
 from dataclasses import dataclass, field
 
-from .elasticity import POWER_ON, ROLE_CLOUD, ElasticityError, NodePool
+from .elasticity import POWER_ON, ROLE_CLOUD, ElasticityError, NodePool, NodeRecord
 from .errors import DomainError
 from .resources import ResourceVector, add_into, unchecked
 
@@ -157,8 +155,6 @@ class SiteScheduler:
         # shapes that failed a probe since the last pool write
         self._unstartable: set[str] = set()
         pool.mark = self._pool_written
-        # _victim_key(instance) + (instance,) of every running preemptible, sorted
-        self._victims: list[tuple] = []
         # what each group with a quota runs; quota_allows is its only reader
         self.group_running: dict[str, ResourceVector] = {}
         self._seen_ids: set[str] = set()
@@ -249,14 +245,20 @@ class SiteScheduler:
 
     # -- preemption -------------------------------------------------------
 
-    def _eligible_victims(self, request: InstanceRequest) -> list[RunningInstance]:
-        """Running preemptibles this request may displace, in victim
-        preference order: the prefix of the victim order with bids strictly
-        below its own for a preemptible request, all of it for a normal one."""
-        victims = self._victims
-        if request.is_preemptible:
-            victims = victims[:bisect.bisect_left(victims, (request.bid,))]
-        return list(map(operator.itemgetter(-1), victims))
+    def _eligible_victims(self, request: InstanceRequest,
+                          node: NodeRecord) -> list[RunningInstance]:
+        """The running preemptibles on node that this request may displace,
+        in victim preference order: those with bids strictly below its own
+        for a preemptible request, all of them for a normal one.  Listed
+        from the node's instance set when called; the keys are unique, so the
+        order does not depend on the set's."""
+        running = self.running
+        bid = request.bid
+        victims = [instance for instance in map(running.__getitem__, node.instances)
+                   if instance.request.bid is not None
+                   and (bid is None or instance.request.bid < bid)]
+        victims.sort(key=_victim_key)
+        return victims
 
     def select_victims(self, request: InstanceRequest) -> tuple[str, list[RunningInstance]]:
         """(node id, victims to preempt there) for request to start on one
@@ -268,11 +270,12 @@ class SiteScheduler:
         with the eligible victims on it (_node_victims); the best set wins
         by cardinality, then by its victims' keys in preference order (lower
         bids, then younger instances, then ids), and as two nodes' sets hold
-        different victims the node id never has to decide.  The eligible
-        victims are listed only when such a node exists.  Instances on
-        draining nodes are never taken: terminating them frees capacity
-        outside the cloud pool.  Raises InfeasiblePreemptionError when no
-        node fits and no node has a set that is enough.
+        different victims the node id never has to decide.  Each such
+        node's eligible victims are listed from its instance set when it is
+        searched (_eligible_victims).  Instances on draining nodes are never
+        taken: terminating them frees capacity outside the cloud pool.
+        Raises InfeasiblePreemptionError when no node fits and no node has a
+        set that is enough.
 
         A node is searched only for the sets that could beat the best so
         far: fewer victims, or as many when its first eligible victim's key
@@ -282,7 +285,7 @@ class SiteScheduler:
         """
         resources = request.resources
         cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
-        candidates = []  # (node id, deficit) of each node its preemptibles could cover
+        candidates = []  # (node, deficit) of each node its preemptibles could cover
         for node in self.pool.order:
             if node.power != POWER_ON or node.role != ROLE_CLOUD:  # is_schedulable
                 continue
@@ -295,30 +298,26 @@ class SiteScheduler:
                 return node.node_id, []
             share = node.preemptible_used
             if need[0] <= share.cpus and need[1] <= share.mem_mb and need[2] <= share.disk_gb:
-                candidates.append((node.node_id, need))
-        if candidates:
-            by_node: dict[str, list[RunningInstance]] = {}
-            for instance in self._eligible_victims(request):
-                by_node.setdefault(instance.node_id, []).append(instance)
-            best = None  # (cardinality, victim keys), node id, victims
-            for node_id, need in candidates:
-                on_node = by_node.get(node_id)
-                if on_node is None:
+                candidates.append((node, need))
+        best = None  # (cardinality, victim keys), node id, victims
+        for node, need in candidates:
+            on_node = self._eligible_victims(request, node)
+            if not on_node:
+                continue
+            if best is None:
+                most = len(on_node)
+            else:
+                cardinality, keys = best[0]
+                most = cardinality - (_victim_key(on_node[0]) > keys[0])
+                if most == 0:
                     continue
-                if best is None:
-                    most = len(on_node)
-                else:
-                    cardinality, keys = best[0]
-                    most = cardinality - (_victim_key(on_node[0]) > keys[0])
-                    if most == 0:
-                        continue
-                victims = self._node_victims(on_node, need, most)
-                if victims is not None:
-                    rank = len(victims), [_victim_key(victim) for victim in victims]
-                    if best is None or rank < best[0]:
-                        best = rank, node_id, victims
-            if best is not None:
-                return best[1], best[2]
+            victims = self._node_victims(on_node, need, most)
+            if victims is not None:
+                rank = len(victims), [_victim_key(victim) for victim in victims]
+                if best is None or rank < best[0]:
+                    best = rank, node.node_id, victims
+        if best is not None:
+            return best[1], best[2]
         raise InfeasiblePreemptionError(
             "no victim set can free enough capacity for %s" % request.request_id)
 
@@ -397,9 +396,6 @@ class SiteScheduler:
         request = instance.request
         self.ledger.accrue(request.user, request.resources.cpus * (t - instance.start_time), t)
         del self.running[request.request_id]
-        if request.is_preemptible:
-            victims = self._victims
-            del victims[bisect.bisect_left(victims, _victim_key(instance))]
         group = request.group
         if group in self.quotas:
             self.group_running[group] = self.group_running[group] - request.resources
@@ -413,8 +409,6 @@ class SiteScheduler:
                          node_id)
         instance = RunningInstance(request=request, start_time=t, node_id=node_id)
         self.running[request.request_id] = instance
-        if request.is_preemptible:
-            bisect.insort(self._victims, _victim_key(instance) + (instance,))
         group = request.group
         if group in self.quotas:
             used = self.group_running.get(group)
@@ -433,8 +427,9 @@ class SiteScheduler:
         no node can take it.
 
         Only the request's shape and the pool state decide this: the quota
-        and group_running, the nodes' used and the victim order move with
-        pool writes only, and neither the time nor the queue is read.
+        and group_running, the nodes' used and their instance sets, whose
+        running preemptibles are the victims, move with pool writes only, and
+        neither the time nor the queue is read.
         """
         if not self.quota_allows(request):
             return None
@@ -535,50 +530,31 @@ class SiteScheduler:
         conservation (cloud free plus running equals cloud capacity) follows
         from those checks exactly, so it has no check of its own: each node's
         used is its instances' sums, each instance is on its own node only,
-        and the instance sets hold all of running.  The walk returns the
-        number of running preemptibles, and this audit checks the rest:
-        the victim order against them, the queued-demand counter and, only
-        when a group has a quota, group_running.  That counter is kept
-        for the groups with a quota only (quota_allows reads no other), so
-        an entry for any other group is an error; each quota group's running
-        instances are recounted from running and checked against its
-        counter and its quota.  Last comes preemption soundness, per node:
-        with backfill on and the site not failed, no normal request the
-        quota lets run may sit queued while it fits the capacity minus used
-        plus preemptible_used of a schedulable node.  The unstartable shapes
-        are a cache of _startable, not a counter, so they are not re-probed
-        here.
+        and the instance sets hold all of running.  A probe lists a node's
+        victims from that instance set when it needs them, so there is no
+        victim list to check.  The walk returns nothing, and this audit
+        checks the rest: the queued-demand counter and, only when a group
+        has a quota, group_running.  That counter is kept for the groups with a quota
+        only (quota_allows reads no other), so an entry for any other group
+        is an error; each quota group's running instances are recounted from
+        running and checked against its counter and its quota.  Last comes
+        preemption soundness, per node: with backfill on and the site not
+        failed, no normal request the quota lets run may sit queued while it
+        fits the capacity minus used plus preemptible_used of a schedulable
+        node.  The unstartable shapes are a cache of _startable, not a
+        counter, so they are not re-probed here.
 
         Cost: the pool's walk is constant work per node plus one pass per
-        running instance; this audit adds one pass over the victim order and
-        the queue, one pass over running and a dict of the quota groups'
-        sums only when a quota exists, and, only when a normal request the
-        quota lets run is queued, one list of the schedulable nodes' rooms
-        that each such request is held against.
+        running instance; this audit adds one pass over the queue, one pass
+        over running and a dict of the quota groups' sums only when a quota
+        exists, and, only when a normal request the quota lets run is
+        queued, one list of the schedulable nodes' rooms that each such
+        request is held against.
         """
-        running = self.running
         try:
-            preemptibles = self.pool.audit(running)
+            self.pool.audit(self.running)
         except ElasticityError as exc:
             raise SchedulerError(str(exc)) from exc
-        # The victim order holds exactly the running preemptibles, each under
-        # its own key, in strictly increasing key order.
-        victims = self._victims
-        if len(victims) != preemptibles:
-            raise SchedulerError("victim order holds %d entries for %d running preemptibles"
-                                 % (len(victims), preemptibles))
-        previous = ()  # below every entry
-        for entry in victims:
-            bid, negative_start, request_id, instance = entry
-            request = instance.request
-            if (running.get(request_id) is not instance or bid is None or request.bid != bid
-                    or instance.start_time != -negative_start
-                    or request.request_id != request_id):
-                raise SchedulerError("victim order entry %r is not a running preemptible "
-                                     "under its key" % ((bid, negative_start, request_id),))
-            if entry <= previous:  # valid entries differ by request id
-                raise SchedulerError("victim order is not sorted")
-            previous = entry
         queued = [0, 0, 0]
         check_soundness = self.backfill and not failed
         rooms = unsound = None

@@ -548,13 +548,13 @@ def test_each_reader_follows_a_write_made_around_the_pool(node_id, field, value,
     passes every per-node check of the audit changes exactly the readers
     that read what it wrote, and each reader still agrees with a scan."""
     pool, running = _one_node_per_power()
-    assert pool.audit(running) == 1
+    pool.audit(running)
     before = _readers(pool)
     assert before == {"cloud_counts": (4, 3, 1), "booting_space": (4, 4096, 40),
                       "potential_free": (16, 16384, 160), "idle_nodes": [("w4", 6)],
                       "next_idle_due": 13}
     setattr(pool.nodes[node_id], field, value)
-    assert pool.audit(running) == 1
+    pool.audit(running)
     after = _readers(pool)
     assert {name for name in after if after[name] != before[name]} == changed
     _check_pool_readers(pool, 10)
@@ -607,15 +607,20 @@ def _two_instances_on_w1():
     return pool, running_of(placed)
 
 
-def test_pool_audit_returns_the_running_preemptibles_on_every_node():
+def test_pool_audit_checks_the_preemptible_share_of_a_draining_node():
+    """A draining node leaves the offer but not the audit: the preemptible
+    c on it is checked against its preemptible_used like b on w1."""
     pool, running = _two_instances_on_w1()
     pool.assign("c", rv(3, 256, 1), 0, True, "w2")
     running["c"] = RunningInstance(req(group="h", res=rv(3, 256, 1), bid=0.5, rid="c"),
                                    start_time=0, node_id="w2")
     pool.switch_role("w2", "batch", t=1)  # c drains with w2, which leaves the offer
     assert pool.nodes["w2"].role == "draining_to_batch"
-    assert pool.audit(running) == 2  # b on w1 and c on the draining w2
+    assert pool.audit(running) is None
     assert pool.potential_free() == (3, 3584, 35)  # w1 less its normal instance a
+    pool.nodes["w2"].preemptible_used = rv()
+    with pytest.raises(ElasticityError, match="^node w2 preemptible_used "):
+        pool.audit(running)
 
 
 _INSTANCE_SET_WRITES = {

@@ -9,7 +9,9 @@ node now goes to a node with room, preempts on one node, or waits.
 
 import hashlib
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -99,3 +101,37 @@ PROBE_GOLDEN = "98a01c19da9171575176322ad0a28b49ced05fa0b761ea680aa83b490ec130c5
 
 def test_partition_probe_digest_is_pinned():
     assert _workload_digest(_bench_workloads().partition_probe(1)) == PROBE_GOLDEN
+
+
+# Renders scenarios/preemption.scn and bench/workloads.py's spot(1, 0) and
+# prints both reports as a JSON list; run from the root of the tree.
+_HASH_SEED_CHILD = """
+import importlib.util, json, sys
+from orchsim.simulation import load_scenario, parse_scenario, run_scenario
+spec = importlib.util.spec_from_file_location("bench_workloads", "bench/workloads.py")
+workloads = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = workloads
+spec.loader.exec_module(workloads)
+spot = workloads.spot(1, 0)
+scenarios = [load_scenario("scenarios/preemption.scn"),
+             parse_scenario(spot.text, name=spot.name,
+                            template_loader=spot.templates.__getitem__)]
+json.dump([run_scenario(scenario).to_text() for scenario in scenarios], sys.stdout)
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    """Sets of ids are iterated while a run is simulated (a node's instances,
+    for one); the order they come in changes with PYTHONHASHSEED, and the
+    report must not.  Two processes with different seeds render the same
+    bytes, and those are the pinned ones."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    reports = []
+    for seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(root, "src"))
+        child = subprocess.run([sys.executable, "-c", _HASH_SEED_CHILD], cwd=root, env=env,
+                               capture_output=True, text=True, check=True)
+        reports.append(json.loads(child.stdout))
+    assert reports[0] == reports[1]
+    assert [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in reports[0]] == [
+        GOLDEN["preemption"], BENCH_GOLDEN["spot"]]

@@ -124,6 +124,27 @@ def test_quota_respected_at_dispatch():
         assert used.fits(quotas["g"])
 
 
+_COMPONENTS = ("cpus", "mem_mb", "disk_gb")
+
+
+def _one_component_at(room, component, extra=0):
+    """A vector at room, a (cpus, mem_mb, disk_gb) tuple, plus extra in
+    component and at half of room (rounded down) in the others."""
+    return rv(*(value + extra if name == component else value // 2
+                for name, value in zip(_COMPONENTS, room)))
+
+
+@pytest.mark.parametrize("component", _COMPONENTS)
+def test_quota_allows_a_request_that_meets_its_group_cap_exactly(component):
+    """Running use plus the request may reach the cap in any component, but
+    not pass it."""
+    sched = make_scheduler(rv(8, 8192, 80), quotas={"g": rv(4, 4096, 40)})
+    sched.submit(req(group="g", res=rv(1, 1024, 10), rid="runs"), t=0)
+    room = (3, 3072, 30)
+    assert sched.quota_allows(req(group="g", res=_one_component_at(room, component)))
+    assert not sched.quota_allows(req(group="g", res=_one_component_at(room, component, 1)))
+
+
 # -- select_victims -------------------------------------------------------------
 
 
@@ -277,9 +298,10 @@ def test_select_victims_matches_reference_on_random_sites():
             return node_victims(eligible, need, most)
 
         sched._node_victims = counted
-        every = sched._eligible_victims(req(user="p", rid="normal-%d" % trial))
-        assert every == sorted((i for i in sched.running.values() if i.request.is_preemptible),
-                               key=_victim_key)
+        normal = req(user="p", rid="normal-%d" % trial)
+        every = [i for n in sched.pool.order for i in sched._eligible_victims(normal, n)]
+        assert sorted(every, key=_victim_key) == sorted(
+            (i for i in sched.running.values() if i.request.is_preemptible), key=_victim_key)
         free = sched.pool.cloud_free()
         for k in range(16):
             # The running bids too: a victim at the probe's own bid is not eligible.
@@ -305,8 +327,8 @@ def test_select_victims_matches_reference_on_random_sites():
             node_id, victims = expected
             searches.clear()
             assert sched.select_victims(probe) == expected
-            eligible = sched._eligible_victims(probe)
-            eligible_on = {v.node_id for v in eligible}
+            eligible = {n.node_id: sched._eligible_victims(probe, n) for n in sched.pool.order}
+            eligible_on = {node_id for node_id, on_node in eligible.items() if on_node}
             searchable = sum(
                 1 for n in sched.pool.order if sched.pool.is_schedulable(n)
                 and n.node_id in eligible_on
@@ -320,16 +342,15 @@ def test_select_victims_matches_reference_on_random_sites():
                 most < size for size, most in searches))
             if victims:
                 covered["preemptible" if probe.is_preemptible else "normal"] += 1
-                on_node = [i for i in eligible if i.node_id == node_id]
-                covered["greedy" if len(on_node) > 16 else "exact"] += 1
-                covered["not_first_node"] += node_id != min(v.node_id for v in eligible)
+                covered["greedy" if len(eligible[node_id]) > 16 else "exact"] += 1
+                covered["not_first_node"] += node_id != min(eligible_on)
                 if short is not None:
                     covered[short] += 1
             else:
                 covered["fits_after_victims"] += any(
                     n.node_id < node_id and sched.pool.is_schedulable(n)
                     and probe.resources.fits(n.capacity.monus(n.used) + ResourceVector.total(
-                        i.request.resources for i in eligible if i.node_id == n.node_id))
+                        i.request.resources for i in eligible[n.node_id]))
                     for n in sched.pool.order)
             # Pooled free space fits the probe, but no node's does.
             covered["fragmented"] += bool(victims) and probe.resources.fits(free)
@@ -424,8 +445,8 @@ def test_victim_searches_and_a_pass_that_starts_nothing_build_no_vector(monkeypa
     greedy = req(user="p", res=rv(2, 1024, 10), rid="greedy")
     exact = req(user="p", res=rv(2, 1024, 10), bid=0.3, rid="exact")
     infeasible = req(user="p", res=rv(20, 512, 5), rid="infeasible")
-    assert len(sched._eligible_victims(greedy)) == 19
-    assert len(sched._eligible_victims(exact)) == 9
+    assert sum(len(sched._eligible_victims(greedy, n)) for n in sched.pool.order) == 19
+    assert sum(len(sched._eligible_victims(exact, n)) for n in sched.pool.order) == 9
 
     built = {"validated": 0, "unchecked": 0}
     validate, new = ResourceVector.__post_init__, resources._new
@@ -449,6 +470,18 @@ def test_victim_searches_and_a_pass_that_starts_nothing_build_no_vector(monkeypa
     assert built == {"validated": 0, "unchecked": 0}
     rv(1, 1, 1) + rv(1, 1, 1)  # the counters see what is built
     assert built == {"validated": 2, "unchecked": 1}
+
+
+def test_a_greedy_victim_set_as_large_as_the_bound_is_taken():
+    """Above _EXACT_VICTIM_LIMIT eligible victims the greedy cover is taken
+    when its size is at most the bound; a probe that needs every one of 17
+    preemptibles on the one node gets a set exactly that large."""
+    sched = make_scheduler(rv(17, 17408, 170))
+    for n in range(17):
+        _place(sched, "n1", "s%02d" % n, rv(1, 1024, 10), bid=0.1 + n / 100)
+    probe = req(user="p", res=rv(17, 1024, 10), rid="probe")
+    assert sched.select_victims(probe) == (
+        "n1", sorted(sched.running.values(), key=_victim_key))
 
 
 # -- dispatch -------------------------------------------------------------------
@@ -614,19 +647,29 @@ def test_zero_resource_request_invalid():
 
 
 def check_victim_order(sched):
-    """The kept victim order and a normal request's eligible victims against
-    a filter and sort of running, and what the pool offers placement against
-    the cloud capacity less the normal instances running on it."""
+    """Each node's eligible victims for a normal probe and for a probe at bid
+    0.2 against a filter and sort of running (every node, so every candidate
+    of a search), and what the pool offers placement against the cloud
+    capacity less the normal instances running on it.  Returns how many
+    nodes the bid leaves some but not all of the normal probe's victims."""
     running = sched.running.values()
-    preemptibles = sorted((i for i in running if i.request.is_preemptible), key=_victim_key)
-    assert [entry[-1] for entry in sched._victims] == preemptibles
-    assert sched._eligible_victims(req(user="normal-probe")) == preemptibles
     pool = sched.pool
+    normal, spot = req(user="normal-probe"), req(user="spot-probe", bid=0.2)
+    filtered = 0
+    for node in pool.order:
+        lists = []
+        for probe in (normal, spot):
+            lists.append(sched._eligible_victims(probe, node))
+            assert lists[-1] == sorted(
+                (i for i in running if i.node_id == node.node_id and i.request.is_preemptible
+                 and (probe.bid is None or i.request.bid < probe.bid)), key=_victim_key)
+        filtered += 0 < len(lists[1]) < len(lists[0])
     assert pool.potential_free() == triple(
         ResourceVector.total(n.capacity for n in pool.order if n.role == "cloud")
         - ResourceVector.total(i.request.resources for i in running
                                if not i.request.is_preemptible
                                and pool.nodes[i.node_id].role == "cloud"))
+    return filtered
 
 
 def test_conservation_under_random_churn():
@@ -675,6 +718,26 @@ def test_audit_catches_a_drifted_queue_counter():
     sched.queue.append(req(res=rv(1, 256, 1), rid="sneaked-in"))  # around the counter
     with pytest.raises(SchedulerError, match="queued demand counter"):
         sched.audit()
+
+
+@pytest.mark.parametrize("component", _COMPONENTS)
+def test_audit_fails_a_normal_request_queued_that_exactly_fits_a_node_room(component):
+    """n1 holds a normal and a preemptible instance, so its room for a normal
+    request (capacity - used + preemptible_used) is (2 cpus, 2048 MB, 20 GB).
+    A normal request queued around dispatch that meets the room exactly in
+    one component, and lies below it in the others, fails the soundness
+    check; one that passes the room in that component is sound to queue."""
+    sched = make_scheduler(rv(4, 4096, 40))
+    _place(sched, "n1", "normal", rv(2, 2048, 20))
+    _place(sched, "n1", "spot", rv(1, 1024, 10), bid=0.1)
+    sched.audit()
+    room = (2, 2048, 20)
+    sched._enqueue(req(res=_one_component_at(room, component), rid="fits"))
+    with pytest.raises(SchedulerError, match="^normal request fits queued despite "):
+        sched.audit()
+    sched.cancel_queued("fits", t=1)
+    sched._enqueue(req(res=_one_component_at(room, component, 1), rid="over"))
+    sched.audit()
 
 
 @pytest.mark.parametrize("write", ["zero", "drop", "ghost"])
@@ -866,13 +929,12 @@ def memo_free_dispatch(sched, t, probes):
 
 @pytest.mark.parametrize("backfill", [True, False])
 def test_dispatch_matches_a_memo_free_dispatch_on_a_random_walk(backfill):
-    """The unstartable shapes and the early return change no start, no
-    victim and no victim order: a scheduler with them and one running
-    memo_free_dispatch take the same steps and must log the same records and
-    return the same starts.  With backfill off the draws include a
-    preemption after which the fresh priorities change the request the pass
-    starts next, so a re-sort under the key built before it would start
-    another."""
+    """The unstartable shapes and the early return change no start and no
+    victim: a scheduler with them and one running memo_free_dispatch take
+    the same steps and must log the same records and return the same
+    starts.  With backfill off the draws include a preemption after which
+    the fresh priorities change the request the pass starts next, so a
+    re-sort under the key built before it would start another."""
     rng = random.Random(808)
     capacities = [rv(2 + i % 3, 2048, 40) for i in range(5)]
     quotas = {"g": rv(4, 4096, 60)}
@@ -1018,12 +1080,13 @@ def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypat
 
 def test_victim_order_follows_a_random_walk():
     """Starts, preemptions, releases, kills, drains and their completion, and
-    power changes each leave the victim order and reclaimable_space() exact."""
+    power changes each leave every node's eligible victims, for a normal
+    and a preemptible probe, and potential_free() exact."""
     rng = random.Random(4242)
     log = EventLog()
     sched = make_scheduler(*[rv(2 + i % 3, 2048, 40) for i in range(5)], log=log)
     pool = sched.pool
-    powered = 0
+    powered = filtered = 0
     for t in range(1500):
         op = rng.choice(["submit"] * 5 + ["release"] * 3 + ["kill", "switch_role", "power"])
         if op == "submit":
@@ -1053,41 +1116,26 @@ def test_victim_order_follows_a_random_walk():
             except ElasticityError:
                 continue
             sched.dispatch(t)
-        check_victim_order(sched)
+        filtered += check_victim_order(sched)
         sched.audit()
     kinds = {(r["kind"], r.get("state")) for r in log.records}
     assert {("instance_preempted", None), ("instance_killed", None),
             ("role_changed", "completed")} <= kinds
-    assert powered > 0
+    assert powered > 0 and filtered > 0
 
 
 @pytest.mark.parametrize("write, message", [
-    ("node_share", "preemptible_used"), ("node_used", "node n1 used"),
-    ("drop", "holds 1 entries for 2"), ("twice", "holds 3 entries for 2"),
-    ("swap", "not sorted"), ("stale", "under its key"), ("normal", "under its key")])
-def test_audit_catches_a_victim_order_or_pool_counter_written_around_the_scheduler(
-        write, message):
+    ("node_share", "preemptible_used"), ("node_used", "node n1 used")])
+def test_audit_catches_a_node_sum_written_around_the_scheduler(write, message):
     sched = make_scheduler(rv(4, 4096, 40))
     sched.submit(req(res=rv(1, 512, 5), bid=0.1, rid="low"), t=0)
     sched.submit(req(res=rv(1, 512, 5), bid=0.3, rid="high"), t=1)
     sched.submit(req(res=rv(1, 512, 5), rid="normal"), t=2)
     sched.audit()
-    victims = sched._victims
     if write == "node_share":
         sched.pool.nodes["n1"].preemptible_used = rv(1, 512, 5)
-    elif write == "node_used":
-        sched.pool.nodes["n1"].used = rv(2, 1024, 10)
-    elif write == "drop":
-        del victims[0]
-    elif write == "twice":
-        victims.append(victims[-1])
-    elif write == "swap":
-        victims.reverse()
-    elif write == "stale":
-        bid, _, request_id, instance = victims[0]
-        victims[0] = (bid, 5, request_id, instance)
     else:
-        victims[0] = (None, -2, "normal", sched.running["normal"])
+        sched.pool.nodes["n1"].used = rv(2, 1024, 10)
     with pytest.raises((SchedulerError, ElasticityError), match=message):
         sched.audit()
 

@@ -1053,7 +1053,6 @@ def _fingerprint(world):
             frozenset((request_id, instance.node_id, instance.start_time)
                       for request_id, instance in scheduler.running.items()),
             tuple(scheduler.queue),
-            tuple(entry[:3] for entry in scheduler._victims),
             tuple(scheduler._queued),
             tuple(scheduler.group_running.items()),
             tuple(elastic._floors.items()), elastic.floor()))
