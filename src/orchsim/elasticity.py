@@ -48,11 +48,13 @@ class AlreadyTransitioningError(ElasticityError):
 
 @dataclass
 class NodeRecord:
+    """One physical node.  NodePool is the only writer of every field but
+    node_id and capacity.  A booting node keeps no boot-end time: power_on
+    returns it, and the simulation schedules boot_complete at it."""
     node_id: str
     capacity: ResourceVector
     power: str = POWER_ON
     role: str = ROLE_CLOUD
-    ready_at: int | None = None      # only while booting
     idle_since: int | None = None    # only while powered on with nothing assigned
     used: ResourceVector = field(default_factory=ResourceVector.zero)
     preemptible_used: ResourceVector = field(default_factory=ResourceVector.zero)  # part of used
@@ -378,20 +380,22 @@ class NodePool:
             self._switch(node, target, "completed", t,
                          idle_since=t if node.power == POWER_ON else _KEEP)
 
-    def power_on(self, node_id: str, t: int, boot_delay_s: int):
+    def power_on(self, node_id: str, t: int, boot_delay_s: int) -> int:
+        """Start booting an off node; returns the time its boot completes,
+        which the node_power record carries as ready_at."""
         node = self.node(node_id)
         if node.power != POWER_OFF:
             raise ElasticityError("node %r is not off" % node_id)
         self._update(node, power=POWER_BOOTING, idle_since=None)
-        node.ready_at = t + boot_delay_s
-        self._emit(t, "node_power", node=node_id, power=POWER_BOOTING, ready_at=node.ready_at)
+        ready_at = t + boot_delay_s
+        self._emit(t, "node_power", node=node_id, power=POWER_BOOTING, ready_at=ready_at)
+        return ready_at
 
     def boot_complete(self, node_id: str, t: int):
         node = self.node(node_id)
         if node.power != POWER_BOOTING:
             raise ElasticityError("node %r is not booting" % node_id)
         self._update(node, power=POWER_ON, idle_since=t)
-        node.ready_at = None
         self._emit(t, "node_power", node=node_id, power=POWER_ON)
 
     def power_off(self, node_id: str, t: int):
@@ -403,7 +407,6 @@ class NodePool:
         if node.role in DRAINING_ROLES:
             raise ElasticityError("node %r is draining" % node_id)
         self._update(node, power=POWER_OFF, idle_since=None)
-        node.ready_at = None
         self._emit(t, "node_power", node=node_id, power=POWER_OFF)
 
 

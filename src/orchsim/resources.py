@@ -98,13 +98,6 @@ def read_resources(block: stext.Block, context: str, default=stext.REQUIRED) -> 
                             for key in RESOURCE_KEYS))
 
 
-def add_into(counter: list[int], vector: ResourceVector, sign: int = 1):
-    """Add sign x vector to the first three entries of an integer counter."""
-    counter[0] += sign * vector.cpus
-    counter[1] += sign * vector.mem_mb
-    counter[2] += sign * vector.disk_gb
-
-
 _new = object.__new__
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .elasticity import POWER_ON, ROLE_CLOUD, ElasticityError, NodePool, NodeRecord
 from .errors import DomainError
-from .resources import ResourceVector, add_into, unchecked
+from .resources import ResourceVector, unchecked
 
 # Above this many eligible victims on one node the exact minimal-set search
 # on that node switches to a greedy cover with redundancy elimination, so a
@@ -150,7 +150,6 @@ class SiteScheduler:
         self.quotas: dict[str, ResourceVector] = dict(quotas or {})
         self.running: dict[str, RunningInstance] = {}
         self.queue: list[InstanceRequest] = []  # in the order of the last sort
-        self._queued = [0, 0, 0]  # summed resources of the queue
         self.mark = None  # called on every queue and pool write if set (World marks the site)
         # shapes that failed a probe since the last pool write
         self._unstartable: set[str] = set()
@@ -163,7 +162,15 @@ class SiteScheduler:
     # -- queue ------------------------------------------------------------
 
     def queued_demand(self) -> tuple[int, int, int]:
-        return tuple(self._queued)
+        """(cpus, mem_mb, disk_gb) of the queue, summed from it when called;
+        the simulation reads it once per site visit for reconcile."""
+        cpus = mem_mb = disk_gb = 0
+        for request in self.queue:
+            resources = request.resources
+            cpus += resources.cpus
+            mem_mb += resources.mem_mb
+            disk_gb += resources.disk_gb
+        return cpus, mem_mb, disk_gb
 
     def _pool_written(self):
         """NodePool.mark: a pool write can make any shape startable, so the
@@ -177,13 +184,11 @@ class SiteScheduler:
         if self.mark is not None:
             self.mark()
         self.queue.append(request)
-        add_into(self._queued, request.resources)
 
     def _dequeue(self, position: int):
         if self.mark is not None:
             self.mark()
-        request = self.queue.pop(position)
-        add_into(self._queued, request.resources, -1)
+        self.queue.pop(position)
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -251,12 +256,17 @@ class SiteScheduler:
         in victim preference order: those with bids strictly below its own
         for a preemptible request, all of them for a normal one.  Listed
         from the node's instance set when called; the keys are unique, so the
-        order does not depend on the set's."""
+        order does not depend on the set's.  An id in the set that is not
+        running raises SchedulerError in the audit's words."""
         running = self.running
         bid = request.bid
-        victims = [instance for instance in map(running.__getitem__, node.instances)
-                   if instance.request.bid is not None
-                   and (bid is None or instance.request.bid < bid)]
+        try:
+            victims = [instance for instance in map(running.__getitem__, node.instances)
+                       if instance.request.bid is not None
+                       and (bid is None or instance.request.bid < bid)]
+        except KeyError as exc:
+            raise SchedulerError("node %s holds instance %s, which is not running"
+                                 % (node.node_id, exc.args[0])) from None
         victims.sort(key=_victim_key)
         return victims
 
@@ -532,11 +542,12 @@ class SiteScheduler:
         used is its instances' sums, each instance is on its own node only,
         and the instance sets hold all of running.  A probe lists a node's
         victims from that instance set when it needs them, so there is no
-        victim list to check.  The walk returns nothing, and this audit
-        checks the rest: the queued-demand counter and, only when a group
-        has a quota, group_running.  That counter is kept for the groups with a quota
-        only (quota_allows reads no other), so an entry for any other group
-        is an error; each quota group's running instances are recounted from
+        victim list to check, and queued_demand sums the queue when called,
+        so there is no queue sum to check either.  The walk returns nothing,
+        and this audit checks the rest: group_running, only when a group has
+        a quota.  That counter is kept for the groups with a quota only
+        (quota_allows reads no other), so an entry for any other group is an
+        error; each quota group's running instances are recounted from
         running and checked against its counter and its quota.  Last comes
         preemption soundness, per node: with backfill on and the site not
         failed, no normal request the quota lets run may sit queued while it
@@ -545,42 +556,33 @@ class SiteScheduler:
         counter, so they are not re-probed here.
 
         Cost: the pool's walk is constant work per node plus one pass per
-        running instance; this audit adds one pass over the queue, one pass
-        over running and a dict of the quota groups' sums only when a quota
-        exists, and, only when a normal request the quota lets run is
-        queued, one list of the schedulable nodes' rooms that each such
-        request is held against.
+        running instance; this audit adds one pass over running and a dict
+        of the quota groups' sums only when a quota exists, and, only with
+        backfill on and the site not failed, one pass over the queue, with
+        one list of the schedulable nodes' rooms that each normal request
+        the quota lets run is held against, built at the first such request.
         """
         try:
             self.pool.audit(self.running)
         except ElasticityError as exc:
             raise SchedulerError(str(exc)) from exc
-        queued = [0, 0, 0]
-        check_soundness = self.backfill and not failed
-        rooms = unsound = None
+        if self.quotas or self.group_running:
+            self._audit_groups()
+        if not self.backfill or failed:
+            return
+        rooms = None
         for request in self.queue:
-            resources = request.resources
-            queued[0] += resources.cpus
-            queued[1] += resources.mem_mb
-            queued[2] += resources.disk_gb
-            if (check_soundness and unsound is None and request.bid is None
-                    and self.quota_allows(request)):
+            if request.bid is None and self.quota_allows(request):
                 if rooms is None:  # capacity - used + preemptible_used per schedulable node
                     rooms = [(n.capacity.cpus - n.used.cpus + n.preemptible_used.cpus,
                               n.capacity.mem_mb - n.used.mem_mb + n.preemptible_used.mem_mb,
                               n.capacity.disk_gb - n.used.disk_gb + n.preemptible_used.disk_gb)
                              for n in self.pool.order if self.pool.is_schedulable(n)]
+                resources = request.resources
                 if any(resources.cpus <= room[0] and resources.mem_mb <= room[1]
                        and resources.disk_gb <= room[2] for room in rooms):
-                    unsound = request
-        if queued != self._queued:
-            raise SchedulerError("queued demand counter %s differs from the queue sum %s"
-                                 % (self._queued, queued))
-        if self.quotas or self.group_running:
-            self._audit_groups()
-        if unsound is not None:
-            raise SchedulerError("normal request %s queued despite feasible victim set"
-                                 % unsound.request_id)
+                    raise SchedulerError("normal request %s queued despite feasible victim set"
+                                         % request.request_id)
 
     def _audit_groups(self):
         """Check group_running against a recount of running by quota group

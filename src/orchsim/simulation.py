@@ -586,9 +586,8 @@ class World:
         policy = site.elastic.policy
         for action in site.elastic.reconcile(site.pool, site.scheduler.queued_demand(), t):
             if action.kind == ACTION_POWER_ON:
-                site.pool.power_on(action.node_id, t, policy.boot_delay_s)
-                self._push(site.pool.nodes[action.node_id].ready_at, "boot_complete",
-                           {"site": site_id, "node": action.node_id})
+                self._push(site.pool.power_on(action.node_id, t, policy.boot_delay_s),
+                           "boot_complete", {"site": site_id, "node": action.node_id})
             else:
                 site.pool.power_off(action.node_id, t)
         if site.scheduler.backfill or not site.scheduler.queue:

@@ -149,9 +149,8 @@ def test_reconcile_is_deterministic():
 def test_power_on_off_cycle():
     log = EventLog()
     pool = worker_pool(1, log=log)
-    pool.power_on("w1", t=0, boot_delay_s=30)
+    assert pool.power_on("w1", t=0, boot_delay_s=30) == 30  # when its boot completes
     assert pool.nodes["w1"].power == "booting"
-    assert pool.nodes["w1"].ready_at == 30
     pool.boot_complete("w1", t=30)
     assert pool.nodes["w1"].power == "on"
     assert pool.nodes["w1"].idle_since == 30

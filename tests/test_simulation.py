@@ -1048,12 +1048,11 @@ def _fingerprint(world):
         pool, scheduler, elastic = site.pool, site.scheduler, site.elastic
         sites.append((
             site_id,
-            tuple((n.power, n.role, n.used, n.preemptible_used, n.idle_since, n.ready_at,
+            tuple((n.power, n.role, n.used, n.preemptible_used, n.idle_since,
                    frozenset(n.instances)) for n in pool.nodes.values()),
             frozenset((request_id, instance.node_id, instance.start_time)
                       for request_id, instance in scheduler.running.items()),
             tuple(scheduler.queue),
-            tuple(scheduler._queued),
             tuple(scheduler.group_running.items()),
             tuple(elastic._floors.items()), elastic.floor()))
     return sites
