@@ -20,7 +20,8 @@ from .report import RunReport, derive_metrics, verify_report, write_report
 from .resources import ResourceVector
 from .scheduler import (Decision, InstanceRequest, RunningInstance, SiteScheduler,
                         UsageLedger)
-from .simulation import Scenario, World, load_scenario, parse_scenario, run_scenario
+from .scenario import Scenario, load_scenario, parse_scenario
+from .simulation import World, run_scenario
 from .site import Site, make_site
 from .templates import (DeploymentTemplate, NodeSpec, ValidationReport,
                         aggregate_demand, parse_template, serialize_template,

@@ -23,7 +23,8 @@ from .config import (ENV_CONFIG, EngineConfig, config_from_env, config_path,
                      load_config, resolve_preferences)
 from .errors import DomainError
 from .ranker import ProviderSnapshot, order_by_score, scored_candidates
-from .simulation import World, load_scenario, run_scenario
+from .scenario import load_scenario
+from .simulation import World, run_scenario
 from .templates import TemplateError, parse_template
 
 ENV_STATE = "ORCH_STATE"

@@ -1,8 +1,9 @@
 """Deterministic discrete-event simulation of the federated sites.
 
-A scenario file names providers (with physical nodes), SLAs, datasets, users
-and a time-ordered event script.  The run advances a virtual integer clock
-event to event; identical scenario and seed give a byte-identical event log.
+A scenario (see scenario.py) names providers (with physical nodes), SLAs,
+datasets, users and a time-ordered event script.  The run advances a virtual
+integer clock event to event; identical scenario and seed give a
+byte-identical event log.
 Every site's invariants are audited after every scenario event and after
 every queued event that ran a handler or brought a site visit; a violation
 aborts the run.  The only events not audited are stale timers that changed
@@ -13,254 +14,22 @@ from __future__ import annotations
 
 import functools
 import heapq
-import os
-from dataclasses import dataclass, field
 
-from . import stext
-from .config import ELASTIC_KEYS, EngineConfig
-from .elasticity import (ACTION_POWER_ON, ElasticityError, ElasticPolicy,
-                         NodeRecord, POWER_OFF, POWER_ON, ROLE_BATCH, ROLE_CLOUD)
+from .config import EngineConfig
+from .elasticity import ACTION_POWER_ON, ElasticityError, NodeRecord
 from .errors import DomainError
 from .iam import IamService
-from .orchestrator import (AuthError, DataCatalog, DataCatalogEntry,
-                           IllegalTransitionError, NotFoundError, Orchestrator,
-                           SLARecord)
+from .orchestrator import (AuthError, DataCatalog, IllegalTransitionError, NotFoundError,
+                           Orchestrator)
 from .ranker import PreferenceList
 from .report import EventLog, MetricsAccumulator, RunReport
-from .resources import RESOURCE_KEYS, read_resources
+from .scenario import EventSpec, Scenario
 from .site import Site, make_site
 from .templates import KIND_JOB, TemplateError
 
 
-# Event parameters per action: ({required: kind}, {optional: kind}); any other
-# key is rejected, and so is a value of another kind.
-_PARAMS = {
-    "submit": ({"template": stext.NAME, "user": stext.NAME},
-               {"template_text": stext.TEXT, "prefs": stext.NAMES,
-                "duration": stext.NON_NEGATIVE_INT}),
-    "delete": ({"ref": stext.NAME}, {"user": stext.NAME}),
-    "fail_site": ({"provider": stext.NAME, "duration": stext.NON_NEGATIVE_INT}, {}),
-    "revoke_token": ({"user": stext.NAME}, {}),
-    "switch_role": ({"provider": stext.NAME, "node": stext.NAME, "target": stext.NAME}, {}),
-}
-ACTIONS = tuple(_PARAMS)
-_NODE_KEYS = RESOURCE_KEYS + ("power", "role")
-
-
-class ScenarioError(DomainError):
-    pass
-
-
 class InvariantViolationError(DomainError):
     pass
-
-
-@dataclass(frozen=True)
-class ProviderSpec:
-    provider_id: str
-    availability: float = 1.0
-    latency_ms: float = 0.0
-    nodes: tuple = ()  # (node_id, ResourceVector, power, role)
-    elasticity: ElasticPolicy | None = None
-
-
-@dataclass(frozen=True)
-class UserSpec:
-    name: str
-    group: str
-    weight: float = 1.0
-
-
-@dataclass
-class EventSpec:
-    key: str
-    at: int
-    action: str
-    params: dict = field(default_factory=dict)
-
-
-@dataclass
-class Scenario:
-    name: str
-    seed: int
-    horizon_s: int
-    providers: list[ProviderSpec] = field(default_factory=list)
-    slas: list[SLARecord] = field(default_factory=list)
-    datasets: list[DataCatalogEntry] = field(default_factory=list)
-    users: list[UserSpec] = field(default_factory=list)
-    events: list[EventSpec] = field(default_factory=list)
-    templates: dict[str, str] = field(default_factory=dict)  # name -> template text
-
-
-def _node_from_block(node_id: str, block: stext.Block, context: str):
-    where = "line %d: %s" % (block.line, context)
-    power = block.get("power", POWER_ON)
-    role = block.get("role", ROLE_CLOUD)
-    if power not in (POWER_ON, POWER_OFF):
-        raise ScenarioError("%s: power must be on or off" % where)
-    if role not in (ROLE_BATCH, ROLE_CLOUD):
-        raise ScenarioError("%s: role must be batch or cloud" % where)
-    return (node_id, read_resources(block, context, default=0), power, role)
-
-
-def _resolve(where: str, kind: str, name, names) -> str:
-    """name, which must be one of names, the scenario's users or providers."""
-    if name not in names:
-        raise ScenarioError("%s references unknown %s %r" % (where, kind, name))
-    return name
-
-
-def parse_scenario(text: str, *, name: str = "scenario",
-                   template_loader=None) -> Scenario:
-    """Parse scenario text; template_loader(name) supplies template text."""
-    try:
-        root = stext.parse_stext(text)
-    except stext.StextError as exc:
-        raise ScenarioError("scenario: %s" % exc) from exc
-    try:
-        return _read_scenario(root, name, template_loader)
-    except stext.StextError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
-def _read_scenario(root: stext.Block, name: str, template_loader) -> Scenario:
-    root.reject_unknown(("name", "seed", "horizon_s", "providers", "slas", "datasets",
-                         "users", "events"), "scenario")
-
-    scenario = Scenario(
-        name=str(root.get("name", name)),
-        seed=root.field("seed", "scenario", stext.INT),
-        horizon_s=root.field("horizon_s", "scenario", stext.INT),
-    )
-    if scenario.horizon_s <= 0:
-        raise ScenarioError("line %d: horizon_s must be > 0" % root.line_of("horizon_s"))
-
-    providers = root.block("providers", None, "providers")
-    for provider_id in providers.entries:
-        context = "provider %s" % provider_id
-        block = providers.block(provider_id,
-                                ("availability", "latency_ms", "elasticity", "nodes"), context)
-        nodes = []
-        nodes_block = block.block("nodes", None, "%s nodes" % context)
-        for node_id in nodes_block.entries:
-            node_context = "%s node %s" % (context, node_id)
-            nodes.append(_node_from_block(
-                node_id, nodes_block.block(node_id, _NODE_KEYS, node_context), node_context))
-        elasticity = None
-        if "elasticity" in block:
-            elastic_context = "%s elasticity" % context
-            elastic = block.block("elasticity", ELASTIC_KEYS, elastic_context)
-            elasticity = stext.located(elastic.line, elastic_context, ElasticPolicy, **{
-                key: elastic.field(key, elastic_context, stext.INT)
-                for key in ELASTIC_KEYS if key in elastic})
-        scenario.providers.append(ProviderSpec(
-            provider_id=provider_id,
-            availability=float(block.field("availability", context, stext.FRACTION, 1.0)),
-            latency_ms=float(block.field("latency_ms", context, stext.NON_NEGATIVE, 0.0)),
-            nodes=tuple(nodes),
-            elasticity=elasticity,
-        ))
-    provider_ids = {p.provider_id for p in scenario.providers}
-
-    slas = root.block("slas", None, "slas")
-    for key in slas.entries:
-        context = "sla %s" % key
-        block = slas.block(key, ("provider", "group", "sla_rank"), context)
-        provider = _resolve("line %d: %s" % (block.line, context), "provider",
-                            block.field("provider", context), provider_ids)
-        scenario.slas.append(stext.located(
-            block.line, context, SLARecord, provider_id=provider,
-            group=str(block.field("group", context)),
-            sla_rank=float(block.field("sla_rank", context, stext.NUMBER))))
-
-    datasets = root.block("datasets", None, "datasets")
-    for key in datasets.entries:
-        context = "dataset %s" % key
-        block = datasets.block(key, ("dataset", "provider", "bytes_present", "bytes_total"),
-                               context)
-        provider = _resolve("line %d: %s" % (block.line, context), "provider",
-                            block.field("provider", context), provider_ids)
-        scenario.datasets.append(stext.located(
-            block.line, context, DataCatalogEntry,
-            dataset_id=str(block.field("dataset", context)), provider_id=provider,
-            bytes_present=block.field("bytes_present", context, stext.INT),
-            bytes_total=block.field("bytes_total", context, stext.INT)))
-
-    users = root.block("users", None, "users")
-    for user in users.entries:
-        context = "user %s" % user
-        block = users.block(user, ("group", "weight"), context)
-        scenario.users.append(UserSpec(
-            name=user,
-            group=str(block.field("group", context)),
-            weight=float(block.field("weight", context, stext.POSITIVE, 1.0)),
-        ))
-    user_names = {u.name for u in scenario.users}
-
-    submit_keys = set()
-    last_at = None
-    events = root.block("events", None, "events")
-    for key in events.entries:
-        context = "event %s" % key
-        block = events.block(key, None, context)
-        where = "line %d: %s" % (block.line, context)
-        at = block.field("at", context, stext.INT)
-        action = block.field("action", context)
-        if action not in ACTIONS:
-            raise ScenarioError("%s has unknown action %r" % (where, action))
-        if at < 0 or at > scenario.horizon_s:
-            raise ScenarioError("%s time %d outside [0, horizon]" % (where, at))
-        if last_at is not None and at < last_at:
-            raise ScenarioError("%s: events are not sorted by time" % where)
-        last_at = at
-        required, optional = _PARAMS[action]
-        context = "%s (%s)" % (context, action)
-        kinds = dict(required, **optional)
-        block.reject_unknown(("at", "action") + tuple(kinds), context)
-        for param in required:
-            block.field(param, context)
-        params = {param: block.field(param, context, kinds[param])
-                  for param in block.entries if param in kinds}
-        for param, names in (("user", user_names), ("provider", provider_ids)):
-            if param in params:
-                _resolve(where, param, params[param], names)
-        if action == "delete" and params["ref"] not in submit_keys:
-            raise ScenarioError("%s deletes unknown submit ref %r" % (where, params["ref"]))
-        if action == "submit":
-            submit_keys.add(key)
-            template_name = params["template"]
-            if "template_text" not in params:
-                if template_loader is None:
-                    raise ScenarioError("%s: no template loader for %r"
-                                        % (where, template_name))
-                if template_name not in scenario.templates:
-                    scenario.templates[template_name] = template_loader(template_name)
-        scenario.events.append(EventSpec(key=key, at=at, action=action, params=params))
-
-    return scenario
-
-
-def load_scenario(path: str) -> Scenario:
-    base = os.path.dirname(os.path.abspath(path))
-
-    def loader(template_name: str) -> str:
-        candidate = template_name if os.path.isabs(template_name) \
-            else os.path.join(base, template_name)
-        if not os.path.exists(candidate):
-            raise ScenarioError("template file %r not found" % template_name)
-        try:
-            with open(candidate, encoding="utf-8") as handle:
-                return handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ScenarioError("cannot read template %r: %s" % (template_name, exc)) from exc
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError("cannot read scenario %r: %s" % (path, exc)) from exc
-    name = os.path.splitext(os.path.basename(path))[0]
-    return parse_scenario(text, name=name, template_loader=loader)
 
 
 class World:

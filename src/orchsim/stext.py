@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.~/-]*$")
+KEY = r"[A-Za-z_][A-Za-z0-9_.~/-]*"  # what a key may be, for patterns that match one
+_KEY_RE = re.compile(r"^%s$" % KEY)
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FLOAT_RE = re.compile(r"^[+-]?([0-9]+\.[0-9]*|\.[0-9]+)$")
 
@@ -168,6 +169,13 @@ def _strip_comment(raw: str) -> str:
 
 def _parse_scalar(text: str, line: int):
     text = text.strip()
+    # Two shortcuts for the common cases, each giving what the rules below
+    # give: ASCII digits are an integer (int() also takes other digits), and
+    # a word that starts with a letter is a name unless it is true or false.
+    if text.isdigit() and text.isascii():
+        return int(text)
+    if text[:1].isalpha() and text != "true" and text != "false":
+        return sys.intern(text)
     if text.startswith('"'):
         if len(text) < 2 or not text.endswith('"') or '"' in text[1:-1]:
             raise StextError(line, "malformed quoted string %s" % text)
@@ -234,12 +242,17 @@ def _parse_value(text: str, line: int):
 
 
 def parse_stext(text: str) -> Block:
+    return parse_lines(text.splitlines())
+
+
+def parse_lines(lines, first: int = 1) -> Block:
+    """parse_stext of a text's lines, the first of them numbered first."""
     root = Block(0)
     # stack of (indent_level, block, key_of_block)
     stack: list[tuple[int, Block, str]] = [(0, root, "<root>")]
     pending: tuple[int, Block, str, str] | None = None  # key awaiting an indented block
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=first):
         if "\t" in raw:
             raise StextError(lineno, "tabs are not allowed; indent with two spaces")
         stripped = _strip_comment(raw)

@@ -19,8 +19,8 @@ from orchsim.ranker import (PreferenceList, ProviderSnapshot, RankerConfig,
 from orchsim.resources import ResourceVector
 from orchsim.scheduler import (InfeasiblePreemptionError, InstanceRequest,
                                SiteScheduler)
-from orchsim.simulation import (EventSpec, ProviderSpec, Scenario, UserSpec,
-                                World, load_scenario, run_scenario)
+from orchsim.scenario import EventSpec, ProviderSpec, Scenario, UserSpec, load_scenario
+from orchsim.simulation import World, run_scenario
 from orchsim.orchestrator import SLARecord
 
 _MODULE_T0 = time.monotonic()

@@ -506,7 +506,8 @@ def test_session_completes_a_virtual_job_at_its_duration(workdir, capsys):
 def test_command_meets_the_events_due_at_its_time_unfired(workdir, capsys):
     from orchsim.cli import Session
     from orchsim.config import EngineConfig
-    from orchsim.simulation import parse_scenario, run_scenario
+    from orchsim.scenario import parse_scenario
+    from orchsim.simulation import run_scenario
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     world = os.path.join(here, "scenarios", "elastic-cluster.scn")
     uuids = []

@@ -15,7 +15,8 @@ from test_golden import _bench_workloads
 
 from orchsim.cli import Session
 from orchsim.config import EngineConfig
-from orchsim.simulation import load_scenario, run_scenario
+from orchsim.scenario import load_scenario
+from orchsim.simulation import run_scenario
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 LOOP_ONLY = ("scenario_event", "deployment_rejected", "delete_failed")

@@ -16,7 +16,8 @@ import sys
 
 import pytest
 
-from orchsim.simulation import load_scenario, parse_scenario, run_scenario
+from orchsim.scenario import load_scenario, parse_scenario
+from orchsim.simulation import run_scenario
 
 GOLDEN = {
     "elastic-cluster": "eec14671ead49f47c1649b542705b9cfa3bd405437d9f8b467a32679a5f951cc",
@@ -107,7 +108,8 @@ def test_partition_probe_digest_is_pinned():
 # prints both reports as a JSON list; run from the root of the tree.
 _HASH_SEED_CHILD = """
 import importlib.util, json, sys
-from orchsim.simulation import load_scenario, parse_scenario, run_scenario
+from orchsim.scenario import load_scenario, parse_scenario
+from orchsim.simulation import run_scenario
 spec = importlib.util.spec_from_file_location("bench_workloads", "bench/workloads.py")
 workloads = importlib.util.module_from_spec(spec)
 sys.modules[spec.name] = workloads

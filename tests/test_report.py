@@ -12,7 +12,8 @@ import pytest
 
 from orchsim import report as report_mod
 from orchsim.report import ReportError, RunReport, parse_report, render_record
-from orchsim.simulation import load_scenario, run_scenario
+from orchsim.scenario import load_scenario
+from orchsim.simulation import run_scenario
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.scn")))

@@ -9,9 +9,9 @@ from conftest import req, rv
 
 from orchsim.elasticity import ElasticPolicy, NodePool
 from orchsim.report import derive_metrics, parse_report, verify_report
-from orchsim.simulation import (EventSpec, ProviderSpec, Scenario, ScenarioError,
-                                UserSpec, World, load_scenario, parse_scenario,
-                                run_scenario)
+from orchsim.scenario import (EventSpec, ProviderSpec, Scenario, ScenarioError, UserSpec,
+                              load_scenario, parse_scenario)
+from orchsim.simulation import World, run_scenario
 
 JOB_2CPU = """\
 tosca_version: indigo_subset_1

@@ -115,6 +115,33 @@ quoted: { user: "ada", cpus: "2" }
     assert (quoted.get("user"), quoted.get("cpus")) == ("ada", "2")
 
 
+# The scalar rule, pinned for values a cheaper check could misread:
+# str.isdigit() holds for "\u0663" and "\u00b2" (and int("\u0663") is 3), and
+# int() takes "1_0" and "+1"; only ASCII digits with an optional sign are an
+# integer here, and only a word that is not true or false is a name.
+SCALARS = [
+    ("\u0663", "\u0663"), ("\u00b2", "\u00b2"), ("1_0", "1_0"), ("1e3", "1e3"),
+    ("+1", 1), ("-0", 0), (".5", 0.5), ("5.", 5.0), ("true", True), ("false", False),
+    ('"12"', "12"), ('"true"', "true"), ("12", 12), ("007", 7), ("-12", -12),
+    ("u07", "u07"), ("_x", "_x"), ("\u00e9t\u00e9", "\u00e9t\u00e9"), ("True", "True"),
+    ("spot-0.1", "spot-0.1"), ("../t.tpl", "../t.tpl"), ("x#y", "x#y"),
+]
+
+
+@pytest.mark.parametrize("text, value", SCALARS, ids=[text for text, _ in SCALARS])
+def test_the_scalar_rule(text, value):
+    for parsed in (stext._parse_scalar(" %s " % text, 1),
+                   parse_stext("k: %s\n" % text).get("k"),
+                   parse_stext("k: { v: %s }\n" % text).get("k").get("v"),
+                   parse_stext("k: [%s]\n" % text).get("k")[0]):
+        assert parsed == value and type(parsed) is type(value)
+
+
+def test_an_empty_scalar_is_an_error():
+    with pytest.raises(StextError, match="line 3: missing value"):
+        stext._parse_scalar("  ", 3)
+
+
 # -- typed reader -----------------------------------------------------------
 
 READER = """\

@@ -1,4 +1,4 @@
-"""Report parity over the benchmark matrix: python3 tools/parity.py --write | --check
+"""Report parity over the benchmark matrix: python3 tools/parity.py --write | --check [--keep DIR]
 
 Run from the root of a source checkout; the simulator is imported from
 ``src/`` and the scenarios come from ``bench/workloads.py``.  The matrix is
@@ -9,6 +9,9 @@ process.
 --write  stores each report's sha256 in PARITY.json
 --check  renders them again and names each report whose sha256 moved, or
          that PARITY.json does not list; exits 1 if any did
+--keep DIR  also writes each rendered report to DIR/<name>.jsonl (for
+         example DIR/spot/seed-1/replica-0.jsonl), to compare a moved report
+         with one kept from an earlier tree
 
 A change that should keep behaviour keeps every digest.  A change that moves
 a report on purpose re-writes PARITY.json and says which reports moved.
@@ -51,14 +54,20 @@ def matrix(workloads):
         yield "partition-probe/seed-%d" % seed, workloads.partition_probe(seed)
 
 
-def digests() -> dict[str, str]:
-    from orchsim.simulation import parse_scenario, run_scenario
+def digests(keep: str | None = None) -> dict[str, str]:
+    """The sha256 of each report; with keep, each report is written under it too."""
+    from orchsim import parse_scenario, run_scenario
     result = {}
     for name, workload in matrix(_bench_workloads()):
         scenario = parse_scenario(workload.text, name=workload.name,
                                   template_loader=workload.templates.__getitem__)
         text = run_scenario(scenario).to_text()
         result[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if keep is not None:
+            path = os.path.join(keep, name + ".jsonl")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as out:
+                out.write(text)
     return result
 
 
@@ -80,9 +89,10 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true", help="store the digests")
     mode.add_argument("--check", action="store_true", help="compare with the stored digests")
+    parser.add_argument("--keep", metavar="DIR", help="write each report to DIR/<name>.jsonl")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    current = digests()
+    current = digests(args.keep)
     if args.write:
         with open(MANIFEST, "w", encoding="utf-8") as out:
             json.dump({"reports": current}, out, indent=1, sort_keys=True)
