@@ -106,8 +106,12 @@ class NodePool:
     The pool is the only writer of a node's power, role, used,
     preemptible_used and idle_since and of its instance set.  Every write
     goes through _update, which calls mark (the site's scheduler sets it: it
-    empties its memo of unstartable shapes and marks the site for its next
-    pass).  The pool keeps no counter over its nodes: each reader walks
+    marks the site for its next pass).  mark receives the node when the write
+    can free room on it for a request (an unassign, a boot completing, a
+    move to the cloud role), so the scheduler re-probes its failed shapes on
+    that node; it receives None for every other write (an assign, a power-on
+    to booting, a power-off, a move away from the cloud role), which only
+    shrinks room.  The pool keeps no counter over its nodes: each reader walks
     them when it is called.  Reconcile calls cloud_counts(), booting_space()
     and idle_nodes() at most once per site visit, the simulation
     next_idle_due() once per visit and per wake, and placement
@@ -134,7 +138,7 @@ class NodePool:
         self.site_id = site_id
         self._log = log
         self.nodes: dict[str, NodeRecord] = {}
-        self.mark = None  # called on every _update when set (see SiteScheduler)
+        self.mark = None  # called on every _update when set, with the node or None
         for node in nodes:
             if node.node_id in self.nodes:
                 raise ElasticityError("duplicate node %r" % node.node_id)
@@ -156,11 +160,14 @@ class NodePool:
 
     def _update(self, node: NodeRecord, *, power: str | None = None,
                 role: str | None = None, used: ResourceVector | None = None,
-                preemptible_used: ResourceVector | None = None, idle_since=_KEEP):
+                preemptible_used: ResourceVector | None = None, idle_since=_KEEP,
+                frees: bool = False):
         """Write a node's power, role, used, preemptible_used or idle_since and
-        mark the site; a change to its instance set is made just before."""
+        mark the site; a change to its instance set is made just before.
+        mark gets the node when the write frees room on it (frees: an
+        unassign), powers it on or moves it to the cloud role, else None."""
         if self.mark is not None:
-            self.mark()
+            self.mark(node if frees or power == POWER_ON or role == ROLE_CLOUD else None)
         if power is not None:
             node.power = power
         if role is not None:
@@ -346,9 +353,9 @@ class NodePool:
         share = node.preemptible_used - resources if preemptible else None
         node.instances.discard(request_id)
         if node.instances:
-            self._update(node, used=used, preemptible_used=share)
+            self._update(node, used=used, preemptible_used=share, frees=True)
             return
-        self._update(node, used=used, preemptible_used=share, idle_since=t)
+        self._update(node, used=used, preemptible_used=share, idle_since=t, frees=True)
         if node.role in DRAINING_ROLES:
             self._switch(node, _DRAIN_TARGET[node.role], "completed", t)
 

@@ -85,7 +85,8 @@ class RunReport:
                                 "horizon_s": self.horizon_s})]
         lines.extend(map(render_record, self.records))
         lines.append(render_record({"record": "metrics", "metrics": self.metrics}))
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without a second copy of the text
+        return "\n".join(lines)
 
 
 def write_report(report: RunReport, path: str):

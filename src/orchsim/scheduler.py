@@ -151,8 +151,8 @@ class SiteScheduler:
         self.running: dict[str, RunningInstance] = {}
         self.queue: list[InstanceRequest] = []  # in the order of the last sort
         self.mark = None  # called on every queue and pool write if set (World marks the site)
-        # shapes that failed a probe since the last pool write
-        self._unstartable: set[str] = set()
+        # shape that failed a probe -> ids of the nodes freed since (dispatch)
+        self._unstartable: dict[str, set[str]] = {}
         pool.mark = self._pool_written
         # what each group with a quota runs; quota_allows is its only reader
         self.group_running: dict[str, ResourceVector] = {}
@@ -172,11 +172,15 @@ class SiteScheduler:
             disk_gb += resources.disk_gb
         return cpus, mem_mb, disk_gb
 
-    def _pool_written(self):
-        """NodePool.mark: a pool write can make any shape startable, so the
-        memo of unstartable shapes empties; the site is marked as for a
-        queue write."""
-        self._unstartable.clear()
+    def _pool_written(self, node):
+        """NodePool.mark: a write that can free room on node adds its id to
+        the freed nodes of every failed shape, and a write with node None
+        only shrinks room, so it leaves the memo; the site is marked as for
+        a queue write."""
+        if node is not None:
+            node_id = node.node_id
+            for freed in self._unstartable.values():
+                freed.add(node_id)
         if self.mark is not None:
             self.mark()
 
@@ -189,6 +193,8 @@ class SiteScheduler:
         if self.mark is not None:
             self.mark()
         self.queue.pop(position)
+        if not self.queue:
+            self._unstartable.clear()  # so the memo holds the backlog's shapes only
 
     def _emit(self, t, kind, **payload):
         if self._log is not None:
@@ -223,18 +229,18 @@ class SiteScheduler:
         return Decision(DECISION_QUEUED)
 
     def _queue_key(self, t: int):
-        """Sort key of the fair-share order at t; request ids make keys unique.
-
-        Each queued user's priority is computed once, when the key is built,
-        so a key holds only while no usage accrues: build a fresh one after
-        a preemption charges the victim's owner.
+        """(negated, key): each queued user's negated priority at t, and the
+        sort key of the fair-share order that reads it; request ids make
+        keys unique.  A key holds only while no usage accrues: after a
+        preemption charges the victim's owner, dispatch writes the owner's
+        entry afresh.
         """
         priority = self.ledger.priority
         negated = {user: -priority(user, t) for user in {r.user for r in self.queue}}
-        return lambda r: (negated[r.user], r.arrival_time, r.request_id)
+        return negated, lambda r: (negated[r.user], r.arrival_time, r.request_id)
 
     def ordered_queue(self, t: int) -> list[InstanceRequest]:
-        return sorted(self.queue, key=self._queue_key(t))
+        return sorted(self.queue, key=self._queue_key(t)[1])
 
     def quota_allows(self, request: InstanceRequest) -> bool:
         cap = self.quotas.get(request.group)
@@ -270,9 +276,11 @@ class SiteScheduler:
         victims.sort(key=_victim_key)
         return victims
 
-    def select_victims(self, request: InstanceRequest) -> tuple[str, list[RunningInstance]]:
+    def select_victims(self, request: InstanceRequest,
+                       nodes=None) -> tuple[str, list[RunningInstance]]:
         """(node id, victims to preempt there) for request to start on one
-        schedulable node, from one walk of the nodes in id order.
+        schedulable node, from one walk of nodes (all the pool's when None)
+        in id order.
 
         The first node whose capacity minus used fits request wins, with no
         victims.  When none does, each node whose preemptibles together
@@ -285,7 +293,8 @@ class SiteScheduler:
         searched (_eligible_victims).  Instances on draining nodes are never
         taken: terminating them frees capacity outside the cloud pool.
         Raises InfeasiblePreemptionError when no node fits and no node has a
-        set that is enough.
+        set that is enough.  Where every node outside nodes has neither, the
+        walk returns what a walk of all the pool's nodes would.
 
         A node is searched only for the sets that could beat the best so
         far: fewer victims, or as many when its first eligible victim's key
@@ -296,7 +305,7 @@ class SiteScheduler:
         resources = request.resources
         cpus, mem_mb, disk_gb = resources.cpus, resources.mem_mb, resources.disk_gb
         candidates = []  # (node, deficit) of each node its preemptibles could cover
-        for node in self.pool.order:
+        for node in self.pool.order if nodes is None else nodes:
             if node.power != POWER_ON or node.role != ROLE_CLOUD:  # is_schedulable
                 continue
             capacity, used = node.capacity, node.used
@@ -337,11 +346,21 @@ class SiteScheduler:
         when no set of at most `most` of them does.  Int arithmetic, with no
         ResourceVector built: a set is feasible when its summed cpus, mem_mb
         and disk_gb each reach need.  Up to _EXACT_VICTIM_LIMIT victims the
-        sets are tried by size, each size in preference order, skipping a
-        size whose largest possible sums fall short; above it,
-        _greedy_victims.
+        sets are tried by size, each size in preference order: size 1 is a
+        scan for the first victim that meets need alone, and a larger size
+        is skipped when its largest possible sums fall short.  Above the
+        limit, _greedy_victims, which may keep several victims where one
+        would do.
         """
         need_cpus, need_mem, need_disk = need
+        if len(eligible) <= _EXACT_VICTIM_LIMIT:
+            for instance in eligible:
+                size = instance.request.resources
+                if (size.cpus >= need_cpus and size.mem_mb >= need_mem
+                        and size.disk_gb >= need_disk):
+                    return [instance]
+            if most == 1:
+                return None
         sizes = [instance.request.resources for instance in eligible]
         cpus = [size.cpus for size in sizes]
         mem_mb = [size.mem_mb for size in sizes]
@@ -358,7 +377,7 @@ class SiteScheduler:
         # k-subset of the victims can free more than.
         top_cpus, top_mem_mb, top_disk_gb = (list(itertools.accumulate(sorted(
             component, reverse=True))) for component in (cpus, mem_mb, disk_gb))
-        for k in range(1, most + 1):
+        for k in range(2, most + 1):
             if (top_cpus[k - 1] < need_cpus or top_mem_mb[k - 1] < need_mem
                     or top_disk_gb[k - 1] < need_disk):
                 continue  # no k-subset frees enough
@@ -409,6 +428,7 @@ class SiteScheduler:
         group = request.group
         if group in self.quotas:
             self.group_running[group] = self.group_running[group] - request.resources
+            self._unstartable.clear()  # a shape its quota held may start anywhere
         self.pool.unassign(request.request_id, request.resources, instance.node_id, t,
                            request.is_preemptible)
 
@@ -431,10 +451,10 @@ class SiteScheduler:
                    bid=request.bid, waited_s=t - request.arrival_time)
         return instance
 
-    def _startable(self, request: InstanceRequest) -> tuple[str, list] | None:
+    def _startable(self, request: InstanceRequest, nodes) -> tuple[str, list] | None:
         """select_victims's (node id, victims to preempt there) for the
-        request to start now, or None when its group quota holds it back or
-        no node can take it.
+        request to start now on one of nodes, in id order, or None when its
+        group quota holds it back or none of them can take it.
 
         Only the request's shape and the pool state decide this: the quota
         and group_running, the nodes' used and their instance sets, whose
@@ -444,7 +464,7 @@ class SiteScheduler:
         if not self.quota_allows(request):
             return None
         try:
-            return self.select_victims(request)
+            return self.select_victims(request, nodes)
         except InfeasiblePreemptionError:
             return None
 
@@ -456,33 +476,42 @@ class SiteScheduler:
         that cannot start.
 
         Whether a request can start depends on its shape and the pool state
-        only (see _startable), so a shape is probed once per pool write: a
-        failed probe puts the shape in the unstartable set, which every pool
-        write empties (_pool_written), and a queued request of a shape in the
-        set is skipped as failed.  With backfill on, a call returns at once
-        when the shape of every queued request is in the set: nothing could
-        start.  Otherwise the queue is sorted into fair-share order once per
-        call (with backfill off the head can change as usage decays, so it is
-        always sorted).  Within one event time only a preemption changes a
-        priority (the victim's owner accrues usage), so a start without
-        victims just leaves the order and a start that preempted re-sorts it
-        under a fresh key (_queue_key computes each user's priority once).
+        only (see _startable).  A failed probe maps its shape to an empty set
+        in the memo, and a pool write that can free room on a node adds the
+        node to every set (_pool_written); any other write only shrinks room.
+        So a request whose shape maps to no node is skipped, and one whose
+        shape maps to nodes is probed on those only: no other node can take
+        it.  The memo empties when a quota group's usage falls or the queue
+        empties.  With backfill on, a call returns at once when every queued
+        shape maps to no node.  Otherwise the queue is sorted into fair-share
+        order once per call (with backfill off the head can change as usage
+        decays, so it is always sorted).  Within one event time only a
+        preemption changes a priority, its victims' owners', so only theirs
+        are computed afresh, and the queue is re-sorted when one of them had
+        queued work as the call began.
         """
         started: list[RunningInstance] = []
         queue = self.queue
         unstartable = self._unstartable
-        if not queue or (self.backfill and all(r.shape in unstartable for r in queue)):
+        if not queue or (self.backfill
+                         and not any(unstartable.get(r.shape, True) for r in queue)):
             return started
-        queue.sort(key=self._queue_key(t))
+        negated, key = self._queue_key(t)
+        queue.sort(key=key)
+        order, nodes = self.pool.order, self.pool.nodes
         while queue:
             for position, request in enumerate(queue if self.backfill else queue[:1]):
                 shape = request.shape
-                if shape in unstartable:
+                freed = unstartable.get(shape)
+                if freed is None:
+                    startable = self._startable(request, order)
+                elif freed:
+                    startable = self._startable(request, [nodes[i] for i in sorted(freed)])
+                else:
                     continue
-                startable = self._startable(request)
                 if startable is not None:
                     break
-                unstartable.add(shape)
+                unstartable[shape] = set()
             else:
                 break
             node_id, victims = startable
@@ -490,8 +519,12 @@ class SiteScheduler:
                 self._preempt(victim, t, by=request.request_id)
             self._dequeue(position)
             started.append(self._start(request, t, node_id))
-            if victims:
-                queue.sort(key=self._queue_key(t))
+            owners = [victim.request.user for victim in victims
+                      if victim.request.user in negated]
+            if owners:
+                for user in owners:
+                    negated[user] = -self.ledger.priority(user, t)
+                queue.sort(key=key)
         return started
 
     # -- lifecycle --------------------------------------------------------
@@ -552,8 +585,9 @@ class SiteScheduler:
         preemption soundness, per node: with backfill on and the site not
         failed, no normal request the quota lets run may sit queued while it
         fits the capacity minus used plus preemptible_used of a schedulable
-        node.  The unstartable shapes are a cache of _startable, not a
-        counter, so they are not re-probed here.
+        node.  The memo of failed shapes and the nodes freed since each
+        failed is a cache of _startable, not a counter, so it is not
+        re-probed here.
 
         Cost: the pool's walk is constant work per node plus one pass per
         running instance; this audit adds one pass over running and a dict

@@ -437,7 +437,11 @@ def test_every_pool_writer_marks_and_a_refused_write_changes_nothing(seed):
     preemptible_used and idle_since and the one caller of mark.  On a seeded
     walk over every pool writer, drain completions included, a step that
     changes any of these or an instance set calls mark, and a step that
-    raises changes nothing and marks nothing."""
+    raises changes nothing and marks nothing.  mark gets the node for a
+    write that can free room on it (unassign, boot_complete, a move to the
+    cloud role, a drain to cloud completing) and None for any other
+    (assign, power_on, power_off, a move to batch or draining, a drain to
+    batch completing)."""
     rng = random.Random(seed)
     log = EventLog()
     pool = NodePool("s", [NodeRecord(node_id="n%d" % i, capacity=rv(2 + i % 2, 2048, 20),
@@ -445,7 +449,7 @@ def test_every_pool_writer_marks_and_a_refused_write_changes_nothing(seed):
                                      role=rng.choice(["cloud", "cloud", "batch"]))
                           for i in range(5)], log=log)
     marks = []
-    pool.mark = lambda: marks.append(1)
+    pool.mark = marks.append
     placed = {}  # request id -> (resources, node id, preemptible)
     seen = set()
     for t in range(2000):
@@ -453,6 +457,7 @@ def test_every_pool_writer_marks_and_a_refused_write_changes_nothing(seed):
         op = rng.choice(["assign", "assign", "unassign", "unassign", "power_on",
                          "boot_complete", "power_off", "switch_role"])
         before, marked = _node_state(pool), len(marks)
+        on = node_id
         try:
             if op == "assign":
                 resources = rv(1, rng.randrange(1, 1024), rng.randrange(1, 10))
@@ -478,12 +483,22 @@ def test_every_pool_writer_marks_and_a_refused_write_changes_nothing(seed):
             assert _node_state(pool) == before and len(marks) == marked, (t, op)
             seen.add((op, "raised"))
             continue
-        assert _node_state(pool) != before and len(marks) > marked, (t, op)
+        node = pool.nodes[on]
+        to_cloud = node if node.role == "cloud" else None
+        expected = {"assign": [None], "power_on": [None], "power_off": [None],
+                    "boot_complete": [node], "switch_role": [to_cloud],
+                    "unassign": [node] + ([to_cloud] if node.role != before[on][1] else [])}
+        assert marks[marked:] == expected[op], (t, op)
+        assert _node_state(pool) != before, (t, op)
         seen.add((op, "wrote"))
+        seen.add((op, "freed" if marks[-1] is node else "shrank"))
         pool.audit(running_of(placed))
     assert seen == {(op, outcome) for op in ("assign", "unassign", "power_on", "boot_complete",
                                              "power_off", "switch_role")
-                    for outcome in ("raised", "wrote")}
+                    for outcome in ("raised", "wrote")} | {
+        ("assign", "shrank"), ("power_on", "shrank"), ("power_off", "shrank"),
+        ("boot_complete", "freed"), ("switch_role", "freed"), ("switch_role", "shrank"),
+        ("unassign", "freed"), ("unassign", "shrank")}
     assert any(r["kind"] == "role_changed" and r["state"] == "completed"
                and r["from_role"] in ("draining_to_batch", "draining_to_cloud")
                for r in log.records)

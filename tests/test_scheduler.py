@@ -13,7 +13,7 @@ from orchsim.scheduler import (DECISION_QUEUED, DECISION_REJECTED_QUOTA,
                                DECISION_STARTED, DuplicateRequestError,
                                InfeasiblePreemptionError, InstanceRequest,
                                SchedulerError, UnknownInstanceError, UsageLedger,
-                               _victim_key)
+                               _EXACT_VICTIM_LIMIT, _victim_key)
 
 # -- priority -----------------------------------------------------------------
 
@@ -563,6 +563,31 @@ def test_a_preemption_re_sorts_the_rest_of_the_pass_under_fresh_priorities():
     assert [r.request_id for r in sched.queue] == per_request_order(1000) == ["c1", "b1"]
 
 
+@pytest.mark.parametrize("backfill", [True, False])
+def test_a_preemption_changes_the_next_start(backfill):
+    """n1 runs x's px and b's preemptible pb; n2 is off.  At t=1000 n2
+    completes its boot and px is released, and the pass starts n on n1 by
+    preempting pb, which charges b 3 cpus x 1000 s.  Under the priorities
+    the pass began with b1 came before c1 (earlier arrival); under the
+    fresh ones c1 does, so c1 takes n2, the one node with room, and b1 stays
+    queued, with backfill on as with it off."""
+    sched = make_scheduler(rv(6, 6144, 60), rv(3, 3072, 30), backfill=backfill)
+    sched.pool.power_off("n2", 0)
+    _place(sched, "n1", "px", rv(3, 3072, 30))
+    sched.submit(req(user="b", res=rv(3, 3072, 30), bid=0.1, rid="pb"), t=0)
+    sched.submit(req(user="a", res=rv(4, 4096, 40), t=1, rid="n"), t=1)
+    sched.submit(req(user="b", res=rv(3, 3072, 30), bid=0.1, t=2, rid="b1"), t=2)
+    sched.submit(req(user="c", res=rv(3, 3072, 30), bid=0.1, t=3, rid="c1"), t=3)
+    assert set(sched.running) == {"px", "pb"}
+    sched.pool.power_on("n2", 900, boot_delay_s=100)
+    sched.pool.boot_complete("n2", 1000)
+    sched.release("px", 1000)
+    assert {request_id: i.node_id for request_id, i in sched.running.items()} == {
+        "n": "n1", "c1": "n2"}
+    assert [r.request_id for r in sched.queue] == ["b1"]
+    sched.audit()
+
+
 def test_backfill_starts_smaller_request_behind_big_head():
     for backfill, expect_started in ((True, True), (False, False)):
         sched = make_scheduler(rv(2, 2048, 20), backfill=backfill)
@@ -617,8 +642,9 @@ def test_release_triggers_dispatch():
 def test_every_queue_write_marks_the_site():
     """submit enqueues, a dispatch start and cancel_queued dequeue, and a
     start assigns and a release unassigns on the pool: each is one write and
-    one mark call, and a pool write also empties the memo of unstartable
-    shapes.  A rollback cancels through cancel_queued (test_simulation)."""
+    one mark call.  A pool write that frees nothing leaves the memo of
+    failed shapes as it is, and the queue emptying empties it.  A rollback
+    cancels through cancel_queued (test_simulation)."""
     sched = make_scheduler(rv(2, 2048, 20), rv(2, 2048, 20))
     sched.pool.power_off("n2", 0)
     marks = []
@@ -627,12 +653,13 @@ def test_every_queue_write_marks_the_site():
     sched.submit(req(res=full, rid="a"), t=0)  # enqueue, then dequeue and assign
     assert len(marks) == 3
     sched.submit(req(res=full, rid="b"), t=1)  # enqueue only
-    assert len(marks) == 4 and sched._unstartable == {sched.queue[0].shape}
+    failed = {sched.queue[0].shape: set()}
+    assert len(marks) == 4 and sched._unstartable == failed
     sched.pool.power_on("n2", 1, boot_delay_s=10)  # a pool write from outside
-    assert len(marks) == 5 and sched._unstartable == set()
-    assert sched.dispatch(1) == [] and sched._unstartable == {sched.queue[0].shape}
+    assert len(marks) == 5 and sched._unstartable == failed
+    assert sched.dispatch(1) == [] and sched._unstartable == failed
     sched.release("a", 2)  # unassign; its dispatch dequeues and assigns b
-    assert "b" in sched.running and len(marks) == 8
+    assert "b" in sched.running and len(marks) == 8 and sched._unstartable == {}
     sched.submit(req(res=full, rid="c"), t=3)
     assert sched.cancel_queued("c", 4) and len(marks) == 10
     assert not sched.cancel_queued("c", 5) and len(marks) == 10
@@ -641,14 +668,45 @@ def test_every_queue_write_marks_the_site():
 
 def test_a_scheduler_built_outside_a_world_marks_nothing():
     """The pool's hook is its scheduler's: it keeps the shape memo without a
-    world to mark."""
+    world to mark.  c never fits, so the queue never empties."""
     sched = make_scheduler(rv(2, 2048, 20))
     assert sched.mark is None and sched.pool.mark == sched._pool_written
     sched.submit(req(res=rv(2, 2048, 20), rid="a"), t=0)
     sched.submit(req(res=rv(2, 2048, 20), rid="b"), t=1)
-    assert "a" in sched.running and sched._unstartable == {sched.queue[0].shape}
+    sched.submit(req(res=rv(3, 2048, 20), rid="c"), t=1)
+    b, c = sched.queue[0].shape, sched.queue[1].shape
+    assert "a" in sched.running and sched._unstartable == {b: set(), c: set()}
+    unassign = sched.pool.unassign
+    seen = []  # the memo right after the pool's unassign, before dispatch
+
+    def unassign_seen(*args):
+        unassign(*args)
+        seen.append({shape: set(freed) for shape, freed in sched._unstartable.items()})
+
+    sched.pool.unassign = unassign_seen
     sched.release("a", 2)
-    assert "b" in sched.running and sched._unstartable == set()
+    assert seen == [{b: {"n1"}, c: {"n1"}}]
+    # b started on n1, and c failed there again.
+    assert "b" in sched.running and sched._unstartable == {b: {"n1"}, c: set()}
+
+
+def test_a_lone_victim_is_scanned_for_only_up_to_the_exact_limit():
+    """n1 holds one 4-cpu preemptible at bid 0.95; n2 holds sixteen 1-cpu
+    ones at bid 0.1 and one 4-cpu one, big, at bid 0.9.  A 4-cpu normal
+    probe could take big alone, and big's bid is below p0's, but n2 has 17
+    eligible victims, more than _EXACT_VICTIM_LIMIT: its greedy cover keeps
+    four small ones, which lose to n1's one victim."""
+    sched = make_scheduler(rv(4, 4096, 40), rv(20, 20480, 200))
+    _place(sched, "n1", "p0", rv(4, 4096, 40), bid=0.95)
+    for n in range(16):
+        _place(sched, "n2", "s%02d" % n, rv(1, 1024, 10), bid=0.1)
+    _place(sched, "n2", "big", rv(4, 4096, 40), bid=0.9)
+    probe = req(user="p", res=rv(4, 4096, 40), rid="probe")
+    on_n2 = sched._eligible_victims(probe, sched.pool.nodes["n2"])
+    assert len(on_n2) == _EXACT_VICTIM_LIMIT + 1
+    assert [i.request_id for i in sched._node_victims(on_n2, (4, 4096, 40), 17)] == [
+        "s00", "s01", "s02", "s03"]
+    assert sched.select_victims(probe) == ("n1", [sched.running["p0"]])
 
 
 def test_zero_resource_request_invalid():
@@ -935,24 +993,26 @@ def memo_free_dispatch(sched, t, probes):
 
 @pytest.mark.parametrize("backfill", [True, False])
 def test_dispatch_matches_a_memo_free_dispatch_on_a_random_walk(backfill):
-    """The unstartable shapes and the early return change no start and no
-    victim: a scheduler with them and one running memo_free_dispatch take
-    the same steps and must log the same records and return the same
-    starts.  With backfill off the draws include a preemption after which
-    the fresh priorities change the request the pass starts next, so a
-    re-sort under the key built before it would start another."""
+    """The memo of failed shapes, their re-probes on the nodes freed since
+    and the early return change no start and no victim: a scheduler with
+    them and one running memo_free_dispatch take the same steps and must
+    log the same records and return the same starts.  With backfill off the
+    draws include a preemption after which the fresh priorities change the
+    request the pass starts next, so a re-sort under the key built before it
+    would start another."""
     rng = random.Random(808)
     capacities = [rv(2 + i % 3, 2048, 40) for i in range(5)]
     quotas = {"g": rv(4, 4096, 60)}
     logs = EventLog(), EventLog()
     real, ref = (make_scheduler(*capacities, log=log, backfill=backfill, quotas=quotas)
                  for log in logs)
-    probes = {"real": 0, "ref": [0, 0]}
+    probes = {"real": 0, "narrow": 0, "ref": [0, 0]}
     startable = real._startable
 
-    def counted(request):
+    def counted(request, nodes):
         probes["real"] += 1
-        return startable(request)
+        probes["narrow"] += nodes is not real.pool.order
+        return startable(request, nodes)
 
     real._startable = counted
     ref.dispatch = lambda t: memo_free_dispatch(ref, t, probes["ref"])
@@ -1018,9 +1078,10 @@ def test_dispatch_matches_a_memo_free_dispatch_on_a_random_walk(backfill):
     # With backfill off the head is all a pass starts, so a preemption that
     # charges the head's owner changes the next start; with it on, two
     # requests must be startable after the preemption, which these draws
-    # rarely meet (the two re-sort tests above pin that case).
+    # rarely meet (test_a_preemption_changes_the_next_start pins that case).
     assert probes["ref"][1] > 0 or backfill, probes
     assert probes["real"] * 2 < probes["ref"][0], probes
+    assert 0 < probes["narrow"] < probes["real"], probes
 
 
 class _CountingQueue(list):
@@ -1035,19 +1096,22 @@ class _CountingQueue(list):
 def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypatch, backfill):
     """n1 is full of a normal instance and n2 is off, so no preemptible can
     start.  Each step checks how many probes (select_victims calls) and
-    queue sorts it made: a pass with no pool write and only
-    known-unstartable shapes makes neither with backfill on; with backfill
-    off it sorts (the head can change as usage decays) but does not probe
-    the head again."""
+    queue sorts it made: a pass with no pool write, or only writes that free
+    nothing, and only known-unstartable shapes makes neither with backfill
+    on; with backfill off it sorts (the head can change as usage decays) but
+    does not probe the head again.  A write that frees a node has the next
+    pass probe the known shapes on that node only."""
     sched = make_scheduler(rv(2, 2048, 20), rv(2, 2048, 20), backfill=backfill)
     sched.pool.power_off("n2", 0)
     sched.submit(req(user="n", res=rv(2, 2048, 20), rid="full"), t=0)
     counts = {"probes": 0}
+    walked = []  # the node ids each probe walked
     select_victims = sched.select_victims
 
-    def counted(request):
+    def counted(request, nodes=None):
         counts["probes"] += 1
-        return select_victims(request)
+        walked.append([n.node_id for n in (sched.pool.order if nodes is None else nodes)])
+        return select_victims(request, nodes)
 
     monkeypatch.setattr(sched, "select_victims", counted)
     sched.queue = _CountingQueue(sched.queue)
@@ -1072,16 +1136,129 @@ def test_a_pass_without_a_pool_write_probes_no_known_unstartable_shape(monkeypat
     # with backfill on; with it off, g0 stays the head).
     assert submit("h", 6) == (1 if backfill else 0, 1)
     assert made(lambda: sched.dispatch(7)) == (0, sorted_anyway)
-    # Powering n2 on writes the pool, so every shape is probed again;
-    # booting capacity is not free capacity, so none starts.
+    # Powering n2 on writes the pool, but booting capacity is not free
+    # capacity: the write frees nothing, so no shape is probed again.
     sched.pool.power_on("n2", 8, boot_delay_s=10)
-    assert made(lambda: sched.dispatch(8)) == (2 if backfill else 1, 1)
+    assert made(lambda: sched.dispatch(8)) == (0, sorted_anyway)
     assert made(lambda: sched.dispatch(9)) == (0, sorted_anyway)
-    # One boot_complete: the same queue is probed again and two of it start.
+    # One boot_complete frees n2: the same queue is probed again, on n2
+    # only, and two of it start.
     sched.pool.boot_complete("n2", 18)
+    del walked[:]
     assert [i.request_id for i in sched.dispatch(18)] == ["g0", "g1"]
+    assert walked == [["n2"]] * (4 if backfill else 3)
     assert [r.request_id for r in sched.ordered_queue(18)] == ["g2", "h6"]
     sched.audit()
+
+
+def _probes_walked(sched):
+    """The node ids each select_victims call of sched walks, by request id."""
+    walked = {}
+    select_victims = sched.select_victims
+
+    def recorded(request, nodes=None):
+        walked.setdefault(request.request_id, []).append(
+            [n.node_id for n in (sched.pool.order if nodes is None else nodes)])
+        return select_victims(request, nodes)
+
+    sched.select_victims = recorded
+    return walked
+
+
+_SHRINKING_WRITES = {
+    "assign": lambda sched: sched.submit(req(res=rv(1, 512, 5), rid="small"), t=5),
+    "power_on": lambda sched: sched.pool.power_on("n3", 5, boot_delay_s=10),
+    "power_off": lambda sched: sched.pool.power_off("n2", 5),
+    "to_batch": lambda sched: sched.pool.switch_role("n2", "batch", 5),
+    "draining": lambda sched: sched.pool.switch_role("n1", "batch", 5),
+}
+
+
+@pytest.mark.parametrize("write", sorted(_SHRINKING_WRITES))
+def test_a_write_that_frees_nothing_leaves_a_failed_shape_unprobed(write):
+    """A 3-cpu request fits none of the 2-cpu nodes.  An assign, a power-on
+    to booting, a power-off and a move away from the cloud role only shrink
+    room: the failed shape keeps mapping to no node and no pass probes it."""
+    sched = make_scheduler(rv(2, 2048, 20), rv(2, 2048, 20), rv(2, 2048, 20))
+    sched.pool.power_off("n3", 0)
+    sched.submit(req(user="n", res=rv(2, 2048, 20), rid="full"), t=0)
+    sched.submit(req(user="q", res=rv(3, 2048, 20), rid="big"), t=1)
+    failed = {sched.queue[0].shape: set()}
+    assert sched._unstartable == failed
+    walked = _probes_walked(sched)
+    _SHRINKING_WRITES[write](sched)
+    sched.dispatch(6)
+    assert "big" not in walked and failed.items() <= sched._unstartable.items()
+
+
+_FREEING_WRITES = {
+    "unassign": (lambda sched: sched.release("x2", 5), "n2"),
+    "boot_complete": (lambda sched: sched.pool.boot_complete("n4", 5), "n4"),
+    "to_cloud": (lambda sched: sched.pool.switch_role("n5", "cloud", 5), "n5"),
+}
+
+
+@pytest.mark.parametrize("write", sorted(_FREEING_WRITES))
+def test_a_freeing_write_makes_the_next_probe_walk_that_node_only(write):
+    """n1-n3 are full of normal instances, n4 is booting and n5 is a batch
+    node, so the queued preemptible q fails.  A write that frees room on one
+    node (a release, a boot completing, a move to the cloud role) maps q's
+    shape to that node, and the next pass probes q there only and starts it
+    there."""
+    sched = make_scheduler(*[rv(2, 2048, 20)] * 5)
+    sched.pool.power_off("n4", 0)
+    sched.pool.switch_role("n5", "batch", 0)
+    for n in (1, 2, 3):
+        _place(sched, "n%d" % n, "x%d" % n, rv(2, 2048, 20))
+    sched.pool.power_on("n4", 0, boot_delay_s=5)
+    sched.submit(req(user="q", res=rv(2, 2048, 20), bid=0.1, rid="q"), t=1)
+    shape = sched.queue[0].shape
+    assert sched._unstartable == {shape: set()}
+    walked = _probes_walked(sched)
+    step, node_id = _FREEING_WRITES[write]
+    dispatch = sched.dispatch
+    memo = []  # the memo each pass found
+
+    def dispatch_seen(t):
+        memo.append({s: set(freed) for s, freed in sched._unstartable.items()})
+        return dispatch(t)
+
+    sched.dispatch = dispatch_seen
+    step(sched)
+    sched.dispatch(5)
+    assert memo[0] == {shape: {node_id}}
+    assert walked == {"q": [[node_id]]} and sched.running["q"].node_id == node_id
+
+
+def test_a_quota_groups_usage_falling_empties_the_memo():
+    """h's quota holds g1 back while g0 runs on n2.  Releasing g0 frees n2,
+    but it also lowers h's usage, so g1 may now start on any node: the memo
+    empties, g1 is probed on every node and starts on n1, the first that
+    fits it."""
+    sched = make_scheduler(rv(4, 4096, 40), rv(2, 2048, 20), quotas={"h": rv(2, 2048, 20)})
+    _place(sched, "n1", "fill", rv(4, 4096, 40))
+    sched.submit(req(user="g0", group="h", res=rv(2, 2048, 20), rid="g0"), t=0)
+    sched.release("fill", 1)
+    sched.submit(req(user="g1", group="h", res=rv(2, 2048, 20), t=2, rid="g1"), t=2)
+    assert sched.running["g0"].node_id == "n2" and "g1" not in sched.running
+    assert sched._unstartable == {sched.queue[0].shape: set()}
+    walked = _probes_walked(sched)
+    sched.release("g0", 3)
+    assert walked == {"g1": [["n1", "n2"]]} and sched.running["g1"].node_id == "n1"
+
+
+def test_an_emptied_queue_empties_the_memo():
+    """The memo holds the shapes of the current backlog only: a cancel and a
+    start that empty the queue each empty it."""
+    sched = make_scheduler(rv(2, 2048, 20))
+    sched.submit(req(user="n", res=rv(2, 2048, 20), rid="full"), t=0)
+    sched.submit(req(user="q", res=rv(3, 2048, 20), rid="big"), t=1)
+    assert sched._unstartable == {sched.queue[0].shape: set()}
+    assert sched.cancel_queued("big", 2) and sched._unstartable == {}
+    sched.submit(req(user="q", res=rv(2, 2048, 20), rid="next"), t=3)
+    assert sched._unstartable == {sched.queue[0].shape: set()}
+    sched.release("full", 4)
+    assert "next" in sched.running and sched._unstartable == {}
 
 
 def test_victim_order_follows_a_random_walk():
