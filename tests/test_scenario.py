@@ -5,9 +5,10 @@ Every shipped and bench scenario reads to an equal Scenario either way, and
 a damaged text gives the same Scenario or the same error either way.
 """
 
-import collections
 import glob
+import hashlib
 import importlib.util
+import json
 import os
 import random
 import re
@@ -31,7 +32,12 @@ def _parity():
 
 
 def _file_loader(name):
-    with open(os.path.join(SCENARIOS, name), encoding="utf-8") as handle:
+    """The template at name under scenarios/; a missing one is a KeyError, as
+    with the bench's loader, whose message names no path of this checkout."""
+    path = os.path.join(SCENARIOS, name)
+    if not os.path.isfile(path):
+        raise KeyError(name)
+    with open(path, encoding="utf-8") as handle:
         return handle.read()
 
 
@@ -63,41 +69,19 @@ def _outcome(read, text, loader):
         return type(exc).__name__, str(exc)
 
 
-@pytest.fixture
-def entry_readings(monkeypatch):
-    """Counts of the entries _read_fast reads from one line and by the general reader."""
-    counts = collections.Counter()
-    inline, block = scenario_mod._inline_event, scenario_mod._block_event
-
-    def counted_inline(*args):
-        event = inline(*args)
-        counts["inline"] += event is not None
-        return event
-
-    def counted_block(*args):
-        counts["block"] += 1
-        return block(*args)
-
-    monkeypatch.setattr(scenario_mod, "_inline_event", counted_inline)
-    monkeypatch.setattr(scenario_mod, "_block_event", counted_block)
-    return counts
-
-
-def test_every_shipped_and_bench_scenario_reads_equal_both_ways(entry_readings):
-    per_kind = collections.defaultdict(collections.Counter)
-    texts = [*_shipped(), *_bench()]
-    assert len(texts) == 6 + 62
-    for name, text, loader in texts:
-        entry_readings.clear()
-        fast = scenario_mod._read_fast(text, name, loader)
-        assert fast is not None, name
-        assert entry_readings["inline"] + entry_readings["block"] == len(fast.events)
-        per_kind[name.split("/")[0]].update(entry_readings)
-        assert fast == _general(text, name, loader), name
-    assert per_kind["spot"]["block"] == 0 and per_kind["spot"]["inline"] > 10000
-    assert per_kind["backlog"]["block"] == 0
-    # Federation's submits with prefs are blocks: both readings share each text.
-    assert per_kind["federation"]["block"] > 300 and per_kind["federation"]["inline"] > 3000
+def test_every_shipped_and_bench_scenario_reads_as_pinned():
+    """Each Scenario's repr hashes to its digest in PARITY.json, written by
+    tools/parity.py --write."""
+    with open(os.path.join(ROOT, "PARITY.json"), encoding="utf-8") as manifest:
+        pinned = json.load(manifest)["scenarios"]
+    read = {"scenarios/" + name: parse_scenario(text, name=name[:-len(".scn")],
+                                                template_loader=loader)
+            for name, text, loader in _shipped()}
+    read.update((name, parse_scenario(text, name=name, template_loader=loader))
+                for name, text, loader in _bench())
+    assert len(read) == 6 + 62 and sorted(read) == sorted(pinned)
+    for name, scenario in read.items():
+        assert hashlib.sha256(repr(scenario).encode("utf-8")).hexdigest() == pinned[name], name
 
 
 # -- a seeded mutation test ---------------------------------------------------
@@ -164,28 +148,27 @@ def _small(text: str, events: int = 30) -> str:
     return "\n".join(lines[:lines.index("events:") + 1 + events]) + "\n"
 
 
-def test_a_damaged_events_block_reads_as_the_general_reader_reads_it(entry_readings):
+# The sha256 of the outcome of each damaged text below, one repr a line: the
+# Scenario read, or the error's type and message.
+DAMAGED = "cebbdd776c5c488ceb0bea2bcdf385299ec929e9f8aa0af1b81066a435f4a114"
+
+
+def test_a_damaged_events_block_reads_as_pinned():
     bench = [(name, _small(text), loader) for name, text, loader in _bench()
              if name.endswith("seed-1/replica-0") or name == "partition-probe/seed-1"]
     texts = [*_shipped(), *bench]
     rng = random.Random(20261021)
-    readings = collections.Counter()
+    digest = hashlib.sha256()
+    rejected = 0
     for _ in range(300):
         _, text, loader = rng.choice(texts)
         for _ in range(1 if rng.random() < 0.8 else 2):
             text = _damage(rng, text)
-        expected = _outcome(_general, text, loader)
-        entry_readings.clear()
-        assert _outcome(parse_scenario, text, loader) == expected, text
-        if isinstance(expected, tuple):
-            readings["rejected"] += 1
-        else:
-            readings["fast" if entry_readings["inline"] else "general"] += 1
-            readings["fast, with a block entry"] += entry_readings["inline"] > 0 \
-                and entry_readings["block"] > 0
-    # Both readings are exercised, and some damaged texts are still read fast.
-    assert readings["rejected"] >= 150 and readings["fast"] >= 60, readings
-    assert readings["fast, with a block entry"] >= 30, readings
+        outcome = _outcome(parse_scenario, text, loader)
+        digest.update(("%r\n" % (outcome,)).encode("utf-8"))
+        rejected += isinstance(outcome, tuple)
+    assert rejected >= 150, rejected
+    assert digest.hexdigest() == DAMAGED
 
 
 _SMALL = """\

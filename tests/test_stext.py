@@ -115,6 +115,15 @@ quoted: { user: "ada", cpus: "2" }
     assert (quoted.get("user"), quoted.get("cpus")) == ("ada", "2")
 
 
+@pytest.mark.parametrize("text", ["k: { 1a: 2, }\n", "k: { a b, , c: 1 }\n",
+                                  "k: { a: 1, a: 2, }\n"])
+def test_an_empty_item_is_found_before_the_keys_are_read(text):
+    """An inline map with an empty item is rejected for it, whatever its keys."""
+    with pytest.raises(StextError) as err:
+        parse_stext(text)
+    assert str(err.value) == "line 1: empty item in inline container"
+
+
 # The scalar rule, pinned for values a cheaper check could misread:
 # str.isdigit() holds for "\u0663" and "\u00b2" (and int("\u0663") is 3), and
 # int() takes "1_0" and "+1"; only ASCII digits with an optional sign are an
