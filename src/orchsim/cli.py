@@ -251,7 +251,7 @@ def _read_snapshot(root: stext.Block) -> list[ProviderSnapshot]:
     if not len(block):
         raise CliError("snapshot file has no candidates block")
     snapshots = []
-    for provider_id in block.entries:
+    for provider_id in block.values:
         context = "candidate %s" % provider_id
         fields = block.block(provider_id, _SNAPSHOT_NUMBERS, context)
         snapshots.append(ProviderSnapshot(provider_id=provider_id, **{

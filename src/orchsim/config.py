@@ -67,8 +67,8 @@ def _read_config(block: stext.Block) -> EngineConfig:
     ranker_weights = {}
     elastic_fields = {}
     config = EngineConfig()
-    for key, entry in block.entries.items():
-        lineno = entry.line
+    for key in block.values:
+        lineno = block.line_of(key)
         head, dot, scope = key.partition(".")
         name = head + dot
         if name not in _KINDS:

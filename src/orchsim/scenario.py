@@ -1,15 +1,13 @@
 """Scenario files: the providers, SLAs, datasets and users of a run and its
 time-ordered event script, read into a Scenario.
 
-parse_scenario reads one-line events straight from their lines and falls
-back to the general stext reader, which alone words the errors.
+parse_scenario reads the text's stext tree (see stext.py) and checks it by
+the rules below; every error names the line it is at.
 """
 
 from __future__ import annotations
 
 import os
-import re
-import sys
 from dataclasses import dataclass, field
 
 from . import stext
@@ -99,13 +97,10 @@ def parse_scenario(text: str, *, name: str = "scenario",
                    template_loader=None) -> Scenario:
     """Parse scenario text; template_loader(name) supplies template text.
 
-    Events written on one line are read straight from their lines (see
-    _read_fast).  A text that reading cannot vouch for is read again whole by
-    the general reader, which alone words the errors.
+    A defect of the text's form is worded by stext, after "scenario: ", and
+    a defect of its content by the rules below.  No template is loaded
+    before every line has been parsed.
     """
-    scenario = _read_fast(text, name, template_loader)
-    if scenario is not None:
-        return scenario
     try:
         root = stext.parse_stext(text)
     except stext.StextError as exc:
@@ -117,12 +112,11 @@ def parse_scenario(text: str, *, name: str = "scenario",
 
 
 def _read_scenario(root: stext.Block, name: str, template_loader) -> Scenario:
-    """The general reading: the scenario of the whole text's stext tree."""
     scenario = _read_header(root, name)
     add = _EventReader(scenario, template_loader).add
     events = root.block("events", None, "events")
-    for key in events.entries:
-        add(*_block_event(events, key))
+    for key in events.values:
+        add(events, key)
     return scenario
 
 
@@ -140,13 +134,13 @@ def _read_header(root: stext.Block, name: str) -> Scenario:
         raise ScenarioError("line %d: horizon_s must be > 0" % root.line_of("horizon_s"))
 
     providers = root.block("providers", None, "providers")
-    for provider_id in providers.entries:
+    for provider_id in providers.values:
         context = "provider %s" % provider_id
         block = providers.block(provider_id,
                                 ("availability", "latency_ms", "elasticity", "nodes"), context)
         nodes = []
         nodes_block = block.block("nodes", None, "%s nodes" % context)
-        for node_id in nodes_block.entries:
+        for node_id in nodes_block.values:
             node_context = "%s node %s" % (context, node_id)
             nodes.append(_node_from_block(
                 node_id, nodes_block.block(node_id, _NODE_KEYS, node_context), node_context))
@@ -167,7 +161,7 @@ def _read_header(root: stext.Block, name: str) -> Scenario:
     provider_ids = {p.provider_id for p in scenario.providers}
 
     slas = root.block("slas", None, "slas")
-    for key in slas.entries:
+    for key in slas.values:
         context = "sla %s" % key
         block = slas.block(key, ("provider", "group", "sla_rank"), context)
         provider = _resolve("line %d: %s" % (block.line, context), "provider",
@@ -178,7 +172,7 @@ def _read_header(root: stext.Block, name: str) -> Scenario:
             sla_rank=float(block.field("sla_rank", context, stext.NUMBER))))
 
     datasets = root.block("datasets", None, "datasets")
-    for key in datasets.entries:
+    for key in datasets.values:
         context = "dataset %s" % key
         block = datasets.block(key, ("dataset", "provider", "bytes_present", "bytes_total"),
                                context)
@@ -191,7 +185,7 @@ def _read_header(root: stext.Block, name: str) -> Scenario:
             bytes_total=block.field("bytes_total", context, stext.INT)))
 
     users = root.block("users", None, "users")
-    for user in users.entries:
+    for user in users.values:
         context = "user %s" % user
         block = users.block(user, ("group", "weight"), context)
         scenario.users.append(UserSpec(
@@ -203,8 +197,8 @@ def _read_header(root: stext.Block, name: str) -> Scenario:
 
 
 class _EventReader:
-    """Appends events to a scenario, one after another, by the rules every
-    reading of an event shares."""
+    """Appends events to a scenario, one after another, each checked by the
+    scenario's rules."""
 
     def __init__(self, scenario: Scenario, template_loader):
         self.scenario = scenario
@@ -213,152 +207,70 @@ class _EventReader:
                       ("provider", {spec.provider_id for spec in scenario.providers}))
         self.submits: set[str] = set()
 
-    def add(self, event: EventSpec, line: int):
-        """Check event, read from line, and append it.
+    def add(self, events: stext.Block, key: str):
+        """Read event key of the events block, check it and append it.
 
-        Its at is an integer already.  Its params are the event's Block,
-        whose keys are checked against _PARAMS here, after the rules on time
-        (the order the general reading has always found errors in), or a
-        dict of them from a one-line event, each checked already.
+        at, action and the params are taken straight from the event's block;
+        the block's own readers run only on a value that is missing or of
+        another kind, and word its error.  The rules on time come before
+        those on params.
         """
         scenario = self.scenario
-        key, at, action, params = event.key, event.at, event.action, event.params
-        where = "line %d: event %s" % (line, key)
-        if action not in ACTIONS:
-            raise ScenarioError("%s has unknown action %r" % (where, action))
+        block = events.values[key]
+        if type(block) is not stext.Block or type(block.values.get("at")) is not int \
+                or "action" not in block.values:
+            context = "event %s" % key
+            block = events.block(key, None, context)
+            block.field("at", context, stext.INT)
+            block.field("action", context)
+        values = block.values
+        at, action = values["at"], values["action"]
+        kinds = _KINDS.get(action) if type(action) is str else None  # a list is no key
+        if kinds is None:
+            raise ScenarioError("%s has unknown action %r" % (_where(block, key), action))
         if at < 0 or at > scenario.horizon_s:
-            raise ScenarioError("%s time %d outside [0, horizon]" % (where, at))
+            raise ScenarioError("%s time %d outside [0, horizon]" % (_where(block, key), at))
         if scenario.events and at < scenario.events[-1].at:
-            raise ScenarioError("%s: events are not sorted by time" % where)
-        if isinstance(params, stext.Block):
-            event.params = params = _block_params(params, key, action)
+            raise ScenarioError("%s: events are not sorted by time" % _where(block, key))
+        params = {}
+        for param, value in values.items():
+            kind = kinds.get(param)
+            if kind is not None and kind[1](value):
+                params[param] = value
+        # Only at and action are left out: no key is unknown or of another kind.
+        if len(params) + 2 != len(values) or not params.keys() >= _PARAMS[action][0].keys():
+            params = _block_params(block, key, action)
         for param, names in self.names:
-            if param in params:
-                _resolve(where, param, params[param], names)
+            if param in params and params[param] not in names:
+                _resolve(_where(block, key), param, params[param], names)  # raises
         if action == "delete" and params["ref"] not in self.submits:
-            raise ScenarioError("%s deletes unknown submit ref %r" % (where, params["ref"]))
+            raise ScenarioError("%s deletes unknown submit ref %r"
+                                % (_where(block, key), params["ref"]))
         if action == "submit":
             self.submits.add(key)
             template_name = params["template"]
             if "template_text" not in params:
                 if self.template_loader is None:
                     raise ScenarioError("%s: no template loader for %r"
-                                        % (where, template_name))
+                                        % (_where(block, key), template_name))
                 if template_name not in scenario.templates:
                     scenario.templates[template_name] = self.template_loader(template_name)
-        scenario.events.append(event)
+        scenario.events.append(EventSpec(key, at, action, params))
 
 
-def _block_event(events: stext.Block, key: str) -> tuple[EventSpec, int]:
-    """Event key of the events block, its params still its Block, and its line."""
-    context = "event %s" % key
-    block = events.block(key, None, context)
-    return EventSpec(key, block.field("at", context, stext.INT),
-                     block.field("action", context), block), block.line
+def _where(block: stext.Block, key: str) -> str:
+    """The start of an error in event key, built only when one is raised."""
+    return "line %d: event %s" % (block.line, key)
 
 
 def _block_params(block: stext.Block, key: str, action: str) -> dict:
     context = "event %s (%s)" % (key, action)
-    required, optional = _PARAMS[action]
     kinds = _KINDS[action]
     block.reject_unknown(("at", "action") + tuple(kinds), context)
-    for param in required:
+    for param in _PARAMS[action][0]:
         block.field(param, context)
     return {param: block.field(param, context, kinds[param])
-            for param in block.entries if param in kinds}
-
-
-# An event on one line with no quote, comment or tab, as dump_stext and the
-# bench write it: _read_fast reads it with no Block built.
-_INLINE_EVENT = re.compile(r'  (%s): \{ ([^"#\t]*) \}' % stext.KEY)
-# Every key an event may have, mapped to itself: the one object each is held as.
-_EVENT_KEYS = {key: key for key in ("at", "action", *(param for kinds in _KINDS.values()
-                                                      for param in kinds))}
-
-
-def _read_fast(text: str, name: str, template_loader) -> Scenario | None:
-    """The scenario in text, or None if any line or rule fails or is in doubt.
-
-    The lines above `events:` are parsed as parse_stext parses them.  Each
-    one-line event is read by _inline_event, and any other entry of the
-    events block by the general reader alone.  Every entry is read before
-    the rules run, so they meet the events, and call template_loader, as
-    in the general reading.  No copy of the text is taken but its lines.
-    """
-    lines = text.splitlines()
-    try:
-        start = lines.index("events:")
-    except ValueError:
-        return None
-    events, numbers = [], []  # each event read and the number of its line
-    general = None  # the index of the line that opens an entry for the general reader
-    try:
-        for index in range(start + 1, len(lines) + 1):
-            match = None
-            if index < len(lines):
-                raw = lines[index]
-                match = _INLINE_EVENT.fullmatch(raw)
-                if match is None:
-                    if "\t" in raw:
-                        return None
-                    content = stext._strip_comment(raw)
-                    if not content.strip():
-                        continue
-                    indent = len(content) - len(content.lstrip(" "))
-                    if indent > 2 and general is not None:
-                        continue  # a line of that entry
-                    if indent != 2:
-                        return None  # a top-level key, or a line under a one-line event
-            if general is not None:
-                # The entry alone, under an events key numbered to sit just above it.
-                block = stext.parse_lines(["events:", *lines[general:index]],
-                                          general).get("events")
-                [key] = block.entries
-                event, line = _block_event(block, key)
-                events.append(event)
-                numbers.append(line)
-            event = match and _inline_event(match, index + 1)
-            if event:
-                events.append(event)
-                numbers.append(index + 1)
-            general = None if event else index
-        root = stext.parse_lines(lines[:start])
-        if "events" in root or len({event.key for event in events}) < len(events):
-            return None
-        scenario = _read_header(root, name)
-        add = _EventReader(scenario, template_loader).add
-        for event, line in zip(events, numbers):
-            add(event, line)
-    except DomainError:
-        return None
-    return scenario
-
-
-def _inline_event(match: re.Match, line: int) -> EventSpec | None:
-    """A one-line event, or None for the general reader to read it: a key
-    with a space beside it, a comma with no space after it, or a key or
-    value that the event's action does not take."""
-    key, body = match.groups()
-    parts = body.split(", ")
-    if body.count(",") >= len(parts):
-        return None
-    params = {}
-    for part in parts:
-        param, _, value = part.partition(": ")  # no ": " leaves value empty: an error
-        param = _EVENT_KEYS.get(param)
-        if param is None or param in params:
-            return None
-        params[param] = stext._parse_scalar(value, line)
-    at = params.pop("at", None)
-    action = params.pop("action", None)
-    kinds = _KINDS.get(action)
-    if kinds is None or not stext.INT[1](at) or not params.keys() >= _PARAMS[action][0].keys():
-        return None
-    for param, value in params.items():
-        kind = kinds.get(param)
-        if kind is None or not kind[1](value):
-            return None
-    return EventSpec(sys.intern(key), at, action, params)
+            for param in block.values if param in kinds}
 
 
 def load_scenario(path: str) -> Scenario:

@@ -13,24 +13,26 @@ identifiers, duplicate keys at the same level are rejected, scalars are
 ints, decimals, true/false or strings (quote with ``"..."`` to force a
 string).  There are no block sequences; lists and maps are inline only.
 
-Readers take values through ``Block.field``, ``Block.block`` and
-``Block.reject_unknown``, which check each value against a kind from the
-table below and name the offending line in every error.
+A text reads into a tree of Blocks, one per block and per inline map, each
+holding its values and their lines in two dicts.  Readers take values
+through ``Block.field``, ``Block.block`` and ``Block.reject_unknown``,
+which check each value against a kind from the table below and name the
+offending line in every error; a reader may also take a value straight from
+``Block.values`` and call them only when it is missing or of another kind.
 
 Keys and bare-word scalars are interned, so a name or key that repeats
-across a file is held once; quoted text is not.
+across a file is held once.  An inline-map item that repeats in a file
+(``action: submit``) is read once, and its value shared.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-KEY = r"[A-Za-z_][A-Za-z0-9_.~/-]*"  # what a key may be, for patterns that match one
-_KEY_RE = re.compile(r"^%s$" % KEY)
+_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.~/-]*$")
 _INT_RE = re.compile(r"^[+-]?[0-9]+$")
 _FLOAT_RE = re.compile(r"^[+-]?([0-9]+\.[0-9]*|\.[0-9]+)$")
 
@@ -86,35 +88,32 @@ KINDS = (INT, NON_NEGATIVE_INT, NUMBER, NON_NEGATIVE, POSITIVE, FRACTION, BOOL, 
 REQUIRED = object()
 
 
-@dataclass
-class Entry:
-    line: int
-    value: object  # scalar, list of scalars, or Block
-
-
 class Block:
-    """Ordered mapping of key -> Entry, tracking the source line of each key."""
+    """An ordered mapping of key -> value (a scalar, a list of scalars or a
+    Block) in values, with the source line of each key.
 
-    def __init__(self, line: int = 0):
+    lines maps a key to its line unless the key is on the block's own line,
+    as every key of an inline map is: an inline map's lines stay empty.
+    """
+
+    __slots__ = ("line", "values", "lines")
+
+    def __init__(self, line: int = 0, values: dict | None = None):
         self.line = line
-        self.entries: dict[str, Entry] = {}
+        self.values: dict[str, object] = {} if values is None else values
+        self.lines: dict[str, int] = {}
 
     def __contains__(self, key):
-        return key in self.entries
+        return key in self.values
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.values)
 
     def get(self, key, default=None):
-        entry = self.entries.get(key)
-        return default if entry is None else entry.value
-
-    def entry(self, key) -> Entry | None:
-        return self.entries.get(key)
+        return self.values.get(key, default)
 
     def line_of(self, key, default=None):
-        entry = self.entries.get(key)
-        return default if entry is None else entry.line
+        return self.lines.get(key, self.line) if key in self.values else default
 
     def field(self, key, context="", kind=None, default=REQUIRED):
         """The value under key, checked against kind.
@@ -123,19 +122,20 @@ class Block:
         given; a value of another kind is an error at its own line.  context
         names this block in the message.
         """
-        entry = self.entries.get(key)
-        if entry is None:
+        value = self.values.get(key, REQUIRED)
+        if value is REQUIRED:
             if default is REQUIRED:
                 raise StextError(self.line, ("%s is missing %r" % (context, key)).lstrip())
             return default
-        if kind is not None and not kind[1](entry.value):
-            raise StextError(entry.line, ("%s %s must be %s" % (context, key, kind[0])).lstrip())
-        return entry.value
+        if kind is not None and not kind[1](value):
+            raise StextError(self.line_of(key), ("%s %s must be %s" % (context, key, kind[0]))
+                             .lstrip())
+        return value
 
     def reject_unknown(self, allowed, context: str):
-        for key, entry in self.entries.items():
+        for key in self.values:
             if key not in allowed:
-                raise StextError(entry.line, "%s has unknown key %r" % (context, key))
+                raise StextError(self.line_of(key), "%s has unknown key %r" % (context, key))
 
     def block(self, key, allowed, context: str) -> "Block":
         """The block under key, empty when absent.
@@ -143,14 +143,14 @@ class Block:
         A scalar there, or a key in it outside allowed (None allows any), is
         an error at its line; context names that block.
         """
-        entry = self.entries.get(key)
-        if entry is None:
+        value = self.values.get(key)
+        if value is None:
             return Block()
-        if not BLOCK[1](entry.value):
-            raise StextError(entry.line, "%s must be %s" % (context, BLOCK[0]))
+        if not BLOCK[1](value):
+            raise StextError(self.line_of(key), "%s must be %s" % (context, BLOCK[0]))
         if allowed is not None:
-            entry.value.reject_unknown(allowed, context)
-        return entry.value
+            value.reject_unknown(allowed, context)
+        return value
 
 
 def _strip_comment(raw: str) -> str:
@@ -196,7 +196,7 @@ def _parse_scalar(text: str, line: int):
 def _split_inline(body: str, line: int) -> list[str]:
     # Inline containers do not nest; split on commas outside quotes.
     if '"' not in body:
-        parts = [part.strip() for part in body.split(",")]
+        parts = list(map(str.strip, body.split(",")))
     else:
         parts = []
         current: list[str] = []
@@ -212,90 +212,99 @@ def _split_inline(body: str, line: int) -> list[str]:
         parts.append("".join(current).strip())
     if parts == [""]:
         return []
-    if any(p == "" for p in parts):
+    if "" in parts:
         raise StextError(line, "empty item in inline container")
     return parts
 
 
-def _parse_value(text: str, line: int):
-    text = text.strip()
-    if text.startswith("["):
+def _parse_value(text: str, line: int, items: dict, keys: dict):
+    """The value written as text, stripped, at line.
+
+    items maps each inline-map item already read in this file to its (key,
+    value), and keys each key as written to the key it reads as, so an item
+    that repeats is read once and a key is checked once.
+    """
+    head = text[:1]
+    if head == "[":
         if not text.endswith("]"):
             raise StextError(line, "unterminated list")
         return [_parse_scalar(p, line) for p in _split_inline(text[1:-1], line)]
-    if text.startswith("{"):
+    if head == "{":
         if not text.endswith("}"):
             raise StextError(line, "unterminated inline map")
-        block = Block(line)
+        values = {}
         for part in _split_inline(text[1:-1], line):
-            if ":" not in part:
-                raise StextError(line, "expected key: value in inline map, got %r" % part)
-            key, _, rest = part.partition(":")
-            key = sys.intern(key.strip())
-            if not _KEY_RE.match(key):
-                raise StextError(line, "bad key %r" % key)
-            if key in block:
-                raise DuplicateKeyError(line, key, "{inline}")
-            block.entries[key] = Entry(line, _parse_scalar(rest, line))
-        return block
+            item = items.get(part)
+            if item is None:
+                written, colon, rest = part.partition(":")
+                if not colon:
+                    raise StextError(line, "expected key: value in inline map, got %r" % part)
+                key = keys.get(written)
+                if key is None:
+                    key = sys.intern(written.strip())
+                    if not _KEY_RE.match(key):
+                        raise StextError(line, "bad key %r" % key)
+                    keys[written] = key
+                if key in values:  # before its value is read
+                    raise DuplicateKeyError(line, key, "{inline}")
+                item = items[part] = (key, _parse_scalar(rest, line))
+            elif item[0] in values:
+                raise DuplicateKeyError(line, item[0], "{inline}")
+            values[item[0]] = item[1]
+        return Block(line, values)
     return _parse_scalar(text, line)
 
 
 def parse_stext(text: str) -> Block:
-    return parse_lines(text.splitlines())
-
-
-def parse_lines(lines, first: int = 1) -> Block:
-    """parse_stext of a text's lines, the first of them numbered first."""
     root = Block(0)
     # stack of (indent_level, block, key_of_block)
     stack: list[tuple[int, Block, str]] = [(0, root, "<root>")]
-    pending: tuple[int, Block, str, str] | None = None  # key awaiting an indented block
+    pending: tuple[int, Block, str] | None = None  # key awaiting an indented block
+    items: dict = {}
+    keys: dict = {}
 
-    for lineno, raw in enumerate(lines, start=first):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if "\t" in raw:
             raise StextError(lineno, "tabs are not allowed; indent with two spaces")
-        stripped = _strip_comment(raw)
-        if not stripped.strip():
+        if "#" in raw:
+            raw = _strip_comment(raw)
+        content = raw.strip()
+        if not content:
             continue
-        indent = len(stripped) - len(stripped.lstrip(" "))
+        indent = len(raw) - len(raw.lstrip(" "))
         if indent % 2 != 0:
             raise StextError(lineno, "indentation must be a multiple of two spaces")
         level = indent // 2
-        content = stripped.strip()
 
         if pending is not None:
-            p_level, p_block, p_key, _ = pending
-            if level == p_level + 1:
-                child = Block(p_block.line_of(p_key))
-                p_block.entries[p_key].value = child
-                stack.append((level, child, p_key))
-                pending = None
-            elif level <= p_level:
-                pending = None  # key with no body: stays an empty block
-            else:
+            if level == pending[0] + 1:
+                stack.append((level, pending[1], pending[2]))
+            elif level > pending[0]:
                 raise StextError(lineno, "indentation jumped more than one level")
+            pending = None  # at or above its level, the key stays an empty block
 
-        while stack and level < stack[-1][0]:
+        while level < stack[-1][0]:
             stack.pop()
-        if level != stack[-1][0]:
+        top, block, parent = stack[-1]
+        if level != top:
             raise StextError(lineno, "bad indentation")
-        block = stack[-1][1]
 
-        if ":" not in content:
+        key, colon, rest = content.partition(":")
+        if not colon:
             raise StextError(lineno, "expected key: value, got %r" % content)
-        key, _, rest = content.partition(":")
         key = sys.intern(key.strip())
         if not _KEY_RE.match(key):
             raise StextError(lineno, "bad key %r" % key)
-        if key in block:
-            raise DuplicateKeyError(lineno, key, stack[-1][2])
+        values = block.values
+        if key in values:
+            raise DuplicateKeyError(lineno, key, parent)
+        block.lines[key] = lineno
         rest = rest.strip()
         if rest:
-            block.entries[key] = Entry(lineno, _parse_value(rest, lineno))
+            values[key] = _parse_value(rest, lineno, items, keys)
         else:
-            block.entries[key] = Entry(lineno, Block(lineno))
-            pending = (level, block, key, content)
+            values[key] = child = Block(lineno)
+            pending = (level, child, key)
 
     return root
 
@@ -314,7 +323,8 @@ def parse_flat(text: str) -> Block:
         key = sys.intern(key.strip())
         if key in root:
             raise DuplicateKeyError(lineno, key, "<root>")
-        root.entries[key] = Entry(lineno, _parse_value(rest, lineno))
+        root.lines[key] = lineno
+        root.values[key] = _parse_value(rest.strip(), lineno, {}, {})
     return root
 
 

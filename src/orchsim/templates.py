@@ -257,7 +257,7 @@ def _parse_node(nodes: stext.Block, name: str) -> NodeSpec:
         raise UnknownKindError(name, str(kind))
     props = _PROPS_BY_KIND[kind]
     block.reject_unknown(props, context)
-    fields = {prop: block.field(prop, context, props[prop]) for prop in block.entries}
+    fields = {prop: block.field(prop, context, props[prop]) for prop in block.values}
     resources = fields.get("resources")
     if resources is not None:
         where = context + " resources"
@@ -287,19 +287,19 @@ def parse_template(text: str) -> DeploymentTemplate:
 
 def _read_template(root: stext.Block) -> DeploymentTemplate:
     root.reject_unknown(("tosca_version", "nodes", "outputs"), "template")
-    version_entry = root.entry("tosca_version")
-    if version_entry is None:
+    version = root.get("tosca_version")
+    if version is None:
         raise MissingPropertyError("template", "tosca_version")
-    if version_entry.value != VERSION_TAG:
-        raise TemplateSyntaxError(version_entry.line,
+    if version != VERSION_TAG:
+        raise TemplateSyntaxError(root.line_of("tosca_version"),
                                   "unsupported tosca_version %r (expected %s)"
-                                  % (version_entry.value, VERSION_TAG))
+                                  % (version, VERSION_TAG))
     nodes = root.block("nodes", None, "nodes")
     outputs = root.block("outputs", None, "outputs")
     return DeploymentTemplate(
-        version_tag=version_entry.value,
-        nodes={name: _parse_node(nodes, name) for name in nodes.entries},
-        outputs={name: outputs.field(name, "output", stext.NAME) for name in outputs.entries})
+        version_tag=version,
+        nodes={name: _parse_node(nodes, name) for name in nodes.values},
+        outputs={name: outputs.field(name, "output", stext.NAME) for name in outputs.values})
 
 
 def aggregate_demand(template: DeploymentTemplate) -> ResourceVector:

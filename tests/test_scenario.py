@@ -1,8 +1,8 @@
-"""parse_scenario's two readings: one-line events read straight from their
-lines, and the general stext reader, which alone words the errors.
+"""parse_scenario: the stext tree of a scenario text, read by its rules.
 
-Every shipped and bench scenario reads to an equal Scenario either way, and
-a damaged text gives the same Scenario or the same error either way.
+Every shipped and bench scenario reads to the Scenario pinned in
+PARITY.json, a damaged text to its pinned Scenario or error, and an event
+in any form to the Scenario of its canonical one-line form.
 """
 
 import glob
@@ -15,7 +15,6 @@ import re
 
 import pytest
 
-from orchsim import scenario as scenario_mod
 from orchsim.scenario import ACTIONS, ScenarioError, parse_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -53,13 +52,6 @@ def _bench():
     parity = _parity()
     for name, workload in parity.matrix(parity._bench_workloads()):
         yield name, workload.text, workload.templates.__getitem__
-
-
-def _general(text, name="scenario", template_loader=None):
-    """parse_scenario with the one-line reading turned off."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenario_mod, "_read_fast", lambda *args: None)
-        return parse_scenario(text, name=name, template_loader=template_loader)
 
 
 def _outcome(read, text, loader):
@@ -209,32 +201,40 @@ events:
     ("users:", "events: # the first\n  e0: { at: 0, action: revoke_token, user: ada }\nusers:",
      "scenario: line 11: duplicate key 'events'"),
 ])
-def test_the_general_reader_words_an_error_the_fast_reading_meets(old, new, message):
-    assert scenario_mod._read_fast(_SMALL, "x", None) is not None
+def test_an_error_in_an_event_is_worded_at_its_line(old, new, message):
+    parse_scenario(_SMALL)
     text = _SMALL.replace(old, new)
     assert text != _SMALL
-    assert scenario_mod._read_fast(text, "x", None) is None
     with pytest.raises(ScenarioError) as caught:
         parse_scenario(text)
     assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("line", [
-    "  e3: { at: 2, action: submit, template: t, template_text: x,duration: 5, user: ada }",
-    "  e3: { at: 2, action: submit, template: t, template_text: x, duration:5, user: ada }",
-    "  e3: { at:  2, action: submit, template: t, template_text: x,  user: ada }",
-    "  e3: {  at: 2, action: submit, template: t, template_text: x, user: ada  }",
-    '  e3: { at: 2, action: submit, template: "t", template_text: "x, y", user: ada }',
-    "  e3: { at: 2, action: submit, template: t#1, template_text: x, user: ada }  # note",
-    "  e3:\n    at: 2\n\n    # note\n    action: submit\n    template: t\n"
-    "    template_text: x\n    user: ada",
-    "\n  # note\n  e.3~/-: { at: 2, action: switch_role, provider: p1, node: n1, target: cloud }",
+_SUBMIT = "  e3: { at: 2, action: submit, template: t, template_text: x, user: ada }"
+_SUBMIT_FOR_FIVE = ("  e3: { at: 2, action: submit, template: t, template_text: x, duration: 5,"
+                    " user: ada }")
+_SWITCH = "  %s: { at: 2, action: switch_role, provider: p1, node: n1, target: cloud }"
+
+
+@pytest.mark.parametrize("line, canonical", [
+    ("  e3: { at: 2, action: submit, template: t, template_text: x,duration: 5, user: ada }",
+     _SUBMIT_FOR_FIVE),
+    ("  e3: { at: 2, action: submit, template: t, template_text: x, duration:5, user: ada }",
+     _SUBMIT_FOR_FIVE),
+    ("  e3: { at:  2, action: submit, template: t, template_text: x,  user: ada }", _SUBMIT),
+    ("  e3: {  at: 2, action: submit, template: t, template_text: x, user: ada  }", _SUBMIT),
+    ('  e3: { at: 2, action: submit, template: "t", template_text: "x, y", user: ada }',
+     '  e3: { at: 2, action: submit, template: t, template_text: "x, y", user: ada }'),
+    ("  e3: { at: 2, action: submit, template: t#1, template_text: x, user: ada }  # note",
+     "  e3: { at: 2, action: submit, template: t#1, template_text: x, user: ada }"),
+    ("  e3:\n    at: 2\n\n    # note\n    action: submit\n    template: t\n"
+     "    template_text: x\n    user: ada", _SUBMIT),
+    ("\n  # note\n" + _SWITCH % "e.3~/-", _SWITCH % "e.3~/-"),
 ])
-def test_a_valid_event_in_another_form_reads_as_the_general_reader_reads_it(line):
-    text = _SMALL + line + "\n"
-    fast = scenario_mod._read_fast(text, "x", None)
-    assert fast is not None and fast == _general(text, "x")
-    assert len(fast.events) == 3
+def test_a_valid_event_in_another_form_reads_as_its_one_line_form(line, canonical):
+    scenario = parse_scenario(_SMALL + line + "\n", name="x")
+    assert scenario == parse_scenario(_SMALL + canonical + "\n", name="x")
+    assert len(scenario.events) == 3 and scenario.events[2].at == 2
 
 
 def test_no_template_loads_before_every_line_is_read():
@@ -285,7 +285,6 @@ users:
 events:
 """ + events
     scenario = parse_scenario(text, template_loader=lambda name: "")
-    assert scenario == _general(text, template_loader=lambda name: "")
     forms = [(event.action, sorted(event.params)) for event in scenario.events]
     assert len(forms) == events.count(": {") + events.count(":\n")
     assert {action for action, _ in forms} == set(ACTIONS)

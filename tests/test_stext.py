@@ -73,6 +73,28 @@ def test_line_numbers_tracked():
     assert root.get("b").line_of("c") == 3
 
 
+def test_an_inline_maps_keys_are_on_its_line():
+    root = parse_stext("a: 1\nb: { c: 2, d: 3 }\n")
+    assert root.get("b").line_of("d") == 2
+    assert root.get("b").line_of("x") is None and root.line_of("x", 0) == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("j: { a: 1 }\nk: { a: 1, a: 1 }\n", "line 2: duplicate key 'a'"),
+    ("j: { a : 1 }\nk: { b: 2, a : 3, a: 4 }\n", "line 2: duplicate key 'a'"),
+    ("j: { a: 1 }\nk: { a: 1, b }\n", "line 2: expected key: value in inline map, got 'b'"),
+    ("j: { a: 1 }\nk: { a: 1, a: }\n", "line 2: duplicate key 'a'"),
+    ("j: { a: 1 }\nk: { b: }\n", "line 2: missing value"),
+])
+def test_an_item_read_before_is_checked_again_in_its_map(text, message):
+    """A later map that repeats an item or a key is checked as the first was."""
+    with pytest.raises(StextError) as err:
+        parse_stext(text)
+    assert str(err.value) == message
+    same = parse_stext("j: { a: 1, b: x }\nk: { b: x, a: 1 }\n")
+    assert list(same.get("k").values.items()) == [("b", "x"), ("a", 1)]
+
+
 def test_dump_round_trip_including_quoting():
     data = {
         "title": "needs, quoting",
@@ -104,11 +126,11 @@ nodes:
 quoted: { user: "ada", cpus: "2" }
 """)
     e1, e2, nodes = root.get("e1"), root.get("e2"), root.get("nodes")
-    key1, key2 = list(e1.entries)[1], list(e2.entries)[1]
+    key1, key2 = list(e1.values)[1], list(e2.values)[1]
     assert key1 == "user" and key1 is key2
     assert e1.get("user") is e2.get("user")
     assert e1.get("prefs")[0] is e2.get("prefs")[0]
-    web_key, db_key = list(nodes.get("web").entries), list(nodes.get("db").entries)
+    web_key, db_key = list(nodes.get("web").values), list(nodes.get("db").values)
     assert web_key == ["kind"] and web_key[0] is db_key[0]
     assert nodes.get("web").get("kind") is nodes.get("db").get("kind")
     quoted = root.get("quoted")
