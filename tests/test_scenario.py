@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from orchsim.scenario import ACTIONS, ScenarioError, parse_scenario
+from orchsim.scenario import ACTIONS, ScenarioError, load_scenario, parse_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -66,9 +66,7 @@ def test_every_shipped_and_bench_scenario_reads_as_pinned():
     tools/parity.py --write."""
     with open(os.path.join(ROOT, "PARITY.json"), encoding="utf-8") as manifest:
         pinned = json.load(manifest)["scenarios"]
-    read = {"scenarios/" + name: parse_scenario(text, name=name[:-len(".scn")],
-                                                template_loader=loader)
-            for name, text, loader in _shipped()}
+    read = {path: load_scenario(os.path.join(ROOT, path)) for path in _parity().shipped()}
     read.update((name, parse_scenario(text, name=name, template_loader=loader))
                 for name, text, loader in _bench())
     assert len(read) == 6 + 62 and sorted(read) == sorted(pinned)
